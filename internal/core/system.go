@@ -38,6 +38,11 @@ type System struct {
 	// PerFlowEpochs reverts the unified epoch granularity to each flow's
 	// own RTT (ablation isolating the paper's central design decision).
 	PerFlowEpochs bool
+
+	// Configs, when set, interns the controllers' configurations: a harness
+	// that builds a System per flow points every one at its simulation's
+	// pool. Nil gives each controller a private copy.
+	Configs *ConfigPool
 }
 
 // withDefaults fills unset fields.
@@ -89,14 +94,20 @@ func (s System) Policies(interDC bool, baseRTT eventq.Time) (transport.Params, t
 	if s.PerFlowEpochs {
 		epoch = baseRTT
 	}
-	cc := NewUnoCC(CCConfig{
+	cfg := CCConfig{
 		BDP:                 s.wireBDP(baseRTT),
 		IntraBDP:            s.wireBDP(s.IntraRTT),
 		BaseRTT:             baseRTT,
 		EpochPeriod:         epoch,
 		DisableQA:           s.DisableQA,
 		DisablePhantomAware: s.DisablePhantomAware,
-	})
+	}
+	var cc *UnoCC
+	if s.Configs != nil {
+		cc = s.Configs.NewUnoCC(cfg)
+	} else {
+		cc = NewUnoCC(cfg)
+	}
 
 	var lb transport.PathSelector
 	if s.UseECMP {

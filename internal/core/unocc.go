@@ -119,7 +119,7 @@ func (c CCConfig) withDefaults() CCConfig {
 // gentle decrease when only phantom queues are congested, and Quick Adapt
 // under extreme congestion. One instance controls one flow.
 type UnoCC struct {
-	cfg   CCConfig
+	cfg   *CCConfig // defaulted and immutable; shared by equal flows of a ConfigPool
 	alpha float64
 
 	// Epoch state (§4.1.1). An epoch terminates on the first ACK of a
@@ -177,11 +177,35 @@ type UnoCC struct {
 // NewUnoCC builds a controller for one flow.
 func NewUnoCC(cfg CCConfig) *UnoCC {
 	cfg = cfg.withDefaults()
-	return &UnoCC{cfg: cfg, mdScale: 1}
+	return &UnoCC{cfg: &cfg, mdScale: 1}
+}
+
+// ConfigPool interns controller configurations. A simulation's flows differ
+// in a handful of base RTTs at most, so the thousands of controllers built
+// through one pool share a few CCConfig copies instead of carrying one
+// each. The zero value is ready to use; a pool belongs to one simulation
+// (it is not safe for concurrent use).
+type ConfigPool struct {
+	m map[CCConfig]*CCConfig
+}
+
+// NewUnoCC is the package-level NewUnoCC with the configuration interned.
+func (p *ConfigPool) NewUnoCC(cfg CCConfig) *UnoCC {
+	cfg = cfg.withDefaults()
+	shared, ok := p.m[cfg]
+	if !ok {
+		if p.m == nil {
+			p.m = make(map[CCConfig]*CCConfig)
+		}
+		shared = new(CCConfig) // not &cfg: that would heap-allocate cfg on every call
+		*shared = cfg
+		p.m[cfg] = shared
+	}
+	return &UnoCC{cfg: shared, mdScale: 1}
 }
 
 // Config returns the controller's (defaulted) configuration.
-func (u *UnoCC) Config() CCConfig { return u.cfg }
+func (u *UnoCC) Config() CCConfig { return *u.cfg }
 
 // Name implements transport.CongestionControl.
 func (u *UnoCC) Name() string { return "unocc" }
@@ -218,13 +242,14 @@ func (u *UnoCC) rttEstimate(c *transport.Conn) eventq.Time {
 
 // armQA schedules the next once-per-RTT Quick Adapt evaluation (§4.1.2).
 // One Timer serves the flow's whole lifetime; every rearm is allocation-
-// free.
+// free. The Conn owns it and releases it at completion, so no tick fires
+// for a finished flow.
 func (u *UnoCC) armQA(c *transport.Conn) {
 	if c.Completed() {
 		return
 	}
 	if u.qaTimer == nil {
-		u.qaTimer = c.Scheduler().NewTimer(func() {
+		u.qaTimer = c.NewTimer(func() {
 			u.onQA(c)
 			if !u.cfg.DisableQA {
 				u.armQA(c)

@@ -20,10 +20,11 @@
 //   - ScheduleArg/AfterArg take a pre-bound func(any) plus its argument and
 //     return no handle; the Event comes from and returns to the scheduler's
 //     free list, so steady-state cost is zero allocations.
-//   - Timer binds a callback once at NewTimer and owns its Event for life;
-//     Reset and Cancel move it in and out of the heap in place, making
-//     recurring timers (pacing, RTO, epochs, transmit completion)
-//     allocation-free after setup.
+//   - Timer binds a callback once at NewTimer and owns its Event until
+//     Release; Reset and Cancel move it in and out of the heap in place,
+//     making recurring timers (pacing, RTO, epochs, transmit completion)
+//     allocation-free after setup. A component that ends before the
+//     simulation does (a completed flow) hands the Event back with Release.
 package eventq
 
 import "fmt"
@@ -200,6 +201,11 @@ func (s *Scheduler) Pending() int { return s.w.count }
 // FreeEvents returns the current size of the event free list (telemetry for
 // the allocation-budget tests).
 func (s *Scheduler) FreeEvents() int { return len(s.free) }
+
+// SlabEvents returns the number of slab slots ever handed out — the slab's
+// high-water mark, since slots are recycled but never returned to the heap
+// (telemetry for the flow-lifecycle tests).
+func (s *Scheduler) SlabEvents() int { return s.arena.len() }
 
 // ---- queue operations ----
 
@@ -491,16 +497,23 @@ func (s *Scheduler) Step() bool {
 // runs, so it may Reset itself to build a periodic tick.
 type Timer struct {
 	s *Scheduler
-	e *Event // owned for the timer's life; lives in the scheduler's slab
+	e *Event // owned until Release (nil afterwards); lives in the scheduler's slab
 }
 
 // NewTimer binds fn to a new reusable timer. The timer starts idle; arm it
 // with Reset or ResetAfter. The timer's Event comes from the scheduler's
-// arena (it must: wheel bucket chains link events by slab index) and is
-// never recycled.
+// arena (it must: wheel bucket chains link events by slab index) and stays
+// the timer's own until Release.
 func (s *Scheduler) NewTimer(fn func()) *Timer {
+	return s.NewTimerArg(callFunc, fn)
+}
+
+// NewTimerArg is NewTimer in the ScheduleArg form: the timer calls fn(arg).
+// With fn a package-level function and arg a pointer, creating the timer
+// allocates no closure — what a per-flow timer bound to a method would.
+func (s *Scheduler) NewTimerArg(fn func(any), arg any) *Timer {
 	t := &Timer{s: s, e: s.alloc()}
-	t.e.argfn, t.e.arg = callFunc, fn
+	t.e.argfn, t.e.arg = fn, arg
 	return t
 }
 
@@ -509,14 +522,25 @@ func (s *Scheduler) NewTimer(fn func()) *Timer {
 // same-time events follows reset order, exactly as if the callback had been
 // freshly Scheduled.
 func (t *Timer) Reset(at Time) {
+	e := t.live()
 	t.s.checkTime(at)
-	if t.e.queued() {
-		t.s.remove(t.e)
+	if e.queued() {
+		t.s.remove(e)
 	}
-	t.e.at = at
-	t.e.seq = t.s.seq
+	e.at = at
+	e.seq = t.s.seq
 	t.s.seq++
-	t.s.push(t.e)
+	t.s.push(e)
+}
+
+// live returns the timer's Event, refusing a released timer: its slot may
+// already belong to another timer or a packet event, and arming it from
+// here would fire someone else's callback.
+func (t *Timer) live() *Event {
+	if t.e == nil {
+		panic("eventq: Reset on a released Timer")
+	}
+	return t.e
 }
 
 // ResetAfter (re)schedules the timer to fire after delay d.
@@ -537,26 +561,43 @@ func (t *Timer) ResetAfter(d Time) {
 // the reservation point), which holds for any caller that reserves on
 // entry to its FIFO and arms in FIFO order.
 func (t *Timer) ResetSeq(at Time, seq uint64) {
+	e := t.live()
 	t.s.checkTime(at)
-	if t.e.queued() {
-		t.s.remove(t.e)
+	if e.queued() {
+		t.s.remove(e)
 	}
-	t.e.at = at
-	t.e.seq = seq
-	t.s.push(t.e)
+	e.at = at
+	e.seq = seq
+	t.s.push(e)
 }
 
 // Cancel disarms the timer if pending: the event is removed from the heap
 // immediately (no lazy skip), so a Cancel followed by a Reset can never
-// resurrect the cancelled firing. Cancelling an idle timer is a no-op.
+// resurrect the cancelled firing. Cancelling an idle or released timer is a
+// no-op.
 func (t *Timer) Cancel() {
-	if t.e.queued() {
+	if t.Pending() {
 		t.s.remove(t.e)
 	}
 }
 
+// Release cancels the timer and returns its Event to the scheduler's free
+// list, for owners that end before the simulation does: without it every
+// finished flow would pin its timers' slab slots until the run ends. It may
+// be called while pending, while idle, or from inside the timer's own
+// callback. Afterwards the timer is dead: Pending reports false, Cancel and
+// a second Release are no-ops, and Reset panics.
+func (t *Timer) Release() {
+	if t.e == nil {
+		return
+	}
+	t.Cancel()
+	t.s.recycleEvent(t.e)
+	t.e = nil
+}
+
 // Pending reports whether the timer is armed.
-func (t *Timer) Pending() bool { return t.e.queued() }
+func (t *Timer) Pending() bool { return t.e != nil && t.e.queued() }
 
 // At returns the time of the pending firing (meaningful only while
 // Pending).

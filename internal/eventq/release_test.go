@@ -1,0 +1,108 @@
+package eventq
+
+import (
+	"strings"
+	"testing"
+)
+
+// Timer.Release hands a timer's slab event back to the free list. These
+// tests pin the contract the flow lifecycle rests on: a released timer never
+// fires, never reports pending, cannot be re-armed, and its slot is reused
+// instead of growing the slab.
+
+func TestTimerReleaseWhilePending(t *testing.T) {
+	s := New()
+	fired := false
+	tm := s.NewTimer(func() { fired = true })
+	tm.Reset(100)
+	if !tm.Pending() || s.Pending() != 1 {
+		t.Fatal("setup: timer not armed")
+	}
+	free := s.FreeEvents()
+	tm.Release()
+	if tm.Pending() {
+		t.Error("released timer reports pending")
+	}
+	if s.Pending() != 0 {
+		t.Errorf("%d events still queued after Release", s.Pending())
+	}
+	if s.FreeEvents() != free+1 {
+		t.Errorf("free list %d, want %d: the event was not returned", s.FreeEvents(), free+1)
+	}
+	s.Run()
+	if fired {
+		t.Error("released timer fired")
+	}
+	// Idempotent, and Cancel on a dead timer is harmless.
+	tm.Release()
+	tm.Cancel()
+	if s.FreeEvents() != free+1 {
+		t.Error("second Release returned the event twice")
+	}
+}
+
+func TestTimerReleaseFromOwnCallback(t *testing.T) {
+	s := New()
+	fires := 0
+	var tm *Timer
+	tm = s.NewTimer(func() {
+		fires++
+		tm.Release()
+	})
+	tm.Reset(10)
+	// The slot the callback frees must be safe to reuse at once.
+	other := 0
+	s.ScheduleArg(20, func(any) { other++ }, nil)
+	s.Run()
+	if fires != 1 || other != 1 {
+		t.Fatalf("fires=%d other=%d, want 1 and 1", fires, other)
+	}
+	if tm.Pending() || s.Pending() != 0 {
+		t.Error("timer or queue not idle after releasing from the callback")
+	}
+}
+
+func TestTimerResetAfterReleasePanics(t *testing.T) {
+	for name, rearm := range map[string]func(*Scheduler, *Timer){
+		"Reset":      func(_ *Scheduler, tm *Timer) { tm.Reset(50) },
+		"ResetAfter": func(_ *Scheduler, tm *Timer) { tm.ResetAfter(50) },
+		"ResetSeq":   func(s *Scheduler, tm *Timer) { tm.ResetSeq(50, s.ReserveSeq()) },
+	} {
+		s := New()
+		tm := s.NewTimer(func() { t.Errorf("%s: released timer fired", name) })
+		tm.Release()
+		// The freed slot now belongs to someone else; a silent re-arm would
+		// hijack it.
+		hits := 0
+		s.ScheduleArg(30, func(any) { hits++ }, nil)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "released Timer") {
+					t.Errorf("%s on a released timer: recovered %q, want the released-Timer panic", name, msg)
+				}
+			}()
+			rearm(s, tm)
+		}()
+		s.Run()
+		if hits != 1 || s.Pending() != 0 {
+			t.Errorf("%s: free list corrupted: new owner fired %d times, %d pending", name, hits, s.Pending())
+		}
+	}
+}
+
+// TestTimerReleaseBoundsSlab: create, arm, fire and release ten thousand
+// timers one after another — the life of per-flow timers — and the slab must
+// stop growing after the first.
+func TestTimerReleaseBoundsSlab(t *testing.T) {
+	s := New()
+	for i := 0; i < 10000; i++ {
+		tm := s.NewTimer(func() {})
+		tm.ResetAfter(5)
+		s.Run()
+		tm.Release()
+	}
+	if n := s.SlabEvents(); n > 1 {
+		t.Fatalf("slab grew to %d events for one live timer at a time", n)
+	}
+}

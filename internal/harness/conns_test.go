@@ -1,0 +1,125 @@
+package harness
+
+import (
+	"testing"
+
+	"uno/internal/eventq"
+	"uno/internal/workload"
+)
+
+// TestConnsSeesStartedFlows: on the legacy engine a flow's connection exists
+// only from its start time on. Conns() used to return the nil placeholders
+// it had copied at Schedule time for ever; it must show the started flows,
+// through the same array as the slice Schedule returned.
+func TestConnsSeesStartedFlows(t *testing.T) {
+	sim, err := NewSimShards(3, smallTopo(), StackUno(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perDC := sim.Topo.Cfg.HostsPerDC()
+	specs := []workload.FlowSpec{
+		{Src: 0, Dst: 1, Size: 64 << 10},
+		{Src: 2, Dst: perDC + 3, Size: 64 << 10, Start: 50 * eventq.Microsecond},
+		{Src: 4, Dst: 5, Size: 64 << 10, Start: 100 * eventq.Microsecond},
+	}
+	ret := sim.Schedule(specs)
+	if got := sim.Conns(); len(got) != 3 || &got[0] != &ret[0] {
+		t.Fatal("Conns() and Schedule's return value must share one backing array")
+	}
+	for i, c := range sim.Conns() {
+		if c != nil {
+			t.Fatalf("flow %d has a connection before its start time", i)
+		}
+	}
+	sim.RunUntil(60 * eventq.Microsecond)
+	if c := sim.Conns(); c[0] == nil || c[1] == nil || c[2] != nil {
+		t.Fatalf("at 60us flows 0 and 1 have started and flow 2 has not: %v", c)
+	}
+
+	// A second batch grows the list, possibly into a new array: flows of the
+	// first batch that start afterwards must still reach both views.
+	ret2 := sim.Schedule([]workload.FlowSpec{
+		{Src: 6, Dst: 7, Size: 64 << 10, Start: 80 * eventq.Microsecond},
+		{Src: 8, Dst: perDC + 1, Size: 64 << 10, Start: 90 * eventq.Microsecond},
+	})
+	sim.StartFlow(9, 10, 64<<10, nil)
+	sim.Run(100 * eventq.Millisecond)
+	if sim.Pending() != 0 {
+		t.Fatalf("%d flows did not complete", sim.Pending())
+	}
+	all := sim.Conns()
+	if len(all) != 6 {
+		t.Fatalf("Conns() has %d entries, want 6", len(all))
+	}
+	for i, c := range all {
+		if c == nil || !c.Completed() || c.Stats().PktsSent == 0 {
+			t.Fatalf("Conns()[%d] = %v: not the completed connection", i, c)
+		}
+	}
+	for i, c := range ret {
+		if c != all[i] {
+			t.Errorf("first batch entry %d: Schedule's slice has %p, Conns() has %p", i, c, all[i])
+		}
+	}
+	for i, c := range ret2 {
+		if c != all[3+i] {
+			t.Errorf("second batch entry %d: Schedule's slice has %p, Conns() has %p", i, c, all[3+i])
+		}
+	}
+}
+
+// TestFlowLifecycleOnEveryEngine: on the legacy engine and on the sharded
+// one with one and two workers, a mixed workload with EC flows crossing the
+// border both ways ends with every sender out of its endpoint's demux, every
+// receiver still registered and complete, no event left once the fabric has
+// drained, and every Conn readable as a result handle. On the sharded engine
+// completion runs on the source host's shard while the other shard still
+// reads the flow's receiver and schedule, which is what scripts/ci.sh runs
+// this test under the race detector for.
+func TestFlowLifecycleOnEveryEngine(t *testing.T) {
+	for _, shards := range []int{0, 1, 2} {
+		sim, err := NewSimShards(11, smallTopo(), StackUno(), shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perDC := sim.Topo.Cfg.HostsPerDC()
+		var specs []workload.FlowSpec
+		for i := 0; i < perDC; i++ {
+			start := eventq.Time(i) * 3 * eventq.Microsecond
+			specs = append(specs,
+				workload.FlowSpec{Src: i, Dst: (i + 5) % perDC, Size: 6000, Start: start},
+				workload.FlowSpec{Src: i, Dst: perDC + (i+3)%perDC, Size: 96 << 10, Start: start},
+				workload.FlowSpec{Src: perDC + i, Dst: (i + 7) % perDC, Size: 40 << 10, Start: start},
+			)
+		}
+		conns := sim.Schedule(specs)
+		sim.Run(200 * eventq.Millisecond)
+		if sim.Pending() != 0 {
+			t.Fatalf("shards=%d: %d flows did not complete", shards, sim.Pending())
+		}
+		sim.Drain()
+		pending := sim.Net.Sched.Pending()
+		if sim.Sharded() {
+			pending = sim.Cluster().Pending()
+		}
+		if pending != 0 {
+			t.Errorf("shards=%d: %d events left after the fabric drained", shards, pending)
+		}
+		for i, c := range conns {
+			id := c.Flow().ID
+			if sim.Eps[specs[i].Src].Sender(id) != nil {
+				t.Fatalf("shards=%d: completed flow %d still has a registered sender", shards, id)
+			}
+			if r := sim.Eps[specs[i].Dst].Receiver(id); r == nil || !r.Complete() {
+				t.Fatalf("shards=%d: flow %d lost its receiver", shards, id)
+			}
+			if !c.Completed() || c.FCT() <= 0 || c.Stats().BytesAcked == 0 {
+				t.Fatalf("shards=%d: flow %d result handle unreadable: fct=%v stats=%+v",
+					shards, id, c.FCT(), c.Stats())
+			}
+		}
+		if got := len(sim.Results()); got != len(specs) {
+			t.Errorf("shards=%d: %d results for %d flows", shards, got, len(specs))
+		}
+	}
+}

@@ -7,7 +7,9 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
+	"uno/internal/core"
 	"uno/internal/eventq"
 	"uno/internal/netsim"
 	"uno/internal/stats"
@@ -46,6 +48,13 @@ type Sim struct {
 	pending int
 	conns   []*transport.Conn
 	digest  *netsim.DigestObserver
+
+	// Per-Sim state of the Uno stacks' Policies, which run on one goroutine
+	// per Sim (the coordinator at Schedule time when sharded, the
+	// simulation's otherwise): ccConfigs interns the flows' UnoCC
+	// configurations, unoSys is unoSystem's scratch value.
+	ccConfigs core.ConfigPool
+	unoSys    core.System
 
 	// Sharded execution (NewSimShards / UNO_SHARDS): cluster is non-nil
 	// when the topology is partitioned per-DC, and every piece of mutable
@@ -232,33 +241,79 @@ func (s *Sim) IdealFCT(spec workload.FlowSpec) eventq.Time {
 	return base + eventq.Time(float64(rest)*8/float64(s.Topo.Cfg.LinkBps)*float64(eventq.Second))
 }
 
+// flowRun is the harness's record of one flow from Schedule (or StartFlow)
+// to completion. A Schedule call allocates its flows' records as one slice
+// and hands each to the scheduler as the argument of a pre-bound callback,
+// so starting a flow costs no closure and no retained event.
+type flowRun struct {
+	s     *Sim
+	spec  workload.FlowSpec // private copy: the caller keeps its slice
+	flow  transport.Flow
+	ideal eventq.Time
+	hook  func() // a collective's extra completion callback, else nil
+	// Where a legacy-engine flow's connection goes once it starts: slot is
+	// its element of the slice Schedule returned, idx its index in s.conns.
+	slot  **transport.Conn
+	idx   int32
+	shard int32 // source host's shard (0 on the legacy engine)
+}
+
 // Schedule arranges for the given flows to start at their Start times.
 // It returns the connections in spec order. On the legacy engine entries
 // are populated as flows start; on the sharded engine every connection is
 // opened (passively — no events, no entropy) up front from the
 // coordinating goroutine, and only its Launch runs at spec.Start on the
-// source host's shard.
+// source host's shard. The returned slice is the tail of Conns().
 func (s *Sim) Schedule(specs []workload.FlowSpec) []*transport.Conn {
-	conns := make([]*transport.Conn, len(specs))
+	base, n := len(s.conns), len(specs)
+	s.conns = slices.Grow(s.conns, n)[:base+n]
+	conns := s.conns[base : base+n : base+n]
+	clear(conns)
+	runs := make([]flowRun, n)
 	if s.cluster != nil {
-		for i, spec := range specs {
-			conn, shard := s.openFlow(spec, nil)
-			conns[i] = conn
-			s.shardPending[shard]++
-			s.Topo.Hosts[spec.Src].Network().Sched.Schedule(spec.Start, conn.Launch)
+		perShard := make([]int, len(s.shardResults))
+		for i := range specs {
+			fr := &runs[i]
+			fr.s, fr.spec = s, specs[i]
+			fr.shard = int32(s.Topo.Hosts[fr.spec.Src].Network().Shard())
+			perShard[fr.shard]++
 		}
-		s.conns = append(s.conns, conns...)
+		for sh, k := range perShard {
+			s.shardResults[sh] = slices.Grow(s.shardResults[sh], k)
+		}
+		for i := range runs {
+			fr := &runs[i]
+			conns[i] = s.openFlow(fr, fr.spec.Start)
+			s.shardPending[fr.shard]++
+			fr.flow.Src.Network().Sched.ScheduleArg(fr.spec.Start, launchConn, conns[i])
+		}
 		return conns
 	}
-	for i, spec := range specs {
-		i, spec := i, spec
-		s.pending++
-		s.Net.Sched.Schedule(spec.Start, func() {
-			conns[i] = s.startFlow(spec)
-		})
+	s.results = slices.Grow(s.results, n)
+	s.pending += n
+	for i := range specs {
+		fr := &runs[i]
+		fr.s, fr.spec = s, specs[i]
+		fr.slot, fr.idx = &conns[i], int32(base+i)
+		s.Net.Sched.ScheduleArg(fr.spec.Start, startFlowRun, fr)
 	}
-	s.conns = append(s.conns, conns...)
 	return conns
+}
+
+// launchConn and startFlowRun are the two pre-bound start callbacks.
+func launchConn(a any) { a.(*transport.Conn).Launch() }
+
+// startFlowRun starts a legacy-engine flow at its start time and publishes
+// the connection in both the slice Schedule returned and Conns(): one
+// element, unless a later Schedule or StartFlow grew s.conns into a new
+// array.
+func startFlowRun(a any) {
+	fr := a.(*flowRun)
+	s := fr.s
+	conn := s.openFlow(fr, s.Net.Now())
+	*fr.slot = conn
+	s.conns[fr.idx] = conn
+	conn.Launch()
 }
 
 // StartFlow implements collective.Starter: it launches a transfer right
@@ -271,27 +326,32 @@ func (s *Sim) StartFlow(src, dst int, size int64, onDone func()) {
 	if s.cluster != nil {
 		panic("harness: StartFlow (collective starter) is unsupported on a sharded Sim; run collectives with UNO_SHARDS=off")
 	}
-	spec := workload.FlowSpec{Src: src, Dst: dst, Size: size, Start: s.Net.Now()}
+	fr := &flowRun{
+		s:    s,
+		spec: workload.FlowSpec{Src: src, Dst: dst, Size: size, Start: s.Net.Now()},
+		hook: onDone,
+	}
 	s.pending++
-	s.conns = append(s.conns, s.startFlowHook(spec, onDone))
+	conn := s.openFlow(fr, s.Net.Now())
+	s.conns = append(s.conns, conn)
+	conn.Launch()
 }
 
-// startFlow launches one flow immediately.
-func (s *Sim) startFlow(spec workload.FlowSpec) *transport.Conn {
-	return s.startFlowHook(spec, nil)
-}
-
-// flowSetup resolves everything both engines need to wire a flow: the
-// flow descriptor, transport parameters, policies, and the ideal FCT.
-func (s *Sim) flowSetup(spec *workload.FlowSpec, start eventq.Time) (*transport.Flow,
-	transport.Params, transport.CongestionControl, transport.PathSelector, eventq.Time) {
+// openFlow resolves what both engines need to wire fr's flow — descriptor,
+// transport parameters, policies, ideal FCT — and opens it passively; the
+// caller launches it. On the legacy engine this runs at the flow's start
+// time and Launch follows at once; on the sharded one it runs at setup time
+// on the coordinating goroutine, and Launch is scheduled on the source
+// shard's clock.
+func (s *Sim) openFlow(fr *flowRun, start eventq.Time) *transport.Conn {
+	spec := &fr.spec
 	s.nextID++
 	srcHost, dstHost := s.Topo.Hosts[spec.Src], s.Topo.Hosts[spec.Dst]
 	interDC := !s.Topo.SameDC(srcHost.ID(), dstHost.ID())
 	// The topology is the single source of truth for the flow's class;
 	// generator labels are advisory.
 	spec.InterDC = interDC
-	flow := &transport.Flow{
+	fr.flow = transport.Flow{
 		ID:      s.nextID,
 		Src:     srcHost,
 		Dst:     dstHost,
@@ -304,45 +364,26 @@ func (s *Sim) flowSetup(spec *workload.FlowSpec, start eventq.Time) (*transport.
 	if params.BaseRTT <= 0 {
 		params.BaseRTT = s.BaseRTT(spec.Src, spec.Dst)
 	}
-	return flow, params, cc, lb, s.IdealFCT(*spec)
+	fr.ideal = s.IdealFCT(*spec)
+	return transport.MustOpen(s.Eps[spec.Src], s.Eps[spec.Dst], &fr.flow, params, cc, lb, fr.done)
 }
 
-// startFlowHook launches one flow immediately with an optional extra
-// completion hook (legacy engine: runs at the flow's start time).
-func (s *Sim) startFlowHook(spec workload.FlowSpec, hook func()) *transport.Conn {
-	flow, params, cc, lb, ideal := s.flowSetup(&spec, s.Net.Now())
-	conn := transport.MustStart(s.Eps[spec.Src], s.Eps[spec.Dst], flow, params, cc, lb,
-		func(c *transport.Conn) {
-			s.pending--
-			s.results = append(s.results, FlowResult{
-				Spec: spec, FCT: c.FCT(), Ideal: ideal, Completed: true,
-			})
-			if hook != nil {
-				hook()
-			}
-		})
-	return conn
-}
-
-// openFlow wires one flow passively (sharded engine: runs at setup time
-// from the coordinating goroutine) and returns the connection plus the
-// source host's shard, on whose clock the caller schedules Launch. The
-// completion callback fires inside the source shard's event execution, so
-// it touches only that shard's pending counter and result list.
-func (s *Sim) openFlow(spec workload.FlowSpec, hook func()) (*transport.Conn, int) {
-	flow, params, cc, lb, ideal := s.flowSetup(&spec, spec.Start)
-	shard := s.Topo.Hosts[spec.Src].Network().Shard()
-	conn := transport.MustOpen(s.Eps[spec.Src], s.Eps[spec.Dst], flow, params, cc, lb,
-		func(c *transport.Conn) {
-			s.shardPending[shard]--
-			s.shardResults[shard] = append(s.shardResults[shard], FlowResult{
-				Spec: spec, FCT: c.FCT(), Ideal: ideal, Completed: true,
-			})
-			if hook != nil {
-				hook()
-			}
-		})
-	return conn, shard
+// done is the flow's completion callback. It fires inside the source
+// shard's event execution, so on the sharded engine it touches only that
+// shard's pending counter and result list.
+func (fr *flowRun) done(c *transport.Conn) {
+	s := fr.s
+	res := FlowResult{Spec: fr.spec, FCT: c.FCT(), Ideal: fr.ideal, Completed: true}
+	if s.cluster != nil {
+		s.shardPending[fr.shard]--
+		s.shardResults[fr.shard] = append(s.shardResults[fr.shard], res)
+	} else {
+		s.pending--
+		s.results = append(s.results, res)
+	}
+	if fr.hook != nil {
+		fr.hook()
+	}
 }
 
 // Now returns the current simulated time: the scheduler clock, or — for a
@@ -402,8 +443,10 @@ func (s *Sim) Pending() int {
 	return s.pending
 }
 
-// Conns returns every connection created so far, in scheduling order
-// (entries are nil for flows that have not started yet).
+// Conns returns every connection created so far, in scheduling order.
+// On the legacy engine an entry is nil until its flow starts and is filled
+// in when it does; the slice is live up to its length at the time of the
+// call.
 func (s *Sim) Conns() []*transport.Conn { return s.conns }
 
 // Results returns the completed flows. A sharded Sim concatenates the
@@ -411,11 +454,7 @@ func (s *Sim) Conns() []*transport.Conn { return s.conns }
 // legacy engine's completion order.
 func (s *Sim) Results() []FlowResult {
 	if s.cluster != nil {
-		var out []FlowResult
-		for _, rs := range s.shardResults {
-			out = append(out, rs...)
-		}
-		return out
+		return slices.Concat(s.shardResults...)
 	}
 	return s.results
 }

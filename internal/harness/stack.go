@@ -24,17 +24,21 @@ type Stack struct {
 	Policies func(s *Sim, spec workload.FlowSpec, interDC bool) (transport.Params, transport.CongestionControl, transport.PathSelector)
 }
 
-// unoSystem derives the core.System for a Sim's topology parameters.
+// unoSystem derives the core.System for a Sim's topology parameters. It is
+// built in a field of the Sim: mod is an arbitrary function, so a local
+// handed to it would be heap-allocated once per flow.
 func unoSystem(s *Sim, mod func(*core.System)) core.System {
-	sys := core.System{
+	sys := &s.unoSys
+	*sys = core.System{
 		MTU:      s.MTU,
 		LinkBps:  s.Topo.Cfg.LinkBps,
 		IntraRTT: s.Topo.IntraRTT(s.MTU),
+		Configs:  &s.ccConfigs,
 	}
 	if mod != nil {
-		mod(&sys)
+		mod(sys)
 	}
-	return sys
+	return *sys
 }
 
 // StackUno is the full system: UnoCC + UnoRC (EC on inter-DC flows +

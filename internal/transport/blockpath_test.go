@@ -19,7 +19,7 @@ func assertInFlightConsistent(t *testing.T, conn *Conn) {
 	var want int64
 	for seq := range conn.state {
 		if conn.state[seq].inFlight {
-			want += int64(conn.sched[seq].wire)
+			want += int64(conn.wireSize(int64(seq)))
 		}
 	}
 	if conn.inFlight != want {
@@ -150,7 +150,7 @@ func TestSatisfyBlockThenStaleAck(t *testing.T) {
 	assertInFlightConsistent(t, conn)
 
 	conn.satisfyBlock(0)
-	blk := conn.blocks[0]
+	blk := conn.sched.block(0)
 	for seq := blk.start; seq < blk.start+int64(blk.count); seq++ {
 		s := conn.state[seq]
 		if !s.dontCare || s.inFlight || s.lossPending {
@@ -200,7 +200,7 @@ func TestSatisfyBlockThenRTO(t *testing.T) {
 
 	// Let real RTOs fire and declare the rest lost.
 	d.net.Sched.RunUntil(5 * eventq.Millisecond)
-	blk := conn.blocks[0]
+	blk := conn.sched.block(0)
 	for seq := blk.start; seq < blk.start+int64(blk.count); seq++ {
 		s := conn.state[seq]
 		if s.lossPending || s.inFlight {
@@ -252,7 +252,7 @@ func TestBlockNackExhaustionNoRearm(t *testing.T) {
 	params := d.baseParams()
 	params.EC = ECConfig{Data: 8, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
 	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 16 * 4096}
-	r := newReceiver(d.epB, flow, params.withDefaults())
+	r := testReceiver(d.epB, flow, params.withDefaults())
 
 	blk := &r.blocks[0]
 	blk.got = 1
@@ -280,7 +280,7 @@ func TestBlockCompletionAfterExhaustionCancelsTimer(t *testing.T) {
 	params := d.baseParams()
 	params.EC = ECConfig{Data: 4, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
 	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 8 * 4096}
-	r := newReceiver(d.epB, flow, params.withDefaults())
+	r := testReceiver(d.epB, flow, params.withDefaults())
 
 	blk := &r.blocks[0]
 	blk.nacks = maxBlockNacks

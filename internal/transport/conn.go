@@ -37,9 +37,38 @@ type ConnStats struct {
 	BytesAcked    int64  // wire bytes acknowledged (first ACK per packet)
 }
 
+// blockState is the sender's accounting for one erasure-coding block.
+type blockState struct {
+	acked     int16 // distinct acked packets
+	satisfied bool  // receiver confirmed the block decodable
+}
+
+// fountainSender is the rateless scheme's sender state: repair symbols
+// minted past the static schedule and the loss estimate that sizes them.
+type fountainSender struct {
+	codec *ec.Fountain
+	// extra holds the appended repair entries: schedule index seq lives at
+	// extra[seq-sched.n].
+	extra     []pktDesc
+	extraSeqs [][]int64 // per-block appended repair schedule indices
+	nextSymID []int16   // per-block next fresh repair symbol id
+	// lossEWMA tracks the observed loss fraction from NACK and RTO signals
+	// and sizes proactive repair beyond the scheduled Parity (§DESIGN 3.9).
+	lossEWMA float64
+	// maxSentEnd is one past the highest schedule index ever transmitted.
+	// A fixed schedule never sends past its fresh-packet cursor; appended
+	// repair entries lie past nextNew and go out from the retransmission
+	// queue, so loss sweeps scan to this bound.
+	maxSentEnd int64
+}
+
 // Conn is the sender side of one flow. Congestion-control and path-selector
 // policies observe and steer it through the exported accessors. All methods
 // run on the simulation goroutine.
+//
+// A Conn outlives its flow as a result handle: finish tears down everything
+// transmission needed (timers, policies, per-packet state, the demux entry)
+// and leaves Flow, Stats, FCT and Completed readable.
 type Conn struct {
 	ep     *Endpoint
 	flow   *Flow
@@ -47,9 +76,8 @@ type Conn struct {
 	cc     CongestionControl
 	lb     PathSelector
 
-	sched  []pktDesc
-	blocks []blockDesc
-	state  []pktState
+	sched schedule
+	state []pktState // one per schedule entry, appended repair included
 
 	nextNew  int64   // next never-sent schedule index
 	rtxQ     []int64 // retransmission queue (schedule indices)
@@ -61,81 +89,75 @@ type Conn struct {
 	sendTimer  *eventq.Timer // pacer wakeup, bound once to trySend
 
 	srtt, rttvar eventq.Time
-	hasRTT       bool
 
 	// Lazy TCP-style retransmission timer: armed at lastProgress+rto and
 	// re-checked on expiry, so per-ACK work is O(1). A reusable Timer: the
 	// callback is bound once and every (re)arming is allocation-free.
 	rtoTimer     *eventq.Timer
-	rtoBackoff   uint
 	lastProgress eventq.Time
 
 	// Fast-retransmit state.
 	lowestUnacked int64
-	acksAboveLow  int
 	// maxAckedSent is the latest transmission time among acked packets —
 	// the RACK loss-sweep reference point.
 	maxAckedSent eventq.Time
 
-	blockAcked     []int16 // per-block distinct acked packets
-	blockSatisfied []bool
+	blocks []blockState // empty without EC
 
-	// maxSentEnd is one past the highest schedule index ever transmitted.
-	// For fixed schedules it always equals nextNew whenever it matters; the
-	// fountain scheme appends repair entries past nextNew and sends them
-	// from the retransmission queue, so loss sweeps scan to this bound.
-	maxSentEnd int64
+	ft *fountainSender // nil under SchemeRS
 
-	// Rateless (fountain) sender state; nil/empty under SchemeRS.
-	fountain  *ec.Fountain
-	extraSeqs [][]int64 // per-block appended repair schedule indices
-	nextSymID []int16   // per-block next fresh repair symbol id
-	// lossEWMA tracks the observed loss fraction from NACK and RTO signals
-	// and sizes proactive repair beyond the scheduled Parity (§DESIGN 3.9).
-	lossEWMA float64
+	policyTimers []*eventq.Timer // handed out by NewTimer, released by finish
 
-	stats     ConnStats
-	running   bool // both policies initialized; transmission may begin
-	completed bool
-	fct       eventq.Time
-	onDone    func(*Conn)
+	// The small fields share one word.
+	acksAboveLow int32 // fast-retransmit evidence count
+	rtoBackoff   uint8
+	hasRTT       bool
+	running      bool // both policies initialized; transmission may begin
+	completed    bool
+
+	stats  ConnStats
+	fct    eventq.Time
+	onDone func(*Conn)
 }
 
 // newConn builds (but does not start) a sender.
-func newConn(ep *Endpoint, flow *Flow, params Params, cc CongestionControl, lb PathSelector, onDone func(*Conn)) *Conn {
-	sched, blocks := buildSchedule(flow.Size, params)
+func newConn(ep *Endpoint, flow *Flow, params *Params, sched schedule, cc CongestionControl, lb PathSelector, onDone func(*Conn)) *Conn {
 	c := &Conn{
 		ep:     ep,
 		flow:   flow,
-		params: params,
+		params: *params,
 		cc:     cc,
 		lb:     lb,
 		sched:  sched,
-		blocks: blocks,
-		state:  make([]pktState, len(sched)),
+		state:  make([]pktState, sched.n),
 		cwnd:   params.InitialCwnd,
 		onDone: onDone,
 	}
-	if len(blocks) > 0 {
-		c.blockAcked = make([]int16, len(blocks))
-		c.blockSatisfied = make([]bool, len(blocks))
+	if sched.nBlocks > 0 {
+		c.blocks = make([]blockState, sched.nBlocks)
 	}
 	if params.EC.Fountain() {
-		c.fountain = ec.MustNewFountain(params.EC.Data, params.EC.Parity)
-		c.extraSeqs = make([][]int64, len(blocks))
-		c.nextSymID = make([]int16, len(blocks))
-		for b, blk := range blocks {
-			c.nextSymID[b] = blk.count // ids 0..count-1 are scheduled
+		c.ft = &fountainSender{
+			codec:     ec.MustNewFountain(params.EC.Data, params.EC.Parity),
+			extraSeqs: make([][]int64, sched.nBlocks),
+			nextSymID: make([]int16, sched.nBlocks),
+		}
+		for b := range c.ft.nextSymID {
+			c.ft.nextSymID[b] = sched.block(int32(b)).count // ids 0..count-1 are scheduled
 		}
 	}
 	if c.cwnd <= 0 {
 		c.cwnd = float64(params.MTU + HeaderSize)
 	}
 	sch := ep.host.Network().Sched
-	c.sendTimer = sch.NewTimer(c.trySend)
-	c.rtoTimer = sch.NewTimer(c.onRTO)
+	c.sendTimer = sch.NewTimerArg(connTrySend, c)
+	c.rtoTimer = sch.NewTimerArg(connOnRTO, c)
 	return c
 }
+
+// The two timer callbacks, pre-bound so a flow's timers need no closures.
+func connTrySend(a any) { a.(*Conn).trySend() }
+func connOnRTO(a any)   { a.(*Conn).onRTO() }
 
 // Launch runs the policies' Init hooks and begins transmitting. It must
 // run on the source host's shard at the flow's start time: everything
@@ -157,8 +179,19 @@ func (c *Conn) Flow() *Flow { return c.flow }
 // Params returns the transport parameters.
 func (c *Conn) Params() Params { return c.params }
 
-// Scheduler returns the simulation scheduler (for policy timers).
+// Scheduler returns the simulation scheduler.
 func (c *Conn) Scheduler() *eventq.Scheduler { return c.ep.host.Network().Sched }
+
+// NewTimer returns a timer for a policy's own ticks (UnoCC's Quick Adapt
+// period). It belongs to the flow: completion cancels and releases it, so a
+// tick can neither fire for a finished flow nor pin a scheduler slot past
+// it. The hook sits on the Conn, not on the policy interfaces, so it also
+// reaches a policy that a harness has wrapped.
+func (c *Conn) NewTimer(fn func()) *eventq.Timer {
+	t := c.Scheduler().NewTimer(fn)
+	c.policyTimers = append(c.policyTimers, t)
+	return t
+}
 
 // Rand returns the simulation's deterministic RNG.
 func (c *Conn) Rand() *rng.Rand { return c.ep.host.Network().Rand }
@@ -214,13 +247,22 @@ func (c *Conn) FCT() eventq.Time { return c.fct }
 // MTUWire returns the wire size of a full data packet.
 func (c *Conn) MTUWire() int { return c.params.MTU + HeaderSize }
 
-// TotalPkts returns the schedule length (data + parity packets).
-func (c *Conn) TotalPkts() int64 { return int64(len(c.sched)) }
+// TotalPkts returns the static schedule length (data + parity packets).
+func (c *Conn) TotalPkts() int64 { return c.sched.n }
 
 // ---- sending ----
 
+// desc returns schedule entry seq: the closed-form static schedule, or past
+// it a repair symbol the fountain sender appended.
+func (c *Conn) desc(seq int64) pktDesc {
+	if seq < c.sched.n {
+		return c.sched.desc(seq)
+	}
+	return c.ft.extra[seq-c.sched.n]
+}
+
 // wireSize returns the wire size of schedule entry seq.
-func (c *Conn) wireSize(seq int64) int { return c.sched[seq].wire }
+func (c *Conn) wireSize(seq int64) int { return c.desc(seq).wire }
 
 // nextToSend picks the next schedule index to transmit: retransmissions
 // first, then fresh packets. Returns -1 when nothing is eligible.
@@ -234,7 +276,7 @@ func (c *Conn) nextToSend() int64 {
 		}
 		return seq
 	}
-	for c.nextNew < int64(len(c.sched)) {
+	for c.nextNew < int64(len(c.state)) {
 		seq := c.nextNew
 		// Skip don't-care entries, plus entries the fresh-packet cursor
 		// does not own: fountain-appended repair symbols are dispatched
@@ -252,10 +294,11 @@ func (c *Conn) nextToSend() int64 {
 }
 
 // lossScanEnd bounds the loss-detection sweeps: every schedule entry that
-// could be in flight lies below max(nextNew, maxSentEnd).
+// could be in flight lies below nextNew or, for the fountain sender's
+// appended repair, below maxSentEnd.
 func (c *Conn) lossScanEnd() int64 {
-	if c.maxSentEnd > c.nextNew {
-		return c.maxSentEnd
+	if c.ft != nil && c.ft.maxSentEnd > c.nextNew {
+		return c.ft.maxSentEnd
 	}
 	return c.nextNew
 }
@@ -275,13 +318,14 @@ func (c *Conn) trySend() {
 		if seq < 0 {
 			return
 		}
-		size := c.wireSize(seq)
+		d := c.desc(seq)
+		size := d.wire
 		// Window check: always allow one packet when nothing is in
 		// flight, so the flow can never stall on a tiny window.
 		if c.inFlight > 0 && float64(c.inFlight+int64(size)) > c.cwnd {
 			return
 		}
-		c.transmit(seq)
+		c.transmit(seq, d)
 		if c.pacing > 0 {
 			c.nextSendAt = now + eventq.Time(float64(size)*8*float64(eventq.Second)/c.pacing)
 		}
@@ -296,9 +340,8 @@ func (c *Conn) armSendEvent(at eventq.Time) {
 	c.sendTimer.Reset(at)
 }
 
-// transmit puts schedule entry seq on the wire.
-func (c *Conn) transmit(seq int64) {
-	d := &c.sched[seq]
+// transmit puts schedule entry seq, whose descriptor is d, on the wire.
+func (c *Conn) transmit(seq int64, d pktDesc) {
 	st := &c.state[seq]
 	p := c.ep.host.Network().AllocPacket()
 	p.Type = netsim.Data
@@ -340,14 +383,14 @@ func (c *Conn) transmit(seq int64) {
 	if seq == c.nextNew {
 		c.nextNew++
 	}
-	if seq >= c.maxSentEnd {
-		c.maxSentEnd = seq + 1
+	if c.ft != nil && seq >= c.ft.maxSentEnd {
+		c.ft.maxSentEnd = seq + 1
 	}
 	c.flow.Src.Send(p)
 	// p.IsRtx captured st.sent before this transmission, so !p.IsRtx means
 	// the entry just went out for the first time. appendRepair may grow
-	// c.sched/c.state; d and st are not touched past this point.
-	if c.fountain != nil && !p.IsRtx && d.parity && d.block >= 0 {
+	// c.state; st is not touched past this point.
+	if c.ft != nil && !p.IsRtx && d.parity && d.block >= 0 {
 		c.maybeProactiveRepair(d.block, seq)
 	}
 	c.armRTO()
@@ -358,8 +401,8 @@ func (c *Conn) transmit(seq int64) {
 // if the loss EWMA says the scheduled Parity likely won't survive, extra
 // fresh symbols are minted now instead of waiting for the NACK round trip.
 func (c *Conn) maybeProactiveRepair(b int32, seq int64) {
-	blk := c.blocks[b]
-	if seq != blk.start+int64(blk.count)-1 || len(c.extraSeqs[b]) > 0 || c.blockSatisfied[b] {
+	blk := c.sched.block(b)
+	if seq != blk.start+int64(blk.count)-1 || len(c.ft.extraSeqs[b]) > 0 || c.blocks[b].satisfied {
 		return
 	}
 	if extra := c.adaptiveRepair(blk); extra > 0 {
@@ -372,7 +415,7 @@ func (c *Conn) maybeProactiveRepair(b int32, seq int64) {
 // so covering dataCount needs ceil(dataCount/(1-p)) symbols. The excess
 // over the already-scheduled count is capped at one extra dataCount worth.
 func (c *Conn) adaptiveRepair(blk blockDesc) int {
-	p := c.lossEWMA
+	p := c.ft.lossEWMA
 	if p <= 0 {
 		return 0
 	}
@@ -400,7 +443,7 @@ func (c *Conn) noteLossSample(lost, total int) {
 	if s > 1 {
 		s = 1
 	}
-	c.lossEWMA = c.lossEWMA*(7.0/8) + s/8
+	c.ft.lossEWMA = c.ft.lossEWMA*(7.0/8) + s/8
 }
 
 // appendRepair mints n fresh fountain repair symbols for block b: each gets
@@ -408,29 +451,30 @@ func (c *Conn) noteLossSample(lost, total int) {
 // queued on the retransmission queue for priority dispatch, and inherits
 // the block's repair wire size. No-op once the BlockIdx id space runs out.
 func (c *Conn) appendRepair(b int32, n int) {
-	blk := c.blocks[b]
+	ft := c.ft
+	blk := c.sched.block(b)
 	// Repair symbols are sized like the block's largest payload — the
 	// block's last scheduled entry if it is a parity packet, else the
 	// largest data packet (Parity == 0 schedules no repair entries).
 	wire := 0
 	for seq := blk.start; seq < blk.start+int64(blk.count); seq++ {
-		if w := c.sched[seq].wire; w > wire {
+		if w := c.sched.desc(seq).wire; w > wire {
 			wire = w
 		}
 	}
-	limit := int16(c.fountain.MaxSymbols(int(blk.dataCount)) - 1)
+	limit := int16(ft.codec.MaxSymbols(int(blk.dataCount)) - 1)
 	for i := 0; i < n; i++ {
-		id := c.nextSymID[b]
+		id := ft.nextSymID[b]
 		if id >= limit {
 			return
 		}
-		c.nextSymID[b] = id + 1
-		seq := int64(len(c.sched))
-		c.sched = append(c.sched, pktDesc{
+		ft.nextSymID[b] = id + 1
+		seq := int64(len(c.state))
+		ft.extra = append(ft.extra, pktDesc{
 			payload: 0, wire: wire, block: b, blockIdx: id, parity: true,
 		})
 		c.state = append(c.state, pktState{lossPending: true})
-		c.extraSeqs[b] = append(c.extraSeqs[b], seq)
+		ft.extraSeqs[b] = append(ft.extraSeqs[b], seq)
 		c.rtxQ = append(c.rtxQ, seq)
 	}
 }
@@ -455,7 +499,7 @@ func (c *Conn) rto() eventq.Time {
 	if base >= max {
 		return max
 	}
-	for i := uint(0); i < c.rtoBackoff; i++ {
+	for i := uint8(0); i < c.rtoBackoff; i++ {
 		if base > max/2 {
 			return max
 		}
@@ -528,10 +572,10 @@ func (c *Conn) onRTO() {
 				declared++
 			}
 		}
-		if c.fountain != nil && declared > 0 {
+		if c.ft != nil && declared > 0 {
 			c.noteLossSample(declared, outstanding)
 		}
-	case c.nextNew >= int64(len(c.sched)) && len(c.rtxQ) == 0:
+	case c.nextNew >= int64(len(c.state)) && len(c.rtxQ) == 0:
 		// Everything sent and acknowledged but no FlowDone: probe.
 		c.probeFinalAck()
 	}
@@ -543,8 +587,8 @@ func (c *Conn) onRTO() {
 
 // probeFinalAck re-sends the last schedule entry to solicit a FlowDone.
 func (c *Conn) probeFinalAck() {
-	seq := int64(len(c.sched)) - 1
-	c.transmit(seq)
+	seq := int64(len(c.state)) - 1
+	c.transmit(seq, c.desc(seq))
 }
 
 // ---- receive path (ACK / NACK handling) ----
@@ -569,12 +613,13 @@ func (c *Conn) handleAck(p *netsim.Packet) {
 		// state to release — drop it. For MDS schemes the receiver
 		// bounds-checks seq against the static schedule before echoing,
 		// so an out-of-range ACK can only be an internal bug.
-		if c.fountain != nil {
+		if c.ft != nil {
 			return
 		}
 		panic(fmt.Sprintf("transport: flow %d ack for bad seq %d", c.flow.ID, seq))
 	}
 	st := &c.state[seq]
+	d := c.desc(seq)
 
 	if p.EchoTrimmed {
 		// Fast loss notification: the packet's payload was trimmed at a
@@ -584,7 +629,7 @@ func (c *Conn) handleAck(p *netsim.Packet) {
 		if !st.acked && !st.dontCare && !st.lossPending {
 			if st.inFlight {
 				st.inFlight = false
-				c.inFlight -= int64(c.wireSize(seq))
+				c.inFlight -= int64(d.wire)
 			}
 			st.lossPending = true
 			c.rtxQ = append(c.rtxQ, seq)
@@ -619,17 +664,17 @@ func (c *Conn) handleAck(p *netsim.Packet) {
 	// in-flight accounting, including probes of already-acked packets.
 	if st.inFlight {
 		st.inFlight = false
-		c.inFlight -= int64(c.wireSize(seq))
+		c.inFlight -= int64(d.wire)
 	}
 	if !st.acked {
 		st.acked = true
 		st.lossPending = false
-		info.Bytes = c.wireSize(seq)
+		info.Bytes = d.wire
 		c.stats.BytesAcked += int64(info.Bytes)
 		c.rtoBackoff = 0
 		c.lastProgress = now
-		if d := &c.sched[seq]; d.block >= 0 && !st.dontCare {
-			c.blockAcked[d.block]++
+		if d.block >= 0 && !st.dontCare {
+			c.blocks[d.block].acked++
 		}
 	}
 
@@ -677,14 +722,14 @@ func (c *Conn) updateRTT(rtt eventq.Time) {
 // nextToSend once dontCare; in-flight bytes are released exactly once here
 // (lossPending entries were already released when they were declared lost).
 func (c *Conn) satisfyBlock(b int32) {
-	if b < 0 || int(b) >= len(c.blocks) || c.blockSatisfied[b] {
+	if b < 0 || int(b) >= len(c.blocks) || c.blocks[b].satisfied {
 		return
 	}
-	c.blockSatisfied[b] = true
-	blk := c.blocks[b]
+	c.blocks[b].satisfied = true
+	blk := c.sched.block(b)
 	c.releaseDontCare(blk.start, blk.start+int64(blk.count))
-	if c.extraSeqs != nil {
-		for _, seq := range c.extraSeqs[b] {
+	if c.ft != nil {
+		for _, seq := range c.ft.extraSeqs[b] {
 			c.releaseDontCare(seq, seq+1)
 		}
 	}
@@ -744,7 +789,7 @@ func (c *Conn) maybeFastRetransmit(info AckInfo) {
 		return // evidence predates the candidate's last transmission
 	}
 	c.acksAboveLow++
-	if c.acksAboveLow < c.params.DupAckThresh {
+	if int(c.acksAboveLow) < c.params.DupAckThresh {
 		return
 	}
 	c.acksAboveLow = 0
@@ -795,11 +840,11 @@ func (c *Conn) handleNack(p *netsim.Packet) {
 	}
 	c.stats.NacksReceived++
 	b := p.NackBlock
-	if b < 0 || int(b) >= len(c.blocks) || c.blockSatisfied[b] {
+	if b < 0 || int(b) >= len(c.blocks) || c.blocks[b].satisfied {
 		return
 	}
-	blk := c.blocks[b]
-	if c.fountain != nil {
+	blk := c.sched.block(b)
+	if c.ft != nil {
 		// Rateless recovery: never retransmit the exact missing packets —
 		// mint fresh repair symbols instead. Any innovative symbol
 		// substitutes for any loss, so len(Missing) (the receiver's rank
@@ -808,7 +853,7 @@ func (c *Conn) handleNack(p *netsim.Packet) {
 		need := len(p.Missing)
 		if need > 0 {
 			c.noteLossSample(need, int(blk.count))
-			lr := c.lossEWMA
+			lr := c.ft.lossEWMA
 			if lr > 0.5 {
 				lr = 0.5
 			}
@@ -855,15 +900,25 @@ func (c *Conn) handleCnm(p *netsim.Packet) {
 	}
 }
 
-// finish records completion and stops all timers.
+// finish records completion and tears the sender down to a result handle:
+// the timers' slab events — the policies' too — go back to the scheduler,
+// the policies are dropped, the demux entry goes (every handler returns on
+// c.completed anyway, so late ACKs lose nothing by missing it) and the
+// per-packet state is released. Flow, Stats, FCT and Completed stay valid.
 func (c *Conn) finish(now eventq.Time) {
 	if c.completed {
 		return
 	}
 	c.completed = true
 	c.fct = now - c.flow.Start
-	c.rtoTimer.Cancel()
-	c.sendTimer.Cancel()
+	c.rtoTimer.Release()
+	c.sendTimer.Release()
+	for _, t := range c.policyTimers {
+		t.Release()
+	}
+	c.cc, c.lb, c.policyTimers = nil, nil, nil
+	delete(c.ep.senders, c.flow.ID)
+	c.state, c.rtxQ, c.blocks, c.ft = nil, nil, nil, nil
 	if c.onDone != nil {
 		c.onDone(c)
 	}

@@ -56,10 +56,13 @@ func (ep *Endpoint) handle(p *netsim.Packet) {
 // harnesses and tests can wrap the handler with taps that forward here.
 func (ep *Endpoint) Handle(p *netsim.Packet) { ep.handle(p) }
 
-// Sender returns the sending Conn for a flow, or nil.
+// Sender returns the sending Conn of a live flow, or nil: a sender leaves
+// the endpoint when its flow completes (the Conn Open returned stays valid
+// as a result handle).
 func (ep *Endpoint) Sender(id netsim.FlowID) *Conn { return ep.senders[id] }
 
-// Receiver returns the receiving state for a flow, or nil.
+// Receiver returns the receiving state for a flow, or nil. Receivers stay
+// registered after completion: late duplicates still get their ACK.
 func (ep *Endpoint) Receiver(id netsim.FlowID) *Receiver { return ep.receivers[id] }
 
 // Open wires up a flow on its two endpoints — sender Conn, passive
@@ -87,10 +90,11 @@ func Open(src, dst *Endpoint, flow *Flow, params Params,
 		return nil, err
 	}
 
-	conn := newConn(src, flow, params, cc, lb, onDone)
-	rcv := newReceiver(dst, flow, params)
+	// One schedule for both ends: it is a small value, so each keeps a copy.
+	sched := newSchedule(flow.Size, &params)
+	conn := newConn(src, flow, &params, sched, cc, lb, onDone)
 	src.senders[flow.ID] = conn
-	dst.receivers[flow.ID] = rcv
+	dst.receivers[flow.ID] = newReceiver(dst, flow, &params, sched)
 	return conn, nil
 }
 

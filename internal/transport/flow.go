@@ -13,6 +13,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 
 	"uno/internal/ec"
 	"uno/internal/eventq"
@@ -123,9 +124,9 @@ func (p Params) validate() error {
 	return nil
 }
 
-// pktDesc is one entry of a flow's static transmission schedule: the
-// sequence space covers data packets and, with EC enabled, the interleaved
-// parity packets of each block.
+// pktDesc is one entry of a flow's transmission schedule: the sequence space
+// covers data packets and, with EC enabled, the interleaved parity packets
+// of each block.
 type pktDesc struct {
 	payload  int   // payload bytes (0 for parity packets' accounting, see wire)
 	wire     int   // bytes on the wire
@@ -141,65 +142,90 @@ type blockDesc struct {
 	dataCount int16 // packets required to decode (= data packets)
 }
 
-// buildSchedule constructs the deterministic transmission schedule for a
-// flow: both endpoints derive it independently, so no control handshake is
-// needed. Without EC the schedule is ceil(size/MTU) data packets. With EC,
-// data packets are grouped into blocks of EC.Data and each block is
-// followed by EC.Parity parity packets sized like the block's largest
-// payload.
-func buildSchedule(size int64, p Params) ([]pktDesc, []blockDesc) {
+// schedule is a flow's static transmission schedule in closed form. Without
+// EC it is ceil(size/MTU) data packets. With EC, data packets are grouped
+// into blocks of EC.Data and each block is followed by EC.Parity parity
+// packets sized like the block's largest payload; every block but the last
+// is full, so block b starts at b*(Data+Parity). Open builds it once and
+// hands a copy to both ends: an entry is a pure function of its sequence
+// number, so no per-packet table exists and a flow's fixed state does not
+// grow with its size.
+type schedule struct {
+	nData   int64 // data packets
+	n       int64 // entries: data plus parity
+	nBlocks int64 // 0 without EC
+	// x and y are the EC block shape (Data, Parity); x == 0 without EC.
+	x, y             int32
+	mtu, lastPayload int // payload of a full and of the final data packet
+}
+
+func newSchedule(size int64, p *Params) schedule {
 	if size <= 0 {
 		size = 1
 	}
 	mtu := int64(p.MTU)
-	nData := (size + mtu - 1) / mtu
-	lastPayload := int(size - (nData-1)*mtu)
-
-	if !p.EC.Enabled() {
-		descs := make([]pktDesc, nData)
-		for i := int64(0); i < nData; i++ {
-			payload := p.MTU
-			if i == nData-1 {
-				payload = lastPayload
-			}
-			descs[i] = pktDesc{payload: payload, wire: payload + HeaderSize, block: -1, blockIdx: -1}
-		}
-		return descs, nil
+	s := schedule{nData: (size + mtu - 1) / mtu, mtu: p.MTU}
+	s.lastPayload = int(size - (s.nData-1)*mtu)
+	s.n = s.nData
+	if p.EC.Enabled() {
+		s.x, s.y = int32(p.EC.Data), int32(p.EC.Parity)
+		s.nBlocks = (s.nData + int64(s.x) - 1) / int64(s.x)
+		s.n += s.nBlocks * int64(s.y)
 	}
+	return s
+}
 
-	x, y := int64(p.EC.Data), int64(p.EC.Parity)
-	nBlocks := (nData + x - 1) / x
-	descs := make([]pktDesc, 0, nData+nBlocks*y)
-	blocks := make([]blockDesc, 0, nBlocks)
-	dataLeft := nData
-	for b := int64(0); b < nBlocks; b++ {
-		d := x
-		if dataLeft < d {
-			d = dataLeft
-		}
-		dataLeft -= d
-		start := int64(len(descs))
-		maxPayload := 0
-		for i := int64(0); i < d; i++ {
-			payload := p.MTU
-			if b*x+i == nData-1 {
-				payload = lastPayload
-			}
-			if payload > maxPayload {
-				maxPayload = payload
-			}
-			descs = append(descs, pktDesc{
-				payload: payload, wire: payload + HeaderSize,
-				block: int32(b), blockIdx: int16(i),
-			})
-		}
-		for j := int64(0); j < y; j++ {
-			descs = append(descs, pktDesc{
-				payload: 0, wire: maxPayload + HeaderSize,
-				block: int32(b), blockIdx: int16(d + j), parity: true,
-			})
-		}
-		blocks = append(blocks, blockDesc{start: start, count: int16(d + y), dataCount: int16(d)})
+// dataPayload returns the payload of data packet i (counting data only).
+func (s *schedule) dataPayload(i int64) int {
+	if i == s.nData-1 {
+		return s.lastPayload
 	}
-	return descs, blocks
+	return s.mtu
+}
+
+// dataIn returns the number of data packets of block b.
+func (s *schedule) dataIn(b int64) int64 {
+	if b == s.nBlocks-1 {
+		return s.nData - b*int64(s.x)
+	}
+	return int64(s.x)
+}
+
+// desc returns schedule entry seq, 0 <= seq < s.n.
+func (s *schedule) desc(seq int64) pktDesc {
+	if s.x == 0 {
+		payload := s.dataPayload(seq)
+		return pktDesc{payload: payload, wire: payload + HeaderSize, block: -1, blockIdx: -1}
+	}
+	// The block number costs one division per packet; take the 32-bit one
+	// (less than half the latency of a 64-bit divide) whenever seq allows.
+	per := int64(s.x) + int64(s.y)
+	var b int64
+	if uint64(seq) <= math.MaxUint32 {
+		b = int64(uint32(seq) / uint32(per))
+	} else {
+		b = seq / per
+	}
+	i, d := seq-b*per, s.dataIn(b)
+	if i < d {
+		payload := s.dataPayload(b*int64(s.x) + i)
+		return pktDesc{payload: payload, wire: payload + HeaderSize, block: int32(b), blockIdx: int16(i)}
+	}
+	// Parity is sized like the block's largest payload: a full packet,
+	// unless the block's only data packet is the flow's short last one.
+	wire := s.mtu
+	if d == 1 && b == s.nBlocks-1 {
+		wire = s.lastPayload
+	}
+	return pktDesc{wire: wire + HeaderSize, block: int32(b), blockIdx: int16(i), parity: true}
+}
+
+// block returns the summary of block b, 0 <= b < s.nBlocks.
+func (s *schedule) block(b int32) blockDesc {
+	d := s.dataIn(int64(b))
+	return blockDesc{
+		start:     int64(b) * (int64(s.x) + int64(s.y)),
+		count:     int16(d + int64(s.y)),
+		dataCount: int16(d),
+	}
 }

@@ -8,6 +8,16 @@ import (
 	"uno/internal/rng"
 )
 
+// snoopCC is FixedWindow plus a probe run on every ACK, before the ACK can
+// complete the flow: completion tears the sender's per-packet and fountain
+// state down, so tests that assert on that state sample it here.
+type snoopCC struct {
+	FixedWindow
+	probe func(c *Conn)
+}
+
+func (s *snoopCC) OnAck(c *Conn, _ AckInfo) { s.probe(c) }
+
 func fountainParams(d *dumbbell) Params {
 	p := d.baseParams()
 	p.EC = ECConfig{Data: 8, Parity: 2, BlockTimeout: 50 * eventq.Microsecond, Scheme: SchemeFountain}
@@ -85,7 +95,9 @@ func TestFountainValidateDataCap(t *testing.T) {
 func TestFountainLosslessMatchesRS(t *testing.T) {
 	d := newDumbbell(31, gbps100)
 	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 40 * 4096}
-	conn := d.run(flow, fountainParams(d), &FixedWindow{Window: 1 << 20}, &FixedEntropy{})
+	minted := 0
+	cc := &snoopCC{FixedWindow{Window: 1 << 20}, func(c *Conn) { minted = len(c.ft.extra) }}
+	conn := d.run(flow, fountainParams(d), cc, &FixedEntropy{})
 	if !conn.Completed() {
 		t.Fatal("flow did not complete")
 	}
@@ -93,13 +105,11 @@ func TestFountainLosslessMatchesRS(t *testing.T) {
 	if st.PktsRetrans != 0 || st.NacksReceived != 0 {
 		t.Fatalf("lossless fountain run retransmitted: %+v", st)
 	}
-	if got := int64(len(conn.sched)); st.PktsSent != uint64(got) {
+	if got := conn.TotalPkts(); st.PktsSent != uint64(got) {
 		t.Fatalf("sent %d packets, schedule has %d", st.PktsSent, got)
 	}
-	for b := range conn.extraSeqs {
-		if len(conn.extraSeqs[b]) != 0 {
-			t.Fatalf("block %d minted repair symbols without loss", b)
-		}
+	if minted != 0 {
+		t.Fatalf("minted %d repair symbols without loss", minted)
 	}
 }
 
@@ -117,7 +127,9 @@ func TestFountainNackMintsFreshSymbols(t *testing.T) {
 	params := fountainParams(d)
 	params.MinRTO = eventq.Second // recovery must come from the NACK path
 	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 24 * 4096}
-	conn := d.run(flow, params, &FixedWindow{Window: 1 << 20}, &FixedEntropy{})
+	minted := 0
+	cc := &snoopCC{FixedWindow{Window: 1 << 20}, func(c *Conn) { minted = len(c.ft.extraSeqs[0]) }}
+	conn := d.run(flow, params, cc, &FixedEntropy{})
 	if !conn.Completed() {
 		t.Fatal("flow did not complete via fountain NACK recovery")
 	}
@@ -125,13 +137,13 @@ func TestFountainNackMintsFreshSymbols(t *testing.T) {
 	if st.NacksReceived == 0 {
 		t.Fatal("no NACK observed")
 	}
-	if len(conn.extraSeqs[0]) < 2 {
-		t.Fatalf("NACK minted %d fresh repair symbols, want >= 2", len(conn.extraSeqs[0]))
+	if minted < 2 {
+		t.Fatalf("NACK minted %d fresh repair symbols, want >= 2", minted)
 	}
 	// The block decoded without the black-holed source packets ever arriving.
 	rcv := d.epB.Receiver(1)
-	if direct := rcv.decs[0].DirectData(); direct&(1<<2) != 0 || direct&(1<<5) != 0 {
-		t.Fatalf("black-holed sources arrived: direct=%b", direct)
+	if rcv.has(2) || rcv.has(5) {
+		t.Fatal("black-holed sources arrived")
 	}
 	if !rcv.blocks[0].complete {
 		t.Fatal("block 0 incomplete")
@@ -151,14 +163,16 @@ func TestFountainRandomLossCompletes(t *testing.T) {
 			return r.Float64() < lossRate
 		}})
 		flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 256 * 4096}
-		conn := d.run(flow, fountainParams(d), &FixedWindow{Window: 64 * 4160}, &FixedEntropy{})
+		lossEWMA := 0.0
+		cc := &snoopCC{FixedWindow{Window: 64 * 4160}, func(c *Conn) { lossEWMA = c.ft.lossEWMA }}
+		conn := d.run(flow, fountainParams(d), cc, &FixedEntropy{})
 		if !conn.Completed() {
 			t.Fatalf("flow did not complete at loss rate %v", lossRate)
 		}
 		if conn.InFlight() != 0 {
 			t.Fatalf("loss %v: in-flight bytes leaked: %d", lossRate, conn.InFlight())
 		}
-		if conn.stats.NacksReceived > 0 && conn.lossEWMA <= 0 {
+		if conn.stats.NacksReceived > 0 && lossEWMA <= 0 {
 			t.Fatalf("loss %v: NACKs seen but loss EWMA never moved", lossRate)
 		}
 	}
@@ -200,36 +214,37 @@ func TestFountainAdaptiveRedundancy(t *testing.T) {
 	d := newDumbbell(35, gbps100)
 	params := fountainParams(d).withDefaults()
 	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 16 * 4096}
-	conn := newConn(d.epA, flow, params, &FixedWindow{Window: 1 << 20}, &FixedEntropy{}, nil)
+	conn := newConn(d.epA, flow, &params, newSchedule(flow.Size, &params),
+		&FixedWindow{Window: 1 << 20}, &FixedEntropy{}, nil)
 
 	// adaptiveRepair solves n(1-p) >= dataCount.
-	blk := conn.blocks[0]
-	conn.lossEWMA = 0
+	blk := conn.sched.block(0)
+	conn.ft.lossEWMA = 0
 	if got := conn.adaptiveRepair(blk); got != 0 {
 		t.Fatalf("extra repair at zero loss = %d", got)
 	}
-	conn.lossEWMA = 0.25 // ceil(8/0.75)=11 -> 1 beyond the scheduled 10
+	conn.ft.lossEWMA = 0.25 // ceil(8/0.75)=11 -> 1 beyond the scheduled 10
 	if got := conn.adaptiveRepair(blk); got != 1 {
 		t.Fatalf("extra repair at 25%% loss = %d, want 1", got)
 	}
-	conn.lossEWMA = 0.9 // clamped to 0.5: ceil(8/0.5)=16 -> 6 extra
+	conn.ft.lossEWMA = 0.9 // clamped to 0.5: ceil(8/0.5)=16 -> 6 extra
 	if got := conn.adaptiveRepair(blk); got != 6 {
 		t.Fatalf("extra repair at clamped loss = %d, want 6", got)
 	}
 
 	// appendRepair coherence: new entries land past the static schedule,
 	// on the rtxQ, with fresh ids and parity sizing.
-	before := len(conn.sched)
+	before := int(conn.TotalPkts())
 	conn.appendRepair(0, 3)
-	if len(conn.sched) != before+3 || len(conn.state) != before+3 {
-		t.Fatalf("schedule grew %d, want 3", len(conn.sched)-before)
+	if len(conn.ft.extra) != 3 || len(conn.state) != before+3 {
+		t.Fatalf("schedule grew %d, want 3", len(conn.ft.extra))
 	}
-	if len(conn.extraSeqs[0]) != 3 || len(conn.rtxQ) != 3 {
-		t.Fatalf("bookkeeping wrong: extra=%d rtxQ=%d", len(conn.extraSeqs[0]), len(conn.rtxQ))
+	if len(conn.ft.extraSeqs[0]) != 3 || len(conn.rtxQ) != 3 {
+		t.Fatalf("bookkeeping wrong: extra=%d rtxQ=%d", len(conn.ft.extraSeqs[0]), len(conn.rtxQ))
 	}
 	wantID := blk.count
-	for i, seq := range conn.extraSeqs[0] {
-		e := conn.sched[seq]
+	for i, seq := range conn.ft.extraSeqs[0] {
+		e := conn.desc(seq)
 		if e.block != 0 || !e.parity || e.blockIdx != wantID+int16(i) {
 			t.Fatalf("appended entry %d wrong: %+v", i, e)
 		}
@@ -241,9 +256,9 @@ func TestFountainAdaptiveRedundancy(t *testing.T) {
 		}
 	}
 	// EWMA folding: 7/8 decay plus 1/8 sample.
-	conn.lossEWMA = 0
+	conn.ft.lossEWMA = 0
 	conn.noteLossSample(2, 10)
-	if got, want := conn.lossEWMA, 0.2/8; got != want {
+	if got, want := conn.ft.lossEWMA, 0.2/8; got != want {
 		t.Fatalf("EWMA after one sample = %v, want %v", got, want)
 	}
 }

@@ -8,14 +8,13 @@ import (
 
 // rcvBlock tracks one erasure-coding block at the receiver.
 type rcvBlock struct {
-	got       int16
-	dataCount int16
-	count     int16
-	complete  bool
-	// timer is the block's NACK timer, created lazily on first arming and
-	// reused (rearmed in place) across NACK retries.
+	got      int16
+	nacks    int16
+	complete bool
+	// timer is the block's NACK timer, created lazily on first arming,
+	// reused (rearmed in place) across NACK retries and released (nil
+	// again) when the block completes.
 	timer *eventq.Timer
-	nacks int
 }
 
 // timerPending reports whether the block's NACK timer is armed.
@@ -25,24 +24,20 @@ func (b *rcvBlock) timerPending() bool { return b.timer != nil && b.timer.Pendin
 // entries arrived, detects block completion for erasure-coded flows, arms
 // the per-block NACK timers of §4.2, and acknowledges every data packet.
 type Receiver struct {
-	ep     *Endpoint
-	flow   *Flow
-	params Params
+	ep   *Endpoint
+	flow *Flow
 
-	sched    []pktDesc
+	sched    schedule // Open's copy of the sender's
 	got      []uint64 // arrival bitmap over the schedule
 	gotCount int64    // distinct packets received
 	dataGot  int64    // distinct data (non-parity) packets received
-	nData    int64    // total data packets in the schedule
 	blocks   []rcvBlock
 
-	// Rateless (fountain) receiver state; nil under SchemeRS. Under the
-	// fountain scheme a block completes when its rank decoder spans the
-	// source space, and repair symbols appended past the static schedule
-	// (seq >= len(sched)) are accepted using their header's Block/BlockIdx.
-	fountain *ec.Fountain
-	decs     []*ec.FountainDecoder
-	gotExtra map[int64]struct{} // arrivals beyond the static schedule
+	// The NACK timer's first period (EC.BlockTimeout) and the ceiling of
+	// its retry back-off (8 × BaseRTT): all the receiver needs of Params.
+	blockTimeout, maxNackBackoff eventq.Time
+
+	ft *fountainReceiver // nil under SchemeRS
 
 	complete   bool
 	completeAt eventq.Time
@@ -57,34 +52,35 @@ type Receiver struct {
 // is the backstop.
 const maxBlockNacks = 8
 
-func newReceiver(ep *Endpoint, flow *Flow, params Params) *Receiver {
-	sched, blockDescs := buildSchedule(flow.Size, params)
+// fountainReceiver is the rateless scheme's receiver state. Under the
+// fountain scheme a block completes when its rank decoder spans the source
+// space, and repair symbols appended past the static schedule (seq >=
+// sched.n) are accepted using their header's Block/BlockIdx.
+type fountainReceiver struct {
+	decs     []*ec.FountainDecoder // dropped once the message completes
+	gotExtra map[int64]struct{}    // arrivals beyond the static schedule
+}
+
+func newReceiver(ep *Endpoint, flow *Flow, params *Params, sched schedule) *Receiver {
 	r := &Receiver{
-		ep:     ep,
-		flow:   flow,
-		params: params,
-		sched:  sched,
-		got:    make([]uint64, (len(sched)+63)/64),
+		ep:             ep,
+		flow:           flow,
+		sched:          sched,
+		got:            make([]uint64, (sched.n+63)/64),
+		blockTimeout:   params.EC.BlockTimeout,
+		maxNackBackoff: 8 * params.BaseRTT,
 	}
-	for _, d := range sched {
-		if !d.parity {
-			r.nData++
-		}
-	}
-	if len(blockDescs) > 0 {
-		r.blocks = make([]rcvBlock, len(blockDescs))
-		for i, b := range blockDescs {
-			r.blocks[i] = rcvBlock{dataCount: b.dataCount, count: b.count}
-		}
+	if sched.nBlocks > 0 {
+		r.blocks = make([]rcvBlock, sched.nBlocks)
 	}
 	if params.EC.Fountain() {
-		r.fountain = ec.MustNewFountain(params.EC.Data, params.EC.Parity)
-		r.decs = make([]*ec.FountainDecoder, len(r.blocks))
-		for b := range r.decs {
+		codec := ec.MustNewFountain(params.EC.Data, params.EC.Parity)
+		r.ft = &fountainReceiver{decs: make([]*ec.FountainDecoder, len(r.blocks))}
+		for b := range r.ft.decs {
 			// Both endpoints derive the block seed from the flow id, so
 			// symbol neighbor sets need no handshake.
-			r.decs[b] = r.fountain.Decoder(
-				ec.BlockSeed(uint64(flow.ID), uint64(b)), int(r.blocks[b].dataCount), 0)
+			r.ft.decs[b] = codec.Decoder(
+				ec.BlockSeed(uint64(flow.ID), uint64(b)), int(sched.dataIn(int64(b))), 0)
 		}
 	}
 	return r
@@ -116,10 +112,10 @@ func (r *Receiver) handleData(p *netsim.Packet) {
 	}
 	block, blockIdx, parity := int32(-1), int16(-1), false
 	switch {
-	case seq < int64(len(r.sched)):
-		d := &r.sched[seq]
+	case seq < r.sched.n:
+		d := r.sched.desc(seq)
 		block, blockIdx, parity = d.block, d.blockIdx, d.parity
-	case r.fountain != nil && p.IsParity && p.Block >= 0 &&
+	case r.ft != nil && p.IsParity && p.Block >= 0 &&
 		int(p.Block) < len(r.blocks) && p.BlockIdx >= 0:
 		// A fountain repair symbol appended past the static schedule: the
 		// header's own block/id fields identify it. The bounds checks
@@ -152,16 +148,16 @@ func (r *Receiver) handleData(p *netsim.Packet) {
 	}
 
 	fresh := false
-	if seq < int64(len(r.sched)) {
+	if seq < r.sched.n {
 		if !r.has(seq) {
 			r.set(seq)
 			fresh = true
 		}
-	} else if _, dup := r.gotExtra[seq]; !dup && len(r.gotExtra) < maxExtraArrivals {
-		if r.gotExtra == nil {
-			r.gotExtra = make(map[int64]struct{})
+	} else if _, dup := r.ft.gotExtra[seq]; !dup && len(r.ft.gotExtra) < maxExtraArrivals {
+		if r.ft.gotExtra == nil {
+			r.ft.gotExtra = make(map[int64]struct{})
 		}
-		r.gotExtra[seq] = struct{}{}
+		r.ft.gotExtra[seq] = struct{}{}
 		fresh = true
 	}
 	if fresh {
@@ -208,27 +204,30 @@ func (r *Receiver) onBlockArrival(b int32, id int16) {
 	}
 	blk.got++
 	decodable := false
-	if r.fountain != nil {
+	if r.ft != nil {
 		// Rateless: decodable exactly when the received neighbor sets
 		// span the source space.
-		dec := r.decs[b]
+		dec := r.ft.decs[b]
 		if dec.Add(int(id), nil) != nil {
 			return // symbol id outside the codec's range (adversarial)
 		}
 		decodable = dec.Decoded()
 	} else {
 		// MDS property: any dataCount distinct packets decode the block.
-		decodable = blk.got >= blk.dataCount
+		decodable = int64(blk.got) >= r.sched.dataIn(int64(b))
 	}
 	if decodable {
+		// Nothing arms the NACK timer of a complete block again: hand its
+		// slab event back now, not when the simulation ends.
 		blk.complete = true
 		if blk.timer != nil {
-			blk.timer.Cancel()
+			blk.timer.Release()
+			blk.timer = nil
 		}
 		return
 	}
 	if !blk.timerPending() && blk.got == 1 {
-		r.armBlockTimer(b, r.params.EC.BlockTimeout)
+		r.armBlockTimer(b, r.blockTimeout)
 	}
 }
 
@@ -260,23 +259,23 @@ func (r *Receiver) onBlockTimeout(b int32) {
 	// packet's NACK buffer (length zero, capacity from prior frees).
 	nack := r.ep.host.Network().AllocPacket()
 	missing := nack.Missing[:0]
-	if r.fountain != nil {
+	desc := r.sched.block(b)
+	if r.ft != nil {
 		// Rateless: report the rank deficit as that many not-directly-
 		// received source ids. Source symbols are always innovative, so
 		// the deficit never exceeds the missing-source count, and the
 		// sender reads len(Missing) as "mint this many fresh symbols".
-		dec := r.decs[b]
+		dec := r.ft.decs[b]
 		need := dec.Needed()
 		direct := dec.DirectData()
-		for i := int16(0); int(i) < int(blk.dataCount) && len(missing) < need; i++ {
+		for i := int16(0); i < desc.dataCount && len(missing) < need; i++ {
 			if direct&(1<<uint(i)) == 0 {
 				missing = append(missing, i)
 			}
 		}
 	} else {
-		start := r.blockStart(b)
-		for i := int16(0); i < blk.count; i++ {
-			if !r.has(start + int64(i)) {
+		for i := int16(0); i < desc.count; i++ {
+			if !r.has(desc.start + int64(i)) {
 				missing = append(missing, i)
 			}
 		}
@@ -299,19 +298,11 @@ func (r *Receiver) onBlockTimeout(b int32) {
 	}
 	// Exponential backoff on retries, in case the NACK or the
 	// retransmissions are lost too.
-	backoff := r.params.EC.BlockTimeout << uint(blk.nacks)
-	if max := 8 * r.params.BaseRTT; backoff > max && max > 0 {
+	backoff := r.blockTimeout << uint(blk.nacks)
+	if max := r.maxNackBackoff; backoff > max && max > 0 {
 		backoff = max
 	}
 	r.armBlockTimer(b, backoff)
-}
-
-// blockStart returns the first schedule index of block b.
-func (r *Receiver) blockStart(b int32) int64 {
-	// Blocks are laid out contiguously; all but the last have
-	// EC.Data+EC.Parity entries.
-	full := int64(r.params.EC.Data + r.params.EC.Parity)
-	return int64(b) * full
 }
 
 // checkComplete evaluates whether the message is fully reconstructable.
@@ -325,14 +316,16 @@ func (r *Receiver) checkComplete() {
 				return
 			}
 		}
-	} else if r.dataGot < r.nData {
+	} else if r.dataGot < r.sched.nData {
 		return
 	}
 	r.complete = true
 	r.completeAt = r.ep.host.Network().Sched.Now()
-	for i := range r.blocks {
-		if t := r.blocks[i].timer; t != nil {
-			t.Cancel()
-		}
+	// The receiver stays registered — late duplicates still need their ACK,
+	// which reads the bitmap and the blocks' complete flags — but every
+	// block is complete, so its NACK timer is released and no decoder is
+	// fed again.
+	if r.ft != nil {
+		r.ft.decs = nil
 	}
 }

@@ -14,7 +14,7 @@ import (
 // params and the RTT estimator fields, so a bare Conn is enough.
 
 // rtoConn builds a Conn with just the fields rto() consumes.
-func rtoConn(min, max eventq.Time, srtt, rttvar eventq.Time, backoff uint) *Conn {
+func rtoConn(min, max eventq.Time, srtt, rttvar eventq.Time, backoff uint8) *Conn {
 	c := &Conn{params: Params{MinRTO: min, MaxRTO: max}}
 	if srtt > 0 || rttvar > 0 {
 		c.hasRTT = true

@@ -78,30 +78,3 @@ func TestBuildScheduleProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestReceiverSenderScheduleAgreement: both ends derive the same schedule
-// independently — any drift would desynchronize block accounting.
-func TestReceiverSenderScheduleAgreement(t *testing.T) {
-	f := func(sizeRaw uint32, useEC bool) bool {
-		size := int64(sizeRaw%(1<<20)) + 1
-		p := Params{MTU: 4096}
-		if useEC {
-			p.EC = ECConfig{Data: 8, Parity: 2, BlockTimeout: eventq.Millisecond}
-		}
-		p = p.withDefaults()
-		a, ab := buildSchedule(size, p)
-		b, bb := buildSchedule(size, p)
-		if len(a) != len(b) || len(ab) != len(bb) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}

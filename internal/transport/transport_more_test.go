@@ -58,13 +58,28 @@ func TestEndpointAccessors(t *testing.T) {
 	if d.epA.Sender(99) != nil || d.epB.Receiver(99) != nil {
 		t.Fatal("unknown flow lookups must return nil")
 	}
-	flow := &Flow{ID: 7, Src: d.a, Dst: d.b, Size: 4096}
-	conn := d.run(flow, d.baseParams(), &FixedWindow{}, &FixedEntropy{})
+	// A live flow is found on both sides.
+	flow := &Flow{ID: 7, Src: d.a, Dst: d.b, Size: 64 * 4096}
+	conn := MustStart(d.epA, d.epB, flow, d.baseParams(), &FixedWindow{}, &FixedEntropy{}, nil)
 	if d.epA.Sender(7) != conn {
 		t.Fatal("Sender lookup wrong")
 	}
 	if d.epB.Receiver(7) == nil {
 		t.Fatal("Receiver lookup wrong")
+	}
+	// Completion deregisters the sender; the handle and the receiver stay.
+	d.net.Sched.RunUntil(10 * eventq.Second)
+	if !conn.Completed() {
+		t.Fatal("flow incomplete")
+	}
+	if d.epA.Sender(7) != nil {
+		t.Fatal("completed sender still registered")
+	}
+	if rcv := d.epB.Receiver(7); rcv == nil || !rcv.Complete() {
+		t.Fatal("completed receiver must stay registered")
+	}
+	if conn.Flow() != flow || conn.FCT() <= 0 || conn.Stats().PktsSent != 64 {
+		t.Fatalf("result handle unreadable after completion: fct=%v stats=%+v", conn.FCT(), conn.Stats())
 	}
 }
 

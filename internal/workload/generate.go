@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"uno/internal/eventq"
 	"uno/internal/rng"
@@ -76,7 +77,16 @@ func Poisson(cfg PoissonConfig, r *rng.Rand) ([]FlowSpec, error) {
 	flowsPerSec := bytesPerSec / cfg.CDF.Mean()
 	meanGap := 1 / flowsPerSec // seconds
 
-	var specs []FlowSpec
+	// Size the output once: the arrival count is Poisson around its mean,
+	// so mean + 4σ (plus a floor for tiny means) is exceeded about once in
+	// 30,000 calls, and growing by doubling would copy the list five times
+	// over.
+	want := flowsPerSec * cfg.Duration.Seconds()
+	want += 4*math.Sqrt(want) + 16
+	if cfg.MaxFlows > 0 && want > float64(cfg.MaxFlows) {
+		want = float64(cfg.MaxFlows)
+	}
+	specs := make([]FlowSpec, 0, int(want))
 	t := 0.0
 	for {
 		t += r.Exp(meanGap)
@@ -116,7 +126,9 @@ func Incast(sources []int, dst int, size int64, start eventq.Time, interDC func(
 
 // Permutation generates one flow per host: each host sends size bytes to a
 // distinct random destination across the whole host range (within or
-// across DCs), forming a random permutation with no self-loops.
+// across DCs), forming a random permutation with no self-loops. interDC
+// labels the specs; nil leaves them unlabelled (the harness re-derives the
+// class from the topology anyway).
 func Permutation(hosts HostRange, size int64, r *rng.Rand, interDC func(src, dst int) bool) []FlowSpec {
 	n := hosts.N()
 	perm := r.Perm(n)
@@ -131,7 +143,7 @@ func Permutation(hosts HostRange, size int64, r *rng.Rand, interDC func(src, dst
 	for i := 0; i < n; i++ {
 		src, dst := hosts.Lo+i, hosts.Lo+perm[i]
 		specs = append(specs, FlowSpec{
-			Src: src, Dst: dst, Size: size, InterDC: interDC(src, dst),
+			Src: src, Dst: dst, Size: size, InterDC: interDC != nil && interDC(src, dst),
 		})
 	}
 	return specs

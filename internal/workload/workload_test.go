@@ -179,6 +179,33 @@ func TestPoissonMaxFlowsCap(t *testing.T) {
 	}
 }
 
+// TestPoissonSizedOnce: the output is allocated once from the expected
+// arrival count — no regrowth, and no more than a few σ of slack — with and
+// without a MaxFlows cap.
+func TestPoissonSizedOnce(t *testing.T) {
+	cfg := PoissonConfig{
+		CDF: GoogleRPC, Load: 0.3, LinkBps: 100e9,
+		Sources: HostRange{Lo: 0, Hi: 128}, Dests: HostRange{Lo: 0, Hi: 128},
+		Duration: 400 * eventq.Microsecond,
+	}
+	for _, maxFlows := range []int{0, 1000} {
+		cfg.MaxFlows = maxFlows
+		var specs []FlowSpec
+		allocs := testing.AllocsPerRun(5, func() {
+			var err error
+			if specs, err = Poisson(cfg, rng.New(11)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 { // the list, and the seeded generator above
+			t.Fatalf("MaxFlows=%d: %v allocations per call, want the output list only", maxFlows, allocs)
+		}
+		if n := len(specs); n < 1000 || cap(specs) > n+n/10+16 {
+			t.Fatalf("MaxFlows=%d: %d specs in a list of capacity %d", maxFlows, n, cap(specs))
+		}
+	}
+}
+
 func TestPoissonRejectsBadConfig(t *testing.T) {
 	r := rng.New(8)
 	base := PoissonConfig{
@@ -246,6 +273,20 @@ func TestPermutationProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPermutationNilLabeller: a nil labeller means "unlabelled", not a
+// panic — the harness derives the class from the topology.
+func TestPermutationNilLabeller(t *testing.T) {
+	specs := Permutation(HostRange{Lo: 0, Hi: 16}, 4096, rng.New(3), nil)
+	if len(specs) != 16 {
+		t.Fatalf("%d specs, want 16", len(specs))
+	}
+	for _, s := range specs {
+		if s.InterDC {
+			t.Fatalf("nil labeller labelled %+v inter-DC", s)
+		}
 	}
 }
 

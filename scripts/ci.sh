@@ -19,6 +19,16 @@ go build ./...
 echo "== go vet ./... =="
 go vet ./...
 
+# bench/ is its own module (uno/bench, reaching uno/internal/... through a
+# replace), so the root module's build, vet and tests never see it — and a
+# PR that claims a gain may not edit it. This is the one place an internal
+# API change that breaks the benchmark (transport.Open/Start, Conn.Stats
+# after completion, eventq.NewTimer, the simtest helpers) is caught before
+# the benchmark itself is run.
+echo "== bench module: go vet + go test =="
+go -C bench vet ./...
+go -C bench test ./...
+
 echo "== go test ./... (with coverage profile) =="
 go test -coverprofile=coverage.out ./...
 
@@ -78,15 +88,24 @@ done
 # detector with caching disabled: the metamorphic worker-count equivalence
 # property, the cross-shard conservation ledger on the dual-DC fat-tree,
 # and the netsim cluster suite (handoff determinism, strided packet IDs,
-# the seeded dropped-handoff defect the ledger must catch).
-echo "== sharded engine property tests, -race -count=1 =="
+# the seeded dropped-handoff defect the ledger must catch). The harness
+# flow-lifecycle tests ride along: a completing sender mutates its source
+# shard's demux map and releases timers while the other shard still serves
+# the flow's receiver, and the interned UnoCC configurations are read from
+# both shards.
+echo "== sharded engine property + flow lifecycle tests, -race -count=1 =="
 for sh in 1 2; do
     UNO_SHARDS=$sh go test -race -count=1 \
-        -run 'TestShardedGoldenDigest|TestShardEquivalenceProperty|TestShardedFatTreeConservation' \
+        -run 'TestShardedGoldenDigest|TestShardEquivalenceProperty|TestShardedFatTreeConservation|TestFlowLifecycleOnEveryEngine|TestConnsSeesStartedFlows' \
         ./internal/harness/
 done
 go test -race -count=1 -run 'TestCluster|TestBindCross|TestRunBefore' \
     ./internal/netsim/ ./internal/eventq/
+# The lifecycle tests below the harness build their own two-host fabrics, so
+# the engine switch does not reach them: once is enough.
+go test -race -count=1 \
+    -run 'TestSequentialFlowsLeaveNothingBehind|TestFlowAllocationBudget|TestLatePacketsForCompletedSender|TestEndpointAccessors|TestTimerRelease|TestTimerResetAfterRelease|TestQuickAdaptTimerEndsWithFlow|TestConfigPool' \
+    ./internal/transport/ ./internal/eventq/ ./internal/core/
 
 # The eventq property tests (wheel-vs-reference-model fire sequences,
 # ReserveSeq boundary interleavings, stale-fire checks) are the proof
