@@ -3,6 +3,11 @@
 // and a Gilbert-Elliott two-state Markov loss process that reproduces the
 // correlated ("link-correlated drops within a chunk") losses the authors
 // measured between Azure regions (Table 1).
+//
+// Both kinds of loss are sampled once per packet, at the instant its
+// serialization onto the link starts (netsim.Link.SetUp): a packet is lost
+// iff the link is down, or the loss process says so, at that instant. A
+// packet already on the wire when a link fails still arrives.
 package failure
 
 import (

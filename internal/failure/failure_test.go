@@ -292,6 +292,46 @@ func TestFlapper(t *testing.T) {
 	}
 }
 
+// TestFlapperFasterThanSerialization: with a flap period shorter than one
+// serialization time, a back-to-back train loses exactly the packets whose
+// serialization *starts* inside a down interval — not those that end in one,
+// and not those merely overlapping one.
+func TestFlapperFasterThanSerialization(t *testing.T) {
+	net, a, b, link := linkFixture()
+	ser := netsim.SerializationTime(4096, link.Bandwidth)
+	unit := ser / 20 // exact: 4096 B at 100 Gb/s is 327680 ps
+	f := &Flapper{Link: link, DownFor: 6 * unit, UpFor: 8 * unit}
+	f.Start(net.Sched, unit, 1000*ser)
+
+	const n = 40
+	got := make([]bool, n)
+	b.SetHandler(func(p *netsim.Packet) { got[p.Seq] = true })
+	for i := 0; i < n; i++ {
+		a.Send(&netsim.Packet{Type: netsim.Data, Src: a.ID(), Dst: b.ID(), Size: 4096, Seq: int64(i)})
+	}
+	net.Sched.Run()
+
+	lost := 0
+	for i := 0; i < n; i++ {
+		// Packet i starts at i·ser = 20i units; the link is down over
+		// [1+14k, 7+14k) units. 20i-1 is odd, so no start ties with a flap.
+		phase := 20*i - 1
+		down := phase >= 0 && phase%14 < 6
+		if got[i] == down {
+			t.Errorf("packet %d (start %d units): delivered=%v, link down at its start=%v", i, 20*i, got[i], down)
+		}
+		if down {
+			lost++
+		}
+	}
+	if lost == 0 || lost == n {
+		t.Fatalf("degenerate schedule: %d of %d starts fall in a down interval", lost, n)
+	}
+	if got := link.Stats().DownDrops; got != uint64(lost) {
+		t.Errorf("DownDrops = %d, want %d", got, lost)
+	}
+}
+
 func TestFlapperInvalidDurationsPanics(t *testing.T) {
 	net, _, _, link := linkFixture()
 	f := &Flapper{Link: link}

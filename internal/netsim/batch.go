@@ -22,9 +22,10 @@ import (
 // arrival is often the next event in the whole simulation — the bursty
 // idle-link shape BenchmarkLinkDelivery isolates, where the inline drain
 // (Scheduler.InlineNext) skips the insert/cascade/pop cycle entirely. In
-// pipelined fabric traffic the forwarded packet's own transmit-done timer
-// almost always intervenes: Scheduler.InlineStats measures a 0.3% inline
-// rate on the end-to-end throughput scenario, so batching there pays the
+// pipelined fabric traffic some other link's arrival almost always
+// intervenes: Scheduler.InlineStats measures a 0.4% inline rate on the
+// end-to-end throughput scenario (0.25% when every forwarded packet also
+// had a transmit-done event of its own), so batching there pays the
 // arrival-FIFO and probe overhead with no skipped scheduling, and
 // interleaved A/B minima put it ~5–10% behind unbatched. Both modes stay
 // digest-identical and CI pins them differentially.

@@ -8,15 +8,20 @@ package netsim
 //	(a) per-flow packet conservation — every packet injected into the
 //	    fabric is eventually delivered, dropped, or still in flight, and
 //	    the three accounts reconcile against a *physical walk* of port
-//	    queues, transmitters, and link in-flight counters;
+//	    queues and link in-flight counters (a packet in service is on its
+//	    link from the moment serialization starts);
 //	(b) queue bookkeeping — a port's incremental queuedBytes always equals
 //	    the sum of its queued packet sizes, data-packet occupancy never
 //	    exceeds QueueCap (control packets may exceed it only via
 //	    ControlBypass), DRR per-class byte counters agree with their
-//	    queues, and phantom-queue occupancy stays within [0, Cap] with a
-//	    monotone drain clock;
+//	    queues, phantom-queue occupancy stays within [0, Cap] with a
+//	    monotone drain clock, and the transmitter state is coherent: the
+//	    transmit timer is armed exactly when packets are queued, never in
+//	    the past, and busyUntil never moves backwards;
 //	(c) event-time monotonicity — fabric events never observe time moving
-//	    backwards, and no packet is delivered before it was sent;
+//	    backwards, no packet is delivered before it was sent, and a link
+//	    carries one packet at a time: consecutive arrivals are at least the
+//	    later packet's serialization time apart;
 //	(d) packet-pool discipline — no packet is freed twice, observed after
 //	    being freed, or handed out by AllocPacket without the full recycle
 //	    reset;
@@ -114,6 +119,9 @@ type InvariantChecker struct {
 	pooledOut map[*Packet]struct{} // handed out by AllocPacket, not yet freed
 	freed     map[*Packet]struct{} // freed, not yet re-allocated
 
+	busyUntil   map[*Port]eventq.Time // last busyUntil seen per port
+	lastArrival map[*Link]eventq.Time // last delivery seen per link
+
 	// Cross-shard accounting: importPending holds packets materialized
 	// from a handoff record whose arrival event has not fired yet — live
 	// in this shard but propagating on a link the physical walk cannot
@@ -137,6 +145,8 @@ func AttachInvariants(n *Network) *InvariantChecker {
 		blocks:        make(map[blockKey]*blockAccount),
 		pooledOut:     make(map[*Packet]struct{}),
 		freed:         make(map[*Packet]struct{}),
+		busyUntil:     make(map[*Port]eventq.Time),
+		lastArrival:   make(map[*Link]eventq.Time),
 		importPending: make(map[*Packet]struct{}),
 	}
 	n.Observer = c
@@ -276,6 +286,11 @@ func (c *InvariantChecker) PacketDelivered(l *Link, p *Packet) {
 	if now < info.sentAt {
 		c.violate("time", "packet delivered at %v before its send at %v", now, info.sentAt)
 	}
+	if last, seen := c.lastArrival[l]; seen && now-last < SerializationTime(p.Size, l.Bandwidth) {
+		c.violate("time", "link %s: arrivals at %v and %v closer than the %d-byte packet's serialization time",
+			l.Name, last, now, p.Size)
+	}
+	c.lastArrival[l] = now
 	if _, terminal := l.To().(*Host); terminal {
 		delete(c.live, p)
 		c.flow(p.Flow).delivered++
@@ -447,9 +462,17 @@ func (c *InvariantChecker) checkPort(p *Port, now eventq.Time) {
 	if dataSum > p.cfg.QueueCap {
 		c.violate("queue", "%s port: data occupancy %d exceeds QueueCap %d", name, dataSum, p.cfg.QueueCap)
 	}
-	if p.busy != (p.txPkt != nil) {
-		c.violate("queue", "%s port: busy=%v but txPkt set=%v", name, p.busy, p.txPkt != nil)
+	// Observer events fire only where the port is quiescent (transmit arms
+	// the timer before it calls into the link).
+	if queued, armed := p.QueuedPackets(), p.txTimer.Pending(); p.busy != (queued > 0) || p.busy != armed ||
+		(armed && (p.txTimer.At() != p.busyUntil || p.busyUntil < now)) {
+		c.violate("queue", "%s port: busy=%v with %d packets queued, timer armed=%v at %v, busyUntil %v",
+			name, p.busy, queued, armed, p.txTimer.At(), p.busyUntil)
 	}
+	if p.busyUntil < c.busyUntil[p] {
+		c.violate("time", "%s port: busyUntil moved back from %v to %v", name, c.busyUntil[p], p.busyUntil)
+	}
+	c.busyUntil[p] = p.busyUntil
 	if ph := p.cfg.Phantom; ph != nil {
 		if ph.bytes < 0 || ph.bytes > float64(ph.Cap) {
 			c.violate("queue", "%s port: phantom occupancy %.1f outside [0, %d]", name, ph.bytes, ph.Cap)
@@ -489,7 +512,8 @@ func (c *InvariantChecker) checkPort(p *Port, now eventq.Time) {
 func (c *InvariantChecker) Check() []Violation {
 	c.checkQueues()
 
-	// Physical walk: every packet sitting in a port queue or transmitter.
+	// Physical walk: every packet sitting in a port queue. The packet in
+	// service is already on its link and counts in the link's inFlight.
 	inPorts := make(map[*Packet]struct{})
 	inflight := make(map[FlowID]int64)
 	extraInjected := make(map[FlowID]int64)
@@ -520,9 +544,6 @@ func (c *InvariantChecker) Check() []Violation {
 			for _, pkt := range p.queue.items() {
 				collect(pkt)
 			}
-		}
-		if p.txPkt != nil {
-			collect(p.txPkt)
 		}
 		linkInFlight += p.link.inFlight
 	}

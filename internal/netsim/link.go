@@ -49,12 +49,12 @@ type Link struct {
 	arrivals fifo[linkArrival]
 	arrTimer *eventq.Timer
 
-	// inFlight counts packets propagating on the link (delivered to it,
-	// not yet arrived downstream), in both delivery modes. The invariant
-	// layer reconciles it against its own packet accounting. Cross-shard
-	// links never use it: their in-transit packets live in the handoff
-	// queue (producer side) or as scheduled arrivals in the destination
-	// shard, and the invariant layer accounts for them with the
+	// inFlight counts packets on the link (being serialized onto it or
+	// propagating, not yet arrived downstream), in both delivery modes. The
+	// invariant layer reconciles it against its own packet accounting.
+	// Cross-shard links never use it: their in-transit packets live in the
+	// handoff queue (producer side) or as scheduled arrivals in the
+	// destination shard, and the invariant layer accounts for them with the
 	// export/import counters instead — a shared counter here would be a
 	// data race between shard goroutines.
 	inFlight int
@@ -97,8 +97,11 @@ func (l *Link) To() Node { return l.to }
 // Up reports whether the link is operational.
 func (l *Link) Up() bool { return l.up }
 
-// SetUp fails (false) or restores (true) the link. Packets already
-// propagating are unaffected; packets entering a failed link are lost.
+// SetUp fails (false) or restores (true) the link. A packet is lost iff the
+// link is down, or the loss process says so, when its serialization starts
+// (see deliver): one already on the wire when the link fails still arrives,
+// and those queued behind it are dropped one by one as each reaches the
+// head of the port, which keeps draining at line rate.
 func (l *Link) SetUp(up bool) { l.up = up }
 
 // SetLoss attaches (or clears, with nil) a stochastic loss process.
@@ -107,8 +110,11 @@ func (l *Link) SetLoss(p LossProcess) { l.loss = p }
 // Stats returns a snapshot of the link counters.
 func (l *Link) Stats() LinkStats { return l.stats }
 
-// deliver is called by the upstream port when serialization finishes.
-func (l *Link) deliver(p *Packet) {
+// deliver is called by the upstream port when p's serialization, ser long,
+// starts: p reaches the downstream node at now + ser + Delay on every path
+// (eager, batched FIFO, cross-shard handoff). Link state and the loss
+// process are sampled here — the one instant that decides whether p is lost.
+func (l *Link) deliver(p *Packet, ser eventq.Time) {
 	if !l.up {
 		l.stats.DownDrops++
 		if l.net.Observer != nil {
@@ -127,6 +133,7 @@ func (l *Link) deliver(p *Packet) {
 	}
 	l.stats.Delivered++
 	l.stats.Bytes += uint64(p.Size)
+	at := l.net.Now() + ser + l.Delay
 	if l.xq != nil {
 		// Cross-shard handoff: copy the packet into the queue (value plus
 		// a record-owned Missing buffer) and recycle the original into
@@ -137,16 +144,15 @@ func (l *Link) deliver(p *Packet) {
 		if hk := l.net.poolHook; hk != nil {
 			hk.onExport(p)
 		}
-		l.xq.push(l.net.Now()+l.Delay, l, p)
+		l.xq.push(at, l, p)
 		l.net.FreePacket(p)
 		return
 	}
 	l.inFlight++
 	if !l.net.batch {
-		l.net.Sched.AfterArg(l.Delay, l.arriveFn, p)
+		l.net.Sched.ScheduleArg(at, l.arriveFn, p)
 		return
 	}
-	at := l.net.Now() + l.Delay
 	seq := l.net.Sched.ReserveSeq()
 	l.arrivals.push(linkArrival{at: at, seq: seq, p: p})
 	if l.arrivals.len() == 1 {
@@ -168,7 +174,7 @@ func (l *Link) notifyDelivered(p *Packet) {
 	}
 }
 
-// arrive fires one propagation delay after deliver: the packet reaches the
+// arrive fires when the packet, serialized and propagated, reaches the
 // downstream node. Pre-bound as arriveFn so scheduling it is allocation-
 // free (the packet pointer rides in the event's arg slot).
 func (l *Link) arrive(x any) {
@@ -207,11 +213,10 @@ func (l *Link) rxArrive(x any) {
 // intermediate seq: InlineNext compares against the scheduler's true
 // minimum and refuses exactly in that case.
 //
-// The FIFO is popped before HandlePacket runs. That is safe because
-// deliver — the only writer — is never called synchronously from a
-// HandlePacket cascade: packets forwarded by a switch land in a port
-// queue, and the port hands them to deliver only from its transmit-done
-// timer.
+// The FIFO is popped before HandlePacket runs, and the head pointer is not
+// used after it: a HandlePacket cascade can reach deliver synchronously (a
+// switch forwards into an idle port, which starts serializing at once) and
+// push onto a link FIFO, this one included on a looped topology.
 func (l *Link) arriveHead() {
 	for {
 		l.inFlight--

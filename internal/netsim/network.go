@@ -46,6 +46,10 @@ type Network struct {
 	// the full reset. Set only from this package's tests.
 	skipRecycleReset bool
 
+	// skipBusyAdvance is the transmit hand-off's seeded defect: Port.transmit
+	// forgets to advance busyUntil, so packets overlap on the wire.
+	skipBusyAdvance bool
+
 	// batch selects batched link delivery (batch.go), captured from the
 	// package default at New and overridable with SetBatchDelivery before
 	// traffic flows.

@@ -62,6 +62,13 @@ type PortStats struct {
 // serializes packets onto the attached link at line rate (store-and-
 // forward: a packet leaves the queue when its serialization begins).
 //
+// The packet goes to the link the moment its serialization starts — its
+// arrival time is already determined — and the port remembers only when the
+// wire frees. It schedules a transmit event only while something waits
+// behind the packet in service, so a hop through an idle port costs one
+// scheduler event, the arrival; the dequeue decision is still taken at the
+// instant the transmitter frees, for FIFO and DRR alike.
+//
 // Enqueue is the per-hop hot path: it runs once for every packet at every
 // switch, so the admission logic is a single fused pass over one snapshot
 // of queue state, with every static threshold that RED, QCN, and DRR need
@@ -77,8 +84,14 @@ type Port struct {
 
 	queue       fifo[*Packet]
 	queuedBytes int64
-	busy        bool
 	qcnCount    uint64
+
+	// Transmitter: the packet in service is already on the link; busyUntil
+	// is when it finishes serializing, and busy means txTimer is armed at
+	// busyUntil because something is queued behind it.
+	busy      bool
+	busyUntil eventq.Time
+	txTimer   *eventq.Timer
 
 	// Admission constants precomputed by newPort so Enqueue converts and
 	// divides nothing that is statically known:
@@ -95,13 +108,6 @@ type Port struct {
 	// precomputed because the concatenation allocated on every drop —
 	// the only allocation the fused pass had left.
 	dropLabel string
-
-	// Transmit-completion machinery: one reusable timer bound to onTxDone
-	// at construction and the packet currently being serialized. Together
-	// they replace the per-packet closure the port used to allocate for
-	// every transmission.
-	txTimer *eventq.Timer
-	txPkt   *Packet
 
 	// One-entry serialization-time cache: ports overwhelmingly transmit
 	// runs of equal-size packets (MTU data, AckSize control), and
@@ -146,7 +152,7 @@ func newPort(net *Network, owner Node, link *Link, cfg PortConfig) *Port {
 	}
 	p := &Port{net: net, owner: owner, cfg: cfg, link: link}
 	p.dropLabel = owner.Name() + " port"
-	p.txTimer = net.Sched.NewTimer(p.onTxDone)
+	p.txTimer = net.Sched.NewTimer(p.onTxTimer)
 	p.redMin, p.redMax = float64(cfg.MarkMin), float64(cfg.MarkMax)
 	p.qcnSample = cfg.QCNSample
 	if p.qcnSample == 0 {
@@ -216,10 +222,11 @@ func (p *Port) Stats() PortStats { return p.stats }
 // Config returns the port's configuration.
 func (p *Port) Config() PortConfig { return p.cfg }
 
-// Enqueue applies ECN marking, admits or drops the packet, and kicks the
-// transmitter. The whole admission — phantom accounting, capacity/trim,
-// RED, QCN sampling — is one pass over a single (now, queuedBytes)
-// snapshot; see the Port doc comment for the bit-identity argument.
+// Enqueue applies ECN marking, admits or drops the packet, and starts
+// transmitting it if the wire is free. The whole admission — phantom
+// accounting, capacity/trim, RED, QCN sampling — is one pass over a single
+// (now, queuedBytes) snapshot; see the Port doc comment for the bit-identity
+// argument.
 func (p *Port) Enqueue(pkt *Packet) {
 	now := p.net.Now()
 	size := int64(pkt.Size)
@@ -303,7 +310,16 @@ func (p *Port) Enqueue(pkt *Packet) {
 			p.sendCnm(pkt)
 		}
 	}
-	p.kick()
+	// An armed timer will come for this packet in its turn; otherwise serve
+	// it now if the wire is free, or wake up when it is.
+	if !p.busy {
+		if now >= p.busyUntil {
+			p.transmit(now)
+		} else {
+			p.busy = true
+			p.txTimer.Reset(p.busyUntil)
+		}
+	}
 }
 
 // sendCnm emits a congestion-notification message straight back to the
@@ -364,8 +380,9 @@ func (p *Port) popDRR() *Packet {
 		return nil
 	}
 	// At most two full rounds are needed: one to replenish deficits, one
-	// to serve (quantum ≥ max packet size × weight).
-	for round := 0; round < 2*n+1; round++ {
+	// to serve (quantum ≥ max packet size × weight). An oversize packet
+	// takes more; deficits only grow, so the loop ends.
+	for {
 		c := p.rrNext
 		if p.classQ[c].len() > 0 {
 			slot := p.classQ[c].peek()
@@ -387,34 +404,29 @@ func (p *Port) popDRR() *Packet {
 		}
 		p.rrNext = (p.rrNext + 1) % n
 	}
-	return nil
 }
 
-// kick starts the transmitter if it is idle and work is queued.
-func (p *Port) kick() {
-	if p.busy {
-		return
-	}
+// transmit starts serializing the next packet at now; callers guarantee the
+// wire is free and the queue non-empty. The timer is armed — only if another
+// packet is waiting — before the hand-off: a drop inside deliver reaches
+// observers, which must see consistent port state.
+func (p *Port) transmit(now eventq.Time) {
 	pkt := p.popNext()
-	if pkt == nil {
-		return
-	}
 	p.queuedBytes -= int64(pkt.Size)
-	p.busy = true
-	p.txPkt = pkt
 	if pkt.Size != p.serSize {
 		p.serSize = pkt.Size
 		p.serTime = SerializationTime(pkt.Size, p.link.Bandwidth)
 	}
-	p.txTimer.ResetAfter(p.serTime)
+	if !p.net.skipBusyAdvance {
+		p.busyUntil = now + p.serTime
+	}
+	p.busy = p.QueuedPackets() > 0
+	if p.busy {
+		p.txTimer.Reset(p.busyUntil)
+	}
+	p.link.deliver(pkt, p.serTime)
 }
 
-// onTxDone fires when the current packet's serialization completes: hand it
-// to the link and start on the next queued packet.
-func (p *Port) onTxDone() {
-	pkt := p.txPkt
-	p.txPkt = nil
-	p.busy = false
-	p.link.deliver(pkt)
-	p.kick()
-}
+// onTxTimer fires at busyUntil when packets were waiting: the wire is free,
+// start on the next one.
+func (p *Port) onTxTimer() { p.transmit(p.net.Now()) }

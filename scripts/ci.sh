@@ -55,7 +55,8 @@ fi
 # delivery on and off (-batch/UNO_BATCH) crossed with inline and deferred
 # digest folding (UNO_DIGEST_DEFER). All four cells must reproduce the
 # same committed digests byte-for-byte — that is the entire correctness
-# argument for both toggles. The full suite above already ran with the
+# argument for both toggles. (The constants were regenerated once, for the
+# serialization-start transmit hand-off; every cell pins the new values.) The full suite above already ran with the
 # defaults; rerun the digest + invariant suite once per explicit cell.
 #
 # The matrix gained a third dimension with the partitioned per-DC engine:
@@ -116,6 +117,16 @@ echo "== eventq property tests, -race -count=1 =="
 go test -race -count=1 \
     -run 'TestWheelModelDifferential|TestReserveSeq|TestRandomInterleavingNoStaleFires' \
     ./internal/eventq/
+
+# The transmit hand-off's proof obligations (a port hands its packet to the
+# link when serialization starts and wakes up only when something waits):
+# the timing oracle against the eager reference port, the event-economy
+# pins, the two seeded defects the invariant checker must catch, and the
+# failure rule — link state and loss sampled at serialization start.
+echo "== port hand-off oracle, event economy, failure semantics, -race -count=1 =="
+go test -race -count=1 \
+    -run 'TestPortTimingOracle|TestPortEventEconomy|TestQueuedPacketPathAllocFree|TestInvariantMutation|TestInvariantDetectsStrandedQueue|TestLinkStateSampledAtSerializationStart|TestFlapperFasterThanSerialization' \
+    ./internal/netsim/ ./internal/failure/
 
 # The EC block-path regression suite — satisfyBlock release accounting
 # under stale/hostile AckBlock, NACK-exhaustion no-rearm, tail-block
