@@ -236,7 +236,7 @@ func TestShardedFatTreeConservation(t *testing.T) {
 // regenerated between cells), which is the engine's worker-count
 // independence stated as a golden. Like the simtest goldens it also pins
 // against accidental behavior drift in the partition protocol itself.
-const goldenShardedDualDC = 0x30a242058b975720
+const goldenShardedDualDC = 0x0cb992e64813451b
 
 // TestShardedGoldenDigest runs the golden dual-DC scenario on the
 // partitioned engine with UNO_SHARDS workers (1 when unset) and compares

@@ -18,7 +18,7 @@ import (
 // NACK-driven recovery) emits a packet stream independent of batching and
 // digest-deferral modes. The cell forces its scheme per flow, so UNO_EC
 // does not move it.
-const goldenFountainCell = 0x9d9e8dd38a96062c
+const goldenFountainCell = 0x5d6ccc89e0aeac88
 
 // TestGoldenFountainCell pins the fountain cell digest. Regenerate like the
 // other goldens: run the test and copy the "got" value.

@@ -13,7 +13,7 @@ import (
 // this under every UNO_BATCH × UNO_DIGEST_DEFER cell, so the constant also
 // states that the coexistence harness's packet stream is independent of
 // batching and digest-deferral modes.
-const goldenTournamentCell = 0x24eec15b0b14d288
+const goldenTournamentCell = 0xc46fe3197f6c9d8c
 
 // TestGoldenTournamentCell pins the coexistence tournament's cell digest.
 // Regenerate like the other goldens: run the test and copy the "got" value.
