@@ -22,7 +22,7 @@
 //     free list, so steady-state cost is zero allocations.
 //   - Timer binds a callback once at NewTimer and owns its Event until
 //     Release; Reset and Cancel move it in and out of the heap in place,
-//     making recurring timers (pacing, RTO, epochs, transmit completion)
+//     making recurring timers (pacing, RTO, epochs, port transmit wake-ups)
 //     allocation-free after setup. A component that ends before the
 //     simulation does (a completed flow) hands the Event back with Release.
 package eventq
@@ -488,7 +488,7 @@ func (s *Scheduler) Step() bool {
 // Timer is a rearmable scheduled callback that allocates only at creation:
 // NewTimer binds the callback once, and Reset/Cancel then move the timer's
 // embedded Event in and out of the heap in place. It is the intended tool
-// for every recurring per-component timer (port transmit completion, pacer
+// for every recurring per-component timer (port transmit wake-ups, pacer
 // wakeups, RTOs, congestion-control epochs).
 //
 // A Timer is single-owner, like the rest of a simulation: Reset while
