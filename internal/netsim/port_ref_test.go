@@ -16,8 +16,6 @@ import (
 // form and a single FIFO is DRR with one class.
 type refPort struct {
 	sched   *eventq.Scheduler
-	bw      int64
-	delay   eventq.Time
 	cfg     PortConfig
 	weights []int
 
@@ -41,8 +39,8 @@ type portOutcome struct {
 	depart, arrive eventq.Time // end of serialization, arrival downstream
 }
 
-func newRefPort(sched *eventq.Scheduler, bw int64, delay eventq.Time, cfg PortConfig, n int) *refPort {
-	r := &refPort{sched: sched, bw: bw, delay: delay, cfg: cfg, weights: cfg.ClassWeights, out: make([]portOutcome, n)}
+func newRefPort(sched *eventq.Scheduler, cfg PortConfig, n int) *refPort {
+	r := &refPort{sched: sched, cfg: cfg, weights: cfg.ClassWeights, out: make([]portOutcome, n)}
 	if len(r.weights) == 0 {
 		r.weights = []int{1}
 	}
@@ -124,7 +122,7 @@ func (r *refPort) kick() {
 	}
 	r.bytes -= int64(pkt.Size)
 	r.busy, r.txPkt = true, pkt
-	r.txTimer.ResetAfter(SerializationTime(pkt.Size, r.bw))
+	r.txTimer.ResetAfter(SerializationTime(pkt.Size, oracleBW))
 }
 
 // onTxDone fires when the current packet's serialization completes: it
@@ -132,7 +130,7 @@ func (r *refPort) kick() {
 func (r *refPort) onTxDone() {
 	o := &r.out[r.txPkt.Seq]
 	o.depart = r.sched.Now()
-	o.arrive = o.depart + r.delay
+	o.arrive = o.depart + oracleDelay
 	r.busy, r.txPkt = false, nil
 	r.kick()
 }
@@ -153,9 +151,8 @@ func (r *refPort) arrive(x any) {
 
 // portRecorder observes the production port under the same script.
 type portRecorder struct {
-	net   *Network
-	delay eventq.Time
-	out   []portOutcome
+	net *Network
+	out []portOutcome
 }
 
 func (*portRecorder) PacketSent(*Host, *Packet) {}
@@ -163,7 +160,7 @@ func (*portRecorder) PacketSent(*Host, *Packet) {}
 func (pr *portRecorder) PacketDelivered(_ *Link, p *Packet) {
 	o := &pr.out[p.Seq]
 	o.arrive = pr.net.Now()
-	o.depart = o.arrive - pr.delay
+	o.depart = o.arrive - oracleDelay
 	o.trimmed = p.Trimmed
 }
 
@@ -182,6 +179,16 @@ const (
 	oracleDelay = 700 * eventq.Nanosecond
 	oracleMTU   = 4096
 )
+
+// oraclePort builds the production side of every test in this file: one
+// switch port at oracleBW toward a sink host oracleDelay away.
+func oraclePort(cfg PortConfig) (*Network, *Port, *Host) {
+	net := New(1)
+	sw := NewSwitch(net, "sw", nil)
+	sink := NewHost(net, "sink", 0)
+	idx, _ := sw.AddPort(sink, oracleBW, oracleDelay, cfg)
+	return net, sw.Port(idx), sink
+}
 
 // randomScript draws n arrivals: MTU data and 64 B control packets over the
 // given number of classes, with gaps of zero (same-picosecond bursts), exact
@@ -223,22 +230,19 @@ func randomScript(r *rng.Rand, n, classes int) []scriptedArrival {
 // batched link delivery, and returns what happened to each packet and the
 // port counters.
 func runProduction(cfg PortConfig, script []scriptedArrival, batch bool) ([]portOutcome, PortStats) {
-	net := New(1)
+	net, port, _ := oraclePort(cfg)
 	net.SetBatchDelivery(batch)
-	sw := NewSwitch(net, "sw", nil)
-	sink := NewHost(net, "sink", 0)
-	idx, _ := sw.AddPort(sink, oracleBW, oracleDelay, cfg)
-	port := sw.Port(idx)
-	rec := &portRecorder{net: net, delay: oracleDelay, out: make([]portOutcome, len(script))}
+	rec := &portRecorder{net: net, out: make([]portOutcome, len(script))}
 	net.Observer = rec
+	arrive := func(x any) {
+		p := x.(*Packet)
+		rec.out[p.Seq].seenBytes = port.QueuedBytes()
+		port.Enqueue(p)
+	}
 	pkts := make([]Packet, len(script))
 	for i, a := range script {
 		pkts[i] = a.pkt
-		net.Sched.ScheduleArg(a.at, func(x any) {
-			p := x.(*Packet)
-			rec.out[p.Seq].seenBytes = port.QueuedBytes()
-			port.Enqueue(p)
-		}, &pkts[i])
+		net.Sched.ScheduleArg(a.at, arrive, &pkts[i])
 	}
 	net.Sched.Run()
 	return rec.out, port.Stats()
@@ -246,7 +250,7 @@ func runProduction(cfg PortConfig, script []scriptedArrival, batch bool) ([]port
 
 func runReference(cfg PortConfig, script []scriptedArrival) ([]portOutcome, PortStats) {
 	sched := eventq.New()
-	ref := newRefPort(sched, oracleBW, oracleDelay, cfg, len(script))
+	ref := newRefPort(sched, cfg, len(script))
 	pkts := make([]Packet, len(script))
 	for i, a := range script {
 		pkts[i] = a.pkt
@@ -335,13 +339,10 @@ func checkFIFORecurrence(t *testing.T, label string, script []scriptedArrival, o
 func TestPortEventEconomy(t *testing.T) {
 	const n = 50
 	build := func() (*Network, *Port, *int) {
-		net := New(1)
-		sw := NewSwitch(net, "sw", nil)
-		sink := NewHost(net, "sink", 0)
+		net, port, sink := oraclePort(PortConfig{QueueCap: 1 << 20})
 		delivered := new(int)
 		sink.SetHandler(func(*Packet) { *delivered++ })
-		idx, _ := sw.AddPort(sink, oracleBW, oracleDelay, PortConfig{QueueCap: 1 << 20})
-		return net, sw.Port(idx), delivered
+		return net, port, delivered
 	}
 
 	net, port, delivered := build()
@@ -373,12 +374,8 @@ func TestPortEventEconomy(t *testing.T) {
 // waits in the queue, arms the transmit timer and drains allocates nothing
 // once the pools are warm.
 func TestQueuedPacketPathAllocFree(t *testing.T) {
-	net := New(1)
-	sw := NewSwitch(net, "sw", nil)
-	sink := NewHost(net, "sink", 0)
+	net, port, sink := oraclePort(PortConfig{QueueCap: 1 << 20, ClassWeights: []int{2, 1}})
 	sink.SetHandler(func(*Packet) {})
-	idx, _ := sw.AddPort(sink, oracleBW, oracleDelay, PortConfig{QueueCap: 1 << 20, ClassWeights: []int{2, 1}})
-	port := sw.Port(idx)
 	burst := func() {
 		for i := 0; i < 16; i++ {
 			p := net.AllocPacket()

@@ -55,8 +55,7 @@ fi
 # delivery on and off (-batch/UNO_BATCH) crossed with inline and deferred
 # digest folding (UNO_DIGEST_DEFER). All four cells must reproduce the
 # same committed digests byte-for-byte — that is the entire correctness
-# argument for both toggles. (The constants were regenerated once, for the
-# serialization-start transmit hand-off; every cell pins the new values.) The full suite above already ran with the
+# argument for both toggles. The full suite above already ran with the
 # defaults; rerun the digest + invariant suite once per explicit cell.
 #
 # The matrix gained a third dimension with the partitioned per-DC engine:
