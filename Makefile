@@ -26,6 +26,9 @@ FUZZTIME ?= 60s
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzSchedulerOps$$' -fuzztime $(FUZZTIME) ./internal/eventq/
 	go test -run '^$$' -fuzz '^FuzzReceiverPacket$$' -fuzztime $(FUZZTIME) ./internal/transport/
+	go test -run '^$$' -fuzz '^FuzzFountainDecode$$' -fuzztime $(FUZZTIME) ./internal/ec/
 
+# The repository benchmark (BENCHMARK.json): four workloads, eight bounded
+# end-to-end metrics. Compare two commits with scripts/bench_ab.sh.
 bench:
-	go test -bench . -benchtime 1x -run '^$$' ./...
+	bash bench/run.sh

@@ -9,7 +9,6 @@
 //	unosim -exp all -scale 2 -seed 7
 //	unosim -exp fig13a -out results/   # CSV artifacts
 //	unosim -exp fig13a -parallel 4     # fan independent reruns across cores
-//	unosim -exp fig3 -batch off        # cross-check unbatched link delivery
 //	unosim -exp fig3 -shards 2         # partitioned per-DC engine, 2 workers
 //	unosim -exp tournament -json t.json  # CC coexistence matrix + JSON emit
 //	unosim -exp fountain -ec fountain  # rateless UnoRC vs the RS(8,2) default
@@ -26,8 +25,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -39,58 +40,62 @@ import (
 )
 
 func main() {
-	var (
-		exp      = flag.String("exp", "", "experiment id (fig1, fig3, fig4, table1, fig8...fig13c, ext-*) or 'all'")
-		scale    = flag.Float64("scale", 1, "experiment scale; 1 = quick validation")
-		seed     = flag.Uint64("seed", 42, "base random seed")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
-			"max concurrent simulation runs (independent reruns only; output is identical for any value)")
-		batch = flag.String("batch", netsim.BatchMode(netsim.BatchDefault()),
-			"batched link delivery: on (per-link arrival FIFO, one scheduler insert per busy period) or off (one insert per packet); results are identical either way")
-		shards = flag.String("shards", netsim.ShardMode(netsim.ShardDefault()),
-			"partitioned per-DC engine: off (legacy single scheduler), or N >= 1 worker goroutines per sim (results are identical for every N >= 1; -parallel is clamped so reruns x workers stays within GOMAXPROCS)")
-		ecScheme = flag.String("ec", transport.ECSchemeName(transport.ECSchemeDefault()),
-			"erasure-coding scheme for EC-enabled flows: rs82 (fixed-rate Reed-Solomon, the paper's default) or fountain (rateless LT, DESIGN.md §3.9); UNO_EC sets the same default")
-		list       = flag.Bool("list", false, "list available experiments")
-		out        = flag.String("out", "", "also write CSV + text artifacts under this directory (like the paper's artifact_results/)")
-		jsonPath   = flag.String("json", "", "write the report's machine-readable JSON emit to this file (experiments that produce one, e.g. tournament)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	batchOn, err := netsim.ParseBatch(*batch)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+// run is main with its inputs and outputs as parameters: it returns the
+// exit status (0 ok, 1 a run-time failure, 2 bad usage).
+func run(args []string, stdout, stderr io.Writer) (status int) {
+	fs := flag.NewFlagSet("unosim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		exp      = fs.String("exp", "", "experiment id (fig1, fig3, fig4, table1, fig8...fig13c, ext-*) or 'all'")
+		scale    = fs.Float64("scale", 1, "experiment scale; 1 = quick validation")
+		seed     = fs.Uint64("seed", 42, "base random seed")
+		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0),
+			"max concurrent simulation runs (independent reruns only; output is identical for any value)")
+		shards = fs.String("shards", netsim.ShardMode(netsim.ShardDefault()),
+			"partitioned per-DC engine: off (legacy single scheduler), or N >= 1 worker goroutines per sim (results are identical for every N >= 1; -parallel is clamped so reruns x workers stays within GOMAXPROCS)")
+		ecScheme = fs.String("ec", transport.ECSchemeName(transport.ECSchemeDefault()),
+			"erasure-coding scheme for EC-enabled flows: rs82 (fixed-rate Reed-Solomon, the paper's default) or fountain (rateless LT, DESIGN.md §3.9); UNO_EC sets the same default")
+		list       = fs.Bool("list", false, "list available experiments")
+		out        = fs.String("out", "", "also write CSV + text artifacts under this directory (like the paper's artifact_results/)")
+		jsonPath   = fs.String("json", "", "write the report's machine-readable JSON emit to this file (experiments that produce one, e.g. tournament)")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	netsim.SetBatchDefault(batchOn)
 
 	nshards, err := netsim.ParseShards(*shards)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	netsim.SetShardDefault(nshards)
 	*parallel = harness.ClampParallel(*parallel, nshards)
 
 	scheme, err := transport.ParseECScheme(*ecScheme)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	transport.SetECSchemeDefault(scheme)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "creating cpu profile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "creating cpu profile: %v\n", err)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "starting cpu profile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "starting cpu profile: %v\n", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -98,71 +103,75 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "creating mem profile: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "creating mem profile: %v\n", err)
+				status = 1
+				return
 			}
 			defer f.Close()
 			runtime.GC() // settle live heap before the snapshot
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "writing mem profile: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "writing mem profile: %v\n", err)
+				status = 1
 			}
 		}()
 	}
 
 	if *list || *exp == "" {
-		fmt.Println("available experiments:")
+		fmt.Fprintln(stdout, "available experiments:")
 		for _, e := range harness.Registry() {
-			fmt.Printf("  %-8s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "  %-8s %s\n", e.ID, e.Title)
 		}
 		if *exp == "" && !*list {
-			fmt.Println("\nrun with -exp <id> or -exp all")
-			os.Exit(2)
+			fmt.Fprintln(stdout, "\nrun with -exp <id> or -exp all")
+			return 2
 		}
-		return
+		return 0
 	}
 
 	cfg := harness.Config{Scale: *scale, Seed: *seed, Parallel: *parallel}
-	run := func(e harness.Experiment) {
+	runExp := func(e harness.Experiment) int {
 		start := time.Now()
 		report := e.Run(cfg)
-		fmt.Println(report.String())
-		fmt.Printf("(%s finished in %v, parallel=%d)\n\n",
+		fmt.Fprintln(stdout, report.String())
+		fmt.Fprintf(stdout, "(%s finished in %v, parallel=%d)\n\n",
 			e.ID, time.Since(start).Round(time.Millisecond), *parallel)
 		if *out != "" {
 			paths, err := report.WriteArtifacts(*out)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "writing artifacts: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "writing artifacts: %v\n", err)
+				return 1
 			}
-			fmt.Printf("wrote %d artifact files under %s\n\n", len(paths), *out)
+			fmt.Fprintf(stdout, "wrote %d artifact files under %s\n\n", len(paths), *out)
 		}
 		if *jsonPath != "" {
 			if report.JSON == nil {
-				fmt.Fprintf(os.Stderr, "experiment %s produces no JSON emit\n", e.ID)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "experiment %s produces no JSON emit\n", e.ID)
+				return 1
 			}
 			if err := os.WriteFile(*jsonPath, report.JSON, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "writing json: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "writing json: %v\n", err)
+				return 1
 			}
-			fmt.Printf("wrote JSON emit to %s\n\n", *jsonPath)
+			fmt.Fprintf(stdout, "wrote JSON emit to %s\n\n", *jsonPath)
 		}
+		return 0
 	}
 
 	wall := time.Now()
 	if *exp == "all" {
 		for _, e := range harness.Registry() {
-			run(e)
+			if st := runExp(e); st != 0 {
+				return st
+			}
 		}
-		fmt.Printf("(all experiments finished in %v, parallel=%d)\n",
+		fmt.Fprintf(stdout, "(all experiments finished in %v, parallel=%d)\n",
 			time.Since(wall).Round(time.Millisecond), *parallel)
-		return
+		return 0
 	}
 	e, ok := harness.Find(*exp)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *exp)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown experiment %q; use -list\n", *exp)
+		return 2
 	}
-	run(e)
+	return runExp(e)
 }

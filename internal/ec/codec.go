@@ -75,10 +75,10 @@ func NewRSBlock(c *Codec) *RSBlock {
 	return &RSBlock{c: c, sub: make(map[int]*Codec)}
 }
 
-func (r *RSBlock) DataShards() int    { return r.c.Data }
-func (r *RSBlock) BaseRepair() int    { return r.c.Parity }
-func (r *RSBlock) Overhead() float64  { return r.c.Overhead() }
-func (r *RSBlock) Rateless() bool     { return false }
+func (r *RSBlock) DataShards() int   { return r.c.Data }
+func (r *RSBlock) BaseRepair() int   { return r.c.Parity }
+func (r *RSBlock) Overhead() float64 { return r.c.Overhead() }
+func (r *RSBlock) Rateless() bool    { return false }
 func (r *RSBlock) MaxSymbols(k int) int {
 	if k > r.c.Data {
 		k = r.c.Data

@@ -151,33 +151,16 @@ type Scheduler struct {
 	executed uint64
 	stopped  bool
 
-	// running/runDeadline gate InlineNext: they are set only while Run or
-	// RunUntil is dispatching (with the loop's deadline), so a batching
-	// callback can prove its next deferred firing would be the very next
-	// event the loop dispatches. Step never sets them — its one-event
-	// contract must not be widened by inline execution.
-	running     bool
-	runDeadline Time
-
-	// inlineTry/inlineOK count InlineNext probes and successes (telemetry:
-	// the batch fast path only pays off when the success rate is high, so
-	// benchmarks report it).
-	inlineTry uint64
-	inlineOK  uint64
-
 	arena arena   // slab holding every Event of this scheduler
 	free  []int32 // slab indices of recycled fire-and-forget events
 
-	// peeked caches the queue's minimum between structural changes: a
-	// peek fills it, a pop or remove of that event clears it, and an
-	// insert replaces it only when the new event is smaller (in which
-	// case the new event *is* the minimum). It makes the
-	// InlineNext-probe-then-dispatch sequence scan the wheel once
-	// instead of twice, and back-to-back inline deliveries cost one
-	// pointer compare each.
-	peeked *Event
-
 	w *wheel // the timing-wheel queue (with its own overflow heap)
+
+	// Pad to two whole 64-byte cache lines (128 B). The sharded engine
+	// allocates one Scheduler per shard back to back and every event writes
+	// now/seq/executed/free; at 96 B two shards' hot words shared a line and
+	// perm_sharded wall time rose from 0.70 s to 0.83 s (DESIGN §3.7).
+	_ [32]byte
 }
 
 // New returns a scheduler positioned at time 0.
@@ -206,66 +189,6 @@ func (s *Scheduler) FreeEvents() int { return len(s.free) }
 // high-water mark, since slots are recycled but never returned to the heap
 // (telemetry for the flow-lifecycle tests).
 func (s *Scheduler) SlabEvents() int { return s.arena.len() }
-
-// ---- queue operations ----
-
-// push enqueues e into the wheel, keeping the min cache coherent: an
-// insert below the cached minimum is by definition the new minimum.
-func (s *Scheduler) push(e *Event) {
-	if p := s.peeked; p != nil && eventLess(e, p) {
-		s.peeked = e
-	}
-	s.w.insert(e)
-}
-
-// maxTime is an effectively infinite deadline for unbounded peeks.
-const maxTime = Time(1<<63 - 1)
-
-// peekUntil returns the earliest queued event if its deadline is at or
-// before deadline, else nil. The wheel may cascade internally, but never
-// past deadline, so a caller that then stops and clocks forward to deadline
-// keeps every future insert at or after the wheel position. A cached
-// minimum short-circuits the wheel scan entirely (popKnown performs its
-// own cascade, so serving from the cache skips no required work).
-func (s *Scheduler) peekUntil(deadline Time) *Event {
-	if p := s.peeked; p != nil {
-		if p.at <= deadline {
-			return p
-		}
-		return nil
-	}
-	e := s.w.peekUntil(deadline)
-	if e != nil {
-		s.peeked = e
-	}
-	return e
-}
-
-// popKnown dequeues e, which must be the event peekUntil just returned.
-func (s *Scheduler) popKnown(e *Event) {
-	if s.peeked == e {
-		s.peeked = nil
-	}
-	s.w.popKnown(e)
-}
-
-// popMin dequeues and returns the earliest event, or nil when empty.
-func (s *Scheduler) popMin() *Event {
-	e := s.peekUntil(maxTime)
-	if e != nil {
-		s.popKnown(e)
-	}
-	return e
-}
-
-// remove deletes a queued event from an arbitrary position (Timer
-// rescheduling); no-op if e is not queued.
-func (s *Scheduler) remove(e *Event) {
-	if s.peeked == e {
-		s.peeked = nil
-	}
-	s.w.remove(e)
-}
 
 // ---- event allocation ----
 
@@ -311,7 +234,7 @@ func (s *Scheduler) Schedule(at Time, fn func()) *Event {
 	e := s.alloc()
 	e.at, e.seq, e.argfn, e.arg = at, s.seq, callFunc, fn
 	s.seq++
-	s.push(e)
+	s.w.insert(e)
 	return e
 }
 
@@ -332,7 +255,7 @@ func (s *Scheduler) ScheduleArg(at Time, fn func(any), arg any) {
 	e := s.alloc()
 	e.at, e.seq, e.argfn, e.arg, e.recycle = at, s.seq, fn, arg, true
 	s.seq++
-	s.push(e)
+	s.w.insert(e)
 }
 
 // AfterArg runs fn(arg) after delay d, fire-and-forget (see ScheduleArg).
@@ -343,56 +266,9 @@ func (s *Scheduler) AfterArg(d Time, fn func(any), arg any) {
 	s.ScheduleArg(s.now+d, fn, arg)
 }
 
-// ReserveSeq consumes and returns the next insertion sequence number
-// without scheduling anything. A caller that wants to defer an insert —
-// e.g. queue packet arrivals in its own FIFO and arm a single Timer for
-// the whole batch — reserves the seq at the moment it would otherwise
-// have scheduled, then arms the timer with ResetSeq when the entry
-// reaches the head: the (time, seq) pair, and therefore the total
-// execution order, is exactly what an immediate ScheduleArg would have
-// produced.
-func (s *Scheduler) ReserveSeq() uint64 {
-	n := s.seq
-	s.seq++
-	return n
-}
-
 // Stop makes the currently executing Run return after the current event's
 // callback completes.
 func (s *Scheduler) Stop() { s.stopped = true }
-
-// InlineNext is the batching caller's fast path: a callback that holds a
-// deferred (time, seq) pair — reserved with ReserveSeq — asks whether that
-// pair is the very next thing the running dispatch loop would execute. If
-// so, the scheduler advances the clock to at, accounts one executed event,
-// and returns true: the caller runs the work inline instead of arming a
-// timer, skipping a wheel insert, cascade, and pop per event. Otherwise
-// (an earlier or seq-intervening event is queued, at is past the loop's
-// deadline, no loop is running, or Stop was called) it returns false and
-// the caller must schedule normally (Timer.ResetSeq).
-//
-// Correctness leans on two properties: peekUntil never cascades the wheel
-// past its argument, so probing at `at` keeps the wheel position ≤ at and
-// every future insert still lands at or after it; and the total (time,
-// seq) order is untouched — inline execution fires the pair at exactly
-// the moment the dispatch loop would have popped its timer event.
-func (s *Scheduler) InlineNext(at Time, seq uint64) bool {
-	s.inlineTry++
-	if !s.running || s.stopped || at > s.runDeadline || at < s.now {
-		return false
-	}
-	if e := s.peekUntil(at); e != nil && (e.at < at || (e.at == at && e.seq < seq)) {
-		return false
-	}
-	s.inlineOK++
-	s.now = at
-	s.executed++
-	return true
-}
-
-// InlineStats returns how many InlineNext probes have been made and how
-// many succeeded (ran their event inline).
-func (s *Scheduler) InlineStats() (try, ok uint64) { return s.inlineTry, s.inlineOK }
 
 // runEvent advances the clock to e and executes its callback. Recyclable
 // events return to the free list *before* the callback runs, so a
@@ -413,20 +289,17 @@ func (s *Scheduler) runEvent(e *Event) {
 // deadline so subsequent scheduling is relative to it.
 func (s *Scheduler) RunUntil(deadline Time) {
 	s.stopped = false
-	prevRunning, prevDeadline := s.running, s.runDeadline
-	s.running, s.runDeadline = true, deadline
 	for !s.stopped {
-		next := s.peekUntil(deadline)
+		next := s.w.peekUntil(deadline)
 		if next == nil {
 			break
 		}
-		s.popKnown(next)
+		s.w.popKnown(next)
 		if next.cancelled {
 			continue
 		}
 		s.runEvent(next)
 	}
-	s.running, s.runDeadline = prevRunning, prevDeadline
 	if s.now < deadline {
 		s.now = deadline
 	}
@@ -449,32 +322,34 @@ func (s *Scheduler) RunBefore(deadline Time) {
 	s.now = deadline
 }
 
+// maxTime is an effectively infinite deadline for unbounded runs.
+const maxTime = Time(1<<63 - 1)
+
 // Run executes events until the queue drains or Stop is called.
 func (s *Scheduler) Run() {
 	s.stopped = false
-	prevRunning, prevDeadline := s.running, s.runDeadline
-	s.running, s.runDeadline = true, maxTime
 	for !s.stopped {
-		next := s.popMin()
+		next := s.w.peekUntil(maxTime)
 		if next == nil {
 			break
 		}
+		s.w.popKnown(next)
 		if next.cancelled {
 			continue
 		}
 		s.runEvent(next)
 	}
-	s.running, s.runDeadline = prevRunning, prevDeadline
 }
 
 // Step executes exactly one non-cancelled event and reports whether one was
 // available.
 func (s *Scheduler) Step() bool {
 	for {
-		next := s.popMin()
+		next := s.w.peekUntil(maxTime)
 		if next == nil {
 			return false
 		}
+		s.w.popKnown(next)
 		if next.cancelled {
 			continue
 		}
@@ -525,12 +400,12 @@ func (t *Timer) Reset(at Time) {
 	e := t.live()
 	t.s.checkTime(at)
 	if e.queued() {
-		t.s.remove(e)
+		t.s.w.remove(e)
 	}
 	e.at = at
 	e.seq = t.s.seq
 	t.s.seq++
-	t.s.push(e)
+	t.s.w.insert(e)
 }
 
 // live returns the timer's Event, refusing a released timer: its slot may
@@ -551,33 +426,13 @@ func (t *Timer) ResetAfter(d Time) {
 	t.Reset(t.s.now + d)
 }
 
-// ResetSeq (re)schedules the timer to fire at absolute time at using a
-// sequence number previously obtained from Scheduler.ReserveSeq. Among
-// same-time events the firing slots in as if it had been scheduled at
-// reservation time, not at ResetSeq time — the mechanism that lets a
-// batching caller keep a deferred insert's execution order identical to
-// the eager one. The time must still be in the future; the reserved seq
-// must belong to a firing that has not yet been replayed (at or after
-// the reservation point), which holds for any caller that reserves on
-// entry to its FIFO and arms in FIFO order.
-func (t *Timer) ResetSeq(at Time, seq uint64) {
-	e := t.live()
-	t.s.checkTime(at)
-	if e.queued() {
-		t.s.remove(e)
-	}
-	e.at = at
-	e.seq = seq
-	t.s.push(e)
-}
-
 // Cancel disarms the timer if pending: the event is removed from the heap
 // immediately (no lazy skip), so a Cancel followed by a Reset can never
 // resurrect the cancelled firing. Cancelling an idle or released timer is a
 // no-op.
 func (t *Timer) Cancel() {
 	if t.Pending() {
-		t.s.remove(t.e)
+		t.s.w.remove(t.e)
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 // FuzzSchedulerOps is the fuzzing face of the differential suite: an
 // arbitrary byte string is decoded into an operation script — schedules
 // into every wheel level (including the overflow heap), same-tick bursts,
-// handle cancels, timer rearm/cancel, ReserveSeq+ResetSeq deferred
-// arming, Step, RunUntil — and the script is replayed on both the wheel
-// and the reference model. The two fire sequences must be identical.
+// handle cancels, timer rearm/cancel, RunUntil — and the script is replayed
+// on both the wheel and the reference model. The two fire sequences must be
+// identical.
 // Where the randomized tests sample the interleaving space, the fuzzer
 // searches it for the corner the samples missed.
 func FuzzSchedulerOps(f *testing.F) {
@@ -19,7 +19,7 @@ func FuzzSchedulerOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x11, 0x22, 0x01, 0x33, 0x44, 0x02, 0x55, 0x03, 0x04, 0x05, 0x06, 0x07, 0x66})
 	// Overflow-horizon schedules (delay selector 4) mixed with bursts.
 	f.Add([]byte{0x00, 0x04, 0xff, 0x02, 0x04, 0xff, 0x07, 0xff, 0x00, 0x00, 0x00})
-	// Reserve-heavy script: interleave reservations, arms, and noise.
+	// The aliased opcodes 5 and 6 interleaved with arms and noise.
 	f.Add([]byte{0x05, 0x01, 0x10, 0x06, 0x00, 0x01, 0x20, 0x05, 0x02, 0x30, 0x06, 0x07, 0x40})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -94,16 +94,12 @@ func runFuzzScript(mk func() scriptSched, data []byte) []firing {
 		})
 	}
 
-	// Reservations for the deferred-arm op (the PR-4 batching pattern).
-	type reservation struct {
-		at  Time
-		seq uint64
-	}
-	var reserved []reservation
-
+	// Opcodes 5 and 6 alias 0 and 4: the operations they once encoded are
+	// gone, and keeping eight opcodes lets corpus entries found earlier
+	// still decode into scripts of the same length.
 	for pos < len(data) {
 		switch next() % 8 {
-		case 0:
+		case 0, 5:
 			schedule(s.Now() + delay())
 		case 1: // same-tick burst
 			at := s.Now() + delay()
@@ -116,19 +112,8 @@ func runFuzzScript(mk func() scriptSched, data []byte) []firing {
 			}
 		case 3:
 			timers[int(next())%len(timers)].ResetAfter(delay())
-		case 4:
+		case 4, 6:
 			timers[int(next())%len(timers)].Cancel()
-		case 5: // reserve a slot now, arm later
-			reserved = append(reserved, reservation{s.Now() + delay(), s.ReserveSeq()})
-		case 6: // arm the oldest still-future reservation
-			for len(reserved) > 0 {
-				res := reserved[0]
-				reserved = reserved[1:]
-				if res.at >= s.Now() {
-					timers[int(next())%len(timers)].ResetSeq(res.at, res.seq)
-					break
-				}
-			}
 		default:
 			s.RunUntil(s.Now() + delay())
 		}

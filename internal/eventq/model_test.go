@@ -8,8 +8,7 @@ package eventq
 // any divergence from the wheel is a wheel bug, not a shared one.
 //
 // Semantics mirrored exactly:
-//   - events fire in (at, seq) order; seq is assigned at schedule time
-//     (or taken from ReserveSeq for ResetSeq);
+//   - events fire in (at, seq) order; seq is assigned at schedule time;
 //   - cancelled handle events stay queued (and counted by Pending) until
 //     popped, then are skipped;
 //   - timer Cancel/Reset remove the pending firing immediately;
@@ -35,27 +34,23 @@ type refSched struct {
 func (s *refSched) Now() Time    { return s.now }
 func (s *refSched) Pending() int { return len(s.q) }
 
-func (s *refSched) ReserveSeq() uint64 {
-	n := s.seq
-	s.seq++
-	return n
-}
-
-func (s *refSched) pushSeq(at Time, seq uint64, fn func()) *refEvent {
+// push queues fn at (at, next seq) from the model's private seq counter.
+func (s *refSched) push(at Time, fn func()) *refEvent {
 	if at < s.now {
 		panic("refSched: schedule in the past")
 	}
-	e := &refEvent{at: at, seq: seq, fn: fn}
+	e := &refEvent{at: at, seq: s.seq, fn: fn}
+	s.seq++
 	s.q = append(s.q, e)
 	return e
 }
 
 func (s *refSched) Schedule(at Time, fn func()) canceller {
-	return s.pushSeq(at, s.ReserveSeq(), fn)
+	return s.push(at, fn)
 }
 
 func (s *refSched) ScheduleArg(at Time, fn func(any), arg any) {
-	s.pushSeq(at, s.ReserveSeq(), func() { fn(arg) })
+	s.push(at, func() { fn(arg) })
 }
 
 func (s *refSched) AfterArg(d Time, fn func(any), arg any) {
@@ -132,8 +127,7 @@ func (s *refSched) Run() {
 }
 
 // refTimer models Timer: Cancel and Reset remove the pending firing from
-// the queue immediately (never lazily), and Reset assigns a fresh seq while
-// ResetSeq uses a reserved one.
+// the queue immediately (never lazily), and Reset assigns a fresh seq.
 type refTimer struct {
 	s  *refSched
 	fn func()
@@ -155,18 +149,13 @@ func (t *refTimer) removePending() {
 	t.e = nil
 }
 
-func (t *refTimer) resetSeq(at Time, seq uint64) {
+func (t *refTimer) Reset(at Time) {
 	t.removePending()
-	var e *refEvent
-	e = t.s.pushSeq(at, seq, func() {
+	t.e = t.s.push(at, func() {
 		t.e = nil // non-pending while the callback runs
 		t.fn()
 	})
-	t.e = e
 }
-
-func (t *refTimer) Reset(at Time)     { t.resetSeq(at, t.s.ReserveSeq()) }
-func (t *refTimer) ResetSeq(at Time, seq uint64) { t.resetSeq(at, seq) }
 
 func (t *refTimer) ResetAfter(d Time) {
 	if d < 0 {
@@ -187,7 +176,6 @@ type canceller interface{ Cancel() }
 type scriptTimer interface {
 	Reset(Time)
 	ResetAfter(Time)
-	ResetSeq(Time, uint64)
 	Cancel()
 	Pending() bool
 }
@@ -197,7 +185,6 @@ type scriptTimer interface {
 type scriptSched interface {
 	Now() Time
 	Pending() int
-	ReserveSeq() uint64
 	Schedule(at Time, fn func()) canceller
 	ScheduleArg(at Time, fn func(any), arg any)
 	AfterArg(d Time, fn func(any), arg any)

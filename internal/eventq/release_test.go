@@ -63,10 +63,9 @@ func TestTimerReleaseFromOwnCallback(t *testing.T) {
 }
 
 func TestTimerResetAfterReleasePanics(t *testing.T) {
-	for name, rearm := range map[string]func(*Scheduler, *Timer){
-		"Reset":      func(_ *Scheduler, tm *Timer) { tm.Reset(50) },
-		"ResetAfter": func(_ *Scheduler, tm *Timer) { tm.ResetAfter(50) },
-		"ResetSeq":   func(s *Scheduler, tm *Timer) { tm.ResetSeq(50, s.ReserveSeq()) },
+	for name, rearm := range map[string]func(*Timer){
+		"Reset":      func(tm *Timer) { tm.Reset(50) },
+		"ResetAfter": func(tm *Timer) { tm.ResetAfter(50) },
 	} {
 		s := New()
 		tm := s.NewTimer(func() { t.Errorf("%s: released timer fired", name) })
@@ -82,7 +81,7 @@ func TestTimerResetAfterReleasePanics(t *testing.T) {
 					t.Errorf("%s on a released timer: recovered %q, want the released-Timer panic", name, msg)
 				}
 			}()
-			rearm(s, tm)
+			rearm(tm)
 		}()
 		s.Run()
 		if hits != 1 || s.Pending() != 0 {

@@ -144,7 +144,7 @@ type wheel struct {
 	occupied [wheelLevels]uint64 // per-level bitmap of non-empty slots
 	l0       [wheelSlots]l0bucket
 	chains   [wheelLevels][wheelSlots]wbucket // levels ≥ 1 ([0] unused)
-	overflow eventHeap // events past the top-level window, min-heap order
+	overflow eventHeap                        // events past the top-level window, min-heap order
 }
 
 func newWheel(a *arena) *wheel {

@@ -43,15 +43,19 @@ import (
 // goroutines. Note that 1 is not 0: UNO_SHARDS=1 runs the partitioned
 // engine serially, which is exactly what makes the UNO_SHARDS=1 vs 2
 // digest comparison meaningful — same structure, different parallelism.
-// Atomic for the same reason as batchDefault: harness workers read it
-// from worker goroutines.
+// Atomic because harness workers read it from worker goroutines while a
+// main goroutine (flag parsing, TestMain) may set it.
 var shardDefault atomic.Int32
 
+// A malformed UNO_SHARDS ends the process — a test binary included, so a
+// typo in ci.sh cannot silently run the default engine — with the status
+// and one-line message a bad -shards flag gets, not a panic trace.
 func init() {
 	if v := os.Getenv("UNO_SHARDS"); v != "" {
 		n, err := ParseShards(v)
 		if err != nil {
-			panic(err)
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
 		}
 		shardDefault.Store(int32(n))
 	}

@@ -3,6 +3,7 @@ package netsim
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"uno/internal/eventq"
 )
@@ -279,5 +280,20 @@ func TestParseShards(t *testing.T) {
 		if (err == nil) != tc.ok || got != tc.want {
 			t.Errorf("ParseShards(%q) = %d, %v; want %d, ok=%v", tc.in, got, err, tc.want, tc.ok)
 		}
+	}
+}
+
+// TestPerShardObjectsOwnTheirCacheLines: a sharded run allocates one
+// Scheduler and one DigestObserver per shard back to back, and each shard's
+// goroutine writes its own on every event. Sized a whole number of 64-byte
+// lines they fill their allocator size class and never share a line with
+// the neighbouring shard's; the blank pad fields in the two structs exist
+// for this (DESIGN §3.7 has the perm_sharded measurement).
+func TestPerShardObjectsOwnTheirCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(eventq.Scheduler{}); n%64 != 0 {
+		t.Errorf("eventq.Scheduler is %d bytes, not a whole number of cache lines", n)
+	}
+	if n := unsafe.Sizeof(DigestObserver{}); n%64 != 0 {
+		t.Errorf("DigestObserver is %d bytes, not a whole number of cache lines", n)
 	}
 }

@@ -9,48 +9,7 @@ package netsim
 // surfaces the digest per report so experiments — and CI — can assert
 // bit-identical reruns instead of hoping for them.
 
-import (
-	"fmt"
-	"os"
-	"sync/atomic"
-
-	"uno/internal/eventq"
-)
-
-// digestDeferDefault is the fold mode NewDigestObserver captures: true
-// buffers a busy period's words and mixes at drain, false folds inline per
-// event. Atomic for the same reason as batchDefault — harness workers
-// construct observers from worker goroutines.
-//
-// The default is inline. Interleaved A/B minima on the end-to-end
-// throughput benchmark put the deferred path ~5% behind inline: the fold
-// is a serial xor-multiply-shift chain, and folded inline its latency
-// hides under the surrounding event work, while draining a buffer exposes
-// the full chain latency in a tight loop and adds the store/reload
-// traffic on top. The deferred path stays available (UNO_DIGEST_DEFER=on)
-// and differentially tested, because it is the shape a future
-// wide/SIMD-style digest would need.
-var digestDeferDefault atomic.Bool
-
-func init() {
-	digestDeferDefault.Store(false)
-	if v := os.Getenv("UNO_DIGEST_DEFER"); v != "" {
-		b, err := ParseBatch(v)
-		if err != nil {
-			panic(fmt.Sprintf("netsim: UNO_DIGEST_DEFER=%q (want on or off)", v))
-		}
-		digestDeferDefault.Store(b)
-	}
-}
-
-// SetDigestDeferDefault makes subsequently created DigestObservers defer
-// (or not defer) their folds; the UNO_DIGEST_DEFER environment variable
-// lands here. Both modes produce identical fingerprints — the toggle
-// exists so CI can pin them differentially.
-func SetDigestDeferDefault(b bool) { digestDeferDefault.Store(b) }
-
-// DigestDeferDefault returns the mode NewDigestObserver currently captures.
-func DigestDeferDefault() bool { return digestDeferDefault.Load() }
+import "uno/internal/eventq"
 
 // FNV-1a 64-bit parameters, reused as the seed and multiplier of the
 // word-at-a-time fold below.
@@ -99,24 +58,10 @@ const (
 	digestKindDropped   = 0x03
 )
 
-// digestBufWords sizes the deferred-fold buffer: 1024 words = 256 events
-// per drain (8 KiB, small enough to stay L1-resident; the original 32 KiB
-// buffer measurably evicted hot simulator state between drains).
-const digestBufWords = 1024
-
 // DigestObserver implements Observer by hashing every sent, delivered, and
 // dropped packet event — (time, kind, flow, seq, type, size, and drop
 // reason) — into a single FNV-1a fingerprint. It is allocation-free after
 // construction and cheap enough to leave attached in every harness run.
-//
-// By default the observer folds inline (see digestDeferDefault for the
-// measurement behind that choice). In deferred mode (UNO_DIGEST_DEFER=on)
-// events instead append their four words to a reusable buffer and the
-// xor-multiply rounds run at drain time, when the buffer fills or Sum is
-// read. The word order is exactly append order, so the deferred digest is
-// byte-identical to inline folding — the differential test in
-// digest_deferred_test.go pins that, and CI runs the golden matrix in
-// both modes.
 //
 // Like the simulation it observes, a DigestObserver is single-goroutine
 // state; read Sum only after the run.
@@ -133,47 +78,19 @@ type DigestObserver struct {
 	h uint64
 	n uint64
 
-	deferred bool
-	nw       int
-	words    []uint64 // len digestBufWords when deferred, nil otherwise
+	// Pad to one whole 64-byte cache line. The sharded engine allocates one
+	// observer per shard back to back and every fabric event writes h and
+	// n; at 48 B two shards' observers shared a line (DESIGN §3.7).
+	_ [16]byte
 }
 
-// NewDigestObserver returns a fresh observer bound to net's clock, using
-// the package-default fold mode (DigestDeferDefault).
+// NewDigestObserver returns a fresh observer bound to net's clock.
 func NewDigestObserver(net *Network) *DigestObserver {
-	d := &DigestObserver{Net: net, sched: net.Sched, h: DigestSeed}
-	d.SetDeferred(DigestDeferDefault())
-	return d
+	return &DigestObserver{Net: net, sched: net.Sched, h: DigestSeed}
 }
 
-// SetDeferred switches between deferred (buffered) and inline folding.
-// Switching drains any buffered words first, so the fingerprint is
-// unaffected; the differential tests use this to build an inline-mode
-// observer next to a deferred one.
-func (d *DigestObserver) SetDeferred(b bool) {
-	d.drain()
-	d.deferred = b
-	if b && d.words == nil {
-		d.words = make([]uint64, digestBufWords)
-	}
-}
-
-// drain mixes the buffered words into the running hash, in append order.
-func (d *DigestObserver) drain() {
-	h := d.h
-	for _, w := range d.words[:d.nw] {
-		h = DigestFold(h, w)
-	}
-	d.h = h
-	d.nw = 0
-}
-
-// Sum returns the current 64-bit fingerprint, draining any buffered folds
-// first (reading mid-run is allowed and loses nothing).
-func (d *DigestObserver) Sum() uint64 {
-	d.drain()
-	return d.h
-}
+// Sum returns the current 64-bit fingerprint (reading mid-run is allowed).
+func (d *DigestObserver) Sum() uint64 { return d.h }
 
 // Events returns the number of events folded so far.
 func (d *DigestObserver) Events() uint64 { return d.n }
@@ -182,7 +99,6 @@ func (d *DigestObserver) Events() uint64 { return d.n }
 func (d *DigestObserver) Reset() {
 	d.h = DigestSeed
 	d.n = 0
-	d.nw = 0
 }
 
 func (d *DigestObserver) fold(kind uint64, p *Packet) {
@@ -191,20 +107,6 @@ func (d *DigestObserver) fold(kind uint64, p *Packet) {
 	// fourth without overlap (bits 48+, 40..47, 0..31).
 	packed := kind<<48 | uint64(p.Type)<<40 | uint64(uint32(p.Size))
 	d.n++
-	if d.deferred {
-		k := d.nw
-		if k+4 > len(d.words) {
-			d.drain()
-			k = 0
-		}
-		w := d.words[k : k+4 : k+4]
-		w[0] = uint64(d.sched.Now())
-		w[1] = packed
-		w[2] = uint64(p.Flow)
-		w[3] = uint64(p.Seq)
-		d.nw = k + 4
-		return
-	}
 	h := d.h
 	h = DigestFold(h, uint64(d.sched.Now()))
 	h = DigestFold(h, packed)

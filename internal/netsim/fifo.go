@@ -1,18 +1,17 @@
 package netsim
 
 // fifo is the head-compacted queue used by every hot-path FIFO in the
-// fabric: the port's single queue, each DRR class queue, and the link's
-// batched-arrival queue. It replaces three hand-copied implementations of
-// the same grow/compact policy with one tuned one.
+// fabric: the port's single queue and each DRR class queue, one tuned
+// grow/compact policy instead of a hand-copied one per call site.
 //
 // The layout is a plain slice plus a dead-prefix index. push appends;
 // pop zeroes the vacated slot (so pooled packets are not pinned by stale
 // references) and bumps the head. When the queue drains the slice resets
 // to its full capacity, and when the dead prefix both exceeds
 // fifoCompactMin slots and dominates the backing array, the live suffix
-// is copied down — the same policy the three call sites carried, so a
-// long busy period cannot grow the backing array without bound while
-// steady-state operation stays allocation- and copy-free.
+// is copied down, so a long busy period cannot grow the backing array
+// without bound while steady-state operation stays allocation- and
+// copy-free.
 type fifo[T any] struct {
 	buf  []T
 	head int

@@ -482,23 +482,6 @@ func (c *InvariantChecker) checkPort(p *Port, now eventq.Time) {
 		}
 	}
 	l := p.link
-	if got := l.arrivals.len(); got > 0 {
-		if got != l.inFlight {
-			c.violate("queue", "link %s: FIFO holds %d arrivals but inFlight is %d", l.Name, got, l.inFlight)
-		}
-		arr := l.arrivals.items()
-		prev := arr[0]
-		for _, a := range arr[1:] {
-			if a.at < prev.at || (a.at == prev.at && a.seq <= prev.seq) {
-				c.violate("queue", "link %s: arrival FIFO out of (time, seq) order: (%v, %d) after (%v, %d)",
-					l.Name, a.at, a.seq, prev.at, prev.seq)
-			}
-			prev = a
-		}
-		if head := arr[0]; head.at < now {
-			c.violate("time", "link %s: head arrival at %v is stale (now %v)", l.Name, head.at, now)
-		}
-	}
 	if l.inFlight < 0 {
 		c.violate("queue", "link %s: negative in-flight count %d", l.Name, l.inFlight)
 	}

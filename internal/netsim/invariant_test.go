@@ -25,10 +25,9 @@ func (r dstPortRouter) Route(sw *Switch, p *Packet) int {
 // packets throughout, and an InvariantChecker attached. defect, when
 // non-nil, switches on one of the Network's seeded defects. It returns the
 // checker after the run for the caller to judge.
-func invariantScenario(t *testing.T, batch bool, cfg PortConfig, withLoss bool, defect func(*Network)) *InvariantChecker {
+func invariantScenario(t *testing.T, cfg PortConfig, withLoss bool, defect func(*Network)) *InvariantChecker {
 	t.Helper()
 	net := New(7)
-	net.SetBatchDelivery(batch)
 	if defect != nil {
 		defect(net)
 	}
@@ -110,23 +109,20 @@ func invariantConfigs() map[string]PortConfig {
 }
 
 // TestInvariantCleanRuns: a healthy simulator must produce zero violations
-// across both delivery modes, the full port-feature matrix, and stochastic
-// loss.
+// across the full port-feature matrix and stochastic loss.
 func TestInvariantCleanRuns(t *testing.T) {
 	for name := range invariantConfigs() {
-		for _, batch := range []bool{true, false} {
-			for _, withLoss := range []bool{false, true} {
-				// A fresh config per run: PortConfig carries pointer state
-				// (the phantom queue's drain clock), and the checker itself
-				// flags cross-network reuse.
-				ic := invariantScenario(t, batch, invariantConfigs()[name], withLoss, nil)
-				if vs := ic.Check(); len(vs) != 0 {
-					t.Errorf("%s batch=%v loss=%v: %d violations, first: %v",
-						name, batch, withLoss, len(vs), vs[0])
-				}
-				if ic.events == 0 {
-					t.Fatalf("%s: checker observed no events", name)
-				}
+		for _, withLoss := range []bool{false, true} {
+			// A fresh config per run: PortConfig carries pointer state
+			// (the phantom queue's drain clock), and the checker itself
+			// flags cross-network reuse.
+			ic := invariantScenario(t, invariantConfigs()[name], withLoss, nil)
+			if vs := ic.Check(); len(vs) != 0 {
+				t.Errorf("%s loss=%v: %d violations, first: %v",
+					name, withLoss, len(vs), vs[0])
+			}
+			if ic.events == 0 {
+				t.Fatalf("%s: checker observed no events", name)
 			}
 		}
 	}
@@ -137,7 +133,7 @@ func TestInvariantCleanRuns(t *testing.T) {
 // checker must fail loudly. If this test ever passes with zero violations,
 // the invariant suite has gone soft.
 func TestInvariantMutationSkippedReset(t *testing.T) {
-	ic := invariantScenario(t, true, invariantConfigs()["fifo"], false, func(n *Network) { n.skipRecycleReset = true })
+	ic := invariantScenario(t, invariantConfigs()["fifo"], false, func(n *Network) { n.skipRecycleReset = true })
 	vs := ic.Check()
 	if len(vs) == 0 {
 		t.Fatal("skipped recycle reset produced zero violations: the invariant layer is not load-bearing")
@@ -159,18 +155,16 @@ func TestInvariantMutationSkippedReset(t *testing.T) {
 // back-to-back packets on the wire at once. Nothing else notices — every
 // packet is still delivered exactly once — so the wire-exclusivity rule must.
 func TestInvariantMutationStuckBusyUntil(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		ic := invariantScenario(t, batch, invariantConfigs()["fifo"], false, func(n *Network) { n.skipBusyAdvance = true })
-		found := false
-		for _, v := range ic.Check() {
-			if v.Check == "time" && strings.Contains(v.Msg, "serialization time") {
-				found = true
-				break
-			}
+	ic := invariantScenario(t, invariantConfigs()["fifo"], false, func(n *Network) { n.skipBusyAdvance = true })
+	found := false
+	for _, v := range ic.Check() {
+		if v.Check == "time" && strings.Contains(v.Msg, "serialization time") {
+			found = true
+			break
 		}
-		if !found {
-			t.Fatalf("batch=%v: stuck busyUntil not flagged by the wire-exclusivity rule; got %v", batch, ic.Violations())
-		}
+	}
+	if !found {
+		t.Fatalf("stuck busyUntil not flagged by the wire-exclusivity rule; got %v", ic.Violations())
 	}
 }
 

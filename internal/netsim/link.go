@@ -38,20 +38,9 @@ type Link struct {
 	// delivery scheduling allocates neither an event nor a closure.
 	arriveFn func(any)
 
-	// Batched-delivery machinery (Network.BatchDelivery): packets in
-	// flight wait in this head-compacted FIFO. Each entry carries the
-	// (time, seq) pair reserved when deliver ran, so the execution order —
-	// including ties against unrelated same-time events — is exactly the
-	// eager path's. Only the FIFO head ever occupies the scheduler: one
-	// long-horizon insert per busy period, and successive entries drain
-	// either inline (Scheduler.InlineNext, when provably next in the total
-	// order) or via a short-horizon rearm of arrTimer.
-	arrivals fifo[linkArrival]
-	arrTimer *eventq.Timer
-
 	// inFlight counts packets on the link (being serialized onto it or
-	// propagating, not yet arrived downstream), in both delivery modes. The
-	// invariant layer reconciles it against its own packet accounting.
+	// propagating, not yet arrived downstream). The invariant layer
+	// reconciles it against its own packet accounting.
 	// Cross-shard links never use it: their in-transit packets live in the
 	// handoff queue (producer side) or as scheduled arrivals in the
 	// destination shard, and the invariant layer accounts for them with the
@@ -71,14 +60,6 @@ type Link struct {
 	stats LinkStats
 }
 
-// linkArrival is one in-flight packet: its arrival time, the insertion
-// sequence reserved at deliver time, and the packet itself.
-type linkArrival struct {
-	at  eventq.Time
-	seq uint64
-	p   *Packet
-}
-
 // newLink wires a link toward node to.
 func newLink(net *Network, to Node, bandwidth int64, delay eventq.Time, name string) *Link {
 	if bandwidth <= 0 || delay < 0 {
@@ -87,7 +68,6 @@ func newLink(net *Network, to Node, bandwidth int64, delay eventq.Time, name str
 	l := &Link{net: net, Bandwidth: bandwidth, Delay: delay, Name: name, to: to, up: true}
 	l.arriveFn = l.arrive
 	l.rxArriveFn = l.rxArrive
-	l.arrTimer = net.Sched.NewTimer(l.arriveHead)
 	return l
 }
 
@@ -111,8 +91,8 @@ func (l *Link) SetLoss(p LossProcess) { l.loss = p }
 func (l *Link) Stats() LinkStats { return l.stats }
 
 // deliver is called by the upstream port when p's serialization, ser long,
-// starts: p reaches the downstream node at now + ser + Delay on every path
-// (eager, batched FIFO, cross-shard handoff). Link state and the loss
+// starts: p reaches the downstream node at now + ser + Delay, whether as a
+// local arrival event or a cross-shard handoff record. Link state and the loss
 // process are sampled here — the one instant that decides whether p is lost.
 func (l *Link) deliver(p *Packet, ser eventq.Time) {
 	if !l.up {
@@ -149,15 +129,7 @@ func (l *Link) deliver(p *Packet, ser eventq.Time) {
 		return
 	}
 	l.inFlight++
-	if !l.net.batch {
-		l.net.Sched.ScheduleArg(at, l.arriveFn, p)
-		return
-	}
-	seq := l.net.Sched.ReserveSeq()
-	l.arrivals.push(linkArrival{at: at, seq: seq, p: p})
-	if l.arrivals.len() == 1 {
-		l.arrTimer.ResetSeq(at, seq)
-	}
+	l.net.Sched.ScheduleArg(at, l.arriveFn, p)
 }
 
 // notifyDelivered reports a delivery to the observer. The common case — a
@@ -201,41 +173,4 @@ func (l *Link) rxArrive(x any) {
 		o.PacketDelivered(l, p)
 	}
 	l.to.HandlePacket(p)
-}
-
-// arriveHead fires when the batched FIFO's head packet reaches the
-// downstream node. After each delivery it asks the scheduler whether the
-// next queued arrival is provably the next event in the whole simulation
-// (Scheduler.InlineNext with the entry's reserved (time, seq) pair); if so
-// it keeps draining inline — no timer insert, cascade, or pop per packet —
-// and otherwise it rearms arrTimer with the pair and returns. Inline
-// draining cannot jump an arrival ahead of an unrelated event holding an
-// intermediate seq: InlineNext compares against the scheduler's true
-// minimum and refuses exactly in that case.
-//
-// The FIFO is popped before HandlePacket runs, and the head pointer is not
-// used after it: a HandlePacket cascade can reach deliver synchronously (a
-// switch forwards into an idle port, which starts serializing at once) and
-// push onto a link FIFO, this one included on a looped topology.
-func (l *Link) arriveHead() {
-	for {
-		l.inFlight--
-		// peek+advance instead of pop: reading the entry through the head
-		// pointer and nil-ing the packet reference in place avoids the
-		// by-value struct copy a generic pop costs (see fifo.advance).
-		head := l.arrivals.peek()
-		p := head.p
-		head.p = nil
-		l.arrivals.advance()
-		l.notifyDelivered(p)
-		l.to.HandlePacket(p)
-		if l.arrivals.len() == 0 {
-			return
-		}
-		next := l.arrivals.peek()
-		if !l.net.Sched.InlineNext(next.at, next.seq) {
-			l.arrTimer.ResetSeq(next.at, next.seq)
-			return
-		}
-	}
 }

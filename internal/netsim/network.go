@@ -49,11 +49,6 @@ type Network struct {
 	// skipBusyAdvance is the transmit hand-off's seeded defect: Port.transmit
 	// forgets to advance busyUntil, so packets overlap on the wire.
 	skipBusyAdvance bool
-
-	// batch selects batched link delivery (batch.go), captured from the
-	// package default at New and overridable with SetBatchDelivery before
-	// traffic flows.
-	batch bool
 }
 
 // poolHook receives packet-pool lifecycle events (invariant checking).
@@ -71,7 +66,6 @@ func New(seed uint64) *Network {
 		Sched:     eventq.New(),
 		Rand:      rng.New(seed),
 		LoopPanic: true,
-		batch:     BatchDefault(),
 		idStep:    1,
 	}
 }
@@ -82,16 +76,6 @@ func (n *Network) Shard() int { return n.shard }
 
 // Cluster returns the owning cluster, or nil for a standalone network.
 func (n *Network) Cluster() *Cluster { return n.cluster }
-
-// SetBatchDelivery overrides the package-default batch mode for this
-// network. Call it right after New, before any packet is in flight: links
-// consult the flag on every delivery, and arrivals already queued in a
-// link FIFO still drain correctly after a switch, but mixing modes
-// mid-run serves no purpose.
-func (n *Network) SetBatchDelivery(b bool) { n.batch = b }
-
-// BatchDelivery reports whether this network batches link deliveries.
-func (n *Network) BatchDelivery() bool { return n.batch }
 
 // Now returns the current simulated time.
 func (n *Network) Now() eventq.Time { return n.Sched.Now() }

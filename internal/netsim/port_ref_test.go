@@ -226,12 +226,10 @@ func randomScript(r *rng.Rand, n, classes int) []scriptedArrival {
 	return script
 }
 
-// runProduction drives script through a real switch port, with eager or
-// batched link delivery, and returns what happened to each packet and the
-// port counters.
-func runProduction(cfg PortConfig, script []scriptedArrival, batch bool) ([]portOutcome, PortStats) {
+// runProduction drives script through a real switch port and returns what
+// happened to each packet and the port counters.
+func runProduction(cfg PortConfig, script []scriptedArrival) ([]portOutcome, PortStats) {
 	net, port, _ := oraclePort(cfg)
-	net.SetBatchDelivery(batch)
 	rec := &portRecorder{net: net, out: make([]portOutcome, len(script))}
 	net.Observer = rec
 	arrive := func(x any) {
@@ -264,8 +262,7 @@ func runReference(cfg PortConfig, script []scriptedArrival) ([]portOutcome, Port
 // on a port taken in isolation. Every scripted packet sees the same queue
 // occupancy, meets the same drop or trim decision, and departs and arrives
 // at the same picosecond as under the eager reference, on FIFO and DRR
-// ports, with trimming and control bypass on a queue that fills, under
-// eager (odd seeds) and batched (even seeds) link delivery.
+// ports, with trimming and control bypass on a queue that fills.
 func TestPortTimingOracle(t *testing.T) {
 	const queueCap = 6 * oracleMTU
 	configs := map[string]PortConfig{
@@ -281,7 +278,7 @@ func TestPortTimingOracle(t *testing.T) {
 		var drops, trims, waits int
 		for seed := uint64(1); seed <= 20; seed++ {
 			script := randomScript(rng.New(seed), 400, classes)
-			got, gotStats := runProduction(cfg, script, seed%2 == 0)
+			got, gotStats := runProduction(cfg, script)
 			want, wantStats := runReference(cfg, script)
 			for i := range script {
 				if got[i] != want[i] {

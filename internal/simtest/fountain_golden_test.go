@@ -12,12 +12,9 @@ import (
 
 // goldenFountainCell pins one cheap fountain-experiment cell — a 1 MiB
 // inter-DC flow under the rateless LT scheme with Setup 1 correlated loss —
-// on the legacy engine. The CI golden matrix reruns this under every
-// UNO_BATCH × UNO_DIGEST_DEFER cell, so the constant also states that the
-// rateless transport path (minted repair symbols, dynamic schedule entries,
-// NACK-driven recovery) emits a packet stream independent of batching and
-// digest-deferral modes. The cell forces its scheme per flow, so UNO_EC
-// does not move it.
+// on the legacy engine. The constant pins the rateless transport path
+// (minted repair symbols, dynamic schedule entries, NACK-driven recovery).
+// The cell forces its scheme per flow, so UNO_EC does not move it.
 const goldenFountainCell = 0x5d6ccc89e0aeac88
 
 // TestGoldenFountainCell pins the fountain cell digest. Regenerate like the

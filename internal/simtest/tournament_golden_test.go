@@ -9,10 +9,8 @@ import (
 )
 
 // goldenTournamentCell pins one cheap tournament cell — MPRDMA vs BBR under
-// the mixed-128x regime — on the legacy engine. The CI golden matrix reruns
-// this under every UNO_BATCH × UNO_DIGEST_DEFER cell, so the constant also
-// states that the coexistence harness's packet stream is independent of
-// batching and digest-deferral modes.
+// the mixed-128x regime — on the legacy engine, pinning the coexistence
+// harness's packet stream.
 const goldenTournamentCell = 0xc46fe3197f6c9d8c
 
 // TestGoldenTournamentCell pins the coexistence tournament's cell digest.

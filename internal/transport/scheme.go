@@ -30,16 +30,20 @@ const (
 )
 
 // ecSchemeDefault is what Params.withDefaults resolves SchemeAuto to.
-// Atomic for the same reason as netsim's batchDefault: harness workers
-// build flows from worker goroutines while flag parsing may set it.
+// Atomic because harness workers build flows from worker goroutines while
+// flag parsing may set it.
 var ecSchemeDefault atomic.Uint32
 
+// A malformed UNO_EC ends the process — a test binary included, so a typo in
+// ci.sh cannot silently run the default scheme — with the status and one-line
+// message a bad -ec flag gets, not a panic trace.
 func init() {
 	ecSchemeDefault.Store(uint32(SchemeRS))
 	if v := os.Getenv("UNO_EC"); v != "" {
 		s, err := ParseECScheme(v)
 		if err != nil {
-			panic(err)
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
 		}
 		ecSchemeDefault.Store(uint32(s))
 	}

@@ -226,40 +226,34 @@ func BenchmarkPortEnqueue(b *testing.B) {
 }
 
 // BenchmarkLinkDelivery pushes bursts of back-to-back packets through a
-// switch port and its link under both delivery modes, isolating what
-// batched delivery saves on the per-packet schedule/arrive cycle.
+// switch port and its link, isolating the per-packet schedule/arrive cycle.
 func BenchmarkLinkDelivery(b *testing.B) {
-	for _, mode := range []bool{true, false} {
-		b.Run("batch-"+netsim.BatchMode(mode), func(b *testing.B) {
-			const bw = int64(100e9)
-			net := netsim.New(1)
-			net.SetBatchDelivery(mode)
-			sw := netsim.NewSwitch(net, "sw", nil)
-			src := netsim.NewHost(net, "src", 0)
-			dst := netsim.NewHost(net, "dst", 0)
-			src.AttachNIC(sw, bw, eventq.Microsecond)
-			dst.AttachNIC(sw, bw, eventq.Microsecond)
-			sw.AddPort(src, bw, eventq.Microsecond, simtest.PortConfig())
-			sw.AddPort(dst, bw, eventq.Microsecond, simtest.PortConfig())
-			sw.SetRouter(simtest.DstRouter{src.ID(): 0, dst.ID(): 1})
-			dst.SetHandler(func(*netsim.Packet) {})
-			const burst = 64
-			b.ReportAllocs()
-			for i := 0; i < b.N; i += burst {
-				n := burst
-				if rem := b.N - i; rem < n {
-					n = rem
-				}
-				for j := 0; j < n; j++ {
-					p := net.AllocPacket()
-					p.Type = netsim.Data
-					p.Src = src.ID()
-					p.Dst = dst.ID()
-					p.Size = 4096
-					src.Send(p)
-				}
-				net.Sched.Run()
-			}
-		})
+	const bw = int64(100e9)
+	net := netsim.New(1)
+	sw := netsim.NewSwitch(net, "sw", nil)
+	src := netsim.NewHost(net, "src", 0)
+	dst := netsim.NewHost(net, "dst", 0)
+	src.AttachNIC(sw, bw, eventq.Microsecond)
+	dst.AttachNIC(sw, bw, eventq.Microsecond)
+	sw.AddPort(src, bw, eventq.Microsecond, simtest.PortConfig())
+	sw.AddPort(dst, bw, eventq.Microsecond, simtest.PortConfig())
+	sw.SetRouter(simtest.DstRouter{src.ID(): 0, dst.ID(): 1})
+	dst.SetHandler(func(*netsim.Packet) {})
+	const burst = 64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i += burst {
+		n := burst
+		if rem := b.N - i; rem < n {
+			n = rem
+		}
+		for j := 0; j < n; j++ {
+			p := net.AllocPacket()
+			p.Type = netsim.Data
+			p.Src = src.ID()
+			p.Dst = dst.ID()
+			p.Size = 4096
+			src.Send(p)
+		}
+		net.Sched.Run()
 	}
 }
