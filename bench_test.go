@@ -283,11 +283,11 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughputSharded is the same permutation workload on
-// the partitioned per-DC engine: workers=1 runs the two shards serially
-// (measuring the partition protocol's overhead), workers=2 runs one
-// goroutine per DC (measuring the parallel speedup). Event counts are
-// identical across all three benchmarks' engines by construction.
+// BenchmarkSimulatorThroughputSharded is the same permutation workload
+// with one shard per DC: workers=1 runs the two shards serially (measuring
+// the partition protocol's overhead), workers=2 runs one goroutine per DC
+// (measuring the parallel speedup). Event counts are identical across all
+// three benchmarks by construction.
 func BenchmarkSimulatorThroughputSharded(b *testing.B) {
 	for _, workers := range []int{1, 2} {
 		b.Run(map[int]string{1: "workers1", 2: "workers2"}[workers], func(b *testing.B) {

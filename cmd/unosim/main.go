@@ -9,7 +9,7 @@
 //	unosim -exp all -scale 2 -seed 7
 //	unosim -exp fig13a -out results/   # CSV artifacts
 //	unosim -exp fig13a -parallel 4     # fan independent reruns across cores
-//	unosim -exp fig3 -shards 2         # partitioned per-DC engine, 2 workers
+//	unosim -exp fig3 -shards 2         # one shard per DC, 2 worker goroutines
 //	unosim -exp tournament -json t.json  # CC coexistence matrix + JSON emit
 //	unosim -exp fountain -ec fountain  # rateless UnoRC vs the RS(8,2) default
 //
@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0),
 			"max concurrent simulation runs (independent reruns only; output is identical for any value)")
 		shards = fs.String("shards", netsim.ShardMode(netsim.ShardDefault()),
-			"partitioned per-DC engine: off (legacy single scheduler), or N >= 1 worker goroutines per sim (results are identical for every N >= 1; -parallel is clamped so reruns x workers stays within GOMAXPROCS)")
+			"shards per sim: off (the whole fabric on one shard and one scheduler), or one shard per DC run by N >= 1 worker goroutines (results are identical for every N >= 1; -parallel is clamped so reruns x workers stays within GOMAXPROCS)")
 		ecScheme = fs.String("ec", transport.ECSchemeName(transport.ECSchemeDefault()),
 			"erasure-coding scheme for EC-enabled flows: rs82 (fixed-rate Reed-Solomon, the paper's default) or fountain (rateless LT, DESIGN.md §3.9); UNO_EC sets the same default")
 		list       = fs.Bool("list", false, "list available experiments")

@@ -49,14 +49,14 @@ func main() {
 		interRTT := sim.Topo.InterRTT(sim.MTU)
 		fmt.Printf("=== %s: per-iteration Allreduce time vs ideal\n", stack.Name)
 		for _, it := range iters {
-			start := sim.Net.Now()
+			start := sim.Now()
 			for i := range it.Flows {
 				it.Flows[i].Start = start
 			}
 			conns := sim.Schedule(it.Flows)
 			deadline := start + uno.Second
-			for sim.Net.Now() < deadline {
-				sim.Net.Sched.RunUntil(sim.Net.Now() + uno.Millisecond)
+			for sim.Now() < deadline {
+				sim.RunUntil(sim.Now() + uno.Millisecond)
 				done := true
 				for _, c := range conns {
 					if c == nil || !c.Completed() {
@@ -68,7 +68,7 @@ func main() {
 					break
 				}
 			}
-			elapsed := sim.Net.Now() - start
+			elapsed := sim.Now() - start
 			ideal := uno.IdealIterationTime(it, cut, interRTT)
 			fmt.Printf("  iter %d: %4d MiB gradients  comm %-10v ideal %-10v ratio ×%.2f\n",
 				it.Index, it.Bytes>>20, elapsed, ideal, float64(elapsed)/float64(ideal))
@@ -79,7 +79,12 @@ func main() {
 	// The same synchronization expressed as a true ring Allreduce
 	// (reduce-scatter + all-gather, 2(N−1) dependency-ordered steps) over
 	// a clean fabric, for comparison with the bulk-exchange model above.
-	sim := uno.NewSim(29, uno.DefaultTopology(), uno.UnoStack())
+	// Collectives chain flows from completion callbacks and need the whole
+	// fabric on one shard, whatever UNO_SHARDS says.
+	sim, err := uno.NewShardedSim(29, uno.DefaultTopology(), uno.UnoStack(), 0)
+	if err != nil {
+		panic(err)
+	}
 	ring := uno.RingConfig{
 		Members: []int{0, 16, 32, 48, 128, 144, 160, 176}, // 4 workers per DC
 		Bytes:   64 << 20,

@@ -7,7 +7,7 @@ import (
 	"uno/internal/workload"
 )
 
-// TestConnsSeesStartedFlows: on the legacy engine a flow's connection exists
+// TestConnsSeesStartedFlows: on a one-shard Sim a flow's connection exists
 // only from its start time on. Conns() used to return the nil placeholders
 // it had copied at Schedule time for ever; it must show the started flows,
 // through the same array as the slice Schedule returned.
@@ -68,11 +68,11 @@ func TestConnsSeesStartedFlows(t *testing.T) {
 	}
 }
 
-// TestFlowLifecycleOnEveryEngine: on the legacy engine and on the sharded
-// one with one and two workers, a mixed workload with EC flows crossing the
-// border both ways ends with every sender out of its endpoint's demux, every
-// receiver still registered and complete, no event left once the fabric has
-// drained, and every Conn readable as a result handle. On the sharded engine
+// TestFlowLifecycleOnEveryEngine: on one shard and on per-DC shards with one
+// and two workers, a mixed workload with EC flows crossing the border both
+// ways ends with every sender out of its endpoint's demux, every receiver
+// still registered and complete, no event left once the fabric has drained,
+// and every Conn readable as a result handle. With per-DC shards
 // completion runs on the source host's shard while the other shard still
 // reads the flow's receiver and schedule, which is what scripts/ci.sh runs
 // this test under the race detector for.
@@ -98,11 +98,7 @@ func TestFlowLifecycleOnEveryEngine(t *testing.T) {
 			t.Fatalf("shards=%d: %d flows did not complete", shards, sim.Pending())
 		}
 		sim.Drain()
-		pending := sim.Net.Sched.Pending()
-		if sim.Sharded() {
-			pending = sim.Cluster().Pending()
-		}
-		if pending != 0 {
+		if pending := sim.Cluster().Pending(); pending != 0 {
 			t.Errorf("shards=%d: %d events left after the fabric drained", shards, pending)
 		}
 		for i, c := range conns {

@@ -9,8 +9,9 @@ import (
 	"uno/internal/workload"
 )
 
-// flowLedger is a per-flow packet accountant chained behind the digest
-// observer (via Sim.Observe). Sent counts every host injection including
+// flowLedger is a per-flow packet accountant chained behind a shard's
+// digest observer (via Sim.ObserveShard; one ledger per shard, summed after
+// the run). Sent counts every host injection including
 // retransmissions and EC parity; Delivered counts only final-hop
 // deliveries (the fabric also reports per-hop handoffs to switches, which
 // are not terminal events); Dropped counts discards at any hop.
@@ -25,6 +26,19 @@ func newFlowLedger() *flowLedger {
 		sent:      make(map[netsim.FlowID]int64),
 		delivered: make(map[netsim.FlowID]int64),
 		dropped:   make(map[netsim.FlowID]int64),
+	}
+}
+
+// add sums another shard's ledger into fl.
+func (fl *flowLedger) add(o *flowLedger) {
+	for f, n := range o.sent {
+		fl.sent[f] += n
+	}
+	for f, n := range o.delivered {
+		fl.delivered[f] += n
+	}
+	for f, n := range o.dropped {
+		fl.dropped[f] += n
 	}
 }
 
@@ -83,8 +97,11 @@ func TestFatTreeFlowConservation(t *testing.T) {
 			specs = append(specs, interPairSpecs(topoCfg, 4, 128<<10)...)
 
 			sim := MustNewSim(99, topoCfg, stack)
-			ledger := newFlowLedger()
-			sim.Observe(ledger)
+			shardLedgers := make([]*flowLedger, sim.Cluster().Shards())
+			for i := range shardLedgers {
+				shardLedgers[i] = newFlowLedger()
+				sim.ObserveShard(i, shardLedgers[i])
+			}
 			sim.Schedule(specs)
 			sim.Run(200 * eventq.Millisecond)
 			if sim.Pending() != 0 {
@@ -92,7 +109,11 @@ func TestFatTreeFlowConservation(t *testing.T) {
 			}
 			// Drain in-flight packets (trailing ACKs, late retransmissions):
 			// all timers are cancelled at completion, so the queue empties.
-			sim.Net.Sched.Run()
+			sim.Drain()
+			ledger := newFlowLedger()
+			for _, l := range shardLedgers {
+				ledger.add(l)
+			}
 
 			if len(ledger.sent) != len(specs) {
 				t.Fatalf("ledger saw %d flows, want %d", len(ledger.sent), len(specs))

@@ -192,9 +192,9 @@ func Fig13C(cfg Config) *Report {
 			}
 			conns := sim.Schedule(flows)
 			// Run until this iteration's flows all complete. Driving the
-			// loop through sim.RunUntil/sim.Now (not s.Net.Sched) keeps it
-			// engine-agnostic: on the sharded engine each step is a barrier
-			// round, after which reading the conns is coordinator-safe.
+			// loop through sim.RunUntil/sim.Now (not s.Net.Sched) steps
+			// every shard: with per-DC shards each step is a barrier round,
+			// after which reading the conns is coordinator-safe.
 			deadline := start + eventq.Second
 			for sim.Now() < deadline {
 				sim.RunUntil(sim.Now() + eventq.Millisecond)

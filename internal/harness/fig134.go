@@ -244,8 +244,8 @@ func Fig4(cfg Config) *Report {
 		sim.Schedule(rpcs)
 
 		// Sample the receiver's edge downlink queue. The timer lives on the
-		// receiver's own network — on the sharded engine that is the shard
-		// owning the port, so the poll never crosses a shard boundary.
+		// receiver's own network — the shard owning the port, so the poll
+		// never crosses a shard boundary.
 		coord := sim.Topo.Coord(sim.Topo.Hosts[recv].ID())
 		edge := sim.Topo.DCs[coord.DC].Edges[coord.Pod][coord.Edge]
 		port := edge.Port(coord.Idx)

@@ -57,7 +57,7 @@ func RunParallel[T any](parallel, n int, run func(job int) T) []T {
 // simulation driving `shards` worker goroutines: the combined goroutine
 // budget stays at the machine's core count, so `parallel` reruns of
 // `shards`-worker sims get min(parallel, max(1, GOMAXPROCS/shards))
-// workers. shards <= 0 (legacy engine) and parallel <= 1 pass through
+// workers. shards <= 0 (one shard, no goroutine) and parallel <= 1 pass through
 // unchanged; parallel <= 0 (meaning "use GOMAXPROCS") resolves to the
 // per-rerun budget itself.
 func ClampParallel(parallel, shards int) int {

@@ -35,60 +35,66 @@ func (r FlowResult) Slowdown() float64 {
 }
 
 // Sim wires a topology, per-host transport endpoints, and a protocol stack
-// into a runnable experiment instance.
+// into a runnable experiment instance. The fabric always lives on a
+// netsim.Cluster: one shard holding all of it, or one shard per datacenter
+// coupled through the border links' lookahead windows (NewSimShards).
 type Sim struct {
+	// Net is shard 0's network: the whole fabric on a one-shard Sim, DC 0
+	// otherwise. Drive time through RunUntil/Now and observe through
+	// ObserveShard; Net is for what lives on that network (its scheduler
+	// for a DC 0 link's flapper, its invariant checker).
 	Net  *netsim.Network
 	Topo *topo.DualDC
 	Eps  []*transport.Endpoint
 	MTU  int
 
-	stack   Stack
-	nextID  netsim.FlowID
-	results []FlowResult
-	pending int
-	conns   []*transport.Conn
-	digest  *netsim.DigestObserver
+	stack  Stack
+	nextID netsim.FlowID
+	conns  []*transport.Conn
 
 	// Per-Sim state of the Uno stacks' Policies, which run on one goroutine
-	// per Sim (the coordinator at Schedule time when sharded, the
-	// simulation's otherwise): ccConfigs interns the flows' UnoCC
+	// per Sim (the coordinator at Schedule time when flows are pre-opened,
+	// the simulation's otherwise): ccConfigs interns the flows' UnoCC
 	// configurations, unoSys is unoSystem's scratch value.
 	ccConfigs core.ConfigPool
 	unoSys    core.System
 
-	// Sharded execution (NewSimShards / UNO_SHARDS): cluster is non-nil
-	// when the topology is partitioned per-DC, and every piece of mutable
-	// run state the simulation touches from event context — digests,
-	// pending counts, result lists — is then per-shard, written only by
-	// that shard's goroutine during windows and combined in shard order by
-	// the accessors. Net aliases shard 0's network for the code paths
-	// that only touch DC 0.
-	cluster      *netsim.Cluster
-	shardDigests []*netsim.DigestObserver
-	shardResults [][]FlowResult
-	shardPending []int
+	cluster *netsim.Cluster
+	shards  []shardState
+}
+
+// shardState is the run state the simulation touches from event context,
+// one per shard and indexed by the source host's shard: written only by
+// that shard's goroutine during a window, combined in shard order by the
+// accessors between windows.
+type shardState struct {
+	digest  *netsim.DigestObserver
+	results []FlowResult
+	pending int
+	// Pad to one 64-byte cache line: neighbouring shards' goroutines append
+	// to results and count pending down concurrently (DESIGN §3.7).
+	_ [24]byte
 }
 
 // NewSim builds the simulation. The stack decides whether phantom queues
-// are enabled on the fabric. The engine follows the package default
-// (netsim.ShardDefault, i.e. the -shards flag / UNO_SHARDS): 0 keeps the
-// classic single-scheduler simulation, N >= 1 partitions the fabric
-// per-DC and drives it with N worker goroutines (see NewSimShards).
+// are enabled on the fabric. The shard count follows the package default
+// (netsim.ShardDefault, i.e. the -shards flag / UNO_SHARDS); see
+// NewSimShards.
 func NewSim(seed uint64, topoCfg topo.Config, stack Stack) (*Sim, error) {
 	return NewSimShards(seed, topoCfg, stack, netsim.ShardDefault())
 }
 
-// NewSimShards builds the simulation with an explicit engine choice.
-// shards <= 0 selects the legacy single-scheduler engine. shards >= 1
-// partitions the fabric into one shard per datacenter — each with its own
-// scheduler, packet pool, and RNG stream, coupled only through the
-// border links' lookahead windows — and runs it with min(shards, NumDCs)
-// worker goroutines. The shard count selects only the goroutine count:
-// the partition, the barrier grid, and therefore every digest are
-// identical for shards=1 and shards=2, which is exactly the equivalence
-// the shard property tests pin. The partitioned engine's digests differ
-// from the legacy engine's (per-shard RNG streams and event seqs), so
-// golden digests recorded under one engine are only comparable within it.
+// NewSimShards builds the simulation with an explicit partition. shards <= 0
+// puts the whole fabric on one shard: one scheduler, packet pool and RNG
+// stream, no cross link, so no lookahead window, barrier or goroutine.
+// shards >= 1 gives every datacenter its own shard, coupled only through
+// the border links' lookahead windows, and runs them with
+// min(shards, NumDCs) worker goroutines. Past 0, the value selects only the
+// goroutine count: the partition, the barrier grid, and therefore every
+// digest are identical for shards=1 and shards=2, which is the equivalence
+// the shard property tests pin. Per-DC digests differ from whole-fabric
+// ones (per-shard RNG streams and event seqs), so a golden digest is only
+// comparable within one partition.
 func NewSimShards(seed uint64, topoCfg topo.Config, stack Stack, shards int) (*Sim, error) {
 	topoCfg.PhantomEnabled = stack.Phantom
 	if stack.QCN {
@@ -97,119 +103,71 @@ func NewSimShards(seed uint64, topoCfg topo.Config, stack Stack, shards int) (*S
 	if stack.ClassWeights != nil {
 		topoCfg.ClassWeights = stack.ClassWeights
 	}
-	if shards <= 0 {
-		net := netsim.New(seed)
-		tp, err := topo.Build(net, topoCfg)
-		if err != nil {
-			return nil, err
-		}
-		s := &Sim{Net: net, Topo: tp, MTU: 4096, stack: stack}
-		// Every harness run carries the determinism fingerprint: the
-		// observer folds each fabric event into an FNV-1a hash, so equal
-		// seeds must give equal digests. Chain extra observers behind it
-		// via s.Observe.
-		s.digest = netsim.NewDigestObserver(net)
-		net.Observer = s.digest
-		for _, h := range tp.Hosts {
-			s.Eps = append(s.Eps, transport.NewEndpoint(h))
-		}
-		return s, nil
+	nshards := 1
+	if shards >= 1 && topoCfg.NumDCs > 1 {
+		nshards = topoCfg.NumDCs
 	}
-	cl := netsim.NewCluster(seed, topoCfg.NumDCs, shards)
+	cl := netsim.NewCluster(seed, nshards, shards)
 	tp, err := topo.BuildCluster(cl, topoCfg)
 	if err != nil {
 		return nil, err
 	}
 	s := &Sim{
 		Net: cl.Shard(0), Topo: tp, MTU: 4096, stack: stack,
-		cluster:      cl,
-		shardResults: make([][]FlowResult, cl.Shards()),
-		shardPending: make([]int, cl.Shards()),
+		Eps:     make([]*transport.Endpoint, len(tp.Hosts)),
+		cluster: cl,
+		shards:  make([]shardState, nshards),
 	}
-	for i := 0; i < cl.Shards(); i++ {
+	// Every harness run carries the determinism fingerprint: each shard's
+	// observer folds its fabric events into an FNV-1a hash, so equal seeds
+	// must give equal digests. Chain extra observers behind it via
+	// ObserveShard.
+	for i := range s.shards {
 		n := cl.Shard(i)
 		d := netsim.NewDigestObserver(n)
 		n.Observer = d
-		s.shardDigests = append(s.shardDigests, d)
+		s.shards[i].digest = d
 	}
-	s.digest = s.shardDigests[0]
-	for _, h := range tp.Hosts {
-		s.Eps = append(s.Eps, transport.NewEndpoint(h))
+	for i, h := range tp.Hosts {
+		s.Eps[i] = transport.NewEndpoint(h)
 	}
 	return s, nil
 }
 
-// Sharded reports whether this Sim runs the partitioned engine.
-func (s *Sim) Sharded() bool { return s.cluster != nil }
+// Sharded reports whether the fabric is partitioned into more than one
+// shard.
+func (s *Sim) Sharded() bool { return len(s.shards) > 1 }
 
-// Cluster returns the shard cluster, or nil for the legacy engine.
+// Cluster returns the shard cluster the fabric lives on.
 func (s *Sim) Cluster() *netsim.Cluster { return s.cluster }
 
 // Digest returns the run's determinism fingerprint: an FNV-1a fold of every
 // packet sent, delivered, and dropped so far. Two runs of the same scenario
-// with the same seed must return the same digest. Sharded runs combine the
-// per-shard digests in shard order, so the combined digest is independent
-// of the worker count but not comparable to a legacy-engine digest.
+// with the same seed must return the same digest. The per-shard digests are
+// combined in shard order, so the result is independent of the worker
+// count. A one-shard Sim returns its shard's sum unwrapped: a whole-fabric
+// digest (every golden, every EXPERIMENTS.md row) is the digest of that
+// fabric on a standalone network, not a fold of one.
 func (s *Sim) Digest() uint64 {
-	if s.cluster != nil {
-		sums := make([]uint64, len(s.shardDigests))
-		for i, d := range s.shardDigests {
-			sums[i] = d.Sum()
-		}
-		return netsim.CombineDigests(sums...)
+	if !s.Sharded() {
+		return s.shards[0].digest.Sum()
 	}
-	return s.digest.Sum()
+	h := netsim.DigestSeed
+	for i := range s.shards {
+		h = netsim.DigestFold(h, s.shards[i].digest.Sum())
+	}
+	return h
 }
 
-// DigestEvents returns the number of fabric events folded into the digest
-// (summed across shards for sharded runs).
-func (s *Sim) DigestEvents() uint64 {
-	if s.cluster != nil {
-		var sum uint64
-		for _, d := range s.shardDigests {
-			sum += d.Events()
-		}
-		return sum
-	}
-	return s.digest.Events()
-}
+// EventsExecuted returns the total scheduler events executed so far, summed
+// across shards — the benchmark denominator.
+func (s *Sim) EventsExecuted() uint64 { return s.cluster.Executed() }
 
-// EventsExecuted returns the total scheduler events executed so far
-// (summed across shards for sharded runs) — the benchmark denominator.
-func (s *Sim) EventsExecuted() uint64 {
-	if s.cluster != nil {
-		return s.cluster.Executed()
-	}
-	return s.Net.Sched.Executed()
-}
-
-// Observe chains an additional observer behind the digest observer, so
-// tracing or counting never disables determinism checking. A sharded run
-// has one digest (and one event stream) per shard; a single observer
-// instance shared across them would be written by multiple goroutines, so
-// Observe refuses and callers attach one observer per shard with
-// ObserveShard.
-func (s *Sim) Observe(o netsim.Observer) {
-	if s.cluster != nil {
-		panic("harness: Observe on a sharded Sim; attach one observer per shard with ObserveShard")
-	}
-	s.digest.Next = o
-}
-
-// ObserveShard chains an observer behind shard i's digest observer. The
-// observer sees only shard i's events and is invoked from shard i's
-// goroutine; attach a separate instance per shard. On a legacy Sim only
-// shard 0 exists.
-func (s *Sim) ObserveShard(i int, o netsim.Observer) {
-	if s.cluster == nil {
-		if i != 0 {
-			panic("harness: ObserveShard on a legacy Sim with shard != 0")
-		}
-		s.digest.Next = o
-		return
-	}
-	s.shardDigests[i].Next = o
-}
+// ObserveShard chains an observer behind shard i's digest observer, so
+// tracing or counting never disables determinism checking. The observer
+// sees only shard i's events and is invoked from shard i's goroutine:
+// attach a separate instance per shard of Cluster().
+func (s *Sim) ObserveShard(i int, o netsim.Observer) { s.shards[i].digest.Next = o }
 
 // MustNewSim is NewSim for known-good configurations.
 func MustNewSim(seed uint64, topoCfg topo.Config, stack Stack) *Sim {
@@ -251,99 +209,92 @@ type flowRun struct {
 	flow  transport.Flow
 	ideal eventq.Time
 	hook  func() // a collective's extra completion callback, else nil
-	// Where a legacy-engine flow's connection goes once it starts: slot is
-	// its element of the slice Schedule returned, idx its index in s.conns.
+	// Where a scheduled flow's connection is published: slot is its element
+	// of the slice Schedule returned, idx its index in s.conns.
 	slot  **transport.Conn
 	idx   int32
-	shard int32 // source host's shard (0 on the legacy engine)
+	shard int32 // source host's shard: the flow's shardState
 }
 
-// Schedule arranges for the given flows to start at their Start times.
-// It returns the connections in spec order. On the legacy engine entries
-// are populated as flows start; on the sharded engine every connection is
-// opened (passively — no events, no entropy) up front from the
-// coordinating goroutine, and only its Launch runs at spec.Start on the
-// source host's shard. The returned slice is the tail of Conns().
+// Schedule arranges for the given flows to start at their Start times on
+// their source hosts' shards. It returns the connections in spec order; the
+// returned slice is the tail of Conns().
 func (s *Sim) Schedule(specs []workload.FlowSpec) []*transport.Conn {
 	base, n := len(s.conns), len(specs)
 	s.conns = slices.Grow(s.conns, n)[:base+n]
 	conns := s.conns[base : base+n : base+n]
 	clear(conns)
 	runs := make([]flowRun, n)
-	if s.cluster != nil {
-		perShard := make([]int, len(s.shardResults))
-		for i := range specs {
-			fr := &runs[i]
-			fr.s, fr.spec = s, specs[i]
-			fr.shard = int32(s.Topo.Hosts[fr.spec.Src].Network().Shard())
-			perShard[fr.shard]++
-		}
-		for sh, k := range perShard {
-			s.shardResults[sh] = slices.Grow(s.shardResults[sh], k)
-		}
-		for i := range runs {
-			fr := &runs[i]
-			conns[i] = s.openFlow(fr, fr.spec.Start)
-			s.shardPending[fr.shard]++
-			fr.flow.Src.Network().Sched.ScheduleArg(fr.spec.Start, launchConn, conns[i])
-		}
-		return conns
-	}
-	s.results = slices.Grow(s.results, n)
-	s.pending += n
-	for i := range specs {
+	// Partition-dependent decision 1 of 2. With more than one shard every
+	// connection is opened here, on the coordinating goroutine (passively —
+	// no events, no entropy): a cross-shard flow registers its receiver on
+	// another goroutine's endpoint, which is only safe between windows. One
+	// shard has no such constraint and opens each flow at its start time,
+	// which keeps flow IDs in start order (and with them every
+	// whole-fabric digest) and costs Schedule nothing per flow.
+	preopen := s.Sharded()
+	for i := range runs {
 		fr := &runs[i]
 		fr.s, fr.spec = s, specs[i]
 		fr.slot, fr.idx = &conns[i], int32(base+i)
-		s.Net.Sched.ScheduleArg(fr.spec.Start, startFlowRun, fr)
+		n := s.Topo.Hosts[fr.spec.Src].Network()
+		fr.shard = int32(n.Shard())
+		s.shards[fr.shard].pending++
+		if preopen {
+			conns[i] = s.openFlow(fr)
+		}
+		n.Sched.ScheduleArg(fr.spec.Start, startFlowRun, fr)
+	}
+	for i := range s.shards {
+		// One result per pending flow is still to come.
+		st := &s.shards[i]
+		st.results = slices.Grow(st.results, st.pending)
 	}
 	return conns
 }
 
-// launchConn and startFlowRun are the two pre-bound start callbacks.
-func launchConn(a any) { a.(*transport.Conn).Launch() }
-
-// startFlowRun starts a legacy-engine flow at its start time and publishes
-// the connection in both the slice Schedule returned and Conns(): one
-// element, unless a later Schedule or StartFlow grew s.conns into a new
-// array.
+// startFlowRun is the pre-bound start callback: it launches the flow at its
+// start time, first opening it if Schedule did not, and then publishes the
+// connection in both the slice Schedule returned and Conns() — one element,
+// unless a later Schedule or StartFlow grew s.conns into a new array.
 func startFlowRun(a any) {
 	fr := a.(*flowRun)
-	s := fr.s
-	conn := s.openFlow(fr, s.Net.Now())
-	*fr.slot = conn
-	s.conns[fr.idx] = conn
+	conn := *fr.slot
+	if conn == nil {
+		conn = fr.s.openFlow(fr)
+		*fr.slot = conn
+		fr.s.conns[fr.idx] = conn
+	}
 	conn.Launch()
 }
 
 // StartFlow implements collective.Starter: it launches a transfer right
 // now and invokes onDone at completion (in addition to the normal result
-// collection). It is a legacy-engine API: a collective's completion
-// callbacks run inside event execution, where a sharded Sim must not
-// create cross-shard flows (the destination endpoint belongs to another
-// goroutine), so sharded Sims refuse.
+// collection). Partition-dependent decision 2 of 2: a collective's
+// completion callbacks run inside event execution, where a Sim with more
+// than one shard must not create cross-shard flows (the destination
+// endpoint belongs to another goroutine), so such a Sim refuses.
 func (s *Sim) StartFlow(src, dst int, size int64, onDone func()) {
-	if s.cluster != nil {
-		panic("harness: StartFlow (collective starter) is unsupported on a sharded Sim; run collectives with UNO_SHARDS=off")
+	if s.Sharded() {
+		panic("harness: StartFlow (collective starter) is unsupported on a Sim with more than one shard; run collectives with UNO_SHARDS=off")
 	}
+	// Called from event context, where the one shard's scheduler — not the
+	// cluster clock, which moves between windows — has the time.
 	fr := &flowRun{
 		s:    s,
 		spec: workload.FlowSpec{Src: src, Dst: dst, Size: size, Start: s.Net.Now()},
 		hook: onDone,
 	}
-	s.pending++
-	conn := s.openFlow(fr, s.Net.Now())
+	s.shards[0].pending++
+	conn := s.openFlow(fr)
 	s.conns = append(s.conns, conn)
 	conn.Launch()
 }
 
-// openFlow resolves what both engines need to wire fr's flow — descriptor,
+// openFlow resolves what fr's flow needs to be wired — descriptor,
 // transport parameters, policies, ideal FCT — and opens it passively; the
-// caller launches it. On the legacy engine this runs at the flow's start
-// time and Launch follows at once; on the sharded one it runs at setup time
-// on the coordinating goroutine, and Launch is scheduled on the source
-// shard's clock.
-func (s *Sim) openFlow(fr *flowRun, start eventq.Time) *transport.Conn {
+// caller launches it at fr.spec.Start.
+func (s *Sim) openFlow(fr *flowRun) *transport.Conn {
 	spec := &fr.spec
 	s.nextID++
 	srcHost, dstHost := s.Topo.Hosts[spec.Src], s.Topo.Hosts[spec.Dst]
@@ -356,7 +307,7 @@ func (s *Sim) openFlow(fr *flowRun, start eventq.Time) *transport.Conn {
 		Src:     srcHost,
 		Dst:     dstHost,
 		Size:    spec.Size,
-		Start:   start,
+		Start:   spec.Start,
 		InterDC: interDC,
 	}
 	params, cc, lb := s.stack.Policies(s, *spec, interDC)
@@ -369,53 +320,30 @@ func (s *Sim) openFlow(fr *flowRun, start eventq.Time) *transport.Conn {
 }
 
 // done is the flow's completion callback. It fires inside the source
-// shard's event execution, so on the sharded engine it touches only that
-// shard's pending counter and result list.
+// shard's event execution, so it touches only that shard's state.
 func (fr *flowRun) done(c *transport.Conn) {
-	s := fr.s
-	res := FlowResult{Spec: fr.spec, FCT: c.FCT(), Ideal: fr.ideal, Completed: true}
-	if s.cluster != nil {
-		s.shardPending[fr.shard]--
-		s.shardResults[fr.shard] = append(s.shardResults[fr.shard], res)
-	} else {
-		s.pending--
-		s.results = append(s.results, res)
-	}
+	st := &fr.s.shards[fr.shard]
+	st.pending--
+	st.results = append(st.results, FlowResult{Spec: fr.spec, FCT: c.FCT(), Ideal: fr.ideal, Completed: true})
 	if fr.hook != nil {
 		fr.hook()
 	}
 }
 
-// Now returns the current simulated time: the scheduler clock, or — for a
-// sharded Sim — the cluster clock (the last barrier every shard reached).
-func (s *Sim) Now() eventq.Time {
-	if s.cluster != nil {
-		return s.cluster.Now()
-	}
-	return s.Net.Now()
-}
+// Now returns the current simulated time: the cluster clock, i.e. the last
+// barrier every shard reached. It is for the code that drives the
+// simulation; event callbacks read their own network's clock.
+func (s *Sim) Now() eventq.Time { return s.cluster.Now() }
 
-// RunUntil advances the simulation to the deadline (through barrier-
-// stepped lookahead windows on the sharded engine). Experiments drive
-// their custom loops through this — never through s.Net.Sched directly —
-// so they work on both engines.
-func (s *Sim) RunUntil(deadline eventq.Time) {
-	if s.cluster != nil {
-		s.cluster.RunUntil(deadline)
-		return
-	}
-	s.Net.Sched.RunUntil(deadline)
-}
+// RunUntil advances the simulation to the deadline, through barrier-stepped
+// lookahead windows when there are cross-shard links. Experiments drive
+// their custom loops through this, never through s.Net.Sched, which steps
+// shard 0 alone.
+func (s *Sim) RunUntil(deadline eventq.Time) { s.cluster.RunUntil(deadline) }
 
 // Drain runs the simulation until no events remain (completed flows
 // cancel their timers, so a finished workload quiesces).
-func (s *Sim) Drain() {
-	if s.cluster != nil {
-		s.cluster.Run()
-		return
-	}
-	s.Net.Sched.Run()
-}
+func (s *Sim) Drain() { s.cluster.Run() }
 
 // Run executes until all scheduled flows complete or the horizon passes.
 func (s *Sim) Run(horizon eventq.Time) {
@@ -433,30 +361,36 @@ func (s *Sim) Run(horizon eventq.Time) {
 
 // Pending returns the number of scheduled-but-unfinished flows.
 func (s *Sim) Pending() int {
-	if s.cluster != nil {
-		total := 0
-		for _, p := range s.shardPending {
-			total += p
-		}
-		return total
+	total := 0
+	for i := range s.shards {
+		total += s.shards[i].pending
 	}
-	return s.pending
+	return total
 }
 
-// Conns returns every connection created so far, in scheduling order.
-// On the legacy engine an entry is nil until its flow starts and is filled
-// in when it does; the slice is live up to its length at the time of the
-// call.
+// Conns returns every connection created so far, in scheduling order. An
+// entry Schedule did not open up front is nil until its flow starts and is
+// filled in when it does; the slice is live up to its length at the time of
+// the call.
 func (s *Sim) Conns() []*transport.Conn { return s.conns }
 
-// Results returns the completed flows. A sharded Sim concatenates the
-// per-shard result lists in shard order — deterministic, but not the
-// legacy engine's completion order.
+// Results returns the completed flows: each shard's list, in completion
+// order, concatenated in shard order. While only shard 0 has results — always,
+// on a one-shard Sim — its own list is handed out uncopied (rpc_storm
+// collects 84 k of them).
 func (s *Sim) Results() []FlowResult {
-	if s.cluster != nil {
-		return slices.Concat(s.shardResults...)
+	total := 0
+	for i := range s.shards {
+		total += len(s.shards[i].results)
 	}
-	return s.results
+	out := s.shards[0].results
+	if total > len(out) {
+		out = make([]FlowResult, 0, total)
+		for i := range s.shards {
+			out = append(out, s.shards[i].results...)
+		}
+	}
+	return out
 }
 
 // FCTStats summarizes completed flows, split intra/inter. slowdown selects
@@ -500,7 +434,6 @@ func (s *Sim) AllFCTStats(slowdown bool) stats.Summary {
 // flow was still active (a finished flow's zero rate is not unfairness).
 type RateSampler struct {
 	Series []*stats.TimeSeries
-	conns  []*transport.Conn
 	last   []int64
 	doneAt []int  // bin index of completion, -1 while active
 	inter  []bool // optional class labels (SetClasses)
@@ -544,16 +477,15 @@ func (rs *RateSampler) bothClassesActive(b int) bool {
 }
 
 // SampleRates polls the given connections every interval over [0, stop].
-// On the legacy engine connections may be nil until their flow starts. On
-// the sharded engine every connection must already be open (Schedule
-// opens them up front), and each shard runs its own sampling timer over
-// the connections whose source host it owns: the timers fire at the same
-// simulated tick times, and each (conns, last, doneAt, Series) slot is
-// touched by exactly one shard's goroutine, so the sampler needs no
-// locking and its output is worker-count-independent.
+// Each shard runs its own sampling timer over the connections whose source
+// host it owns: the timers fire at the same simulated tick times, and each
+// (conns, last, doneAt, Series) slot is touched by exactly one shard's
+// goroutine, so the sampler needs no locking and its output is
+// worker-count-independent. An entry may be nil until its flow starts; that
+// only happens where Schedule opens flows at their start time, on a
+// one-shard Sim, so shard 0's timer polls it.
 func (s *Sim) SampleRates(conns []*transport.Conn, interval, stop eventq.Time) *RateSampler {
 	rs := &RateSampler{
-		conns:  conns,
 		last:   make([]int64, len(conns)),
 		doneAt: make([]int, len(conns)),
 	}
@@ -565,53 +497,40 @@ func (s *Sim) SampleRates(conns []*transport.Conn, interval, stop eventq.Time) *
 	for range conns {
 		rs.Series = append(rs.Series, stats.NewTimeSeries(0, interval, bins))
 	}
-	sample := func(n *netsim.Network, idxs []int) {
-		now := n.Now()
-		bin := int((now - 1) / interval)
-		for _, i := range idxs {
-			c := conns[i]
-			rs.conns[i] = c
-			if c == nil {
-				continue
-			}
-			acked := c.Stats().BytesAcked
-			rs.Series[i].AddTo(now-1, float64(acked-rs.last[i]))
-			rs.last[i] = acked
-			if c.Completed() && rs.doneAt[i] < 0 {
-				rs.doneAt[i] = bin
-			}
+	byShard := make([][]int, len(s.shards))
+	for i, c := range conns {
+		sh := 0
+		if c != nil {
+			sh = c.Flow().Src.Network().Shard()
 		}
+		byShard[sh] = append(byShard[sh], i)
 	}
-	arm := func(n *netsim.Network, idxs []int) {
+	for sh, idxs := range byShard {
+		if len(idxs) == 0 {
+			continue
+		}
+		n := s.cluster.Shard(sh)
 		var timer *eventq.Timer
 		timer = n.Sched.NewTimer(func() {
-			sample(n, idxs)
-			if n.Now() < stop {
+			now := n.Now()
+			bin := int((now - 1) / interval)
+			for _, i := range idxs {
+				c := conns[i]
+				if c == nil {
+					continue
+				}
+				acked := c.Stats().BytesAcked
+				rs.Series[i].AddTo(now-1, float64(acked-rs.last[i]))
+				rs.last[i] = acked
+				if c.Completed() && rs.doneAt[i] < 0 {
+					rs.doneAt[i] = bin
+				}
+			}
+			if now < stop {
 				timer.ResetAfter(interval)
 			}
 		})
 		timer.Reset(interval)
-	}
-	if s.cluster == nil {
-		all := make([]int, len(conns))
-		for i := range all {
-			all[i] = i
-		}
-		arm(s.Net, all)
-		return rs
-	}
-	byShard := make([][]int, s.cluster.Shards())
-	for i, c := range conns {
-		if c == nil {
-			panic("harness: SampleRates on a sharded Sim needs every connection open up front")
-		}
-		sh := c.Flow().Src.Network().Shard()
-		byShard[sh] = append(byShard[sh], i)
-	}
-	for sh, idxs := range byShard {
-		if len(idxs) > 0 {
-			arm(s.cluster.Shard(sh), idxs)
-		}
 	}
 	return rs
 }

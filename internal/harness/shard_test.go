@@ -13,11 +13,12 @@ import (
 	"uno/internal/workload"
 )
 
-// This file holds the sharded-engine acceptance tests: the metamorphic
-// worker-count equivalence property (a sharded run's observable results
-// must not depend on how many goroutines execute it), cross-shard packet
-// conservation on the real dual-DC fat-tree with full transport stacks,
-// and the rerun-fan-out clamp.
+// This file holds the acceptance tests of the shard count: the metamorphic
+// worker-count equivalence property (a per-DC run's observable results must
+// not depend on how many goroutines execute it) on random scenarios and over
+// the whole experiment registry, cross-shard packet conservation on the real
+// dual-DC fat-tree with full transport stacks, what a one-shard Sim
+// guarantees, and the rerun-fan-out clamp.
 
 // perFlowFold is a per-shard observer that folds every packet event into a
 // per-flow fingerprint. Unlike the run-wide digest it keys events by flow,
@@ -63,8 +64,8 @@ type shardRun struct {
 	violation []netsim.Violation
 }
 
-// runSharded executes one dual-DC scenario on the partitioned engine with
-// the given worker count and snapshots every observable.
+// runSharded executes one dual-DC scenario on per-DC shards with the given
+// worker count and snapshots every observable.
 func runSharded(t *testing.T, seed uint64, topoCfg topo.Config, stack Stack,
 	specs []workload.FlowSpec, horizon eventq.Time, workers int) shardRun {
 	t.Helper()
@@ -73,7 +74,7 @@ func runSharded(t *testing.T, seed uint64, topoCfg topo.Config, stack Stack,
 		t.Fatalf("NewSimShards(workers=%d): %v", workers, err)
 	}
 	if !sim.Sharded() {
-		t.Fatalf("NewSimShards(workers=%d) built a legacy sim", workers)
+		t.Fatalf("NewSimShards(workers=%d) built a one-shard sim", workers)
 	}
 	ci := netsim.AttachClusterInvariants(sim.Cluster())
 	folds := make([]*perFlowFold, sim.Cluster().Shards())
@@ -92,7 +93,7 @@ func runSharded(t *testing.T, seed uint64, topoCfg topo.Config, stack Stack,
 		violation: ci.Check(),
 	}
 	for i := 0; i < sim.Cluster().Shards(); i++ {
-		out.perShard = append(out.perShard, sim.shardDigests[i].Sum())
+		out.perShard = append(out.perShard, sim.shards[i].digest.Sum())
 		out.executed = append(out.executed, sim.Cluster().Shard(i).Sched.Executed())
 		out.perFlow = append(out.perFlow, folds[i].h)
 	}
@@ -135,7 +136,7 @@ func randomDualDCScenario(r *rng.Rand) (topo.Config, Stack, []workload.FlowSpec)
 }
 
 // TestShardEquivalenceProperty is the metamorphic property at the heart of
-// the sharded engine: for random small dual-DC scenarios, running the
+// per-DC sharding: for random small dual-DC scenarios, running the
 // partitioned simulation with 1 worker (serial round-robin) and 2 workers
 // (one goroutine per DC) must produce identical run digests, per-shard
 // digests, per-flow event fingerprints, per-shard executed-event counts,
@@ -229,17 +230,17 @@ func TestShardedFatTreeConservation(t *testing.T) {
 	}
 }
 
-// goldenShardedDualDC pins the partitioned engine's digest for a fixed
+// goldenShardedDualDC pins the per-DC partition's digest for a fixed
 // dual-DC scenario on the default-latency fabric. The CI golden matrix
 // runs this test under UNO_SHARDS=1 and UNO_SHARDS=2: both cells must
 // reproduce this committed constant byte-for-byte (the constant is never
-// regenerated between cells), which is the engine's worker-count
-// independence stated as a golden. Like the simtest goldens it also pins
+// regenerated between cells), which is worker-count independence stated
+// as a golden. Like the simtest goldens it also pins
 // against accidental behavior drift in the partition protocol itself.
 const goldenShardedDualDC = 0x0cb992e64813451b
 
-// TestShardedGoldenDigest runs the golden dual-DC scenario on the
-// partitioned engine with UNO_SHARDS workers (1 when unset) and compares
+// TestShardedGoldenDigest runs the golden dual-DC scenario on per-DC
+// shards with UNO_SHARDS workers (1 when unset) and compares
 // against the committed digest, with cluster invariants attached.
 func TestShardedGoldenDigest(t *testing.T) {
 	workers := netsim.ShardDefault()
@@ -276,6 +277,98 @@ func TestShardedGoldenDigest(t *testing.T) {
 	}
 }
 
+// TestRegistryShardEquivalence extends the worker-count equivalence property
+// to every experiment in the registry at a small scale: with the fabric
+// partitioned per DC, one worker and two must render the same report, digest
+// line included. The experiments build their sims from the package default,
+// which is restored afterwards.
+func TestRegistryShardEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every registry experiment twice")
+	}
+	defer netsim.SetShardDefault(netsim.ShardDefault())
+	for _, e := range Registry() {
+		var reports [2]string
+		for i := range reports {
+			netsim.SetShardDefault(i + 1)
+			reports[i] = e.Run(Config{Scale: 0.1, Seed: 7, Parallel: 1}).String()
+		}
+		if reports[0] != reports[1] {
+			t.Errorf("%s differs between 1 and 2 shard workers:\n--- 1 ---\n%s\n--- 2 ---\n%s",
+				e.ID, reports[0], reports[1])
+		}
+	}
+}
+
+// TestOneShardSim: shards <= 0 builds a cluster of one shard holding the
+// whole fabric, and that Sim is the plain single-scheduler simulation: no
+// cross link and no lookahead, the digest is the shard's own sum, flows open
+// at their start time in start order, and the clock follows the scheduler
+// through RunUntil and Drain alike.
+func TestOneShardSim(t *testing.T) {
+	sim, err := NewSimShards(5, smallTopo(), StackUno(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := sim.Cluster()
+	if sim.Sharded() || cl.Shards() != 1 || cl.Lookahead() != 0 || sim.Net != cl.Shard(0) {
+		t.Fatalf("shards=0 built %d shards with lookahead %v (Sharded() = %v)",
+			cl.Shards(), cl.Lookahead(), sim.Sharded())
+	}
+	perDC := sim.Topo.Cfg.HostsPerDC()
+	conns := sim.Schedule([]workload.FlowSpec{
+		{Src: 1, Dst: perDC + 2, Size: 64 << 10, Start: 30 * eventq.Microsecond},
+		{Src: perDC + 4, Dst: 3, Size: 64 << 10},
+	})
+	sim.RunUntil(40 * eventq.Microsecond)
+	if sim.Now() != 40*eventq.Microsecond || sim.Net.Now() != sim.Now() {
+		t.Fatalf("after RunUntil(40us) Now() = %v, scheduler at %v", sim.Now(), sim.Net.Now())
+	}
+	if first, second := conns[1].Flow().ID, conns[0].Flow().ID; first != 1 || second != 2 {
+		t.Errorf("flow IDs %d, %d in start order, want 1, 2", first, second)
+	}
+	sim.Drain()
+	if sim.Pending() != 0 || cl.Pending() != 0 {
+		t.Fatalf("Drain left %d flows and %d events", sim.Pending(), cl.Pending())
+	}
+	if sim.Now() != sim.Net.Now() || sim.Now() <= 40*eventq.Microsecond {
+		t.Errorf("after Drain Now() = %v, scheduler at %v", sim.Now(), sim.Net.Now())
+	}
+	if sim.Digest() != sim.shards[0].digest.Sum() {
+		t.Errorf("Digest() = %#x is not the shard's own sum %#x", sim.Digest(), sim.shards[0].digest.Sum())
+	}
+
+	// A single datacenter cannot be partitioned: every shard count builds
+	// this same Sim.
+	single := smallTopo()
+	single.NumDCs = 1
+	var digests [2]uint64
+	for i, shards := range []int{0, 2} {
+		sim, err := NewSimShards(5, single, StackUno(), shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Schedule([]workload.FlowSpec{{Src: 0, Dst: 9, Size: 64 << 10}})
+		sim.Run(10 * eventq.Millisecond)
+		if sim.Sharded() || sim.Pending() != 0 {
+			t.Fatalf("single DC, shards=%d: Sharded() = %v, %d flows pending", shards, sim.Sharded(), sim.Pending())
+		}
+		digests[i] = sim.Digest()
+	}
+	if digests[0] != digests[1] {
+		t.Errorf("single-DC digests differ by shard count: %#x vs %#x", digests[0], digests[1])
+	}
+
+	// A config without datacenters is an error at any shard count.
+	bad := smallTopo()
+	bad.NumDCs = 0
+	for _, shards := range []int{0, 2} {
+		if _, err := NewSimShards(5, bad, StackUno(), shards); err == nil {
+			t.Errorf("NumDCs=0, shards=%d: no error", shards)
+		}
+	}
+}
+
 // TestClampParallel pins the combined-fan-out budget: `parallel` reruns of
 // `shards`-worker sims may not exceed GOMAXPROCS total goroutines.
 func TestClampParallel(t *testing.T) {
@@ -290,7 +383,7 @@ func TestClampParallel(t *testing.T) {
 	cases := []struct {
 		parallel, shards, want int
 	}{
-		{8, 0, 8},                 // legacy engine: passthrough
+		{8, 0, 8},                 // one shard, one goroutine: passthrough
 		{8, -1, 8},                // explicit "off": passthrough
 		{1, 4, 1},                 // serial rerun loop: passthrough
 		{0, 2, budget(2)},         // "use GOMAXPROCS" resolves to budget
@@ -307,7 +400,7 @@ func TestClampParallel(t *testing.T) {
 	}
 	if b := budget(2); b > 1 {
 		// With >1 cores a 2-shard rerun grid must get strictly fewer
-		// workers than a legacy grid would.
+		// workers than a grid of one-goroutine sims would.
 		if got := ClampParallel(cores, 2); got >= cores {
 			t.Errorf("ClampParallel(%d, 2) = %d, want < %d", cores, got, cores)
 		}

@@ -38,17 +38,17 @@ import (
 )
 
 // shardDefault is the worker count harness.NewSim captures: 0 (unset)
-// keeps the legacy single-scheduler path, N >= 1 partitions multi-DC
+// keeps the whole fabric on one shard, N >= 1 partitions multi-DC
 // topologies per-DC and drives the shards with min(N, shards) worker
-// goroutines. Note that 1 is not 0: UNO_SHARDS=1 runs the partitioned
-// engine serially, which is exactly what makes the UNO_SHARDS=1 vs 2
-// digest comparison meaningful — same structure, different parallelism.
+// goroutines. Note that 1 is not 0: UNO_SHARDS=1 runs the per-DC shards
+// serially, which is exactly what makes the UNO_SHARDS=1 vs 2 digest
+// comparison meaningful — same structure, different parallelism.
 // Atomic because harness workers read it from worker goroutines while a
 // main goroutine (flag parsing, TestMain) may set it.
 var shardDefault atomic.Int32
 
 // A malformed UNO_SHARDS ends the process — a test binary included, so a
-// typo in ci.sh cannot silently run the default engine — with the status
+// typo in ci.sh cannot silently run the default partition — with the status
 // and one-line message a bad -shards flag gets, not a panic trace.
 func init() {
 	if v := os.Getenv("UNO_SHARDS"); v != "" {
@@ -62,7 +62,7 @@ func init() {
 }
 
 // ParseShards parses a -shards flag / UNO_SHARDS value: a small
-// non-negative integer, or "off" for the legacy unsharded engine.
+// non-negative integer, or "off" (0) for one shard holding the whole fabric.
 func ParseShards(s string) (int, error) {
 	if s == "off" {
 		return 0, nil
@@ -137,8 +137,9 @@ type Cluster struct {
 	workers int
 
 	// lookahead is the minimum cross-link delay — the window width. Zero
-	// until the first BindCross; a cluster with no cross links degenerates
-	// to independent shards stepped once per RunUntil.
+	// until the first BindCross; a cluster with no cross links — one shard,
+	// for instance — degenerates to independent shards stepped once per
+	// RunUntil: no barrier grid, nothing to drain.
 	lookahead eventq.Time
 
 	// queues[src*S+dst] is the src→dst handoff queue, nil until a cross
@@ -147,7 +148,8 @@ type Cluster struct {
 
 	// nodes is the cluster-wide registry: NodeIDs must be unique across
 	// shards (the routing coord tables and packet Src/Dst fields index a
-	// single ID space), so clustered Networks register here.
+	// single ID space), so the Networks of a multi-shard cluster register
+	// here. An only shard's own node list is that registry already.
 	nodes []Node
 
 	now eventq.Time
@@ -186,12 +188,14 @@ func NewCluster(seed uint64, nshards, workers int) *Cluster {
 	for i := 0; i < nshards; i++ {
 		n := New(seed + 0x9e3779b97f4a7c15*uint64(i))
 		n.shard = i
-		n.cluster = cl
+		if nshards > 1 {
+			n.cluster = cl
+		}
 		// Per-shard packet-ID stride: shard i hands out i+1, i+1+S, ...,
-		// so IDs stay globally unique (S = 1 reproduces the legacy 1, 2,
-		// 3, ... sequence exactly). IDs are diagnostics only — the digest
-		// never folds them — but unique IDs keep cross-shard traces and
-		// loop-panic messages unambiguous.
+		// so IDs stay globally unique (S = 1 reproduces a standalone
+		// network's 1, 2, 3, ... sequence exactly). IDs are diagnostics
+		// only — the digest never folds them — but unique IDs keep
+		// cross-shard traces and loop-panic messages unambiguous.
 		n.idStep = uint64(nshards)
 		n.nextID = uint64(i+1) - uint64(nshards) // first += idStep yields i+1
 		cl.shards = append(cl.shards, n)
@@ -205,10 +209,8 @@ func (cl *Cluster) Shards() int { return len(cl.shards) }
 // Shard returns shard i's Network.
 func (cl *Cluster) Shard(i int) *Network { return cl.shards[i] }
 
-// Workers returns the worker-goroutine count RunUntil uses.
-func (cl *Cluster) Workers() int { return cl.workers }
-
-// Now returns the cluster clock: the last barrier every shard has reached.
+// Now returns the cluster clock: the last barrier every shard has reached
+// (after Run on a cluster without cross links, the latest shard clock).
 func (cl *Cluster) Now() eventq.Time { return cl.now }
 
 // Lookahead returns the window width (the minimum cross-link delay), or 0
@@ -297,7 +299,7 @@ func (cl *Cluster) drainQueues() {
 
 // stepWindow runs every shard up to the barrier b — strictly before it
 // when inclusive is false (interior windows), inclusive of events at b for
-// the final window of a RunUntil call (matching the legacy RunUntil
+// the final window of a RunUntil call (matching Scheduler.RunUntil's
 // contract at the caller's deadline) — then drains the handoff queues.
 func (cl *Cluster) stepWindow(b eventq.Time, inclusive bool) {
 	run := func(n *Network) {
@@ -361,11 +363,14 @@ func (cl *Cluster) RunUntil(deadline eventq.Time) {
 // Run advances windows until no shard has pending events and no handoff
 // record is queued (the cluster analogue of Scheduler.Run). Workloads
 // whose completed flows cancel their timers quiesce; a workload with a
-// self-rescheduling timer never does, exactly like the legacy Run.
+// self-rescheduling timer never does, exactly like Scheduler.Run. Without
+// cross links there is no barrier to stop at: every shard runs dry, and the
+// cluster clock lands where the last one stopped.
 func (cl *Cluster) Run() {
 	if cl.lookahead == 0 {
 		for _, n := range cl.shards {
 			n.Sched.Run()
+			cl.now = max(cl.now, n.Now())
 		}
 		return
 	}

@@ -265,6 +265,43 @@ func TestClusterNodeRegistry(t *testing.T) {
 	}
 }
 
+// TestClusterWithoutCrossLinks: a cluster that binds no cross link — one
+// shard holding a whole fabric is the case the harness builds — has no
+// lookahead, and RunUntil and Run are its shards' Scheduler.RunUntil and
+// Run. The cluster clock follows both: after Run it is where the last shard
+// stopped, not the last RunUntil deadline.
+func TestClusterWithoutCrossLinks(t *testing.T) {
+	for _, nshards := range []int{1, 2} {
+		cl := NewCluster(3, nshards, 1)
+		if cl.Lookahead() != 0 {
+			t.Fatalf("shards=%d: lookahead %v with no cross link", nshards, cl.Lookahead())
+		}
+		var fired []eventq.Time
+		for i := 0; i < nshards; i++ {
+			n := cl.Shard(i)
+			for _, at := range []eventq.Time{2, 5 + eventq.Time(i), 9} {
+				n.Sched.Schedule(at*eventq.Microsecond, func() { fired = append(fired, n.Now()) })
+			}
+		}
+		cl.RunUntil(2 * eventq.Microsecond) // inclusive of events at the deadline
+		if len(fired) != nshards || cl.Now() != 2*eventq.Microsecond {
+			t.Fatalf("shards=%d: RunUntil(2us) fired %v, Now() = %v", nshards, fired, cl.Now())
+		}
+		cl.Run()
+		if len(fired) != 3*nshards || cl.Pending() != 0 {
+			t.Fatalf("shards=%d: Run left %d events pending after firing %v", nshards, cl.Pending(), fired)
+		}
+		if cl.Now() != 9*eventq.Microsecond {
+			t.Errorf("shards=%d: Now() = %v after Run, want the last event's 9us", nshards, cl.Now())
+		}
+		cl.RunUntil(20 * eventq.Microsecond)
+		if cl.Now() != 20*eventq.Microsecond || cl.Shard(nshards-1).Now() != 20*eventq.Microsecond {
+			t.Errorf("shards=%d: RunUntil(20us) after Run left the clocks at %v / %v",
+				nshards, cl.Now(), cl.Shard(nshards-1).Now())
+		}
+	}
+}
+
 // TestParseShards pins the -shards / UNO_SHARDS syntax.
 func TestParseShards(t *testing.T) {
 	for _, tc := range []struct {

@@ -18,8 +18,9 @@ type Network struct {
 	nextID uint64 // packet ID counter (advances by idStep)
 	idStep uint64 // packet ID stride: 1 standalone, shard count when clustered
 
-	// shard/cluster place this network inside a partitioned simulation
-	// (netsim.Cluster). A standalone network is shard 0 of no cluster.
+	// shard is this network's index in its netsim.Cluster (0 standalone);
+	// cluster is set when the cluster has other shards too, and NodeIDs
+	// therefore come from its registry instead of this network's own list.
 	shard   int
 	cluster *Cluster
 
@@ -74,17 +75,14 @@ func New(seed uint64) *Network {
 // standalone network).
 func (n *Network) Shard() int { return n.shard }
 
-// Cluster returns the owning cluster, or nil for a standalone network.
-func (n *Network) Cluster() *Cluster { return n.cluster }
-
 // Now returns the current simulated time.
 func (n *Network) Now() eventq.Time { return n.Sched.Now() }
 
-// register adds a node and returns its id. Clustered shards draw ids from
-// the cluster-wide registry — NodeIDs index a single space shared by the
-// routing coord tables and packet Src/Dst fields, so they must be unique
-// across shards — while still tracking the node locally for the invariant
-// layer's per-shard walks.
+// register adds a node and returns its id. The shards of a multi-shard
+// cluster draw ids from the cluster-wide registry — NodeIDs index a single
+// space shared by the routing coord tables and packet Src/Dst fields, so
+// they must be unique across shards — while still tracking the node locally
+// for the invariant layer's per-shard walks.
 func (n *Network) register(node Node) NodeID {
 	var id NodeID
 	if n.cluster != nil {
@@ -96,8 +94,8 @@ func (n *Network) register(node Node) NodeID {
 	return id
 }
 
-// Node returns the node with the given id (cluster-wide when clustered:
-// any shard resolves any node, since ids are cluster-unique).
+// Node returns the node with the given id (cluster-wide in a multi-shard
+// cluster: any shard resolves any node, since ids are cluster-unique).
 func (n *Network) Node(id NodeID) Node {
 	if n.cluster != nil {
 		return n.cluster.nodes[id]

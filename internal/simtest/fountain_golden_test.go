@@ -12,7 +12,7 @@ import (
 
 // goldenFountainCell pins one cheap fountain-experiment cell — a 1 MiB
 // inter-DC flow under the rateless LT scheme with Setup 1 correlated loss —
-// on the legacy engine. The constant pins the rateless transport path
+// on a one-shard Sim. The constant pins the rateless transport path
 // (minted repair symbols, dynamic schedule entries, NACK-driven recovery).
 // The cell forces its scheme per flow, so UNO_EC does not move it.
 const goldenFountainCell = 0x5d6ccc89e0aeac88
@@ -21,7 +21,7 @@ const goldenFountainCell = 0x5d6ccc89e0aeac88
 // other goldens: run the test and copy the "got" value.
 func TestGoldenFountainCell(t *testing.T) {
 	if netsim.ShardDefault() > 0 {
-		t.Skip("fountain cell golden is pinned for the legacy engine")
+		t.Skip("fountain cell golden is pinned for the whole fabric on one shard (UNO_SHARDS=off)")
 	}
 	res := harness.FountainCell(42, transport.SchemeFountain, failure.Setup1,
 		0, 1<<20, 30*eventq.Millisecond)

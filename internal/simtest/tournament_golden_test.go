@@ -9,7 +9,7 @@ import (
 )
 
 // goldenTournamentCell pins one cheap tournament cell — MPRDMA vs BBR under
-// the mixed-128x regime — on the legacy engine, pinning the coexistence
+// the mixed-128x regime — on a one-shard Sim, pinning the coexistence
 // harness's packet stream.
 const goldenTournamentCell = 0xc46fe3197f6c9d8c
 
@@ -17,7 +17,7 @@ const goldenTournamentCell = 0xc46fe3197f6c9d8c
 // Regenerate like the other goldens: run the test and copy the "got" value.
 func TestGoldenTournamentCell(t *testing.T) {
 	if netsim.ShardDefault() > 0 {
-		t.Skip("tournament cell golden is pinned for the legacy engine")
+		t.Skip("tournament cell golden is pinned for the whole fabric on one shard (UNO_SHARDS=off)")
 	}
 	var mprdma, bbr harness.Contender
 	for _, c := range harness.Contenders() {

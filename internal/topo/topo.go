@@ -190,13 +190,6 @@ type InterLink struct {
 // DualDC is the built topology.
 type DualDC struct {
 	Cfg Config
-	// Net is the network all nodes live on — or, for a sharded build
-	// (BuildCluster), shard 0's network, kept for the single-network
-	// code paths that only touch DC 0.
-	Net *netsim.Network
-	// Cluster is non-nil for sharded builds: DC d's fabric lives on
-	// Cluster.Shard(d), and the border-to-border links are cross-shard.
-	Cluster *netsim.Cluster
 
 	DCs   []*DC
 	Hosts []*netsim.Host // all hosts, DC-major order
@@ -217,38 +210,34 @@ func Build(net *netsim.Network, cfg Config) (*DualDC, error) {
 	return build(cfg, func(int) *netsim.Network { return net }, nil)
 }
 
-// BuildCluster constructs the topology partitioned across cl's shards:
-// DC d's entire fabric (hosts, edge/agg/core/border switches, and every
+// BuildCluster constructs the topology on cl's shards. With one shard per
+// DC, DC d's entire fabric (hosts, edge/agg/core/border switches, and every
 // intra-DC link) lives on cl.Shard(d), and each border-to-border link is
-// registered as a cross-shard link whose delay bounds the cluster's
-// lookahead window. The node-creation order is identical to Build's, so
-// NodeIDs — drawn from the cluster-wide registry — and the routing coord
-// table match the single-network build exactly.
+// bound as a cross-shard link whose delay bounds the cluster's lookahead
+// window. A one-shard cluster holds every DC and binds no cross link. The
+// node-creation order is Build's either way, so NodeIDs and the routing
+// coord table match the single-network build exactly.
 func BuildCluster(cl *netsim.Cluster, cfg Config) (*DualDC, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cl.Shards() != cfg.NumDCs {
-		return nil, fmt.Errorf("topo: cluster has %d shards, config has %d DCs (need one shard per DC)",
+	netFor := cl.Shard
+	switch cl.Shards() {
+	case 1:
+		netFor = func(int) *netsim.Network { return cl.Shard(0) }
+	case cfg.NumDCs:
+	default:
+		return nil, fmt.Errorf("topo: cluster has %d shards, config has %d DCs (need one shard, or one per DC)",
 			cl.Shards(), cfg.NumDCs)
 	}
-	return build(cfg, cl.Shard, cl)
+	return build(cfg, netFor, cl)
 }
 
 // build is the shared topology constructor: netFor selects the network
-// each DC's nodes are created on (constant for Build, per-shard for
-// BuildCluster), and cl, when non-nil, registers the inter-DC links as
-// cross-shard.
+// each DC's nodes are created on, and cl binds the inter-DC links whose two
+// ends it puts on different networks.
 func build(cfg Config, netFor func(dc int) *netsim.Network, cl *netsim.Cluster) (*DualDC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t := &DualDC{
-		Cfg:     cfg,
-		Net:     netFor(0),
-		Cluster: cl,
-		Inter:   make(map[int]map[int][]InterLink),
-	}
+	t := &DualDC{Cfg: cfg, Inter: make(map[int]map[int][]InterLink)}
 	router := newFatTreeRouter(t)
 
 	intraPort := func() netsim.PortConfig { return t.portConfig(false) }
@@ -358,8 +347,8 @@ func build(cfg Config, netFor func(dc int) *netsim.Network, cl *netsim.Cluster) 
 				for i := 0; i < cfg.BorderLinks; i++ {
 					idx, link := t.DCs[from].Border.AddPort(
 						t.DCs[to].Border, cfg.LinkBps, cfg.InterLinkDelay, interPort())
-					if cl != nil {
-						cl.BindCross(link, netFor(to))
+					if rx := netFor(to); rx != netFor(from) {
+						cl.BindCross(link, rx)
 					}
 					t.Inter[from][to] = append(t.Inter[from][to], InterLink{
 						FromDC: from, ToDC: to, Index: i, Link: link, PortIdx: idx,
@@ -374,16 +363,6 @@ func build(cfg Config, netFor func(dc int) *netsim.Network, cl *netsim.Cluster) 
 // MustBuild is Build for statically known-good configurations.
 func MustBuild(net *netsim.Network, cfg Config) *DualDC {
 	t, err := Build(net, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// MustBuildCluster is BuildCluster for statically known-good
-// configurations.
-func MustBuildCluster(cl *netsim.Cluster, cfg Config) *DualDC {
-	t, err := BuildCluster(cl, cfg)
 	if err != nil {
 		panic(err)
 	}

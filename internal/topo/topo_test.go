@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"reflect"
 	"testing"
 
 	"uno/internal/eventq"
@@ -396,5 +397,76 @@ func TestThreeDCTopology(t *testing.T) {
 		if !ok {
 			t.Fatalf("no connectivity host %d → %d across DCs", pr[0], pr[1])
 		}
+	}
+}
+
+// TestBuildClusterOneShardMatchesBuild: a one-shard cluster holds the whole
+// fabric and is the same simulation as Build on a standalone network — same
+// NodeIDs, routing coord table, packet-ID sequence and RNG stream — and it
+// binds no cross link, so the cluster has no lookahead window to step.
+func TestBuildClusterOneShardMatchesBuild(t *testing.T) {
+	cfg := smallConfig()
+	net := netsim.New(21)
+	want := MustBuild(net, cfg)
+	cl := netsim.NewCluster(21, 1, 1)
+	got, err := BuildCluster(cl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl.Lookahead() != 0 {
+		t.Fatalf("one-shard cluster has lookahead %v: a cross link was bound", cl.Lookahead())
+	}
+	if !reflect.DeepEqual(got.coords, want.coords) {
+		t.Fatal("coord tables differ")
+	}
+	if cl.Shard(0).NumNodes() != net.NumNodes() {
+		t.Fatalf("%d nodes on the shard, %d on the standalone network", cl.Shard(0).NumNodes(), net.NumNodes())
+	}
+	for id := 0; id < net.NumNodes(); id++ {
+		g, w := cl.Shard(0).Node(netsim.NodeID(id)), net.Node(netsim.NodeID(id))
+		if g.ID() != w.ID() || g.Name() != w.Name() {
+			t.Fatalf("node %d is %s (id %d), want %s (id %d)", id, g.Name(), g.ID(), w.Name(), w.ID())
+		}
+	}
+	for i, h := range got.Hosts {
+		if h.ID() != want.Hosts[i].ID() || h.Network() != cl.Shard(0) {
+			t.Fatalf("host %d: id %d on shard %d, want id %d on shard 0",
+				i, h.ID(), h.Network().Shard(), want.Hosts[i].ID())
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if g, w := cl.Shard(0).NextPacketID(), net.NextPacketID(); g != w {
+			t.Fatalf("packet id %d: got %d, want %d", i, g, w)
+		}
+		if g, w := cl.Shard(0).Rand.Uint64(), net.Rand.Uint64(); g != w {
+			t.Fatalf("rng draw %d: got %#x, want %#x", i, g, w)
+		}
+	}
+	ok, _ := probe(cl.Shard(0), got.Hosts[0], got.Hosts[cfg.HostsPerDC()+3], 1000)
+	if !ok {
+		t.Fatal("no inter-DC connectivity on the one-shard cluster")
+	}
+}
+
+// TestBuildClusterShardCounts: one shard per DC binds the border links as
+// cross links (the lookahead is their delay); any other count but one is
+// refused.
+func TestBuildClusterShardCounts(t *testing.T) {
+	cfg := smallConfig()
+	cl := netsim.NewCluster(22, 2, 1)
+	tp, err := BuildCluster(cl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl.Lookahead() != cfg.InterLinkDelay {
+		t.Fatalf("lookahead %v, want the border links' %v", cl.Lookahead(), cfg.InterLinkDelay)
+	}
+	for d, dc := range tp.DCs {
+		if first, last := dc.Hosts[0], dc.Hosts[len(dc.Hosts)-1]; first.Network() != cl.Shard(d) || last.Network() != cl.Shard(d) {
+			t.Fatalf("DC %d is not on shard %d", d, d)
+		}
+	}
+	if _, err := BuildCluster(netsim.NewCluster(22, 3, 1), cfg); err == nil {
+		t.Fatal("three shards for two DCs were accepted")
 	}
 }

@@ -68,9 +68,10 @@ func (ep *Endpoint) Receiver(id netsim.FlowID) *Receiver { return ep.receivers[i
 // Open wires up a flow on its two endpoints — sender Conn, passive
 // Receiver, demux registrations — without transmitting anything. The
 // returned Conn stays idle (no events scheduled, no RNG drawn) until
-// Launch runs; the sharded harness opens every flow at setup time from
-// the coordinating goroutine and schedules Launch on the source shard's
-// clock, while the legacy path keeps using Start. onDone, which may be
+// Launch runs; a harness Sim with per-DC shards opens every flow at setup
+// time from the coordinating goroutine and schedules Launch on the source
+// shard's clock, while a one-shard Sim opens and launches at the flow's
+// start time. onDone, which may be
 // nil, is invoked once the sender observes the receiver's FlowDone.
 func Open(src, dst *Endpoint, flow *Flow, params Params,
 	cc CongestionControl, lb PathSelector, onDone func(*Conn)) (*Conn, error) {

@@ -31,8 +31,9 @@ test -z "$(gofmt -l $(git ls-files '*.go'))" || {
 # replace), so the root module's build, vet and tests never see it — and a
 # PR that claims a gain may not edit it. This is the one place an internal
 # API change that breaks the benchmark (transport.Open/Start, Conn.Stats
-# after completion, eventq.NewTimer, the simtest helpers) is caught before
-# the benchmark itself is run.
+# after completion, eventq.NewTimer, the simtest helpers, harness.Sim's
+# Sharded/Cluster/Net/ObserveShard) is caught before the benchmark itself is
+# run.
 echo "== bench module: go vet + go test =="
 go -C bench vet ./...
 go -C bench test ./...
@@ -58,35 +59,40 @@ else
 fi
 
 # Worker-count independence stated as a golden: a fixed dual-DC scenario
-# whose committed digest the partitioned engine must reproduce byte-for-byte
+# whose committed digest the per-DC partition must reproduce byte-for-byte
 # at UNO_SHARDS 1 and 2, with cluster invariant observers attached. The
 # simtest goldens (hand-wired single networks, the tournament cell, the
-# rateless cell) do not depend on the engine switch and already ran, with
-# invariants attached, in the full suite above.
+# rateless cell) are pinned for one shard and already ran, with invariants
+# attached, in the full suite above.
 for sh in 1 2; do
     echo "== sharded golden, UNO_SHARDS=$sh =="
     UNO_SHARDS=$sh go test -count=1 -run 'TestShardedGoldenDigest' ./internal/harness/
 done
 
-# The sharded engine's proof obligations run explicitly under the race
+# The shard count's proof obligations run explicitly under the race
 # detector with caching disabled: the metamorphic worker-count equivalence
-# property, the cross-shard conservation ledger on the dual-DC fat-tree,
-# and the netsim cluster suite (handoff determinism, strided packet IDs,
-# the seeded dropped-handoff defect the ledger must catch). The harness
-# flow-lifecycle tests ride along: a completing sender mutates its source
-# shard's demux map and releases timers while the other shard still serves
-# the flow's receiver, and the interned UnoCC configurations are read from
-# both shards.
-echo "== sharded engine property + flow lifecycle tests, -race -count=1 =="
+# property on random scenarios and over every registry experiment, the
+# cross-shard conservation ledger on the dual-DC fat-tree, what a one-shard
+# Sim guarantees, and the netsim cluster suite (handoff determinism, strided
+# packet IDs, clusters without cross links, the seeded dropped-handoff defect
+# the ledger must catch). The harness flow-lifecycle tests ride along: a
+# completing sender mutates its source shard's demux map and releases timers
+# while the other shard still serves the flow's receiver, and the interned
+# UnoCC configurations are read from both shards.
+echo "== shard-count property + flow lifecycle tests, -race -count=1 =="
 for sh in 1 2; do
     UNO_SHARDS=$sh go test -race -count=1 \
-        -run 'TestShardedGoldenDigest|TestShardEquivalenceProperty|TestShardedFatTreeConservation|TestFlowLifecycleOnEveryEngine|TestConnsSeesStartedFlows' \
+        -run 'TestShardedGoldenDigest|TestShardEquivalenceProperty|TestShardedFatTreeConservation|TestFatTreeFlowConservation|TestOneShardSim|TestFlowLifecycleOnEveryEngine|TestConnsSeesStartedFlows' \
         ./internal/harness/
 done
+# The registry-wide equivalence test sets both worker counts itself, so
+# UNO_SHARDS does not reach it: once is enough (about four minutes under the
+# race detector).
+go test -race -count=1 -run 'TestRegistryShardEquivalence' ./internal/harness/
 go test -race -count=1 -run 'TestCluster|TestBindCross|TestRunBefore' \
     ./internal/netsim/ ./internal/eventq/
 # The lifecycle tests below the harness build their own two-host fabrics, so
-# the engine switch does not reach them: once is enough.
+# UNO_SHARDS does not reach them: once is enough.
 go test -race -count=1 \
     -run 'TestSequentialFlowsLeaveNothingBehind|TestFlowAllocationBudget|TestLatePacketsForCompletedSender|TestEndpointAccessors|TestTimerRelease|TestTimerResetAfterRelease|TestQuickAdaptTimerEndsWithFlow|TestConfigPool' \
     ./internal/transport/ ./internal/eventq/ ./internal/core/

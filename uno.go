@@ -83,18 +83,18 @@ type FlowResult = harness.FlowResult
 type Stack = harness.Stack
 
 // NewSim builds a simulation with the given seed, topology, and stack.
-// Identical arguments produce bit-identical runs. The engine follows the
-// process-wide default (UNO_SHARDS / netsim.SetShardDefault): unset keeps
-// the classic single-scheduler path; see NewShardedSim to choose per-sim.
+// Identical arguments produce bit-identical runs. The shard count follows
+// the process-wide default (UNO_SHARDS / netsim.SetShardDefault): unset keeps
+// the whole fabric on one shard; see NewShardedSim to choose per-sim.
 func NewSim(seed uint64, cfg TopologyConfig, stack Stack) *Sim {
 	return harness.MustNewSim(seed, cfg, stack)
 }
 
-// NewShardedSim builds a simulation on the partitioned per-DC engine with
-// the given worker-goroutine count (>= 1); workers selects parallelism
-// only, so results are bit-identical for every worker count. workers <= 0
-// selects the classic single-scheduler engine. Ring collectives
-// (StartRing) require the classic engine.
+// NewShardedSim builds a simulation with one shard per datacenter and the
+// given worker-goroutine count (>= 1); workers selects parallelism only, so
+// results are bit-identical for every worker count. workers <= 0 keeps the
+// whole fabric on one shard (one scheduler, no barrier, no goroutine), which
+// ring collectives (StartRing) require.
 func NewShardedSim(seed uint64, cfg TopologyConfig, stack Stack, workers int) (*Sim, error) {
 	return harness.NewSimShards(seed, cfg, stack, workers)
 }
@@ -174,11 +174,11 @@ type Ring = collective.Ring
 
 // StartRing launches a ring Allreduce over the simulation's transport;
 // onComplete receives the collective's elapsed time. Collectives chain
-// dependent flows from completion callbacks, which the partitioned engine
-// does not support — sim must be built on the classic engine.
+// dependent flows from completion callbacks, which cannot yet cross a shard
+// boundary — sim must hold the whole fabric on one shard.
 func StartRing(sim *Sim, cfg RingConfig, onComplete func(elapsed Time)) (*Ring, error) {
 	if sim.Sharded() {
-		return nil, fmt.Errorf("uno: StartRing requires the classic engine (build the Sim with UNO_SHARDS=off)")
+		return nil, fmt.Errorf("uno: StartRing requires a one-shard Sim (build it with UNO_SHARDS=off, or NewShardedSim(..., 0))")
 	}
 	return collective.Start(sim, sim.Net.Sched, cfg, onComplete)
 }
@@ -201,8 +201,11 @@ const (
 // paper's measured datacenter pairs (Table 1).
 var NewTable1Loss = failure.NewTable1Loss
 
-// Tracing: attach an observer to a simulation's fabric with
-// sim.Net.Observer = &uno.TraceWriter{W: os.Stderr, Net: sim.Net}.
+// Tracing: attach one observer per shard i of sim.Cluster(), behind the
+// digest observer, with
+// sim.ObserveShard(i, &uno.TraceWriter{W: os.Stderr, Net: sim.Cluster().Shard(i)}).
+// Assigning sim.Net.Observer instead would replace the digest observer
+// (Sim.Digest stops moving) and see shard 0 only.
 type (
 	// FabricObserver receives every fabric-level packet event.
 	FabricObserver = netsim.Observer
