@@ -212,3 +212,51 @@ func TestSystemPolicies(t *testing.T) {
 		t.Fatal("PerFlowEpochs did not take effect")
 	}
 }
+
+func TestUnoLBReroutesSubflowWithDeadAckPath(t *testing.T) {
+	// A link fails in both directions. Some subflows send their data over
+	// it; the victim subflow does not, but its ACKs — which return on the
+	// data packets' entropy, as a real flow's reverse 5-tuple does — all
+	// cross it. The sender hears nothing from the victim, which makes it as
+	// stale as the subflows whose data dies, so the timeouts those cause
+	// re-route it with them and the flow completes. No EC here: the sender
+	// cannot lean on block-level acknowledgements. (With a random entropy
+	// per ACK the victim looked healthy and kept its path, and every
+	// subflow lost a quarter of its ACKs for the flow's whole life.)
+	const paths = 4
+	p := simtest.NewParallelDuplex(9, bw100G, paths, eventq.Microsecond)
+	lb := &UnoLB{Subflows: 8}
+	params := transport.Params{
+		MTU: 4096, BaseRTT: 10 * eventq.Microsecond, DupAckThresh: 64,
+		MinRTO: 200 * eventq.Microsecond,
+	}
+	conn := parallelFlow(t, p, 1, 4<<20, params, &transport.FixedWindow{Window: 256 * 4160}, lb)
+	before := lb.Entropies()
+	out := func(e uint32) uint32 { return e % paths }
+	back := func(e uint32) uint32 { return e / paths % paths }
+	victim, dead := 0, back(before[0])
+	dataOnDead := 0
+	for _, e := range before {
+		if out(e) == dead {
+			dataOnDead++
+		}
+	}
+	if out(before[victim]) == dead || dataOnDead == 0 {
+		t.Fatalf("seed gives the wrong scenario (victim's data on the dead link: %v, subflows with data on it: %d); pick another",
+			out(before[victim]) == dead, dataOnDead)
+	}
+	p.Paths[dead].SetUp(false)
+	p.Back[dead].SetUp(false)
+
+	p.Net.Sched.RunUntil(2 * eventq.Second)
+	if !conn.Completed() {
+		t.Fatalf("flow did not complete (stats %+v)", conn.Stats())
+	}
+	if p.Back[dead].Stats().DownDrops == 0 || p.Paths[dead].Stats().DownDrops == 0 {
+		t.Fatal("the failed link dropped nothing in one direction: the test shows nothing")
+	}
+	if after := lb.Entropies(); after[victim] == before[victim] {
+		t.Fatalf("subflow %d kept entropy %#x, whose ACKs cross the failed link (%d reroutes, stats %+v)",
+			victim, before[victim], lb.Reroutes, conn.Stats())
+	}
+}

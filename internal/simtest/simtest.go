@@ -105,37 +105,51 @@ func (in *Incast) senderDelay(i int) eventq.Time {
 //
 //	A — swA ═(P parallel links)═ swB — B
 //
-// Forward data packets pick the path entropy % P; the reverse (ACK) path is
-// a single dedicated link so ACK routing never perturbs the experiment.
+// Forward data packets pick the path entropy % P. NewParallel's reverse
+// (ACK) path is a single dedicated link, so ACK routing never perturbs the
+// experiment; NewParallelDuplex's is P links again, picked by
+// (entropy / P) % P — as on the fat-tree, where each switch salts its own
+// hash, an entropy names one path out and one path back, and the second is
+// not the mirror of the first.
 type Parallel struct {
 	Net   *netsim.Network
 	A, B  *netsim.Host
 	EpA   *transport.Endpoint
 	EpB   *transport.Endpoint
 	Paths []*netsim.Link
+	Back  []*netsim.Link
 }
 
 type parallelRouter struct {
-	p     *Parallel
-	atA   bool
-	paths int
+	p           *Parallel
+	atA         bool
+	paths, back uint32
 }
 
 func (r parallelRouter) Route(sw *netsim.Switch, pkt *netsim.Packet) int {
 	if r.atA {
 		if pkt.Dst == r.p.A.ID() {
-			return r.paths // downlink back to A
+			return int(r.paths) // downlink back to A
 		}
-		return int(pkt.Entropy % uint32(r.paths))
+		return int(pkt.Entropy % r.paths)
 	}
 	if pkt.Dst == r.p.B.ID() {
 		return 0
 	}
-	return 1 // reverse toward swA
+	return 1 + int(pkt.Entropy/r.paths%r.back) // reverse toward swA
 }
 
 // NewParallel builds the fixture with the given number of paths.
 func NewParallel(seed uint64, bw int64, paths int, delay eventq.Time) *Parallel {
+	return newParallel(seed, bw, paths, 1, delay)
+}
+
+// NewParallelDuplex builds it with as many reverse links as paths.
+func NewParallelDuplex(seed uint64, bw int64, paths int, delay eventq.Time) *Parallel {
+	return newParallel(seed, bw, paths, paths, delay)
+}
+
+func newParallel(seed uint64, bw int64, paths, back int, delay eventq.Time) *Parallel {
 	net := netsim.New(seed)
 	p := &Parallel{Net: net}
 	swA := netsim.NewSwitch(net, "swA", nil)
@@ -150,9 +164,14 @@ func NewParallel(seed uint64, bw int64, paths int, delay eventq.Time) *Parallel 
 	}
 	swA.AddPort(p.A, bw, delay, PortConfig()) // port paths: downlink to A
 	swB.AddPort(p.B, bw, delay, PortConfig()) // port 0
-	swB.AddPort(swA, bw, delay, PortConfig()) // port 1: reverse
-	swA.SetRouter(parallelRouter{p: p, atA: true, paths: paths})
-	swB.SetRouter(parallelRouter{p: p, atA: false, paths: paths})
+	for i := 0; i < back; i++ {
+		_, link := swB.AddPort(swA, bw, delay, PortConfig()) // port 1+i: reverse
+		p.Back = append(p.Back, link)
+	}
+	r := parallelRouter{p: p, atA: true, paths: uint32(paths), back: uint32(back)}
+	swA.SetRouter(r)
+	r.atA = false
+	swB.SetRouter(r)
 	p.EpA = transport.NewEndpoint(p.A)
 	p.EpB = transport.NewEndpoint(p.B)
 	return p

@@ -35,6 +35,11 @@ type ConnStats struct {
 	CnmsReceived  uint64 // QCN congestion notifications received
 	TrimNotices   uint64 // trimmed-packet loss notifications received
 	BytesAcked    int64  // wire bytes acknowledged (first ACK per packet)
+	// SpuriousRetrans counts schedule entries declared lost (by either
+	// detector or by a timeout) whose original transmission then turned out
+	// to have arrived: the ACK of the original came in while the entry was
+	// queued for retransmission or already retransmitted.
+	SpuriousRetrans uint64
 }
 
 // blockState is the sender's accounting for one erasure-coding block.
@@ -482,13 +487,19 @@ func (c *Conn) appendRepair(b int32, n int) {
 // ---- RTO ----
 
 // rto returns the current retransmission timeout with backoff applied,
-// clamped to [MinRTO, MaxRTO].
+// clamped to [MinRTO, MaxRTO]. Until the flow has an RTT sample it is
+// MaxRTO, RFC 6298's conservative initial RTO: MinRTO is a multiple of the
+// unloaded BaseRTT and knows nothing of the queue in front of the first
+// ACK — the sender's own NIC included, where four flows' initial windows
+// take longer to serialize than MinRTO lasts — and onRTO resends everything
+// one RTO old, so a timeout that fires with nothing lost costs a window.
 func (c *Conn) rto() eventq.Time {
+	if !c.hasRTT {
+		return c.params.MaxRTO
+	}
 	base := c.params.MinRTO
-	if c.hasRTT {
-		if est := c.srtt + 4*c.rttvar; est > base {
-			base = est
-		}
+	if est := c.srtt + 4*c.rttvar; est > base {
+		base = est
 	}
 	// Clamp the estimate before the backoff loop: doubling first and
 	// comparing after could wrap a large srtt+4*rttvar estimate negative
@@ -508,12 +519,19 @@ func (c *Conn) rto() eventq.Time {
 	return base
 }
 
-// armRTO schedules the lazy retransmission timer if none is pending.
+// armRTO keeps the retransmission timer at or before lastProgress + rto().
+// A deadline that moved later (the usual case: progress) is left to onRTO to
+// find when the timer expires; one that moved earlier — the first RTT sample
+// replaces the conservative pre-sample RTO, an ACK resets the back-off —
+// pulls the timer in, or the flow would sit out a timeout it no longer has.
 func (c *Conn) armRTO() {
-	if c.completed || c.rtoTimer.Pending() {
+	if c.completed {
 		return
 	}
 	at := c.lastProgress + c.rto()
+	if c.rtoTimer.Pending() && c.rtoTimer.At() <= at {
+		return
+	}
 	if at < c.Now() {
 		at = c.Now()
 	}
@@ -534,6 +552,11 @@ func (c *Conn) onRTO() {
 		return
 	}
 	c.stats.Timeouts++
+	// Lost is what is one RTO old by the timeout that just expired: take
+	// the cutoff before backing off. Taken after, it reaches two RTOs back,
+	// behind the very tail this timeout is for, and the tail waits for the
+	// second, third and fourth timeout while the back-off doubles.
+	cutoff := c.Now() - c.rto()
 	c.lastProgress = c.Now()
 	if c.rtoBackoff < 16 {
 		c.rtoBackoff++
@@ -556,7 +579,6 @@ func (c *Conn) onRTO() {
 		// Declare lost everything at least one RTO old, not only the
 		// single oldest packet: a burst dropped wholesale would otherwise
 		// be reclaimed one packet per timeout.
-		cutoff := c.Now() - c.rto()
 		outstanding, declared := 0, 0
 		for seq := c.lowestUnacked; seq < scanEnd; seq++ {
 			st := &c.state[seq]
@@ -658,6 +680,12 @@ func (c *Conn) handleAck(p *netsim.Packet) {
 			info.RTT = rtt
 			c.updateRTT(rtt)
 		}
+	}
+
+	// The original transmission arrived after all: declaring it lost was
+	// wrong, whichever detector did.
+	if !p.EchoRtx && (st.lossPending || st.rtxCount > 1) {
+		c.stats.SpuriousRetrans++
 	}
 
 	// Any ACK for a packet we believe is in flight removes it from the

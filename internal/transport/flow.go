@@ -117,6 +117,9 @@ func (p Params) validate() error {
 	if p.EC.Data < 0 || p.EC.Parity < 0 {
 		return fmt.Errorf("transport: invalid EC config %+v", p.EC)
 	}
+	if p.MTU > math.MaxInt32-HeaderSize {
+		return fmt.Errorf("transport: MTU %d does not fit the schedule's 32-bit payload sizes", p.MTU)
+	}
 	if p.EC.Fountain() && p.EC.Data > ec.MaxFountainData {
 		return fmt.Errorf("transport: fountain EC supports at most %d data packets per block, got %d",
 			ec.MaxFountainData, p.EC.Data)
@@ -155,8 +158,11 @@ type schedule struct {
 	n       int64 // entries: data plus parity
 	nBlocks int64 // 0 without EC
 	// x and y are the EC block shape (Data, Parity); x == 0 without EC.
-	x, y             int32
-	mtu, lastPayload int // payload of a full and of the final data packet
+	x, y int32
+	// Payload of a full and of the final data packet; 32-bit (validate
+	// bounds MTU) so that the schedule is 40 bytes and a Conn stays inside
+	// the 480-byte allocation class.
+	mtu, lastPayload int32
 }
 
 func newSchedule(size int64, p *Params) schedule {
@@ -164,8 +170,8 @@ func newSchedule(size int64, p *Params) schedule {
 		size = 1
 	}
 	mtu := int64(p.MTU)
-	s := schedule{nData: (size + mtu - 1) / mtu, mtu: p.MTU}
-	s.lastPayload = int(size - (s.nData-1)*mtu)
+	s := schedule{nData: (size + mtu - 1) / mtu, mtu: int32(p.MTU)}
+	s.lastPayload = int32(size - (s.nData-1)*mtu)
 	s.n = s.nData
 	if p.EC.Enabled() {
 		s.x, s.y = int32(p.EC.Data), int32(p.EC.Parity)
@@ -178,9 +184,9 @@ func newSchedule(size int64, p *Params) schedule {
 // dataPayload returns the payload of data packet i (counting data only).
 func (s *schedule) dataPayload(i int64) int {
 	if i == s.nData-1 {
-		return s.lastPayload
+		return int(s.lastPayload)
 	}
-	return s.mtu
+	return int(s.mtu)
 }
 
 // dataIn returns the number of data packets of block b.
@@ -217,7 +223,7 @@ func (s *schedule) desc(seq int64) pktDesc {
 	if d == 1 && b == s.nBlocks-1 {
 		wire = s.lastPayload
 	}
-	return pktDesc{wire: wire + HeaderSize, block: int32(b), blockIdx: int16(i), parity: true}
+	return pktDesc{wire: int(wire) + HeaderSize, block: int32(b), blockIdx: int16(i), parity: true}
 }
 
 // block returns the summary of block b, 0 <= b < s.nBlocks.

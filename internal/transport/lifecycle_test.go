@@ -3,6 +3,7 @@ package transport
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"uno/internal/eventq"
 	"uno/internal/netsim"
@@ -103,6 +104,19 @@ func TestFlowAllocationBudget(t *testing.T) {
 	t.Logf("%.0f B per flow", perFlow)
 	if perFlow > budget {
 		t.Errorf("a one-packet flow allocates %.0f B, budget %d", perFlow, budget)
+	}
+}
+
+// TestConnSizeClass pins the two sizes the budget above is made of: the Go
+// allocator's classes go 448, 480, 512 and 176, 192, 208, so one more word in
+// either struct costs every flow 32 or 16 bytes (the budget test is too
+// coarse to see that; the benchmark's alloc_mb on 84 k RPCs is not).
+func TestConnSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Conn{}); got > 480 {
+		t.Errorf("Conn is %d bytes, over the 480-byte class", got)
+	}
+	if got := unsafe.Sizeof(Receiver{}); got > 192 {
+		t.Errorf("Receiver is %d bytes, over the 192-byte class", got)
 	}
 }
 

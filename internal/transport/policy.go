@@ -51,7 +51,11 @@ type PathSelector interface {
 	Init(c *Conn)
 	// Assign sets p.Entropy (and optionally p.Subflow) before transmission.
 	Assign(c *Conn, p *netsim.Packet)
-	// OnAck observes a successfully delivered packet's subflow/entropy.
+	// OnAck observes a successfully delivered packet's subflow and entropy:
+	// the values Assign gave the acknowledged data packet, which the
+	// receiver copies into the ACK (so the ACK itself came back on that
+	// entropy's reverse path — a path whose ACKs die looks, to the selector,
+	// like one whose data does).
 	OnAck(c *Conn, p AckInfo, subflow int8, entropy uint32)
 	// OnNack is called when a block NACK indicates path trouble.
 	OnNack(c *Conn)

@@ -129,20 +129,8 @@ func (r *Receiver) handleData(p *netsim.Packet) {
 		// The payload was cut at an overflowing queue: echo an immediate
 		// loss notification instead of recording a delivery (NDP-style).
 		r.TrimmedPkts++
-		ack := r.ep.host.Network().AllocPacket()
-		ack.Type = netsim.Ack
-		ack.Flow = r.flow.ID
-		ack.Src = r.flow.Dst.ID()
-		ack.Dst = r.flow.Src.ID()
-		ack.Size = netsim.AckSize
-		ack.Entropy = r.ep.host.Network().Rand.Uint32()
-		ack.AckSeq = seq
-		ack.EchoSentAt = p.SentAt
-		ack.EchoRtx = p.IsRtx
+		ack := r.newAck(p)
 		ack.EchoTrimmed = true
-		ack.AckBlock = -1
-		ack.FlowDone = r.complete
-		ack.Subflow = p.Subflow
 		r.ep.host.Send(ack)
 		return
 	}
@@ -177,22 +165,37 @@ func (r *Receiver) handleData(p *netsim.Packet) {
 	if block >= 0 {
 		blockOK = r.blocks[block].complete
 	}
+	ack := r.newAck(p)
+	ack.EchoMarked = p.ECNMarked
+	ack.AckBlock = block
+	ack.AckBlockOK = blockOK
+	r.ep.host.Send(ack)
+}
+
+// newAck builds the acknowledgement of data packet p, trimmed or whole: the
+// echo fields every ACK carries, with no block report. The ACK keeps p's
+// Entropy, as the ACK of a real flow keeps the 5-tuple of its data: ACKs of
+// packets that shared a forward path share one reverse path and arrive in
+// the order they were sent, so the sender's time-based loss sweep sees no
+// reordering a single path cannot produce, and a path selector's OnAck
+// learns about the path it actually chose. (A fresh random entropy per ACK
+// sprayed a one-path flow's ACKs over every reverse path, and the sender
+// read the overtaking as loss — DESIGN §5, "Loss recovery".)
+func (r *Receiver) newAck(p *netsim.Packet) *netsim.Packet {
 	ack := r.ep.host.Network().AllocPacket()
 	ack.Type = netsim.Ack
 	ack.Flow = r.flow.ID
 	ack.Src = r.flow.Dst.ID()
 	ack.Dst = r.flow.Src.ID()
 	ack.Size = netsim.AckSize
-	ack.Entropy = r.ep.host.Network().Rand.Uint32()
-	ack.AckSeq = seq
-	ack.EchoSentAt = p.SentAt
-	ack.EchoMarked = p.ECNMarked
-	ack.EchoRtx = p.IsRtx
-	ack.AckBlock = block
-	ack.AckBlockOK = blockOK
-	ack.FlowDone = r.complete
+	ack.Entropy = p.Entropy
 	ack.Subflow = p.Subflow
-	r.ep.host.Send(ack)
+	ack.AckSeq = p.Seq
+	ack.EchoSentAt = p.SentAt
+	ack.EchoRtx = p.IsRtx
+	ack.AckBlock = -1
+	ack.FlowDone = r.complete
+	return ack
 }
 
 // onBlockArrival updates block state for a newly received packet carrying
@@ -285,6 +288,9 @@ func (r *Receiver) onBlockTimeout(b int32) {
 	nack.Src = r.flow.Dst.ID()
 	nack.Dst = r.flow.Src.ID()
 	nack.Size = netsim.AckSize
+	// A NACK reports a block, not a packet: it has no data path to return
+	// on, and must not die with the path it complains about. It keeps a
+	// random entropy (so do its retries, each a fresh draw).
 	nack.Entropy = r.ep.host.Network().Rand.Uint32()
 	nack.NackBlock = b
 	nack.Missing = missing

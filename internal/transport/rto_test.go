@@ -13,14 +13,20 @@ import (
 // picoseconds negative before the guard ever tripped. rto() only reads
 // params and the RTT estimator fields, so a bare Conn is enough.
 
-// rtoConn builds a Conn with just the fields rto() consumes.
+// rtoConn builds a Conn with just the fields rto() consumes. It has an RTT
+// sample (a zero one leaves MinRTO as the base): the clamp and the back-off
+// only apply once it does.
 func rtoConn(min, max eventq.Time, srtt, rttvar eventq.Time, backoff uint8) *Conn {
 	c := &Conn{params: Params{MinRTO: min, MaxRTO: max}}
-	if srtt > 0 || rttvar > 0 {
-		c.hasRTT = true
-		c.srtt, c.rttvar = srtt, rttvar
-	}
+	c.hasRTT = true
+	c.srtt, c.rttvar = srtt, rttvar
 	c.rtoBackoff = backoff
+	return c
+}
+
+// noSample takes c's RTT sample away.
+func noSample(c *Conn) *Conn {
+	c.hasRTT = false
 	return c
 }
 
@@ -69,6 +75,18 @@ func TestRTOSaturatedBackoffNoOverflow(t *testing.T) {
 			// the doubling itself must not wrap.
 			name: "near-cap base, saturated backoff",
 			c:    rtoConn(huge-1, huge, 0, 0, 16),
+			want: huge,
+		},
+		{
+			// Before the first RTT sample the timeout is the conservative
+			// MaxRTO, not MinRTO, with or without back-off.
+			name: "no sample, no backoff",
+			c:    noSample(rtoConn(eventq.Millisecond, 8*eventq.Millisecond, 0, 0, 0)),
+			want: 8 * eventq.Millisecond,
+		},
+		{
+			name: "no sample, saturated backoff",
+			c:    noSample(rtoConn(eventq.Millisecond, huge, 0, 0, 16)),
 			want: huge,
 		},
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math"
 	"testing"
 
 	"uno/internal/eventq"
@@ -463,6 +464,11 @@ func TestStartValidation(t *testing.T) {
 	flow2 := &Flow{ID: 2, Src: d.a, Dst: d.b, Size: 4096}
 	if _, err := Start(d.epA, d.epB, flow2, bad, &FixedWindow{}, &FixedEntropy{}, nil); err == nil {
 		t.Fatal("invalid EC accepted")
+	}
+	bad = d.baseParams()
+	bad.MTU = math.MaxInt32
+	if _, err := Start(d.epA, d.epB, flow2, bad, &FixedWindow{}, &FixedEntropy{}, nil); err == nil {
+		t.Fatal("MTU beyond the schedule's 32-bit payload sizes accepted")
 	}
 }
 

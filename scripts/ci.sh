@@ -127,6 +127,19 @@ go test -race -count=1 \
     -run 'TestFountain|TestSatisfyBlock|TestBlockNack|TestBlockCompletion|TestAckBlockOutOfRange|TestTailBlock|TestRSTailBlock|TestGilbertElliottDegenerateParams' \
     ./internal/transport/ ./internal/failure/
 
+# Loss recovery's proof obligations (DESIGN §5, "Loss recovery"), one test
+# per repair and each failing without it: the first timeout resends what is
+# one RTO old, n timeouts need n losses, nothing times out before the first
+# RTT sample, a one-path flow's ACKs return on one path in send order, the
+# spurious-retransmission counter, the incast retransmit budget on the
+# fat-tree, UnoLB re-routing a subflow whose ACK path died — plus the RTO
+# arithmetic and the Conn size class the new counter had to fit into. Same
+# reason as the cell above: a transport change must not ride a cached result.
+echo "== loss recovery, -race -count=1 =="
+go test -race -count=1 \
+    -run 'TestLossRecovery|TestRTOSaturatedBackoffNoOverflow|TestRTORecoversTailLoss|TestUnoLBReroutesSubflowWithDeadAckPath|TestConnSizeClass' \
+    ./internal/transport/ ./internal/core/ ./internal/harness/
+
 # Native fuzz targets, briefly: the differential scheduler fuzzer, the
 # transport packet-header fuzzer (which also drives the fountain receiver's
 # dynamic-arrival path — its corpus once held a sender panic on a hostile
