@@ -237,7 +237,7 @@ func TestShardedFatTreeConservation(t *testing.T) {
 // regenerated between cells), which is worker-count independence stated
 // as a golden. Like the simtest goldens it also pins
 // against accidental behavior drift in the partition protocol itself.
-const goldenShardedDualDC = 0x0cb992e64813451b
+const goldenShardedDualDC = 0xd37c936645e26684
 
 // TestShardedGoldenDigest runs the golden dual-DC scenario on per-DC
 // shards with UNO_SHARDS workers (1 when unset) and compares

@@ -33,7 +33,7 @@ const bw100G = int64(100e9)
 // "got" value from the failure output).
 const (
 	goldenIncast     = 0x4d93670ec72fba85
-	goldenIncastLoss = 0xffd04a9622e891de
+	goldenIncastLoss = 0xc24b791fe7f07edb
 	goldenDumbbell   = 0xa8468af8f8e84e62
 )
 

@@ -11,7 +11,7 @@ import (
 // goldenTournamentCell pins one cheap tournament cell — MPRDMA vs BBR under
 // the mixed-128x regime — on a one-shard Sim, pinning the coexistence
 // harness's packet stream.
-const goldenTournamentCell = 0xc46fe3197f6c9d8c
+const goldenTournamentCell = 0x471bf442811cc4a5
 
 // TestGoldenTournamentCell pins the coexistence tournament's cell digest.
 // Regenerate like the other goldens: run the test and copy the "got" value.
