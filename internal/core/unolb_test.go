@@ -223,8 +223,7 @@ func TestUnoLBReroutesSubflowWithDeadAckPath(t *testing.T) {
 	// cannot lean on block-level acknowledgements. (With a random entropy
 	// per ACK the victim looked healthy and kept its path, and every
 	// subflow lost a quarter of its ACKs for the flow's whole life.)
-	const paths = 4
-	p := simtest.NewParallelDuplex(9, bw100G, paths, eventq.Microsecond)
+	p := simtest.NewParallelDuplex(9, bw100G, 4, eventq.Microsecond)
 	lb := &UnoLB{Subflows: 8}
 	params := transport.Params{
 		MTU: 4096, BaseRTT: 10 * eventq.Microsecond, DupAckThresh: 64,
@@ -232,18 +231,17 @@ func TestUnoLBReroutesSubflowWithDeadAckPath(t *testing.T) {
 	}
 	conn := parallelFlow(t, p, 1, 4<<20, params, &transport.FixedWindow{Window: 256 * 4160}, lb)
 	before := lb.Entropies()
-	out := func(e uint32) uint32 { return e % paths }
-	back := func(e uint32) uint32 { return e / paths % paths }
-	victim, dead := 0, back(before[0])
+	const victim = 0
+	victimOut, dead := p.PathsOf(before[victim])
 	dataOnDead := 0
 	for _, e := range before {
-		if out(e) == dead {
+		if out, _ := p.PathsOf(e); out == dead {
 			dataOnDead++
 		}
 	}
-	if out(before[victim]) == dead || dataOnDead == 0 {
+	if victimOut == dead || dataOnDead == 0 {
 		t.Fatalf("seed gives the wrong scenario (victim's data on the dead link: %v, subflows with data on it: %d); pick another",
-			out(before[victim]) == dead, dataOnDead)
+			victimOut == dead, dataOnDead)
 	}
 	p.Paths[dead].SetUp(false)
 	p.Back[dead].SetUp(false)

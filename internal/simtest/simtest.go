@@ -121,22 +121,29 @@ type Parallel struct {
 }
 
 type parallelRouter struct {
-	p           *Parallel
-	atA         bool
-	paths, back uint32
+	p   *Parallel
+	atA bool
 }
 
 func (r parallelRouter) Route(sw *netsim.Switch, pkt *netsim.Packet) int {
+	out, back := r.p.PathsOf(pkt.Entropy)
 	if r.atA {
 		if pkt.Dst == r.p.A.ID() {
-			return int(r.paths) // downlink back to A
+			return len(r.p.Paths) // downlink back to A
 		}
-		return int(pkt.Entropy % r.paths)
+		return out
 	}
 	if pkt.Dst == r.p.B.ID() {
 		return 0
 	}
-	return 1 + int(pkt.Entropy/r.paths%r.back) // reverse toward swA
+	return 1 + back // reverse toward swA
+}
+
+// PathsOf returns the indices into Paths and Back of the links a packet of
+// the given entropy takes toward B and toward A.
+func (p *Parallel) PathsOf(entropy uint32) (out, back int) {
+	n := uint32(len(p.Paths))
+	return int(entropy % n), int(entropy / n % uint32(len(p.Back)))
 }
 
 // NewParallel builds the fixture with the given number of paths.
@@ -168,10 +175,8 @@ func newParallel(seed uint64, bw int64, paths, back int, delay eventq.Time) *Par
 		_, link := swB.AddPort(swA, bw, delay, PortConfig()) // port 1+i: reverse
 		p.Back = append(p.Back, link)
 	}
-	r := parallelRouter{p: p, atA: true, paths: uint32(paths), back: uint32(back)}
-	swA.SetRouter(r)
-	r.atA = false
-	swB.SetRouter(r)
+	swA.SetRouter(parallelRouter{p: p, atA: true})
+	swB.SetRouter(parallelRouter{p: p, atA: false})
 	p.EpA = transport.NewEndpoint(p.A)
 	p.EpB = transport.NewEndpoint(p.B)
 	return p

@@ -144,6 +144,8 @@ func TestLossRecoveryNoTimeoutBeforeFirstSample(t *testing.T) {
 // (Entropy / paths) % paths toward A: as on the fat-tree, where every
 // switch salts its own hash, packets that share an entropy share a path in
 // each direction, and the path back is not the mirror of the path out.
+// (simtest.NewParallelDuplex is the same shape, but simtest imports this
+// package, and the test below needs the middle links slower than the NICs.)
 type duplex struct {
 	net      *netsim.Network
 	a, b     *netsim.Host

@@ -161,14 +161,10 @@ func (r *Receiver) handleData(p *netsim.Packet) {
 		r.DupPkts++
 	}
 
-	blockOK := false
-	if block >= 0 {
-		blockOK = r.blocks[block].complete
-	}
 	ack := r.newAck(p)
 	ack.EchoMarked = p.ECNMarked
 	ack.AckBlock = block
-	ack.AckBlockOK = blockOK
+	ack.AckBlockOK = block >= 0 && r.blocks[block].complete
 	r.ep.host.Send(ack)
 }
 
