@@ -51,10 +51,6 @@ func BenchmarkExtTrim(b *testing.B)    { runExperiment(b, "ext-trim", 1) }
 func BenchmarkExtAnnulus(b *testing.B) { runExperiment(b, "ext-annulus", 1) }
 func BenchmarkExtPrio(b *testing.B)    { runExperiment(b, "ext-prio", 0.5) }
 
-// BenchmarkFountainVsRS runs the rateless-vs-RS(8,2) comparison at reduced
-// scale (the codec-level costs are BenchmarkFountainEncode/Decode below).
-func BenchmarkFountainVsRS(b *testing.B) { runExperiment(b, "fountain", 0.2) }
-
 // BenchmarkTournament runs the full coexistence matrix at reduced scale.
 func BenchmarkTournament(b *testing.B) { runExperiment(b, "tournament", 0.05) }
 
@@ -201,74 +197,6 @@ func BenchmarkCodecEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkFountainEncode measures the rateless LT encoder minting two
-// repair symbols per (8,2)-shaped block — the per-block cost the fountain
-// scheme pays where the RS path pays BenchmarkCodecEncode. The symbol id
-// is varied per iteration so robust-soliton mask sampling is inside the
-// measurement, matching how the transport mints fresh ids on every NACK.
-func BenchmarkFountainEncode(b *testing.B) {
-	f, err := uno.NewFountain(8, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := make([][]byte, 8)
-	for i := range src {
-		src[i] = make([]byte, 4096)
-		for j := range src[i] {
-			src[i][j] = byte(i * j)
-		}
-	}
-	out := make([]byte, 4096)
-	b.SetBytes(8 * 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := 8 + (i % 1024)
-		if err := f.EncodeSymbol(42, 8, base, src, out); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.EncodeSymbol(42, 8, base+1, src, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFountainDecode measures a full block recovery with two source
-// symbols lost: the receiver-side GF(2) elimination the fountain scheme
-// pays where the RS path pays a Reed-Solomon reconstruct.
-func BenchmarkFountainDecode(b *testing.B) {
-	f, err := uno.NewFountain(8, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := make([][]byte, 8)
-	for i := range src {
-		src[i] = make([]byte, 4096)
-		for j := range src[i] {
-			src[i][j] = byte(i*j + 1)
-		}
-	}
-	pool := make([][]byte, 20)
-	for id := range pool {
-		pool[id] = make([]byte, 4096)
-		if err := f.EncodeSymbol(42, 8, id, src, pool[id]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(8 * 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec := f.Decoder(42, 8, 4096)
-		for id := 2; id < len(pool) && !dec.Decoded(); id++ {
-			if err := dec.Add(id, pool[id]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if !dec.Decoded() {
-			b.Fatal("pool exhausted before decode")
-		}
-	}
-}
-
 // BenchmarkSimulatorThroughput measures raw simulator speed: packets
 // forwarded per second through the full fat-tree under a permutation
 // workload with the fixed-window transport.
@@ -313,14 +241,14 @@ func TestEveryExperimentHasABenchmark(t *testing.T) {
 		"fig8": true, "fig9": true, "fig10": true, "fig11": true,
 		"fig12": true, "fig13a": true, "fig13b": true, "fig13c": true,
 		"ext-trim": true, "ext-annulus": true, "ext-prio": true,
-		"tournament": true, "fountain": true,
+		"tournament": true,
 	}
 	for _, e := range uno.Experiments() {
 		if !covered[e.ID] {
 			t.Errorf("experiment %s has no benchmark", e.ID)
 		}
 		valid := strings.HasPrefix(e.ID, "fig") || strings.HasPrefix(e.ID, "ext-") ||
-			e.ID == "table1" || e.ID == "tournament" || e.ID == "fountain"
+			e.ID == "table1" || e.ID == "tournament"
 		if e.Title == "" || !valid {
 			t.Errorf("experiment %s malformed", e.ID)
 		}

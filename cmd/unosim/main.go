@@ -11,7 +11,6 @@
 //	unosim -exp fig13a -parallel 4     # fan independent reruns across cores
 //	unosim -exp fig3 -shards 2         # one shard per DC, 2 worker goroutines
 //	unosim -exp tournament -json t.json  # CC coexistence matrix + JSON emit
-//	unosim -exp fountain -ec fountain  # rateless UnoRC vs the RS(8,2) default
 //
 // Scale 1 is a minutes-long quick validation (like sc25_quick_validation);
 // larger scales add flows, reruns, and duration toward paper scale.
@@ -36,7 +35,6 @@ import (
 
 	"uno/internal/harness"
 	"uno/internal/netsim"
-	"uno/internal/transport"
 )
 
 func main() {
@@ -56,8 +54,6 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 			"max concurrent simulation runs (independent reruns only; output is identical for any value)")
 		shards = fs.String("shards", netsim.ShardMode(netsim.ShardDefault()),
 			"shards per sim: off (the whole fabric on one shard and one scheduler), or one shard per DC run by N >= 1 worker goroutines (results are identical for every N >= 1; -parallel is clamped so reruns x workers stays within GOMAXPROCS)")
-		ecScheme = fs.String("ec", transport.ECSchemeName(transport.ECSchemeDefault()),
-			"erasure-coding scheme for EC-enabled flows: rs82 (fixed-rate Reed-Solomon, the paper's default) or fountain (rateless LT, DESIGN.md §3.9); UNO_EC sets the same default")
 		list       = fs.Bool("list", false, "list available experiments")
 		out        = fs.String("out", "", "also write CSV + text artifacts under this directory (like the paper's artifact_results/)")
 		jsonPath   = fs.String("json", "", "write the report's machine-readable JSON emit to this file (experiments that produce one, e.g. tournament)")
@@ -78,13 +74,6 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	}
 	netsim.SetShardDefault(nshards)
 	*parallel = harness.ClampParallel(*parallel, nshards)
-
-	scheme, err := transport.ParseECScheme(*ecScheme)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	transport.SetECSchemeDefault(scheme)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -24,9 +24,9 @@ func TestRunUsage(t *testing.T) {
 		{"list", []string{"-list"}, 0, ""},
 		{"unknown experiment", []string{"-exp", "nope"}, 2, `unknown experiment "nope"`},
 		{"bad shards", []string{"-shards", "x", "-list"}, 2, `UNO_SHARDS="x"`},
-		{"bad ec", []string{"-ec", "zzz", "-list"}, 2, `unknown EC scheme "zzz"`},
 		{"bad parallel", []string{"-parallel", "garbage", "-list"}, 2, "-parallel"},
 		{"removed batch flag", []string{"-batch", "on", "-list"}, 2, "flag provided but not defined: -batch"},
+		{"removed ec flag", []string{"-ec", "rs82", "-list"}, 2, "flag provided but not defined: -ec"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if got := run(tc.args, &stdout, &stderr); got != tc.status {
@@ -57,8 +57,6 @@ func TestMalformedEnvironment(t *testing.T) {
 	}{
 		{"UNO_SHARDS=2", 0, ""},
 		{"UNO_SHARDS=two", 2, `UNO_SHARDS="two"`},
-		{"UNO_EC=fountain", 0, ""},
-		{"UNO_EC=zzz", 2, `unknown EC scheme "zzz"`},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^$")
 		cmd.Env = append(os.Environ(), tc.env)

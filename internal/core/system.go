@@ -22,9 +22,6 @@ type System struct {
 	// variant of Fig 13).
 	ECData, ECParity int
 	DisableEC        bool
-	// ECScheme picks the coding scheme (rs82 or fountain). The zero value
-	// follows the process default (-ec / UNO_EC), itself rs82 by default.
-	ECScheme transport.ECScheme
 
 	// Subflows is UnoLB's N (default 8 to match the block size).
 	// UseECMP replaces UnoLB with single-path ECMP (the "Uno+ECMP"
@@ -86,7 +83,6 @@ func (s System) Policies(interDC bool, baseRTT eventq.Time) (transport.Params, t
 			Data:         s.ECData,
 			Parity:       s.ECParity,
 			BlockTimeout: baseRTT,
-			Scheme:       s.ECScheme,
 		}
 	}
 

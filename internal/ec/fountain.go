@@ -1,15 +1,17 @@
 // Rateless LT-style fountain codec.
 //
+// The transport does not use it (UnoRC is RS(8,2); DESIGN.md §3.9 has the
+// negative result). It stays for the benchmark's ec.fountain_* per-layer
+// drive.
+//
 // A fountain block with k source symbols can mint an effectively unbounded
 // stream of repair symbols: symbol id < k is the source packet verbatim
 // (systematic), and symbol id >= k is the XOR of a pseudo-random subset of
 // the sources. The subset ("neighbor set") is derived deterministically from
-// (block seed, symbol id) alone, so the sender and receiver agree on every
-// symbol's composition with no control handshake — the seed comes from the
-// flow's deterministic rng stream and the id rides the packet header's
-// existing BlockIdx field. The receiver finishes a block at any K' >= k
-// received symbols whose neighbor sets span GF(2)^k, instead of the fixed
-// index set an MDS code prescribes.
+// (block seed, symbol id) alone, so a sender and a receiver agree on every
+// symbol's composition with no control handshake. The receiver finishes a
+// block at any K' >= k received symbols whose neighbor sets span GF(2)^k,
+// instead of the fixed index set an MDS code prescribes.
 //
 // Degrees follow the robust-soliton distribution (Luby, FOCS '02). Decoding
 // is peeling with full inactivation: symbols are reduced incrementally
@@ -49,25 +51,24 @@ var (
 	ErrInconsistent = errors.New("ec: received symbols are inconsistent (corrupt payload or seed mismatch)")
 )
 
-// Fountain is an LT-style rateless codec. Parity is the number of repair
-// symbols scheduled proactively per block (the baseline rate, mirroring
-// RS(8,2)'s parity count); unlike RS it is not a ceiling — fresh repair
-// symbols can be minted on demand up to the header's id space.
+// Fountain is an LT-style rateless codec: unlike RS, a block's repair
+// symbols have no ceiling below the id space.
 //
 // A Fountain is immutable after New and safe for concurrent use.
 type Fountain struct {
-	data, parity int
+	data int
 	// cdf[k-1] is the robust-soliton degree CDF for a block of k sources.
 	cdf [][]float64
 }
 
 // NewFountain builds a fountain codec with k = data source symbols per full
-// block and parity proactive repair symbols.
+// block. parity, the repair symbols a sender would schedule per block, only
+// has to be non-negative: the codec itself mints any id on demand.
 func NewFountain(data, parity int) (*Fountain, error) {
 	if data <= 0 || data > MaxFountainData || parity < 0 {
 		return nil, ErrInvalidCounts
 	}
-	f := &Fountain{data: data, parity: parity, cdf: make([][]float64, data)}
+	f := &Fountain{data: data, cdf: make([][]float64, data)}
 	for k := 1; k <= data; k++ {
 		f.cdf[k-1] = robustSolitonCDF(k)
 	}
@@ -143,20 +144,11 @@ func mix64(x uint64) uint64 {
 }
 
 // BlockSeed derives the per-block fountain seed from a flow-level stream
-// value and the block number. Both transport endpoints call this with the
-// flow's id, so symbol compositions need no handshake.
+// value and the block number, so two ends that share the stream value agree
+// on symbol compositions without a handshake.
 func BlockSeed(stream, block uint64) uint64 {
 	return mix64(stream + 0x9e3779b97f4a7c15*(block+1))
 }
-
-func (f *Fountain) DataShards() int   { return f.data }
-func (f *Fountain) BaseRepair() int   { return f.parity }
-func (f *Fountain) Overhead() float64 { return float64(f.parity) / float64(f.data) }
-func (f *Fountain) Rateless() bool    { return true }
-
-// MaxSymbols is the id-space bound, not a rate: a fountain block accepts any
-// id the BlockIdx header can carry.
-func (f *Fountain) MaxSymbols(k int) int { return maxFountainSymbols }
 
 // SymbolMask returns the neighbor set of symbol id for a block of k sources:
 // bit i set means source i participates in the XOR. Source symbols (id < k)
@@ -227,14 +219,8 @@ func (f *Fountain) EncodeSymbol(seed uint64, k, id int, src [][]byte, out []byte
 	return nil
 }
 
-// NewDecoder implements BlockCodec.
-func (f *Fountain) NewDecoder(seed uint64, k, shardSize int) BlockDecoder {
-	return f.Decoder(seed, k, shardSize)
-}
-
-// Decoder returns the concrete per-block decoder. shardSize == 0 selects
-// rank-only mode (no payloads), which tracks decodability bit-identically to
-// payload mode — the transport's packet-accounting model depends on that.
+// Decoder returns a per-block decoder. shardSize == 0 selects rank-only mode
+// (no payloads), which tracks decodability bit-identically to payload mode.
 func (f *Fountain) Decoder(seed uint64, k, shardSize int) *FountainDecoder {
 	if k < 1 {
 		k = 1

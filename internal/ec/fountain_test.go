@@ -140,8 +140,7 @@ func TestFountainRoundTrip(t *testing.T) {
 
 // TestFountainRankOnlyAgrees drives a rank-only decoder and a payload
 // decoder through an identical symbol stream and checks they agree on
-// decodability after every step — the transport's packet-accounting model
-// depends on this equivalence.
+// decodability after every step.
 func TestFountainRankOnlyAgrees(t *testing.T) {
 	f := MustNewFountain(8, 2)
 	r := rng.New(11)
@@ -239,9 +238,9 @@ func TestFountainInconsistent(t *testing.T) {
 	}
 }
 
-// TestFountainSingletonBound pins the invariant the receiver's NACK path
-// relies on: k - rank never exceeds the number of source ids not received
-// verbatim, so a NACK can always name enough missing source packets.
+// TestFountainSingletonBound pins DirectData's invariant: k - rank never
+// exceeds the number of source ids not received verbatim, so a rank deficit
+// can always be named as that many missing source packets.
 func TestFountainSingletonBound(t *testing.T) {
 	f := MustNewFountain(8, 2)
 	r := rng.New(23)
@@ -256,82 +255,6 @@ func TestFountainSingletonBound(t *testing.T) {
 		missingDirect := k - bits.OnesCount64(dec.DirectData())
 		if dec.Needed() > missingDirect {
 			t.Fatalf("trial=%d: needed %d > missing direct %d", trial, dec.Needed(), missingDirect)
-		}
-	}
-}
-
-// TestRSBlockAdapter checks the BlockCodec adapter over the Reed-Solomon
-// codec: symbol encode matches Codec.Encode, and the decoder reconstructs
-// from any k of k+parity symbols, including short tail blocks.
-func TestRSBlockAdapter(t *testing.T) {
-	rb := NewRSBlock(MustNew(8, 2))
-	if rb.Rateless() || rb.DataShards() != 8 || rb.BaseRepair() != 2 || rb.MaxSymbols(8) != 10 {
-		t.Fatal("adapter geometry wrong")
-	}
-	r := rng.New(3)
-	for _, k := range []int{1, 3, 8} {
-		src := fountainSources(r, k, 96)
-		// Reference parity via the sub-codec directly.
-		ref := MustNew(k, 2)
-		shards := make([][]byte, k+2)
-		for i := 0; i < k; i++ {
-			shards[i] = append([]byte(nil), src[i]...)
-		}
-		shards[k] = make([]byte, 96)
-		shards[k+1] = make([]byte, 96)
-		if err := ref.Encode(shards); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 96)
-		for id := 0; id < k+2; id++ {
-			if err := rb.EncodeSymbol(0, k, id, src, buf); err != nil {
-				t.Fatalf("k=%d id=%d: %v", k, id, err)
-			}
-			if !bytes.Equal(buf, shards[id]) {
-				t.Fatalf("k=%d id=%d: EncodeSymbol mismatch", k, id)
-			}
-		}
-		if err := rb.EncodeSymbol(0, k, k+2, src, buf); err != ErrBadSymbol {
-			t.Fatalf("k=%d: out-of-range id = %v", k, err)
-		}
-		// Decode from every k-subset of the k+2 symbols.
-		for drop1 := 0; drop1 < k+2; drop1++ {
-			for drop2 := drop1 + 1; drop2 < k+2; drop2++ {
-				dec := rb.NewDecoder(0, k, 96)
-				for id := 0; id < k+2; id++ {
-					if id == drop1 || id == drop2 {
-						continue
-					}
-					if err := dec.Add(id, shards[id]); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if !dec.Decoded() {
-					t.Fatalf("k=%d drop=(%d,%d): not decoded", k, drop1, drop2)
-				}
-				got, err := dec.Source()
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < k; i++ {
-					if !bytes.Equal(got[i], src[i]) {
-						t.Fatalf("k=%d drop=(%d,%d): source %d differs", k, drop1, drop2, i)
-					}
-				}
-			}
-		}
-		// Rank-only mode mirrors the counting model.
-		rd := rb.NewDecoder(0, k, 0)
-		for id := 0; id < k; id++ {
-			if rd.Decoded() {
-				t.Fatalf("k=%d: decoded early", k)
-			}
-			if err := rd.Add(id, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !rd.Decoded() || rd.Needed() != 0 {
-			t.Fatalf("k=%d: rank-only decoder wrong", k)
 		}
 	}
 }

@@ -263,7 +263,6 @@ func Registry() []Experiment {
 		{ID: "fig13a", Title: "Border-link failure (UnoRC variants)", Run: Fig13A},
 		{ID: "fig13b", Title: "Correlated random loss (UnoRC variants)", Run: Fig13B},
 		{ID: "fig13c", Title: "Inter-DC Allreduce under failures", Run: Fig13C},
-		{ID: "fountain", Title: "Rateless UnoRC (LT fountain) vs RS(8,2) under correlated loss", Run: Fountain},
 		{ID: "ext-trim", Title: "Extension: packet trimming vs erasure coding (§6)", Run: ExtTrim},
 		{ID: "ext-annulus", Title: "Extension: Annulus near-source loop (footnote 4)", Run: ExtAnnulus},
 		{ID: "ext-prio", Title: "Extension: per-class WRR vs flow-level fairness (footnote 1)", Run: ExtPrio},

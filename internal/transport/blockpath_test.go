@@ -290,8 +290,8 @@ func TestBlockCompletionAfterExhaustionCancelsTimer(t *testing.T) {
 	}
 	// Parity-heavy completion: 2 data + 2 parity = dataCount distinct
 	// arrivals decode the block under RS counting.
-	for _, id := range []int16{1, 2, 4, 5} {
-		r.onBlockArrival(0, id)
+	for range 4 {
+		r.onBlockArrival(0)
 	}
 	if !blk.complete {
 		t.Fatal("block did not complete")

@@ -1,10 +1,6 @@
 package transport
 
 import (
-	"fmt"
-	"math"
-
-	"uno/internal/ec"
 	"uno/internal/eventq"
 	"uno/internal/netsim"
 	"uno/internal/rng"
@@ -48,25 +44,6 @@ type blockState struct {
 	satisfied bool  // receiver confirmed the block decodable
 }
 
-// fountainSender is the rateless scheme's sender state: repair symbols
-// minted past the static schedule and the loss estimate that sizes them.
-type fountainSender struct {
-	codec *ec.Fountain
-	// extra holds the appended repair entries: schedule index seq lives at
-	// extra[seq-sched.n].
-	extra     []pktDesc
-	extraSeqs [][]int64 // per-block appended repair schedule indices
-	nextSymID []int16   // per-block next fresh repair symbol id
-	// lossEWMA tracks the observed loss fraction from NACK and RTO signals
-	// and sizes proactive repair beyond the scheduled Parity (§DESIGN 3.9).
-	lossEWMA float64
-	// maxSentEnd is one past the highest schedule index ever transmitted.
-	// A fixed schedule never sends past its fresh-packet cursor; appended
-	// repair entries lie past nextNew and go out from the retransmission
-	// queue, so loss sweeps scan to this bound.
-	maxSentEnd int64
-}
-
 // Conn is the sender side of one flow. Congestion-control and path-selector
 // policies observe and steer it through the exported accessors. All methods
 // run on the simulation goroutine.
@@ -82,7 +59,7 @@ type Conn struct {
 	lb     PathSelector
 
 	sched schedule
-	state []pktState // one per schedule entry, appended repair included
+	state []pktState // one per schedule entry
 
 	nextNew  int64   // next never-sent schedule index
 	rtxQ     []int64 // retransmission queue (schedule indices)
@@ -108,8 +85,6 @@ type Conn struct {
 	maxAckedSent eventq.Time
 
 	blocks []blockState // empty without EC
-
-	ft *fountainSender // nil under SchemeRS
 
 	policyTimers []*eventq.Timer // handed out by NewTimer, released by finish
 
@@ -140,16 +115,6 @@ func newConn(ep *Endpoint, flow *Flow, params *Params, sched schedule, cc Conges
 	}
 	if sched.nBlocks > 0 {
 		c.blocks = make([]blockState, sched.nBlocks)
-	}
-	if params.EC.Fountain() {
-		c.ft = &fountainSender{
-			codec:     ec.MustNewFountain(params.EC.Data, params.EC.Parity),
-			extraSeqs: make([][]int64, sched.nBlocks),
-			nextSymID: make([]int16, sched.nBlocks),
-		}
-		for b := range c.ft.nextSymID {
-			c.ft.nextSymID[b] = sched.block(int32(b)).count // ids 0..count-1 are scheduled
-		}
 	}
 	if c.cwnd <= 0 {
 		c.cwnd = float64(params.MTU + HeaderSize)
@@ -257,17 +222,8 @@ func (c *Conn) TotalPkts() int64 { return c.sched.n }
 
 // ---- sending ----
 
-// desc returns schedule entry seq: the closed-form static schedule, or past
-// it a repair symbol the fountain sender appended.
-func (c *Conn) desc(seq int64) pktDesc {
-	if seq < c.sched.n {
-		return c.sched.desc(seq)
-	}
-	return c.ft.extra[seq-c.sched.n]
-}
-
 // wireSize returns the wire size of schedule entry seq.
-func (c *Conn) wireSize(seq int64) int { return c.desc(seq).wire }
+func (c *Conn) wireSize(seq int64) int { return c.sched.desc(seq).wire }
 
 // nextToSend picks the next schedule index to transmit: retransmissions
 // first, then fresh packets. Returns -1 when nothing is eligible.
@@ -281,31 +237,16 @@ func (c *Conn) nextToSend() int64 {
 		}
 		return seq
 	}
-	for c.nextNew < int64(len(c.state)) {
-		seq := c.nextNew
-		// Skip don't-care entries, plus entries the fresh-packet cursor
-		// does not own: fountain-appended repair symbols are dispatched
-		// through the retransmission queue (lossPending until sent, sent
-		// afterwards), so the cursor steps over them. Fixed schedules
-		// never mark an entry past nextNew sent or lossPending, so this
-		// is behavior-identical under SchemeRS.
-		if st := &c.state[seq]; st.dontCare || st.sent || st.lossPending {
+	for c.nextNew < c.sched.n {
+		// A block the receiver confirmed decodable needs none of its
+		// remaining packets.
+		if c.state[c.nextNew].dontCare {
 			c.nextNew++
 			continue
 		}
-		return seq
+		return c.nextNew
 	}
 	return -1
-}
-
-// lossScanEnd bounds the loss-detection sweeps: every schedule entry that
-// could be in flight lies below nextNew or, for the fountain sender's
-// appended repair, below maxSentEnd.
-func (c *Conn) lossScanEnd() int64 {
-	if c.ft != nil && c.ft.maxSentEnd > c.nextNew {
-		return c.ft.maxSentEnd
-	}
-	return c.nextNew
 }
 
 // trySend transmits as many packets as the window and pacer allow.
@@ -323,7 +264,7 @@ func (c *Conn) trySend() {
 		if seq < 0 {
 			return
 		}
-		d := c.desc(seq)
+		d := c.sched.desc(seq)
 		size := d.wire
 		// Window check: always allow one packet when nothing is in
 		// flight, so the flow can never stall on a tiny window.
@@ -388,100 +329,8 @@ func (c *Conn) transmit(seq int64, d pktDesc) {
 	if seq == c.nextNew {
 		c.nextNew++
 	}
-	if c.ft != nil && seq >= c.ft.maxSentEnd {
-		c.ft.maxSentEnd = seq + 1
-	}
 	c.flow.Src.Send(p)
-	// p.IsRtx captured st.sent before this transmission, so !p.IsRtx means
-	// the entry just went out for the first time. appendRepair may grow
-	// c.state; st is not touched past this point.
-	if c.ft != nil && !p.IsRtx && d.parity && d.block >= 0 {
-		c.maybeProactiveRepair(d.block, seq)
-	}
 	c.armRTO()
-}
-
-// maybeProactiveRepair appends adaptive proactive repair symbols right
-// after a block's last scheduled repair symbol goes out for the first time:
-// if the loss EWMA says the scheduled Parity likely won't survive, extra
-// fresh symbols are minted now instead of waiting for the NACK round trip.
-func (c *Conn) maybeProactiveRepair(b int32, seq int64) {
-	blk := c.sched.block(b)
-	if seq != blk.start+int64(blk.count)-1 || len(c.ft.extraSeqs[b]) > 0 || c.blocks[b].satisfied {
-		return
-	}
-	if extra := c.adaptiveRepair(blk); extra > 0 {
-		c.appendRepair(b, extra)
-	}
-}
-
-// adaptiveRepair sizes extra proactive redundancy for one block: with loss
-// fraction p, n transmitted symbols survive as n(1-p) expected deliveries,
-// so covering dataCount needs ceil(dataCount/(1-p)) symbols. The excess
-// over the already-scheduled count is capped at one extra dataCount worth.
-func (c *Conn) adaptiveRepair(blk blockDesc) int {
-	p := c.ft.lossEWMA
-	if p <= 0 {
-		return 0
-	}
-	if p > 0.5 {
-		p = 0.5
-	}
-	n := int(math.Ceil(float64(blk.dataCount) / (1 - p)))
-	extra := n - int(blk.count)
-	if extra < 0 {
-		extra = 0
-	}
-	if max := int(blk.dataCount); extra > max {
-		extra = max
-	}
-	return extra
-}
-
-// noteLossSample folds one observed loss fraction into the EWMA driving
-// adaptive redundancy (gain 1/8, like the RTT estimator).
-func (c *Conn) noteLossSample(lost, total int) {
-	if total <= 0 {
-		return
-	}
-	s := float64(lost) / float64(total)
-	if s > 1 {
-		s = 1
-	}
-	c.ft.lossEWMA = c.ft.lossEWMA*(7.0/8) + s/8
-}
-
-// appendRepair mints n fresh fountain repair symbols for block b: each gets
-// a new schedule entry past the static schedule and a new symbol id, is
-// queued on the retransmission queue for priority dispatch, and inherits
-// the block's repair wire size. No-op once the BlockIdx id space runs out.
-func (c *Conn) appendRepair(b int32, n int) {
-	ft := c.ft
-	blk := c.sched.block(b)
-	// Repair symbols are sized like the block's largest payload — the
-	// block's last scheduled entry if it is a parity packet, else the
-	// largest data packet (Parity == 0 schedules no repair entries).
-	wire := 0
-	for seq := blk.start; seq < blk.start+int64(blk.count); seq++ {
-		if w := c.sched.desc(seq).wire; w > wire {
-			wire = w
-		}
-	}
-	limit := int16(ft.codec.MaxSymbols(int(blk.dataCount)) - 1)
-	for i := 0; i < n; i++ {
-		id := ft.nextSymID[b]
-		if id >= limit {
-			return
-		}
-		ft.nextSymID[b] = id + 1
-		seq := int64(len(c.state))
-		ft.extra = append(ft.extra, pktDesc{
-			payload: 0, wire: wire, block: b, blockIdx: id, parity: true,
-		})
-		c.state = append(c.state, pktState{lossPending: true})
-		ft.extraSeqs[b] = append(ft.extraSeqs[b], seq)
-		c.rtxQ = append(c.rtxQ, seq)
-	}
 }
 
 // ---- RTO ----
@@ -565,8 +414,7 @@ func (c *Conn) onRTO() {
 	// Oldest outstanding packet, scanned only on (rare) timeouts.
 	oldest := int64(-1)
 	var oldestAt eventq.Time
-	scanEnd := c.lossScanEnd()
-	for seq := c.lowestUnacked; seq < scanEnd; seq++ {
+	for seq := c.lowestUnacked; seq < c.nextNew; seq++ {
 		st := &c.state[seq]
 		if st.inFlight && !st.acked && !st.dontCare {
 			if oldest < 0 || st.sentAt < oldestAt {
@@ -579,25 +427,19 @@ func (c *Conn) onRTO() {
 		// Declare lost everything at least one RTO old, not only the
 		// single oldest packet: a burst dropped wholesale would otherwise
 		// be reclaimed one packet per timeout.
-		outstanding, declared := 0, 0
-		for seq := c.lowestUnacked; seq < scanEnd; seq++ {
+		for seq := c.lowestUnacked; seq < c.nextNew; seq++ {
 			st := &c.state[seq]
 			if st.acked || st.dontCare || st.lossPending || !st.inFlight {
 				continue
 			}
-			outstanding++
 			if st.sentAt <= cutoff {
 				st.inFlight = false
 				st.lossPending = true
 				c.inFlight -= int64(c.wireSize(seq))
 				c.rtxQ = append(c.rtxQ, seq)
-				declared++
 			}
 		}
-		if c.ft != nil && declared > 0 {
-			c.noteLossSample(declared, outstanding)
-		}
-	case c.nextNew >= int64(len(c.state)) && len(c.rtxQ) == 0:
+	case c.nextNew >= c.sched.n && len(c.rtxQ) == 0:
 		// Everything sent and acknowledged but no FlowDone: probe.
 		c.probeFinalAck()
 	}
@@ -609,8 +451,8 @@ func (c *Conn) onRTO() {
 
 // probeFinalAck re-sends the last schedule entry to solicit a FlowDone.
 func (c *Conn) probeFinalAck() {
-	seq := int64(len(c.state)) - 1
-	c.transmit(seq, c.desc(seq))
+	seq := c.sched.n - 1
+	c.transmit(seq, c.sched.desc(seq))
 }
 
 // ---- receive path (ACK / NACK handling) ----
@@ -627,21 +469,13 @@ func (c *Conn) handleAck(p *netsim.Packet) {
 	}
 
 	seq := p.AckSeq
-	if seq < 0 || seq >= int64(len(c.state)) {
-		// Under the rateless scheme the receiver accepts dynamic repair
-		// symbols past its static schedule and echoes whatever sequence
-		// number the header carried, so a corrupt or hostile symbol can
-		// produce an ACK for a seq this sender never minted. There is no
-		// state to release — drop it. For MDS schemes the receiver
-		// bounds-checks seq against the static schedule before echoing,
-		// so an out-of-range ACK can only be an internal bug.
-		if c.ft != nil {
-			return
-		}
-		panic(fmt.Sprintf("transport: flow %d ack for bad seq %d", c.flow.ID, seq))
+	if seq < 0 || seq >= c.sched.n {
+		// The receiver echoes only sequence numbers of the schedule, so
+		// this ACK was forged or corrupted on the way: no state to release.
+		return
 	}
 	st := &c.state[seq]
-	d := c.desc(seq)
+	d := c.sched.desc(seq)
 
 	if p.EchoTrimmed {
 		// Fast loss notification: the packet's payload was trimmed at a
@@ -755,18 +589,7 @@ func (c *Conn) satisfyBlock(b int32) {
 	}
 	c.blocks[b].satisfied = true
 	blk := c.sched.block(b)
-	c.releaseDontCare(blk.start, blk.start+int64(blk.count))
-	if c.ft != nil {
-		for _, seq := range c.ft.extraSeqs[b] {
-			c.releaseDontCare(seq, seq+1)
-		}
-	}
-}
-
-// releaseDontCare marks the unfinished entries of [lo, hi) don't-care and
-// drops any still-in-flight ones from the window accounting.
-func (c *Conn) releaseDontCare(lo, hi int64) {
-	for seq := lo; seq < hi; seq++ {
+	for seq := blk.start; seq < blk.start+int64(blk.count); seq++ {
 		st := &c.state[seq]
 		if st.acked || st.dontCare {
 			continue
@@ -844,7 +667,7 @@ func (c *Conn) rackSweep() {
 	if win <= 0 {
 		win = c.params.BaseRTT / 4
 	}
-	for seq := c.lowestUnacked; seq < c.lossScanEnd(); seq++ {
+	for seq := c.lowestUnacked; seq < c.nextNew; seq++ {
 		st := &c.state[seq]
 		if st.acked || st.dontCare || st.lossPending {
 			continue
@@ -872,28 +695,6 @@ func (c *Conn) handleNack(p *netsim.Packet) {
 		return
 	}
 	blk := c.sched.block(b)
-	if c.ft != nil {
-		// Rateless recovery: never retransmit the exact missing packets —
-		// mint fresh repair symbols instead. Any innovative symbol
-		// substitutes for any loss, so len(Missing) (the receiver's rank
-		// deficit) fresh symbols suffice if they all arrive; the loss EWMA
-		// pads that for the measured loss rate.
-		need := len(p.Missing)
-		if need > 0 {
-			c.noteLossSample(need, int(blk.count))
-			lr := c.ft.lossEWMA
-			if lr > 0.5 {
-				lr = 0.5
-			}
-			pad := int(math.Ceil(float64(need) * lr / (1 - lr)))
-			c.appendRepair(b, need+pad)
-		}
-		c.cc.OnNack(c)
-		c.lb.OnNack(c)
-		c.armRTO()
-		c.trySend()
-		return
-	}
 	for _, idx := range p.Missing {
 		seq := blk.start + int64(idx)
 		if idx < 0 || seq >= blk.start+int64(blk.count) {
@@ -946,7 +747,7 @@ func (c *Conn) finish(now eventq.Time) {
 	}
 	c.cc, c.lb, c.policyTimers = nil, nil, nil
 	delete(c.ep.senders, c.flow.ID)
-	c.state, c.rtxQ, c.blocks, c.ft = nil, nil, nil, nil
+	c.state, c.rtxQ, c.blocks = nil, nil, nil
 	if c.onDone != nil {
 		c.onDone(c)
 	}

@@ -84,8 +84,6 @@ func Open(src, dst *Endpoint, flow *Flow, params Params,
 	if _, dup := dst.receivers[flow.ID]; dup {
 		return nil, fmt.Errorf("transport: duplicate flow id %d at receiver %s", flow.ID, dst.host.Name())
 	}
-	// Defaults first: validate must see the resolved EC scheme (SchemeAuto
-	// may resolve to fountain, whose Data cap it checks).
 	params = params.withDefaults()
 	if err := params.validate(); err != nil {
 		return nil, err

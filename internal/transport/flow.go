@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 
-	"uno/internal/ec"
 	"uno/internal/eventq"
 	"uno/internal/netsim"
 )
@@ -40,23 +39,15 @@ type Flow struct {
 // ECConfig enables UnoRC erasure coding on a flow.
 type ECConfig struct {
 	// Data and Parity packets per block — the paper's default scheme is
-	// (8, 2) (§5.2.3). Under the fountain scheme, Parity is the number of
-	// repair symbols scheduled proactively per block, not a ceiling.
+	// (8, 2) (§5.2.3).
 	Data, Parity int
 	// BlockTimeout is the receiver's NACK timer: the estimated maximum
 	// queuing + transmission delay to gather a block (§4.2).
 	BlockTimeout eventq.Time
-	// Scheme picks the coding scheme. The zero value (SchemeAuto) resolves
-	// to the package default — SchemeRS unless -ec / UNO_EC overrides it.
-	Scheme ECScheme
 }
 
 // Enabled reports whether erasure coding is configured.
 func (e ECConfig) Enabled() bool { return e.Data > 0 }
-
-// Fountain reports whether the rateless fountain scheme is active. Only
-// meaningful after Params.withDefaults has resolved SchemeAuto.
-func (e ECConfig) Fountain() bool { return e.Enabled() && e.Scheme == SchemeFountain }
 
 // Params are per-flow transport parameters.
 type Params struct {
@@ -101,13 +92,8 @@ func (p Params) withDefaults() Params {
 	if p.DupAckThresh <= 0 {
 		p.DupAckThresh = 3
 	}
-	if p.EC.Enabled() {
-		if p.EC.BlockTimeout <= 0 {
-			p.EC.BlockTimeout = p.BaseRTT
-		}
-		if p.EC.Scheme == SchemeAuto {
-			p.EC.Scheme = ECSchemeDefault()
-		}
+	if p.EC.Enabled() && p.EC.BlockTimeout <= 0 {
+		p.EC.BlockTimeout = p.BaseRTT
 	}
 	return p
 }
@@ -119,10 +105,6 @@ func (p Params) validate() error {
 	}
 	if p.MTU > math.MaxInt32-HeaderSize {
 		return fmt.Errorf("transport: MTU %d does not fit the schedule's 32-bit payload sizes", p.MTU)
-	}
-	if p.EC.Fountain() && p.EC.Data > ec.MaxFountainData {
-		return fmt.Errorf("transport: fountain EC supports at most %d data packets per block, got %d",
-			ec.MaxFountainData, p.EC.Data)
 	}
 	return nil
 }

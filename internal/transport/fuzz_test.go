@@ -7,18 +7,21 @@ import (
 	"uno/internal/netsim"
 )
 
-// FuzzReceiverPacket hardens the transport demultiplexer and the receiver
-// against hostile packet headers: while a legitimate EC flow runs over the
-// dumbbell, arbitrary packets decoded from the fuzz input — out-of-range
-// sequence numbers, unknown flow ids, wrong packet types for the
-// direction, trimmed/rtx/marked flag combinations, duplicate data — are
-// injected straight into the receiving host. The transport must neither
-// panic nor stall the legitimate flow.
+// FuzzReceiverPacket hardens the transport demultiplexer, the receiver and
+// the sender against hostile packet headers: while a legitimate EC flow runs
+// over the dumbbell, arbitrary packets decoded from the fuzz input —
+// out-of-range sequence numbers, block ids and subflows, unknown flow ids,
+// wrong packet types for the direction, trimmed/rtx/marked flag
+// combinations, duplicate data — are injected straight into the receiving
+// host or, for ACKs, NACKs and CNMs, into the sending host. The transport
+// must neither panic nor stall the legitimate flow.
 //
 // The one fabric-provided field the decoder constrains is SentAt, which is
 // clamped to the past: timestamps are stamped by the local clock on send,
 // so a future SentAt cannot reach a receiver whose fabric shares that
-// clock, and the echo-RTT math is allowed to rely on it.
+// clock, and the echo-RTT math is allowed to rely on it. The sender trusts
+// its receiver's completion claims, so an injected ACK never claims the
+// flow done, nor a block decodable that the flow has.
 func FuzzReceiverPacket(f *testing.F) {
 	f.Add([]byte{})
 	// One well-formed duplicate data packet.
@@ -27,6 +30,8 @@ func FuzzReceiverPacket(f *testing.F) {
 	f.Add([]byte{0x41, 0xff, 0xff, 0x07, 0x01, 0x13, 0x80, 0x00, 0x22})
 	// Trim/rtx/mark flag sweep on consecutive sequences.
 	f.Add([]byte{0x08, 0x00, 0x01, 0x10, 0x00, 0x02, 0x18, 0x00, 0x03, 0x38, 0x00, 0x04})
+	// An ACK at the sender for seq 80, one past the flow's 80-entry schedule.
+	f.Add([]byte{0x06, 0x00, 0x50, 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2048 {
@@ -36,14 +41,9 @@ func FuzzReceiverPacket(f *testing.F) {
 		flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 1 << 18, Start: 0}
 		params := d.baseParams()
 		params.EC = ECConfig{Data: 8, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
-		// The first input byte picks the coding scheme, so the corpus also
-		// drives the fountain receiver's dynamic-arrival path (seq past the
-		// static schedule, block identity taken from the hostile header).
-		if len(data) > 0 && data[0]&0x04 != 0 {
-			params.EC.Scheme = SchemeFountain
-		}
 		conn := MustStart(d.epA, d.epB, flow, params,
 			&FixedWindow{Window: 16 * 4160}, &FixedEntropy{}, nil)
+		nBlocks := conn.sched.nBlocks
 
 		pos := 0
 		next := func() byte {
@@ -55,7 +55,8 @@ func FuzzReceiverPacket(f *testing.F) {
 			return b
 		}
 		// Injections are spread over the flow's lifetime so they interleave
-		// with every receiver state: ramp-up, steady state, completion.
+		// with every sender and receiver state: ramp-up, steady state,
+		// completion.
 		at := eventq.Time(0)
 		for pos < len(data) {
 			ctl := next()
@@ -67,7 +68,7 @@ func FuzzReceiverPacket(f *testing.F) {
 			injectAt, injCtl := at, ctl
 			injSeq := seq
 			// Hostile block identity (signed, so negatives and huge ids are
-			// both reachable) for the EC arrival paths.
+			// both reachable) for the EC paths at both ends.
 			injBlock, injIdx := int32(int8(next())), int16(int8(next()))
 			d.net.Sched.Schedule(injectAt, func() {
 				p := d.net.AllocPacket()
@@ -75,9 +76,12 @@ func FuzzReceiverPacket(f *testing.F) {
 				case 0, 1:
 					p.Type = netsim.Data
 				case 2:
-					p.Type = netsim.Ack // wrong direction: b has no sender
+					p.Type = netsim.Ack
 				default:
 					p.Type = netsim.Nack
+					if injCtl&0x08 != 0 { // the trimmed bit means nothing to a NACK
+						p.Type = netsim.Cnm
+					}
 				}
 				p.Flow = netsim.FlowID(1 + int(injCtl>>6)&0x01*41) // flow 1 or unknown 42
 				p.Src = d.a.ID()
@@ -97,7 +101,23 @@ func FuzzReceiverPacket(f *testing.F) {
 				if p.SentAt < 0 {
 					p.SentAt = 0
 				}
-				d.b.HandlePacket(p)
+				// The parity bit means nothing to a control packet either: it
+				// turns one around to the sender, echoing the hostile header.
+				if p.Type == netsim.Data || !p.IsParity {
+					d.b.HandlePacket(p) // control packets here: wrong direction
+					return
+				}
+				p.Src, p.Dst = d.b.ID(), d.a.ID()
+				p.EchoSentAt = p.SentAt
+				p.EchoTrimmed = p.Trimmed
+				p.EchoRtx = p.IsRtx
+				p.EchoMarked = p.ECNMarked
+				p.AckBlock = injBlock
+				p.AckBlockOK = int64(injBlock) >= nBlocks
+				p.NackBlock = injBlock
+				p.Missing = append(p.Missing[:0], injIdx)
+				p.Feedback = float64(injIdx)
+				d.a.HandlePacket(p)
 			})
 		}
 

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"uno/internal/ec"
 	"uno/internal/eventq"
 	"uno/internal/netsim"
 )
@@ -37,8 +36,6 @@ type Receiver struct {
 	// its retry back-off (8 × BaseRTT): all the receiver needs of Params.
 	blockTimeout, maxNackBackoff eventq.Time
 
-	ft *fountainReceiver // nil under SchemeRS
-
 	complete   bool
 	completeAt eventq.Time
 
@@ -52,15 +49,6 @@ type Receiver struct {
 // is the backstop.
 const maxBlockNacks = 8
 
-// fountainReceiver is the rateless scheme's receiver state. Under the
-// fountain scheme a block completes when its rank decoder spans the source
-// space, and repair symbols appended past the static schedule (seq >=
-// sched.n) are accepted using their header's Block/BlockIdx.
-type fountainReceiver struct {
-	decs     []*ec.FountainDecoder // dropped once the message completes
-	gotExtra map[int64]struct{}    // arrivals beyond the static schedule
-}
-
 func newReceiver(ep *Endpoint, flow *Flow, params *Params, sched schedule) *Receiver {
 	r := &Receiver{
 		ep:             ep,
@@ -72,16 +60,6 @@ func newReceiver(ep *Endpoint, flow *Flow, params *Params, sched schedule) *Rece
 	}
 	if sched.nBlocks > 0 {
 		r.blocks = make([]rcvBlock, sched.nBlocks)
-	}
-	if params.EC.Fountain() {
-		codec := ec.MustNewFountain(params.EC.Data, params.EC.Parity)
-		r.ft = &fountainReceiver{decs: make([]*ec.FountainDecoder, len(r.blocks))}
-		for b := range r.ft.decs {
-			// Both endpoints derive the block seed from the flow id, so
-			// symbol neighbor sets need no handshake.
-			r.ft.decs[b] = codec.Decoder(
-				ec.BlockSeed(uint64(flow.ID), uint64(b)), int(sched.dataIn(int64(b))), 0)
-		}
 	}
 	return r
 }
@@ -100,30 +78,13 @@ func (r *Receiver) set(seq int64) {
 	r.got[seq>>6] |= 1 << (uint(seq) & 63)
 }
 
-// maxExtraArrivals bounds the dynamic-arrival set so adversarial sequence
-// numbers cannot grow receiver memory without bound.
-const maxExtraArrivals = 1 << 16
-
 // handleData processes an arriving data packet and responds with an ACK.
 func (r *Receiver) handleData(p *netsim.Packet) {
 	seq := p.Seq
-	if seq < 0 {
+	if seq < 0 || seq >= r.sched.n {
 		return
 	}
-	block, blockIdx, parity := int32(-1), int16(-1), false
-	switch {
-	case seq < r.sched.n:
-		d := r.sched.desc(seq)
-		block, blockIdx, parity = d.block, d.blockIdx, d.parity
-	case r.ft != nil && p.IsParity && p.Block >= 0 &&
-		int(p.Block) < len(r.blocks) && p.BlockIdx >= 0:
-		// A fountain repair symbol appended past the static schedule: the
-		// header's own block/id fields identify it. The bounds checks
-		// matter — this path is reachable with adversarial input.
-		block, blockIdx, parity = p.Block, p.BlockIdx, true
-	default:
-		return
-	}
+	d := r.sched.desc(seq)
 
 	if p.Trimmed {
 		// The payload was cut at an overflowing queue: echo an immediate
@@ -135,26 +96,14 @@ func (r *Receiver) handleData(p *netsim.Packet) {
 		return
 	}
 
-	fresh := false
-	if seq < r.sched.n {
-		if !r.has(seq) {
-			r.set(seq)
-			fresh = true
-		}
-	} else if _, dup := r.ft.gotExtra[seq]; !dup && len(r.ft.gotExtra) < maxExtraArrivals {
-		if r.ft.gotExtra == nil {
-			r.ft.gotExtra = make(map[int64]struct{})
-		}
-		r.ft.gotExtra[seq] = struct{}{}
-		fresh = true
-	}
-	if fresh {
+	if !r.has(seq) {
+		r.set(seq)
 		r.gotCount++
-		if !parity {
+		if !d.parity {
 			r.dataGot++
 		}
-		if block >= 0 {
-			r.onBlockArrival(block, blockIdx)
+		if d.block >= 0 {
+			r.onBlockArrival(d.block)
 		}
 		r.checkComplete()
 	} else {
@@ -163,8 +112,8 @@ func (r *Receiver) handleData(p *netsim.Packet) {
 
 	ack := r.newAck(p)
 	ack.EchoMarked = p.ECNMarked
-	ack.AckBlock = block
-	ack.AckBlockOK = block >= 0 && r.blocks[block].complete
+	ack.AckBlock = d.block
+	ack.AckBlockOK = d.block >= 0 && r.blocks[d.block].complete
 	r.ep.host.Send(ack)
 }
 
@@ -194,28 +143,15 @@ func (r *Receiver) newAck(p *netsim.Packet) *netsim.Packet {
 	return ack
 }
 
-// onBlockArrival updates block state for a newly received packet carrying
-// block symbol id.
-func (r *Receiver) onBlockArrival(b int32, id int16) {
+// onBlockArrival updates block state for a newly received packet of block b.
+func (r *Receiver) onBlockArrival(b int32) {
 	blk := &r.blocks[b]
 	if blk.complete {
 		return
 	}
 	blk.got++
-	decodable := false
-	if r.ft != nil {
-		// Rateless: decodable exactly when the received neighbor sets
-		// span the source space.
-		dec := r.ft.decs[b]
-		if dec.Add(int(id), nil) != nil {
-			return // symbol id outside the codec's range (adversarial)
-		}
-		decodable = dec.Decoded()
-	} else {
-		// MDS property: any dataCount distinct packets decode the block.
-		decodable = int64(blk.got) >= r.sched.dataIn(int64(b))
-	}
-	if decodable {
+	// MDS property: any dataCount distinct packets decode the block.
+	if int64(blk.got) >= r.sched.dataIn(int64(b)) {
 		// Nothing arms the NACK timer of a complete block again: hand its
 		// slab event back now, not when the simulation ends.
 		blk.complete = true
@@ -259,24 +195,9 @@ func (r *Receiver) onBlockTimeout(b int32) {
 	nack := r.ep.host.Network().AllocPacket()
 	missing := nack.Missing[:0]
 	desc := r.sched.block(b)
-	if r.ft != nil {
-		// Rateless: report the rank deficit as that many not-directly-
-		// received source ids. Source symbols are always innovative, so
-		// the deficit never exceeds the missing-source count, and the
-		// sender reads len(Missing) as "mint this many fresh symbols".
-		dec := r.ft.decs[b]
-		need := dec.Needed()
-		direct := dec.DirectData()
-		for i := int16(0); i < desc.dataCount && len(missing) < need; i++ {
-			if direct&(1<<uint(i)) == 0 {
-				missing = append(missing, i)
-			}
-		}
-	} else {
-		for i := int16(0); i < desc.count; i++ {
-			if !r.has(desc.start + int64(i)) {
-				missing = append(missing, i)
-			}
+	for i := int16(0); i < desc.count; i++ {
+		if !r.has(desc.start + int64(i)) {
+			missing = append(missing, i)
 		}
 	}
 	nack.Type = netsim.Nack
@@ -323,11 +244,4 @@ func (r *Receiver) checkComplete() {
 	}
 	r.complete = true
 	r.completeAt = r.ep.host.Network().Sched.Now()
-	// The receiver stays registered — late duplicates still need their ACK,
-	// which reads the bitmap and the blocks' complete flags — but every
-	// block is complete, so its NACK timer is released and no decoder is
-	// fed again.
-	if r.ft != nil {
-		r.ft.decs = nil
-	}
 }

@@ -61,9 +61,9 @@ fi
 # Worker-count independence stated as a golden: a fixed dual-DC scenario
 # whose committed digest the per-DC partition must reproduce byte-for-byte
 # at UNO_SHARDS 1 and 2, with cluster invariant observers attached. The
-# simtest goldens (hand-wired single networks, the tournament cell, the
-# rateless cell) are pinned for one shard and already ran, with invariants
-# attached, in the full suite above.
+# simtest goldens (hand-wired single networks, the tournament cell) are
+# pinned for one shard and already ran, with invariants attached, in the
+# full suite above.
 for sh in 1 2; do
     echo "== sharded golden, UNO_SHARDS=$sh =="
     UNO_SHARDS=$sh go test -count=1 -run 'TestShardedGoldenDigest' ./internal/harness/
@@ -117,14 +117,13 @@ go test -race -count=1 \
     ./internal/netsim/ ./internal/failure/
 
 # The EC block-path regression suite — satisfyBlock release accounting
-# under stale/hostile AckBlock, NACK-exhaustion no-rearm, tail-block
-# schedule accounting, and the fountain transport path (minted repair
-# symbols, adaptive redundancy, hostile dynamic-seq headers) — runs
-# explicitly with caching disabled so a transport change can never ride a
-# stale cache entry through the full -race sweep below.
+# under stale/hostile AckBlock, NACK-exhaustion no-rearm, RS(8,2) block
+# completion, and tail-block schedule accounting — runs explicitly with
+# caching disabled so a transport change can never ride a stale cache entry
+# through the full -race sweep below.
 echo "== EC block-path regressions, -race -count=1 =="
 go test -race -count=1 \
-    -run 'TestFountain|TestSatisfyBlock|TestBlockNack|TestBlockCompletion|TestAckBlockOutOfRange|TestTailBlock|TestRSTailBlock|TestGilbertElliottDegenerateParams' \
+    -run 'TestSatisfyBlock|TestBlockNack|TestBlockCompletion|TestAckBlockOutOfRange|TestTailBlock|TestRSTailBlock|TestGilbertElliottDegenerateParams' \
     ./internal/transport/ ./internal/failure/
 
 # Loss recovery's proof obligations (DESIGN §5, "Loss recovery"), one test
@@ -141,11 +140,12 @@ go test -race -count=1 \
     ./internal/transport/ ./internal/core/ ./internal/harness/
 
 # Native fuzz targets, briefly: the differential scheduler fuzzer, the
-# transport packet-header fuzzer (which also drives the fountain receiver's
-# dynamic-arrival path — its corpus once held a sender panic on a hostile
-# echoed seq), and the fountain GF(2) decoder fuzzer each get a short
-# budget per CI run (the corpus accumulates in the build cache across
-# runs; crashes fail CI).
+# transport packet-header fuzzer (hostile data at the receiver, hostile
+# ACKs, NACKs and CNMs at the sender — a seed pins the sender's old panic on
+# an ACK past the schedule), and the fountain GF(2) decoder fuzzer, which
+# keeps the codec the bench drive measures honest, each get a short budget
+# per CI run (the corpus accumulates in the build cache across runs;
+# crashes fail CI).
 FUZZTIME="${UNO_FUZZTIME:-10s}"
 echo "== fuzz smoke, -fuzztime $FUZZTIME each =="
 go test -run '^$' -fuzz '^FuzzSchedulerOps$' -fuzztime "$FUZZTIME" ./internal/eventq/

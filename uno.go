@@ -36,7 +36,6 @@ import (
 	"uno/internal/netsim"
 	"uno/internal/rng"
 	"uno/internal/topo"
-	"uno/internal/transport"
 	"uno/internal/workload"
 )
 
@@ -119,8 +118,8 @@ var (
 	CustomUnoStack = harness.StackUnoMod
 )
 
-// SystemConfig bundles the Uno system's per-flow policy knobs (EC scheme,
-// subflow count, ablation switches); see CustomUnoStack.
+// SystemConfig bundles the Uno system's per-flow policy knobs (EC block
+// shape, subflow count, ablation switches); see CustomUnoStack.
 type SystemConfig = core.System
 
 // Workload generation.
@@ -222,43 +221,6 @@ type Codec = ec.Codec
 // NewCodec builds an MDS codec with the given data/parity shard counts;
 // the paper's UnoRC default is (8, 2).
 func NewCodec(data, parity int) (*Codec, error) { return ec.New(data, parity) }
-
-// Block-level erasure coding behind UnoRC (DESIGN.md §3.9): BlockCodec
-// abstracts the fixed-rate Reed-Solomon framing and the rateless LT
-// fountain codec behind one systematic per-block interface.
-type (
-	// BlockCodec is the scheme-agnostic block interface (systematic
-	// encode, reconstruct from any sufficient symbol set, overhead query).
-	BlockCodec = ec.BlockCodec
-	// BlockDecoder accumulates one block's received symbols.
-	BlockDecoder = ec.BlockDecoder
-	// RSBlock adapts the Reed-Solomon Codec to BlockCodec.
-	RSBlock = ec.RSBlock
-	// Fountain is the rateless LT codec (robust-soliton degrees, peeling +
-	// inactivation decoding, up to 64 source packets per block).
-	Fountain = ec.Fountain
-)
-
-// NewFountain builds a rateless LT codec that schedules `parity` repair
-// symbols per block proactively and can mint more on demand.
-func NewFountain(data, parity int) (*Fountain, error) { return ec.NewFountain(data, parity) }
-
-// ECScheme selects the erasure-coding scheme of EC-enabled flows.
-type ECScheme = transport.ECScheme
-
-// The available schemes (see SystemConfig.ECScheme and the unosim -ec flag).
-const (
-	ECSchemeAuto     = transport.SchemeAuto
-	ECSchemeRS       = transport.SchemeRS
-	ECSchemeFountain = transport.SchemeFountain
-)
-
-var (
-	// ParseECScheme parses an -ec / UNO_EC value ("rs82" or "fountain").
-	ParseECScheme = transport.ParseECScheme
-	// SetECSchemeDefault sets what ECSchemeAuto resolves to process-wide.
-	SetECSchemeDefault = transport.SetECSchemeDefault
-)
 
 // Experiments: the paper's figures and tables as runnable units.
 type (

@@ -130,7 +130,7 @@ func TestFacadeLossModels(t *testing.T) {
 
 func TestFacadeExperimentRegistry(t *testing.T) {
 	exps := uno.Experiments()
-	if len(exps) != 17 { // 12 paper figures/tables + 4 extensions + tournament
+	if len(exps) != 16 { // 12 paper figures/tables + 3 extensions + tournament
 		t.Fatalf("registry size %d", len(exps))
 	}
 	report, ok := uno.RunExperiment("fig1", uno.ExperimentConfig{})
