@@ -49,7 +49,6 @@ func BenchmarkFig13C(b *testing.B) { runExperiment(b, "fig13c", 0.4) }
 // Extension experiments (beyond the paper's figures; see EXPERIMENTS.md).
 func BenchmarkExtTrim(b *testing.B)    { runExperiment(b, "ext-trim", 1) }
 func BenchmarkExtAnnulus(b *testing.B) { runExperiment(b, "ext-annulus", 1) }
-func BenchmarkExtPrio(b *testing.B)    { runExperiment(b, "ext-prio", 0.5) }
 
 // BenchmarkTournament runs the full coexistence matrix at reduced scale.
 func BenchmarkTournament(b *testing.B) { runExperiment(b, "tournament", 0.05) }
@@ -240,7 +239,7 @@ func TestEveryExperimentHasABenchmark(t *testing.T) {
 		"fig1": true, "fig3": true, "fig4": true, "table1": true,
 		"fig8": true, "fig9": true, "fig10": true, "fig11": true,
 		"fig12": true, "fig13a": true, "fig13b": true, "fig13c": true,
-		"ext-trim": true, "ext-annulus": true, "ext-prio": true,
+		"ext-trim": true, "ext-annulus": true,
 		"tournament": true,
 	}
 	for _, e := range uno.Experiments() {

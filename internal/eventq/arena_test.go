@@ -6,9 +6,9 @@ import (
 )
 
 // Tests for the event slab (arena.go): the layout contracts the wheel's
-// index-linked chains and the no-reincarnation handle rule depend on.
+// index-linked chains and the Timer-owned events depend on.
 
-// TestEventFitsOneCacheLine pins Event to exactly 64 bytes. The arena's
+// TestEventFitsOneCacheLine pins event to exactly 64 bytes. The arena's
 // cache story rests on it: chunk arrays are 64-byte aligned (large Go
 // allocations are page-aligned), so at 64 bytes every slab slot occupies
 // exactly one cache line and a bucket-chain hop touches one line per
@@ -16,32 +16,34 @@ import (
 // the wheel's hottest path — if this fails, shrink or repack before
 // shipping.
 func TestEventFitsOneCacheLine(t *testing.T) {
-	if got := unsafe.Sizeof(Event{}); got != 64 {
-		t.Fatalf("Event is %d bytes, want exactly 64 (one cache line per slab slot)", got)
+	if got := unsafe.Sizeof(event{}); got != 64 {
+		t.Fatalf("event is %d bytes, want exactly 64 (one cache line per slab slot)", got)
 	}
 }
 
-// TestArenaAddressStability: *Event values handed out (Schedule handles,
-// Timer-owned events) must stay valid as the slab grows — chunks never
-// move. Force growth across several chunk boundaries and check every
-// handle still resolves to its own slab slot.
+// TestArenaAddressStability: the *event a Timer owns must stay valid as the
+// slab grows — chunks never move. Force growth across several chunk
+// boundaries and check every timer's event still resolves to its own slab
+// slot.
 func TestArenaAddressStability(t *testing.T) {
 	s := New()
 	const n = 3*arenaChunkSize + 17
-	handles := make([]*Event, 0, n)
+	timers := make([]*Timer, 0, n)
 	for i := 0; i < n; i++ {
-		handles = append(handles, s.Schedule(Time(i+1), func() {}))
+		tm := s.NewTimer(func() {})
+		tm.Reset(Time(i + 1))
+		timers = append(timers, tm)
 	}
 	if got := s.arena.len(); got < n {
 		t.Fatalf("slab allocated %d events, want >= %d", got, n)
 	}
-	for i, h := range handles {
-		if got := s.arena.at(h.self); got != h {
-			t.Fatalf("handle %d: slab index %d resolves to %p, handle is %p (chunk moved?)",
-				i, h.self, got, h)
+	for i, tm := range timers {
+		if got := s.arena.at(tm.e.self); got != tm.e {
+			t.Fatalf("timer %d: slab index %d resolves to %p, timer holds %p (chunk moved?)",
+				i, tm.e.self, got, tm.e)
 		}
-		if h.at != Time(i+1) {
-			t.Fatalf("handle %d: deadline corrupted to %v", i, h.at)
+		if tm.At() != Time(i+1) {
+			t.Fatalf("timer %d: deadline corrupted to %v", i, tm.At())
 		}
 	}
 	s.Run()

@@ -12,19 +12,21 @@
 // a hierarchical timing wheel (wheel.go, O(1) per operation) with a
 // hand-specialized 4-ary min-heap (heap.go) as its far-future overflow
 // structure; both honour the same exact (time, seq) contract and neither
-// uses container/heap interface dispatch or `any` boxing on push/pop. Three
-// scheduling flavors trade convenience against allocation:
+// uses container/heap interface dispatch or `any` boxing on push/pop. The
+// scheduling contract has two parts:
 //
-//   - Schedule/After return a cancel handle; the Event is never reused, so
-//     a retained handle can never observe an unrelated reincarnation.
-//   - ScheduleArg/AfterArg take a pre-bound func(any) plus its argument and
-//     return no handle; the Event comes from and returns to the scheduler's
-//     free list, so steady-state cost is zero allocations.
-//   - Timer binds a callback once at NewTimer and owns its Event until
-//     Release; Reset and Cancel move it in and out of the heap in place,
-//     making recurring timers (pacing, RTO, epochs, port transmit wake-ups)
-//     allocation-free after setup. A component that ends before the
-//     simulation does (a completed flow) hands the Event back with Release.
+//   - Fire-and-forget events. ScheduleArg/AfterArg take a pre-bound
+//     func(any) plus its argument; Schedule/After take a plain func(). None
+//     returns a handle, so every such event comes from and returns to the
+//     scheduler's free list, and a caller that binds its callback once pays
+//     zero allocations per schedule in steady state. Once scheduled, an
+//     event fires.
+//   - Timer, the one removable event. NewTimer binds a callback once and
+//     owns its event until Release; Reset and Cancel move it in and out of
+//     the queue in place, making recurring timers (pacing, RTO, epochs, port
+//     transmit wake-ups) allocation-free after setup. A component that ends
+//     before the simulation does (a completed flow) hands the event back
+//     with Release.
 package eventq
 
 import "fmt"
@@ -78,11 +80,9 @@ func (t Time) String() string {
 // Seconds returns t expressed in (floating point) seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Event is a scheduled callback. A non-nil Event returned by Schedule can be
-// cancelled; cancelled events stay in the heap but are skipped when popped.
-// Events created by ScheduleArg or owned by a Timer are internal: they are
-// recycled (or reused in place) and never escape as handles.
-type Event struct {
+// event is a scheduled callback. Fire-and-forget events are recycled after
+// they pop; a Timer's event is reused in place. Neither escapes the package.
+type event struct {
 	at  Time
 	seq uint64
 
@@ -92,13 +92,12 @@ type Event struct {
 	// (Schedule, Timer) ride the same two words via callFunc with the
 	// function value as arg — func values are pointer-shaped, so the `any`
 	// conversion does not allocate, and dropping the separate func() field
-	// packs Event to exactly one 64-byte cache line in the slab.
+	// packs event to exactly one 64-byte cache line in the slab.
 	argfn func(any)
 	arg   any
 
-	index     int32 // heap/overflow position, -1 when not heap-queued
-	cancelled bool
-	recycle   bool // return to the free list after popping (no handle exists)
+	index   int32 // heap/overflow position, -1 when not heap-queued
+	recycle bool  // return to the free list after popping (not a Timer's)
 
 	// Arena linkage (arena.go): self is this event's slab index, fixed at
 	// allocation. bucket is the packed wheel bucket id
@@ -115,26 +114,16 @@ type Event struct {
 }
 
 // queued reports whether the event is in any queue structure.
-func (e *Event) queued() bool { return e.bucket != noBucket || e.index >= 0 }
-
-// At returns the time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
-// Cancel prevents the event's callback from running. Cancelling an event
-// that already fired (or was already cancelled) is a no-op.
-func (e *Event) Cancel() { e.cancelled = true }
-
-// Cancelled reports whether Cancel was called.
-func (e *Event) Cancelled() bool { return e.cancelled }
+func (e *event) queued() bool { return e.bucket != noBucket || e.index >= 0 }
 
 // callFunc adapts a plain func() callback (Schedule, Timer) to the
-// argfn+arg calling convention, so Event needs no second callback field.
+// argfn+arg calling convention, so event needs no second callback field.
 // The assertion is exact-type and branch-predictable; the cost is a couple
 // of instructions per firing against eight bytes off every slab slot.
 func callFunc(a any) { a.(func())() }
 
 // eventLess orders events by (time, insertion sequence).
-func eventLess(a, b *Event) bool {
+func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -149,9 +138,8 @@ type Scheduler struct {
 	now      Time
 	seq      uint64
 	executed uint64
-	stopped  bool
 
-	arena arena   // slab holding every Event of this scheduler
+	arena arena   // slab holding every event of this scheduler
 	free  []int32 // slab indices of recycled fire-and-forget events
 
 	w *wheel // the timing-wheel queue (with its own overflow heap)
@@ -160,7 +148,7 @@ type Scheduler struct {
 	// allocates one Scheduler per shard back to back and every event writes
 	// now/seq/executed/free; at 96 B two shards' hot words shared a line and
 	// perm_sharded wall time rose from 0.70 s to 0.83 s (DESIGN §3.7).
-	_ [32]byte
+	_ [40]byte
 }
 
 // New returns a scheduler positioned at time 0.
@@ -173,12 +161,11 @@ func New() *Scheduler {
 // Now returns the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Executed returns the number of events run so far (cancelled events are
-// not counted). Useful for progress reporting and benchmarks.
+// Executed returns the number of events run so far. Useful for progress
+// reporting and benchmarks.
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
-// Pending returns the number of events currently queued, including
-// cancelled-but-unpopped ones.
+// Pending returns the number of events currently queued.
 func (s *Scheduler) Pending() int { return s.w.count }
 
 // FreeEvents returns the current size of the event free list (telemetry for
@@ -192,10 +179,10 @@ func (s *Scheduler) SlabEvents() int { return s.arena.len() }
 
 // ---- event allocation ----
 
-// alloc returns a reset Event from the free list, or a fresh slab slot.
+// alloc returns a reset event from the free list, or a fresh slab slot.
 // LIFO reuse keeps the steady-state working set on the same few slab cache
 // lines.
-func (s *Scheduler) alloc() *Event {
+func (s *Scheduler) alloc() *event {
 	if k := len(s.free) - 1; k >= 0 {
 		e := s.arena.at(s.free[k])
 		s.free = s.free[:k]
@@ -204,13 +191,13 @@ func (s *Scheduler) alloc() *Event {
 	return s.arena.new()
 }
 
-// recycleEvent resets e and returns it to the free list. Only events without
-// an outstanding handle may be recycled. Popping already restored the queue
-// membership fields (index == -1, bucket == noBucket), so only the callback
-// and flag fields need clearing — cheaper than rewriting the whole struct.
-func (s *Scheduler) recycleEvent(e *Event) {
+// recycleEvent resets e and returns it to the free list. Popping already
+// restored the queue membership fields (index == -1, bucket == noBucket), so
+// only the callback and flag fields need clearing — cheaper than rewriting
+// the whole struct.
+func (s *Scheduler) recycleEvent(e *event) {
 	e.argfn, e.arg = nil, nil
-	e.cancelled, e.recycle = false, false
+	e.recycle = false
 	s.free = append(s.free, e.self)
 }
 
@@ -225,29 +212,8 @@ func (s *Scheduler) checkTime(at Time) {
 	}
 }
 
-// Schedule runs fn at absolute time at and returns a cancel handle. The
-// returned Event is never recycled, so holding the handle across its firing
-// is always safe. Hot paths that do not need a handle should use
-// ScheduleArg or a Timer instead — both are allocation-free in steady state.
-func (s *Scheduler) Schedule(at Time, fn func()) *Event {
-	s.checkTime(at)
-	e := s.alloc()
-	e.at, e.seq, e.argfn, e.arg = at, s.seq, callFunc, fn
-	s.seq++
-	s.w.insert(e)
-	return e
-}
-
-// After runs fn after delay d (relative scheduling helper).
-func (s *Scheduler) After(d Time, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("eventq: negative delay %v", d))
-	}
-	return s.Schedule(s.now+d, fn)
-}
-
 // ScheduleArg runs fn(arg) at absolute time at, fire-and-forget. No handle
-// is returned, so the engine recycles the Event on pop: callers that bind fn
+// is returned, so the engine recycles the event on pop: callers that bind fn
 // once (a stored method value, not a per-call closure) pay zero allocations
 // per schedule in steady state.
 func (s *Scheduler) ScheduleArg(at Time, fn func(any), arg any) {
@@ -266,14 +232,18 @@ func (s *Scheduler) AfterArg(d Time, fn func(any), arg any) {
 	s.ScheduleArg(s.now+d, fn, arg)
 }
 
-// Stop makes the currently executing Run return after the current event's
-// callback completes.
-func (s *Scheduler) Stop() { s.stopped = true }
+// Schedule runs fn at absolute time at, fire-and-forget. The func value
+// rides as ScheduleArg's argument, so the event recycles like any other;
+// only a fn that is a fresh closure per call allocates.
+func (s *Scheduler) Schedule(at Time, fn func()) { s.ScheduleArg(at, callFunc, fn) }
+
+// After runs fn after delay d, fire-and-forget (see Schedule).
+func (s *Scheduler) After(d Time, fn func()) { s.AfterArg(d, callFunc, fn) }
 
 // runEvent advances the clock to e and executes its callback. Recyclable
 // events return to the free list *before* the callback runs, so a
-// steady-state chain (fire → reschedule) reuses a single Event object.
-func (s *Scheduler) runEvent(e *Event) {
+// steady-state chain (fire → reschedule) reuses a single event object.
+func (s *Scheduler) runEvent(e *event) {
 	s.now = e.at
 	s.executed++
 	fn, arg := e.argfn, e.arg
@@ -288,16 +258,12 @@ func (s *Scheduler) runEvent(e *Event) {
 // min(deadline, time of last executed event); the clock is advanced to the
 // deadline so subsequent scheduling is relative to it.
 func (s *Scheduler) RunUntil(deadline Time) {
-	s.stopped = false
-	for !s.stopped {
+	for {
 		next := s.w.peekUntil(deadline)
 		if next == nil {
 			break
 		}
 		s.w.popKnown(next)
-		if next.cancelled {
-			continue
-		}
 		s.runEvent(next)
 	}
 	if s.now < deadline {
@@ -325,44 +291,30 @@ func (s *Scheduler) RunBefore(deadline Time) {
 // maxTime is an effectively infinite deadline for unbounded runs.
 const maxTime = Time(1<<63 - 1)
 
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until the queue drains. Unlike RunUntil it leaves the
+// clock at the last executed event: callers read Now() after a drain as the
+// time the simulation went quiet.
 func (s *Scheduler) Run() {
-	s.stopped = false
-	for !s.stopped {
-		next := s.w.peekUntil(maxTime)
-		if next == nil {
-			break
-		}
-		s.w.popKnown(next)
-		if next.cancelled {
-			continue
-		}
-		s.runEvent(next)
+	for s.Step() {
 	}
 }
 
-// Step executes exactly one non-cancelled event and reports whether one was
-// available.
+// Step executes exactly one event and reports whether one was available.
 func (s *Scheduler) Step() bool {
-	for {
-		next := s.w.peekUntil(maxTime)
-		if next == nil {
-			return false
-		}
-		s.w.popKnown(next)
-		if next.cancelled {
-			continue
-		}
-		s.runEvent(next)
-		return true
+	next := s.w.peekUntil(maxTime)
+	if next == nil {
+		return false
 	}
+	s.w.popKnown(next)
+	s.runEvent(next)
+	return true
 }
 
 // ---- reusable timers ----
 
 // Timer is a rearmable scheduled callback that allocates only at creation:
 // NewTimer binds the callback once, and Reset/Cancel then move the timer's
-// embedded Event in and out of the heap in place. It is the intended tool
+// embedded event in and out of the heap in place. It is the intended tool
 // for every recurring per-component timer (port transmit wake-ups, pacer
 // wakeups, RTOs, congestion-control epochs).
 //
@@ -372,11 +324,11 @@ func (s *Scheduler) Step() bool {
 // runs, so it may Reset itself to build a periodic tick.
 type Timer struct {
 	s *Scheduler
-	e *Event // owned until Release (nil afterwards); lives in the scheduler's slab
+	e *event // owned until Release (nil afterwards); lives in the scheduler's slab
 }
 
 // NewTimer binds fn to a new reusable timer. The timer starts idle; arm it
-// with Reset or ResetAfter. The timer's Event comes from the scheduler's
+// with Reset or ResetAfter. The timer's event comes from the scheduler's
 // arena (it must: wheel bucket chains link events by slab index) and stays
 // the timer's own until Release.
 func (s *Scheduler) NewTimer(fn func()) *Timer {
@@ -408,10 +360,10 @@ func (t *Timer) Reset(at Time) {
 	t.s.w.insert(e)
 }
 
-// live returns the timer's Event, refusing a released timer: its slot may
+// live returns the timer's event, refusing a released timer: its slot may
 // already belong to another timer or a packet event, and arming it from
 // here would fire someone else's callback.
-func (t *Timer) live() *Event {
+func (t *Timer) live() *event {
 	if t.e == nil {
 		panic("eventq: Reset on a released Timer")
 	}
@@ -436,7 +388,7 @@ func (t *Timer) Cancel() {
 	}
 }
 
-// Release cancels the timer and returns its Event to the scheduler's free
+// Release cancels the timer and returns its event to the scheduler's free
 // list, for owners that end before the simulation does: without it every
 // finished flow would pin its timers' slab slots until the run ends. It may
 // be called while pending, while idle, or from inside the timer's own

@@ -77,23 +77,6 @@ func TestNowDuringCallback(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	s := New()
-	ran := false
-	e := s.Schedule(10, func() { ran = true })
-	e.Cancel()
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
-	}
-	s.Run()
-	if ran {
-		t.Fatal("cancelled event still ran")
-	}
-	if s.Executed() != 0 {
-		t.Fatalf("Executed() = %d, want 0", s.Executed())
-	}
-}
-
 func TestSchedulingFromCallback(t *testing.T) {
 	s := New()
 	var hits []Time
@@ -165,28 +148,6 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := New()
-	count := 0
-	for i := Time(1); i <= 10; i++ {
-		s.Schedule(i, func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("ran %d events after Stop at 3", count)
-	}
-	// Run can be resumed.
-	s.Run()
-	if count != 10 {
-		t.Fatalf("resume ran to %d, want 10", count)
-	}
-}
-
 func TestStep(t *testing.T) {
 	s := New()
 	n := 0
@@ -243,111 +204,6 @@ func TestOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: cancelling a random subset of events leaves exactly the others
-// executed.
-func TestCancelSubsetProperty(t *testing.T) {
-	r := rng.New(2024)
-	for iter := 0; iter < 25; iter++ {
-		s := New()
-		const n = 200
-		events := make([]*Event, n)
-		fired := make([]bool, n)
-		for i := 0; i < n; i++ {
-			i := i
-			events[i] = s.Schedule(Time(r.Intn(1000)), func() { fired[i] = true })
-		}
-		cancelled := make([]bool, n)
-		for i := 0; i < n; i++ {
-			if r.Float64() < 0.5 {
-				events[i].Cancel()
-				cancelled[i] = true
-			}
-		}
-		s.Run()
-		for i := 0; i < n; i++ {
-			if fired[i] == cancelled[i] {
-				t.Fatalf("iter %d event %d: fired=%v cancelled=%v", iter, i, fired[i], cancelled[i])
-			}
-		}
-	}
-}
-
-// Property: under a random interleaving of Schedule, Cancel and Step
-// operations — scheduling from the "outside" while the queue is being
-// drained, as harness code does — the fired sequence is nondecreasing in
-// time, same-time events fire in schedule (FIFO) order, and every event
-// fires exactly-once XOR was cancelled before firing.
-func TestInterleavedScheduleCancelProperty(t *testing.T) {
-	type rec struct {
-		ev        *Event
-		at        Time
-		fired     bool
-		cancelled bool // Cancel() issued while the event was still pending
-	}
-	type firing struct {
-		at Time
-		id int
-	}
-	for _, seed := range []uint64{1, 7, 365, 90125} {
-		r := rng.New(seed)
-		s := New()
-		var recs []*rec
-		var fired []firing
-		schedule := func() {
-			rc := &rec{at: s.Now() + Time(r.Intn(500))}
-			id := len(recs)
-			rc.ev = s.Schedule(rc.at, func() {
-				rc.fired = true
-				fired = append(fired, firing{s.Now(), id})
-			})
-			recs = append(recs, rc)
-		}
-		schedule() // never start with an empty queue
-		for op := 0; op < 3000; op++ {
-			switch p := r.Float64(); {
-			case p < 0.5:
-				schedule()
-			case p < 0.7 && len(recs) > 0:
-				rc := recs[r.Intn(len(recs))]
-				rc.ev.Cancel()
-				if !rc.fired {
-					rc.cancelled = true // Cancel after firing is a no-op
-				}
-			default:
-				s.Step()
-			}
-		}
-		s.Run() // drain the rest
-
-		for i := 1; i < len(fired); i++ {
-			a, b := fired[i-1], fired[i]
-			if b.at < a.at {
-				t.Fatalf("seed %d: event %d fired at %v after event %d at %v",
-					seed, b.id, b.at, a.id, a.at)
-			}
-			if b.at == a.at && b.id < a.id {
-				t.Fatalf("seed %d: same-time events fired out of schedule order: %d before %d at %v",
-					seed, a.id, b.id, a.at)
-			}
-		}
-		for id, rc := range recs {
-			if rc.fired == rc.cancelled {
-				t.Fatalf("seed %d: event %d fired=%v cancelled=%v; want exactly one",
-					seed, id, rc.fired, rc.cancelled)
-			}
-		}
-		if got := s.Executed(); got != uint64(len(fired)) {
-			t.Fatalf("seed %d: Executed() = %d, but %d callbacks ran", seed, got, len(fired))
-		}
-		if s.Pending() != 0 {
-			t.Fatalf("seed %d: %d events still pending after drain", seed, s.Pending())
-		}
-		if len(fired) == 0 {
-			t.Fatalf("seed %d: property test fired no events; vacuous", seed)
-		}
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 // FuzzSchedulerOps is the fuzzing face of the differential suite: an
 // arbitrary byte string is decoded into an operation script — schedules
 // into every wheel level (including the overflow heap), same-tick bursts,
-// handle cancels, timer rearm/cancel, RunUntil — and the script is replayed
+// timer rearm/cancel, RunUntil — and the script is replayed
 // on both the wheel and the reference model. The two fire sequences must be
 // identical.
 // Where the randomized tests sample the interleaving space, the fuzzer
@@ -19,7 +19,7 @@ func FuzzSchedulerOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x11, 0x22, 0x01, 0x33, 0x44, 0x02, 0x55, 0x03, 0x04, 0x05, 0x06, 0x07, 0x66})
 	// Overflow-horizon schedules (delay selector 4) mixed with bursts.
 	f.Add([]byte{0x00, 0x04, 0xff, 0x02, 0x04, 0xff, 0x07, 0xff, 0x00, 0x00, 0x00})
-	// The aliased opcodes 5 and 6 interleaved with arms and noise.
+	// The aliased opcodes 2, 5 and 6 interleaved with arms and noise.
 	f.Add([]byte{0x05, 0x01, 0x10, 0x06, 0x00, 0x01, 0x20, 0x05, 0x02, 0x30, 0x06, 0x07, 0x40})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -75,14 +75,13 @@ func runFuzzScript(mk func() scriptSched, data []byte) []firing {
 	}
 
 	var fired []firing
-	var handles []canceller
 	nextID := 0
 	schedule := func(at Time) {
 		id := nextID
 		nextID++
-		handles = append(handles, s.Schedule(at, func() {
+		s.Schedule(at, func() {
 			fired = append(fired, firing{s.Now(), id})
-		}))
+		})
 	}
 
 	const timerBase = 1 << 30
@@ -94,9 +93,9 @@ func runFuzzScript(mk func() scriptSched, data []byte) []firing {
 		})
 	}
 
-	// Opcodes 5 and 6 alias 0 and 4: the operations they once encoded are
-	// gone, and keeping eight opcodes lets corpus entries found earlier
-	// still decode into scripts of the same length.
+	// Opcodes 5 alias 0, and 2 and 6 alias 4: the operations they once
+	// encoded are gone, and keeping eight opcodes lets corpus entries found
+	// earlier still decode into scripts of the same length.
 	for pos < len(data) {
 		switch next() % 8 {
 		case 0, 5:
@@ -106,13 +105,9 @@ func runFuzzScript(mk func() scriptSched, data []byte) []firing {
 			for n := int(next()%3) + 2; n > 0; n-- {
 				schedule(at)
 			}
-		case 2:
-			if len(handles) > 0 {
-				handles[int(next())%len(handles)].Cancel()
-			}
 		case 3:
 			timers[int(next())%len(timers)].ResetAfter(delay())
-		case 4, 6:
+		case 2, 4, 6:
 			timers[int(next())%len(timers)].Cancel()
 		default:
 			s.RunUntil(s.Now() + delay())

@@ -1,6 +1,6 @@
 package eventq
 
-// eventHeap is a hand-specialized 4-ary min-heap over *Event ordered by
+// eventHeap is a hand-specialized 4-ary min-heap over *event ordered by
 // eventLess — no container/heap interface dispatch, no `any` boxing on
 // push/pop. It is the wheel's far-future overflow structure (RTO timers,
 // samplers, experiment phase changes — anything beyond the wheel horizon);
@@ -10,13 +10,13 @@ package eventq
 // comparisons per level but far fewer cache-missing levels, which wins for
 // the event mixes simulations produce (mostly near-future pushes).
 //
-// Each queued event stores its heap position in Event.index (-1 when not in
+// Each queued event stores its heap position in event.index (-1 when not in
 // the heap), enabling O(log n) removal from arbitrary positions (Timer
 // rescheduling).
-type eventHeap []*Event
+type eventHeap []*event
 
 // siftUp places e at index i, bubbling it toward the root.
-func (h eventHeap) siftUp(i int, e *Event) {
+func (h eventHeap) siftUp(i int, e *event) {
 	for i > 0 {
 		parent := (i - 1) >> 2
 		pe := h[parent]
@@ -32,7 +32,7 @@ func (h eventHeap) siftUp(i int, e *Event) {
 }
 
 // siftDown places e at index i, sinking it below smaller children.
-func (h eventHeap) siftDown(i int, e *Event) {
+func (h eventHeap) siftDown(i int, e *event) {
 	n := len(h)
 	for {
 		child := i<<2 + 1
@@ -62,13 +62,13 @@ func (h eventHeap) siftDown(i int, e *Event) {
 }
 
 // push inserts e into the heap.
-func (h *eventHeap) push(e *Event) {
+func (h *eventHeap) push(e *event) {
 	*h = append(*h, e)
 	h.siftUp(len(*h)-1, e)
 }
 
 // popMin removes and returns the earliest event. The heap must be non-empty.
-func (h *eventHeap) popMin() *Event {
+func (h *eventHeap) popMin() *event {
 	s := *h
 	e := s[0]
 	n := len(s) - 1
@@ -84,7 +84,7 @@ func (h *eventHeap) popMin() *Event {
 
 // remove deletes e from an arbitrary heap position (Timer rescheduling).
 // It is a no-op if e is not in the heap.
-func (h *eventHeap) remove(e *Event) {
+func (h *eventHeap) remove(e *event) {
 	i := int(e.index)
 	if i < 0 {
 		return

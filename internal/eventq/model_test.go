@@ -9,21 +9,16 @@ package eventq
 //
 // Semantics mirrored exactly:
 //   - events fire in (at, seq) order; seq is assigned at schedule time;
-//   - cancelled handle events stay queued (and counted by Pending) until
-//     popped, then are skipped;
 //   - timer Cancel/Reset remove the pending firing immediately;
 //   - RunUntil executes events with at <= deadline, then clocks forward
 //     to the deadline;
 //   - scheduling in the past panics.
 
 type refEvent struct {
-	at        Time
-	seq       uint64
-	fn        func()
-	cancelled bool
+	at  Time
+	seq uint64
+	fn  func()
 }
-
-func (e *refEvent) Cancel() { e.cancelled = true }
 
 type refSched struct {
 	now Time
@@ -45,9 +40,7 @@ func (s *refSched) push(at Time, fn func()) *refEvent {
 	return e
 }
 
-func (s *refSched) Schedule(at Time, fn func()) canceller {
-	return s.push(at, fn)
-}
+func (s *refSched) Schedule(at Time, fn func()) { s.push(at, fn) }
 
 func (s *refSched) ScheduleArg(at Time, fn func(any), arg any) {
 	s.push(at, func() { fn(arg) })
@@ -83,17 +76,12 @@ func (s *refSched) runEvent(e *refEvent) {
 }
 
 func (s *refSched) Step() bool {
-	for {
-		e := s.popMin()
-		if e == nil {
-			return false
-		}
-		if e.cancelled {
-			continue
-		}
-		s.runEvent(e)
-		return true
+	e := s.popMin()
+	if e == nil {
+		return false
 	}
+	s.runEvent(e)
+	return true
 }
 
 func (s *refSched) RunUntil(deadline Time) {
@@ -103,9 +91,6 @@ func (s *refSched) RunUntil(deadline Time) {
 			s.q = append(s.q, e) // put it back; order is recomputed per pop
 			break
 		}
-		if e.cancelled {
-			continue
-		}
 		s.runEvent(e)
 	}
 	if s.now < deadline {
@@ -114,15 +99,7 @@ func (s *refSched) RunUntil(deadline Time) {
 }
 
 func (s *refSched) Run() {
-	for {
-		e := s.popMin()
-		if e == nil {
-			return
-		}
-		if e.cancelled {
-			continue
-		}
-		s.runEvent(e)
+	for s.Step() {
 	}
 }
 
@@ -169,9 +146,6 @@ func (t *refTimer) Pending() bool { return t.e != nil }
 
 // ---- the shared script-facing interface ----
 
-// canceller is the least common denominator of *Event and *refEvent.
-type canceller interface{ Cancel() }
-
 // scriptTimer is the least common denominator of *Timer and *refTimer.
 type scriptTimer interface {
 	Reset(Time)
@@ -185,7 +159,7 @@ type scriptTimer interface {
 type scriptSched interface {
 	Now() Time
 	Pending() int
-	Schedule(at Time, fn func()) canceller
+	Schedule(at Time, fn func())
 	ScheduleArg(at Time, fn func(any), arg any)
 	AfterArg(d Time, fn func(any), arg any)
 	NewTimer(fn func()) scriptTimer
@@ -194,9 +168,8 @@ type scriptSched interface {
 	Run()
 }
 
-// realSched adapts *Scheduler to scriptSched (only the two methods whose
-// concrete return types differ need wrapping).
+// realSched adapts *Scheduler to scriptSched (only NewTimer, whose concrete
+// return type differs, needs wrapping).
 type realSched struct{ *Scheduler }
 
-func (r realSched) Schedule(at Time, fn func()) canceller { return r.Scheduler.Schedule(at, fn) }
-func (r realSched) NewTimer(fn func()) scriptTimer        { return r.Scheduler.NewTimer(fn) }
+func (r realSched) NewTimer(fn func()) scriptTimer { return r.Scheduler.NewTimer(fn) }

@@ -6,12 +6,12 @@ import (
 )
 
 // Property test for the free-list and Timer machinery: under long random
-// interleavings of Schedule, Cancel, Timer.Reset, Timer.Cancel and draining,
-// no callback may ever fire stale — a cancelled one-shot must stay dead, and
-// a Timer must fire only at the time of its most recent Reset, exactly once
-// per arming. Event recycling makes this interesting: a bug that recycled a
-// handle-bearing event, or left a removed Timer in the heap, shows up here as
-// an unexpected or mistimed fire.
+// interleavings of Schedule, ScheduleArg, Timer.Reset, Timer.Cancel and
+// draining, no callback may ever fire stale — a one-shot fires exactly once
+// at its time, and a Timer fires only at the time of its most recent Reset,
+// exactly once per arming. Event recycling makes this interesting: a bug
+// that recycled an event still queued, or left a removed Timer in the heap,
+// shows up here as an unexpected or mistimed fire.
 
 // timerModel mirrors what the scheduler should believe about one Timer.
 type timerModel struct {
@@ -22,10 +22,8 @@ type timerModel struct {
 }
 
 type oneshotModel struct {
-	e         *Event
-	at        Time
-	cancelled bool
-	fired     bool
+	at    Time
+	fired bool
 }
 
 func TestRandomInterleavingNoStaleFires(t *testing.T) {
@@ -52,18 +50,17 @@ func TestRandomInterleavingNoStaleFires(t *testing.T) {
 
 		var shots []*oneshotModel
 		argFires := 0
-		argFn := func(x any) {
-			m := x.(*oneshotModel)
-			if m.cancelled {
-				t.Fatalf("seed %d: recycled-path event fired after model cancel", seed)
-			}
+		fire := func(m *oneshotModel) {
 			if m.fired {
-				t.Fatalf("seed %d: event fired twice", seed)
+				t.Fatalf("seed %d: one-shot fired twice", seed)
 			}
 			if s.Now() != m.at {
-				t.Fatalf("seed %d: arg event fired at %d, want %d", seed, s.Now(), m.at)
+				t.Fatalf("seed %d: one-shot fired at %d, want %d", seed, s.Now(), m.at)
 			}
 			m.fired = true
+		}
+		argFn := func(x any) {
+			fire(x.(*oneshotModel))
 			argFires++
 		}
 
@@ -78,32 +75,14 @@ func TestRandomInterleavingNoStaleFires(t *testing.T) {
 				tm := timers[rng.Intn(len(timers))]
 				tm.t.Cancel()
 				tm.armed = false
-			case 3, 4: // one-shot with handle
+			case 3, 4: // one-shot closure
 				m := &oneshotModel{at: s.Now() + Time(1+rng.Intn(50))}
-				m.e = s.Schedule(m.at, func() {
-					if m.cancelled {
-						t.Fatalf("seed %d: cancelled one-shot fired", seed)
-					}
-					if m.fired {
-						t.Fatalf("seed %d: one-shot fired twice", seed)
-					}
-					if s.Now() != m.at {
-						t.Fatalf("seed %d: one-shot fired at %d, want %d", seed, s.Now(), m.at)
-					}
-					m.fired = true
-				})
+				s.Schedule(m.at, func() { fire(m) })
 				shots = append(shots, m)
-			case 5: // cancel a random pending one-shot (possibly already fired: no-op)
-				if len(shots) > 0 {
-					m := shots[rng.Intn(len(shots))]
-					if !m.fired {
-						m.e.Cancel()
-						m.cancelled = true
-					}
-				}
-			case 6: // handle-less recycled event carrying its model as arg
+			case 5, 6: // pre-bound callback carrying its model as arg
 				m := &oneshotModel{at: s.Now() + Time(1+rng.Intn(50))}
 				s.ScheduleArg(m.at, argFn, m)
+				shots = append(shots, m)
 			case 7, 8: // run a few events
 				for i := 0; i < 5 && s.Pending() > 0; i++ {
 					s.Step()
@@ -123,11 +102,8 @@ func TestRandomInterleavingNoStaleFires(t *testing.T) {
 			}
 		}
 		for i, m := range shots {
-			if m.cancelled && m.fired {
-				t.Fatalf("seed %d: one-shot %d both cancelled and fired", seed, i)
-			}
-			if !m.cancelled && !m.fired {
-				t.Fatalf("seed %d: one-shot %d neither cancelled nor fired after drain", seed, i)
+			if !m.fired {
+				t.Fatalf("seed %d: one-shot %d never fired", seed, i)
 			}
 		}
 		if argFires == 0 {
@@ -174,26 +150,5 @@ func TestTimerResetSupersedes(t *testing.T) {
 	s.Run()
 	if len(fires) != 1 || fires[0] != 50 {
 		t.Fatalf("fires = %v, want [50]", fires)
-	}
-}
-
-// TestCancelledNotResurrectedByRecycling: a cancelled handle event is lazily
-// discarded; heavy recycled traffic through the free list afterwards must not
-// resurrect it.
-func TestCancelledNotResurrectedByRecycling(t *testing.T) {
-	s := New()
-	fired := false
-	e := s.Schedule(100, func() { fired = true })
-	e.Cancel()
-	n := 0
-	for i := 0; i < 200; i++ {
-		s.ScheduleArg(Time(i+1), func(any) { n++ }, nil)
-	}
-	s.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if n != 200 {
-		t.Fatalf("recycled events fired %d times, want 200", n)
 	}
 }

@@ -31,13 +31,13 @@ import "math/bits"
 // Storage. Buckets are not pointer lists: every event lives in the
 // scheduler's slab (arena.go) and buckets refer to events by int32 slab
 // index. Level ≥1 buckets are doubly-linked chains whose links ride in
-// Event.next/prev (as indices); level-0 buckets — where every pop and
+// event.next/prev (as indices); level-0 buckets — where every pop and
 // every cascade landing happens — are dense parallel (sort key, index)
 // arrays, so the hottest paths scan contiguous words and pop by bumping a
 // head offset without touching event linkage at all. The insert/cascade
 // path — the hottest block in the post-batch profile, and cache-miss
 // bound rather than algorithmic — therefore walks a few dense slab chunks
-// instead of chasing *Event pointers across scattered heap lines, and
+// instead of chasing *event pointers across scattered heap lines, and
 // link stores skip the GC write barrier. The hashed-wheel O(1) bound
 // (Varghese & Lauer) only materializes when bucket traversal stays on few
 // cache lines; the slab-plus-array layout is what buys that.
@@ -66,7 +66,7 @@ const (
 	wheelLevels    = 6
 )
 
-// noBucket is Event.bucket's "not wheel-queued" sentinel.
+// noBucket is event.bucket's "not wheel-queued" sentinel.
 const noBucket = int32(-1)
 
 // wheelShift returns the bit offset of level lvl's slot index within an
@@ -76,12 +76,12 @@ func wheelShift(lvl int) uint {
 }
 
 // wbucket is one level ≥1 wheel bucket: a doubly-linked chain of slab
-// indices whose links ride in Event.next/prev. Level ≥1 buckets hold
+// indices whose links ride in event.next/prev. Level ≥1 buckets hold
 // around one event each under simulation load, so a chain — two stores
 // to link, two to unlink, no per-bucket array bookkeeping — is the
 // cheapest shape for them; dense arrays only pay at level 0, where every
 // pop happens. Level and slot are not stored — they are recovered from
-// the packed bucket id an in-bucket event carries (Event.bucket).
+// the packed bucket id an in-bucket event carries (event.bucket).
 type wbucket struct {
 	head, tail int32 // slab indices; noEvent when the bucket is empty
 }
@@ -122,7 +122,7 @@ func (b *l0bucket) grow() {
 }
 
 // l0key packs e's (time, seq) into one comparable word (see l0bucket).
-func l0key(e *Event) uint64 {
+func l0key(e *event) uint64 {
 	return (uint64(e.at)&(1<<wheelGranBits-1))<<(64-wheelGranBits) | e.seq
 }
 
@@ -171,7 +171,7 @@ func newWheel(a *arena) *wheel {
 
 // append links e at the tail of b (level ≥1: unordered, sorted at level 0
 // on cascade). c is the caller-hoisted chunk table (see eventChunks).
-func (w *wheel) append(c eventChunks, b *wbucket, e *Event) {
+func (w *wheel) append(c eventChunks, b *wbucket, e *event) {
 	e.prev = b.tail
 	e.next = noEvent
 	if b.tail != noEvent {
@@ -229,7 +229,7 @@ func (w *wheel) levelFor(t Time) int {
 // place puts e into the bucket for its deadline at the given level, which
 // must be levelFor(e.at) < wheelLevels, and records the bucket on e. c is
 // the caller-hoisted chunk table.
-func (w *wheel) place(c eventChunks, e *Event, lvl int) {
+func (w *wheel) place(c eventChunks, e *event, lvl int) {
 	if lvl == 0 {
 		e.bucket = w.placeL0(e.at, l0key(e), e.self)
 		return
@@ -241,7 +241,7 @@ func (w *wheel) place(c eventChunks, e *Event, lvl int) {
 }
 
 // insert enqueues e.
-func (w *wheel) insert(e *Event) {
+func (w *wheel) insert(e *event) {
 	if lvl := w.levelFor(e.at); lvl < wheelLevels {
 		w.place(w.a.chunks, e, lvl)
 	} else {
@@ -252,7 +252,7 @@ func (w *wheel) insert(e *Event) {
 
 // unlink detaches e from its bucket (level-0 sorted array or level ≥1
 // chain), clearing the occupancy bit if the bucket empties.
-func (w *wheel) unlink(e *Event) {
+func (w *wheel) unlink(e *event) {
 	if e.bucket < wheelSlots { // level 0
 		w.unlinkL0(e)
 		return
@@ -281,7 +281,7 @@ func (w *wheel) unlink(e *Event) {
 // case — popping the bucket minimum — is a head increment with no event
 // field written but e.bucket itself; removal from the middle
 // (Timer.Reset/Cancel before firing) shifts the dense index array down.
-func (w *wheel) unlinkL0(e *Event) {
+func (w *wheel) unlinkL0(e *event) {
 	slot := int(e.bucket)
 	b := &w.l0[slot]
 	if b.idx[b.head] == e.self {
@@ -312,7 +312,7 @@ func (w *wheel) unlinkL0(e *Event) {
 
 // remove deletes e wherever it is queued (bucket chain or overflow heap);
 // no-op if e is not queued. Used by Timer.Reset/Cancel.
-func (w *wheel) remove(e *Event) {
+func (w *wheel) remove(e *event) {
 	switch {
 	case e.bucket != noBucket:
 		w.unlink(e)
@@ -331,9 +331,9 @@ func (w *wheel) remove(e *Event) {
 // future insert. Cascading instead of scanning keeps the peek O(1): an
 // unordered higher-level chain never needs a linear minimum scan, because
 // the chain is pushed down to sorted level-0 buckets first.
-func (w *wheel) peekUntil(deadline Time) *Event {
+func (w *wheel) peekUntil(deadline Time) *event {
 	for {
-		var ov *Event
+		var ov *event
 		if len(w.overflow) > 0 {
 			ov = w.overflow[0]
 		}
@@ -436,7 +436,7 @@ func (w *wheel) advanceTo(t Time) {
 // the wheel (in heap order, i.e. (time, seq) order) so that after a long
 // idle jump — an RTO finally firing, a sampler epoch — subsequent
 // operations are O(1) again.
-func (w *wheel) popKnown(e *Event) {
+func (w *wheel) popKnown(e *event) {
 	w.advanceTo(e.at)
 	if e.bucket != noBucket {
 		// advanceTo(e.at) cascaded e's bucket down to level 0 (its

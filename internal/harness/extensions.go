@@ -1,11 +1,9 @@
 package harness
 
 import (
-	"uno/internal/core"
 	"uno/internal/eventq"
 	"uno/internal/failure"
 	"uno/internal/rng"
-	"uno/internal/stats"
 	"uno/internal/topo"
 	"uno/internal/workload"
 )
@@ -98,86 +96,6 @@ func ExtTrim(cfg Config) *Report {
 		run("inter lossy WAN", variant.trim, variant.ec, true, interSpecs, 500*eventq.Millisecond)
 	}
 	r.Note("intra: trimming cuts tails (overflow → notification); inter: WAN drops are invisible to trimming, EC wins (the §6 argument)")
-	return r
-}
-
-// StackClassWRR is the footnote 1 alternative: the same Uno transport, but
-// the fabric separates intra- and inter-DC traffic into per-class DRR
-// queues with the given (static) weights. Holding the controller fixed
-// isolates the scheduling question: can static class weights provide
-// flow-level fairness?
-func StackClassWRR(weights []int) Stack {
-	// No phantom queues: with them, the aggregate phantom signal holds
-	// total input below line rate and the class scheduler never engages.
-	// The alternative system is per-class physical RED + DRR.
-	stack := StackUnoMod("uno-over-wrr", func(sys *core.System) {
-		sys.DisablePhantomAware = true
-	})
-	stack.Phantom = false
-	stack.ClassWeights = weights
-	return stack
-}
-
-// ExtPrio tests footnote 1: per-class weighted scheduling isolates the
-// intra- and inter-DC *aggregates*, but per-flow fairness then depends on
-// the (static) weights matching the (dynamic) flow-count mix — the reason
-// the paper rejects priority queues for flow-level fairness.
-func ExtPrio(cfg Config) *Report {
-	cfg = cfg.withDefaults()
-	r := &Report{ID: "ext-prio", Title: "Per-class WRR vs Uno (extension; paper footnote 1)"}
-	tbl := r.NewTable("8-flow long-lived incast, steady-state shares",
-		"mix (intra/inter)", "scheme", "rate Jain (late)", "intra:inter per-flow rate")
-
-	const flowSize = 1 << 30 // long-lived: measure steady state, not completion
-	horizon := eventq.Time(cfg.scaled(80)) * eventq.Millisecond
-	mixes := []struct {
-		name         string
-		intra, inter int
-	}{
-		{"2 / 6", 2, 6},
-		{"6 / 2", 6, 2},
-	}
-	for _, mix := range mixes {
-		for _, stack := range []Stack{StackClassWRR([]int{1, 1}), StackUno()} {
-			topoCfg := topoForRTTRatio(128)
-			sim := MustNewSim(cfg.Seed, topoCfg, stack)
-			perDC := topoCfg.HostsPerDC()
-			hpp := perDC / topoCfg.K
-			var specs []workload.FlowSpec
-			for i := 0; i < mix.intra; i++ {
-				specs = append(specs, workload.FlowSpec{Src: (i+1)*hpp + i, Dst: 0, Size: flowSize})
-			}
-			for i := 0; i < mix.inter; i++ {
-				specs = append(specs, workload.FlowSpec{
-					Src: perDC + i*hpp + i, Dst: 0, Size: flowSize, InterDC: true,
-				})
-			}
-			conns := sim.Schedule(specs)
-			rs := sim.SampleRates(conns, horizon/40, horizon)
-			sim.RunUntil(horizon)
-			// Steady-state per-flow rates over the last quarter.
-			var rates []float64
-			var intraSum, interSum float64
-			for i := range conns {
-				sum := 0.0
-				for b := 30; b < 40; b++ {
-					sum += rs.Series[i].Sum(b)
-				}
-				rate := sum / (10 * rs.Series[i].BinWidth().Seconds())
-				rates = append(rates, rate)
-				if specs[i].InterDC {
-					interSum += rate
-				} else {
-					intraSum += rate
-				}
-			}
-			ratio := (intraSum / float64(mix.intra)) / (interSum / float64(mix.inter))
-			tbl.AddRow(mix.name, stack.Name, stats.JainIndex(rates),
-				fmtFloat(ratio)+":1")
-			r.FoldDigest(sim.Digest())
-		}
-	}
-	r.Note("static 1:1 class weights give each *aggregate* half the link, so per-flow shares skew with the 2/6 vs 6/2 mix; Uno's flow-level control does not")
 	return r
 }
 

@@ -34,24 +34,6 @@ func TestRCVariantsGrid(t *testing.T) {
 	}
 }
 
-func TestStackClassWRRShape(t *testing.T) {
-	st := StackClassWRR([]int{1, 1})
-	if st.ClassWeights == nil || st.Phantom {
-		t.Fatalf("WRR stack misconfigured: %+v", st)
-	}
-	sim := MustNewSim(61, smallTopo(), st)
-	// The fabric ports must actually have class queues.
-	edge := sim.Topo.DCs[0].Edges[0][0]
-	if edge.Port(0).Config().ClassWeights == nil {
-		t.Fatal("fabric ports lack class queues")
-	}
-	spec := workload.FlowSpec{Src: 0, Dst: 1, Size: 4096}
-	_, cc, _ := st.Policies(sim, spec, false)
-	if _, ok := cc.(*core.UnoCC); !ok {
-		t.Fatalf("cc = %T", cc)
-	}
-}
-
 func TestAnnulusStackWiresQCN(t *testing.T) {
 	st := StackMPRDMABBRAnnulus()
 	if !st.QCN {

@@ -141,7 +141,7 @@ func TestConfigDefaultsAndScaling(t *testing.T) {
 
 func TestRegistryAndFind(t *testing.T) {
 	reg := Registry()
-	if len(reg) != 16 { // 12 paper figures/tables + 3 extensions + tournament
+	if len(reg) != 15 { // 12 paper figures/tables + 2 extensions + tournament
 		t.Fatalf("registry has %d experiments", len(reg))
 	}
 	seen := map[string]bool{}

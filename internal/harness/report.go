@@ -265,7 +265,6 @@ func Registry() []Experiment {
 		{ID: "fig13c", Title: "Inter-DC Allreduce under failures", Run: Fig13C},
 		{ID: "ext-trim", Title: "Extension: packet trimming vs erasure coding (§6)", Run: ExtTrim},
 		{ID: "ext-annulus", Title: "Extension: Annulus near-source loop (footnote 4)", Run: ExtAnnulus},
-		{ID: "ext-prio", Title: "Extension: per-class WRR vs flow-level fairness (footnote 1)", Run: ExtPrio},
 		{ID: "tournament", Title: "CC coexistence tournament: pairwise matrix on shared bottlenecks", Run: Tournament},
 	}
 }

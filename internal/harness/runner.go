@@ -100,9 +100,6 @@ func NewSimShards(seed uint64, topoCfg topo.Config, stack Stack, shards int) (*S
 	if stack.QCN {
 		topoCfg.QCN = true
 	}
-	if stack.ClassWeights != nil {
-		topoCfg.ClassWeights = stack.ClassWeights
-	}
 	nshards := 1
 	if shards >= 1 && topoCfg.NumDCs > 1 {
 		nshards = topoCfg.NumDCs

@@ -17,9 +17,6 @@ type Stack struct {
 	// QCN enables near-source congestion notifications in the fabric
 	// (required by Annulus-wrapped stacks).
 	QCN bool
-	// ClassWeights switches the fabric to per-class DRR queues (the
-	// footnote 1 alternative).
-	ClassWeights []int
 	// Policies builds per-flow policy objects.
 	Policies func(s *Sim, spec workload.FlowSpec, interDC bool) (transport.Params, transport.CongestionControl, transport.PathSelector)
 }

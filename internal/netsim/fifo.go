@@ -1,12 +1,11 @@
 package netsim
 
-// fifo is the head-compacted queue used by every hot-path FIFO in the
-// fabric: the port's single queue and each DRR class queue, one tuned
-// grow/compact policy instead of a hand-copied one per call site.
+// fifo is the head-compacted queue behind each port's one queue: a tuned
+// grow/compact policy kept apart from the port's admission logic.
 //
-// The layout is a plain slice plus a dead-prefix index. push appends;
-// pop zeroes the vacated slot (so pooled packets are not pinned by stale
-// references) and bumps the head. When the queue drains the slice resets
+// The layout is a plain slice plus a dead-prefix index. push appends; a
+// consumer reads the head through peek, zeroes the slot (so pooled packets
+// are not pinned by stale references) and calls advance to bump the head. When the queue drains the slice resets
 // to its full capacity, and when the dead prefix both exceeds
 // fifoCompactMin slots and dominates the backing array, the live suffix
 // is copied down, so a long busy period cannot grow the backing array
@@ -28,32 +27,15 @@ func (f *fifo[T]) len() int { return len(f.buf) - f.head }
 func (f *fifo[T]) push(v T) { f.buf = append(f.buf, v) }
 
 // peek returns a pointer to the head entry (valid until the next push or
-// pop). The caller must ensure the fifo is non-empty.
+// advance). The caller must ensure the fifo is non-empty.
 func (f *fifo[T]) peek() *T { return &f.buf[f.head] }
 
-// pop removes and returns the head entry. The caller must ensure the fifo
-// is non-empty (check len first); pop on an empty fifo panics. The body is
-// deliberately minimal — the reclaim cases live in popSlow — so pop
-// inlines into the three hot callers like the hand-written slice code it
-// replaced.
-func (f *fifo[T]) pop() T {
-	var zero T
-	v := f.buf[f.head]
-	f.buf[f.head] = zero
-	f.head++
-	if f.head == len(f.buf) || f.head > fifoCompactMin {
-		f.popSlow()
-	}
-	return v
-}
-
-// advance discards the head entry without reading it, for callers that
-// already consumed it through peek. Unlike pop it does not zero the slot —
-// a caller holding live references through the peek pointer must nil them
-// out itself first. Splitting consume (peek) from discard (advance) keeps
-// both halves inlinable even for struct element types, where a by-value
-// pop compiles to an out-of-line dictionary call that shows up in event
-// loop profiles.
+// advance discards the head entry, for callers that already consumed it
+// through peek. It does not zero the slot — a caller holding live
+// references through the peek pointer must nil them out itself first.
+// Splitting consume (peek) from discard (advance) keeps both halves
+// inlinable even for struct element types, where a by-value pop compiles
+// to an out-of-line dictionary call that shows up in event loop profiles.
 func (f *fifo[T]) advance() {
 	f.head++
 	if f.head == len(f.buf) || f.head > fifoCompactMin {
@@ -61,11 +43,10 @@ func (f *fifo[T]) advance() {
 	}
 }
 
-// popSlow reclaims dead prefix space after a pop: a drained fifo resets to
-// the start of its backing array, and a dominating dead prefix (beyond
-// fifoCompactMin) is compacted away. Kept out of line so pop itself stays
-// under the inlining budget (with popSlow folded in, pop costs 94 > 80 and
-// every hot pop becomes a real call).
+// popSlow reclaims dead prefix space after an advance: a drained fifo
+// resets to the start of its backing array, and a dominating dead prefix
+// (beyond fifoCompactMin) is compacted away. Kept out of line so advance
+// itself stays under the inlining budget.
 //
 //go:noinline
 func (f *fifo[T]) popSlow() {

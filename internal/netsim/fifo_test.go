@@ -1,9 +1,21 @@
 package netsim
 
-import "testing"
+import (
+	"testing"
 
-// TestFifoBasicOrder: push/pop preserves FIFO order through interleaved
-// operation, and the drain reset reclaims the backing array.
+	"uno/internal/eventq"
+)
+
+// take consumes the head the way the port does: read through peek, then
+// advance.
+func take[T any](f *fifo[T]) T {
+	v := *f.peek()
+	f.advance()
+	return v
+}
+
+// TestFifoBasicOrder: push/peek/advance preserves FIFO order through
+// interleaved operation, and the drain reset reclaims the backing array.
 func TestFifoBasicOrder(t *testing.T) {
 	var f fifo[int]
 	next, want := 0, 0
@@ -13,15 +25,15 @@ func TestFifoBasicOrder(t *testing.T) {
 			next++
 		}
 		for i := 0; i < 5; i++ {
-			if got := f.pop(); got != want {
-				t.Fatalf("pop = %d, want %d", got, want)
+			if got := take(&f); got != want {
+				t.Fatalf("take = %d, want %d", got, want)
 			}
 			want++
 		}
 	}
 	for f.len() > 0 {
-		if got := f.pop(); got != want {
-			t.Fatalf("drain pop = %d, want %d", got, want)
+		if got := take(&f); got != want {
+			t.Fatalf("drain take = %d, want %d", got, want)
 		}
 		want++
 	}
@@ -34,44 +46,40 @@ func TestFifoBasicOrder(t *testing.T) {
 }
 
 // TestFifoPeekAdvance: the hot-path consume pattern — read through peek,
-// overwrite in place, advance — yields the same sequence as pop, and
-// advance performs the same compaction bookkeeping.
+// overwrite in place, advance — under sustained occupancy, so the dead
+// prefix crosses fifoCompactMin and advance's compaction runs, yields
+// exactly the pushed sequence.
 func TestFifoPeekAdvance(t *testing.T) {
-	var a, b fifo[*int]
+	var f fifo[*int]
 	vals := make([]int, 600)
 	for i := range vals {
 		vals[i] = i
 	}
-	// Sustained occupancy so the dead prefix crosses fifoCompactMin and
-	// both paths exercise their compact case.
-	for i := range vals {
-		a.push(&vals[i])
-		b.push(&vals[i])
-		if a.len() < 16 {
-			continue
-		}
-		pa := a.pop()
-		head := b.peek()
-		pb := *head
+	want := 0
+	consume := func() {
+		head := f.peek()
+		got := *head
 		*head = nil
-		b.advance()
-		if pa != pb {
-			t.Fatalf("pop %d and peek+advance %d diverge", *pa, *pb)
+		f.advance()
+		if *got != want {
+			t.Fatalf("peek+advance = %d, want %d", *got, want)
 		}
-		if a.len() != b.len() {
-			t.Fatalf("lengths diverge: pop side %d, advance side %d", a.len(), b.len())
+		want++
+	}
+	for i := range vals {
+		f.push(&vals[i])
+		if f.len() >= 16 {
+			consume()
+		}
+		if f.len() != i+1-want {
+			t.Fatalf("len = %d after %d pushes and %d takes", f.len(), i+1, want)
 		}
 	}
-	for a.len() > 0 {
-		pa := a.pop()
-		pb := *b.peek()
-		b.advance()
-		if pa != pb {
-			t.Fatalf("drain: pop %v and peek+advance %v diverge", pa, pb)
-		}
+	for f.len() > 0 {
+		consume()
 	}
-	if b.len() != 0 {
-		t.Fatalf("advance side left %d entries", b.len())
+	if want != len(vals) {
+		t.Fatalf("consumed %d entries, pushed %d", want, len(vals))
 	}
 }
 
@@ -85,12 +93,12 @@ func TestFifoCompaction(t *testing.T) {
 		f.push(i)
 	}
 	grownCap := cap(f.buf)
-	// Pop until the dead prefix dominates: compaction must kick in and
+	// Consume until the dead prefix dominates: compaction must kick in and
 	// reset head to 0 without losing order.
 	want := 0
 	for f.head != 0 || want == 0 {
-		if got := f.pop(); got != want {
-			t.Fatalf("pop = %d, want %d", got, want)
+		if got := take(&f); got != want {
+			t.Fatalf("take = %d, want %d", got, want)
 		}
 		want++
 		if want > n {
@@ -106,8 +114,8 @@ func TestFifoCompaction(t *testing.T) {
 	// Steady-state churn at high occupancy must not grow the array.
 	for i := 0; i < 10*n; i++ {
 		f.push(n + i)
-		if got := f.pop(); got != want {
-			t.Fatalf("churn pop = %d, want %d", got, want)
+		if got := take(&f); got != want {
+			t.Fatalf("churn take = %d, want %d", got, want)
 		}
 		want++
 	}
@@ -116,17 +124,26 @@ func TestFifoCompaction(t *testing.T) {
 	}
 }
 
-// TestFifoPopZeroesSlot: pop clears the vacated slot so pooled packets
-// are not pinned by stale queue references (advance documents that its
-// callers do this through the peek pointer instead).
+// TestFifoPopZeroesSlot: the port's dequeue clears the vacated slot, so
+// pooled packets are not pinned by stale queue references (advance leaves
+// that to its caller).
 func TestFifoPopZeroesSlot(t *testing.T) {
-	var f fifo[*int]
-	v := new(int)
-	f.push(v)
-	f.push(v) // second entry keeps the fifo non-empty so no drain reset
-	_ = f.pop()
-	if f.buf[0] != nil {
-		t.Fatal("pop left a stale reference in the vacated slot")
+	const bw = 1e9
+	net, a, sw, b := buildPair(t, defaultPort(), bw, eventq.Microsecond)
+	b.SetHandler(func(*Packet) {})
+	port := sw.Port(0)
+	// Packet 1 goes straight onto the wire; 2 and 3 queue behind it.
+	for i := 0; i < 3; i++ {
+		port.Enqueue(&Packet{Type: Data, Src: a.ID(), Dst: b.ID(), Size: 4096})
+	}
+	// The transmitter frees and dequeues packet 2; packet 3 keeps the fifo
+	// non-empty, so no drain reset hides the slot.
+	net.Sched.RunUntil(SerializationTime(4096, bw))
+	if port.queue.len() != 1 {
+		t.Fatalf("queue holds %d packets, want 1", port.queue.len())
+	}
+	if port.queue.buf[0] != nil {
+		t.Fatal("dequeue left a stale reference in the vacated slot")
 	}
 }
 
@@ -137,8 +154,8 @@ func TestFifoItems(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		f.push(i)
 	}
-	f.pop()
-	f.pop()
+	take(&f)
+	take(&f)
 	it := f.items()
 	if len(it) != 8 {
 		t.Fatalf("items len = %d, want 8", len(it))

@@ -13,8 +13,7 @@ package netsim
 //	(b) queue bookkeeping — a port's incremental queuedBytes always equals
 //	    the sum of its queued packet sizes, data-packet occupancy never
 //	    exceeds QueueCap (control packets may exceed it only via
-//	    ControlBypass), DRR per-class byte counters agree with their
-//	    queues, phantom-queue occupancy stays within [0, Cap] with a
+//	    ControlBypass), phantom-queue occupancy stays within [0, Cap] with a
 //	    monotone drain clock, and the transmitter state is coherent: the
 //	    transmit timer is armed exactly when packets are queued, never in
 //	    the past, and busyUntil never moves backwards;
@@ -430,27 +429,10 @@ func (c *InvariantChecker) checkQueues() {
 func (c *InvariantChecker) checkPort(p *Port, now eventq.Time) {
 	name := p.owner.Name()
 	var sum, dataSum int64
-	scan := func(pkt *Packet) {
+	for _, pkt := range p.queue.items() {
 		sum += int64(pkt.Size)
 		if pkt.Type == Data && !pkt.Trimmed {
 			dataSum += int64(pkt.Size)
-		}
-	}
-	if len(p.classQ) > 0 {
-		for ci := range p.classQ {
-			var classSum int64
-			for _, pkt := range p.classQ[ci].items() {
-				scan(pkt)
-				classSum += int64(pkt.Size)
-			}
-			if classSum != p.classBytes[ci] {
-				c.violate("queue", "%s port class %d: classBytes %d != recomputed %d",
-					name, ci, p.classBytes[ci], classSum)
-			}
-		}
-	} else {
-		for _, pkt := range p.queue.items() {
-			scan(pkt)
 		}
 	}
 	if sum != p.queuedBytes {
@@ -517,16 +499,8 @@ func (c *InvariantChecker) Check() []Violation {
 		}
 	}
 	walkPort := func(p *Port) {
-		if len(p.classQ) > 0 {
-			for ci := range p.classQ {
-				for _, pkt := range p.classQ[ci].items() {
-					collect(pkt)
-				}
-			}
-		} else {
-			for _, pkt := range p.queue.items() {
-				collect(pkt)
-			}
+		for _, pkt := range p.queue.items() {
+			collect(pkt)
 		}
 		linkInFlight += p.link.inFlight
 	}

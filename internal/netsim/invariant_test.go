@@ -76,9 +76,6 @@ func invariantScenario(t *testing.T, cfg PortConfig, withLoss bool, defect func(
 				p.Size = 4096
 				p.Seq = int64(i)
 				p.ECNCapable = true
-				if len(cfg.ClassWeights) > 0 {
-					p.Class = uint8(i % len(cfg.ClassWeights))
-				}
 				a.Send(p)
 			}
 		})
@@ -88,8 +85,8 @@ func invariantScenario(t *testing.T, cfg PortConfig, withLoss bool, defect func(
 }
 
 // invariantConfigs is the port-feature matrix the clean-run test sweeps:
-// every checker branch (RED, phantom, QCN Cnm injection, trimming, DRR
-// class queues) sees traffic.
+// every checker branch (RED, phantom, QCN Cnm injection, trimming) sees
+// traffic.
 func invariantConfigs() map[string]PortConfig {
 	base := PortConfig{QueueCap: 1 << 16}
 	red := base
@@ -100,11 +97,8 @@ func invariantConfigs() map[string]PortConfig {
 	qcn.QCN, qcn.QCNThresh, qcn.QCNSample = true, 1<<14, 4
 	trim := red
 	trim.Trim, trim.ControlBypass = true, true
-	drr := red
-	drr.ClassWeights = []int{3, 1}
 	return map[string]PortConfig{
-		"fifo": base, "red": red, "phantom": phantom,
-		"qcn": qcn, "trim": trim, "drr": drr,
+		"fifo": base, "red": red, "phantom": phantom, "qcn": qcn, "trim": trim,
 	}
 }
 

@@ -28,11 +28,6 @@ type Network struct {
 	// state machine, so a plain slice suffices — no sync.Pool, no locks.
 	pool []*Packet
 
-	// LoopPanic controls what happens when a packet exceeds maxHops:
-	// true (default in tests) panics, false silently drops and counts.
-	LoopPanic bool
-	LoopDrops uint64
-
 	// Observer, when non-nil, receives every fabric-level packet event
 	// (sends, deliveries, drops) for tracing and telemetry.
 	Observer Observer
@@ -64,10 +59,9 @@ type poolHook interface {
 // New creates an empty network with the given random seed.
 func New(seed uint64) *Network {
 	return &Network{
-		Sched:     eventq.New(),
-		Rand:      rng.New(seed),
-		LoopPanic: true,
-		idStep:    1,
+		Sched:  eventq.New(),
+		Rand:   rng.New(seed),
+		idStep: 1,
 	}
 }
 
@@ -180,23 +174,14 @@ func (n *Network) FreePacket(p *Packet) {
 // allocation-budget tests).
 func (n *Network) PooledPackets() int { return len(n.pool) }
 
-// countHop increments p's hop count and reports whether the packet may keep
-// forwarding. Beyond maxHops it either panics (LoopPanic) or counts a drop.
-func (n *Network) countHop(p *Packet) bool {
+// countHop increments p's hop count and panics beyond maxHops: a packet
+// that long in the fabric means a broken router, a simulator bug.
+func countHop(p *Packet) {
 	p.hops++
-	if p.hops <= maxHops {
-		return true
-	}
-	if n.LoopPanic {
+	if p.hops > maxHops {
 		panic(fmt.Sprintf("netsim: packet %d (%v flow %d %d→%d) exceeded %d hops: routing loop",
 			p.ID, p.Type, p.Flow, p.Src, p.Dst, maxHops))
 	}
-	n.LoopDrops++
-	if n.Observer != nil {
-		n.Observer.PacketDropped("fabric", DropLoop, p)
-	}
-	n.FreePacket(p)
-	return false
 }
 
 // SerializationTime returns how long size bytes occupy a link of rate bps.

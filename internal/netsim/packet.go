@@ -63,12 +63,6 @@ type Packet struct {
 	// balancers rewrite it to steer packets.
 	Entropy uint32
 
-	// Class is the packet's traffic class for ports configured with
-	// weighted per-class scheduling (the paper's footnote 1 alternative:
-	// intra-DC traffic in class 0, inter-DC in class 1). Ports without
-	// class queues ignore it.
-	Class uint8
-
 	// ECN state. ECNCapable packets may be marked instead of dropped by
 	// RED; control packets are not ECN-capable.
 	ECNCapable bool

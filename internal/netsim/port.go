@@ -36,16 +36,6 @@ type PortConfig struct {
 	// latency-bound inter-DC messages (the notification still pays the
 	// WAN RTT) — the trimming extension exists here to demonstrate that.
 	Trim bool
-
-	// ClassWeights switches the port from a single FIFO to per-class
-	// queues served by deficit round robin with the given weights —
-	// the "multiple priority queues + weighted round-robin" alternative
-	// the paper's footnote 1 dismisses for flow-level fairness. Packets
-	// select their queue via Packet.Class (clamped to the last class).
-	// Each class gets its own RED marking on its own occupancy, with
-	// thresholds scaled by its weight share; the capacity check stays on
-	// the aggregate. nil keeps the single FIFO.
-	ClassWeights []int
 }
 
 // PortStats are cumulative counters exposed for the harness.
@@ -66,13 +56,12 @@ type PortStats struct {
 // arrival time is already determined — and the port remembers only when the
 // wire frees. It schedules a transmit event only while something waits
 // behind the packet in service, so a hop through an idle port costs one
-// scheduler event, the arrival; the dequeue decision is still taken at the
-// instant the transmitter frees, for FIFO and DRR alike.
+// scheduler event, the arrival.
 //
 // Enqueue is the per-hop hot path: it runs once for every packet at every
 // switch, so the admission logic is a single fused pass over one snapshot
-// of queue state, with every static threshold that RED, QCN, and DRR need
-// precomputed in newPort (see the redMin/classRedMin/qcnSample fields).
+// of queue state, with every static threshold that RED and QCN need
+// precomputed in newPort (see the redMin/qcnSample fields).
 // The float conversions precomputed there are exact (int64 → float64 of
 // in-range values), so the fused pass is bit-identical to the multi-pass
 // code it replaced — golden digests do not move.
@@ -115,26 +104,8 @@ type Port struct {
 	serSize int
 	serTime eventq.Time
 
-	// Per-class DRR state (ClassWeights mode). classRedMin/classRedMax
-	// are the weight-share-scaled RED thresholds, precomputed per class
-	// (they were recomputed from the weight share on every marked
-	// enqueue).
-	classQ      []fifo[*Packet]
-	classBytes  []int64
-	deficit     []int64
-	rrNext      int
-	totalWeight int // sum of cfg.ClassWeights, precomputed once
-	classRedMin []float64
-	classRedMax []float64
-
 	stats PortStats
 }
-
-// drrQuantum is each DRR round's deficit grant per unit weight. It must be
-// at least one maximum-size packet for the scheduler to guarantee
-// progress; keeping it at exactly that bound minimizes per-round burst
-// size (and thus short-term unfairness).
-const drrQuantum = 9216
 
 func newPort(net *Network, owner Node, link *Link, cfg PortConfig) *Port {
 	if cfg.QueueCap <= 0 {
@@ -145,11 +116,6 @@ func newPort(net *Network, owner Node, link *Link, cfg PortConfig) *Port {
 		// or above the capacity would make every feedback +Inf/NaN.
 		panic("netsim: QCN threshold must be below queue capacity")
 	}
-	for _, w := range cfg.ClassWeights {
-		if w <= 0 {
-			panic("netsim: DRR class weights must be positive")
-		}
-	}
 	p := &Port{net: net, owner: owner, cfg: cfg, link: link}
 	p.dropLabel = owner.Name() + " port"
 	p.txTimer = net.Sched.NewTimer(p.onTxTimer)
@@ -159,42 +125,7 @@ func newPort(net *Network, owner Node, link *Link, cfg PortConfig) *Port {
 		p.qcnSample = 32
 	}
 	p.qcnRange = float64(cfg.QueueCap - cfg.QCNThresh)
-	if n := len(cfg.ClassWeights); n > 0 {
-		p.classQ = make([]fifo[*Packet], n)
-		p.classBytes = make([]int64, n)
-		p.deficit = make([]int64, n)
-		for _, w := range cfg.ClassWeights {
-			p.totalWeight += w
-		}
-		p.classRedMin = make([]float64, n)
-		p.classRedMax = make([]float64, n)
-		for c, w := range cfg.ClassWeights {
-			// A class's thresholds are the port thresholds scaled by its
-			// weight share. The expression mirrors the old per-enqueue
-			// computation term for term, so the products are bit-identical.
-			share := float64(w) / float64(p.totalWeight)
-			p.classRedMin[c] = p.redMin * share
-			p.classRedMax[c] = p.redMax * share
-		}
-	}
 	return p
-}
-
-// classOf clamps a packet's class to the configured queues.
-func (p *Port) classOf(pkt *Packet) int {
-	c := int(pkt.Class)
-	if c >= len(p.classQ) {
-		c = len(p.classQ) - 1
-	}
-	return c
-}
-
-// ClassQueuedBytes returns class c's occupancy (0 for single-FIFO ports).
-func (p *Port) ClassQueuedBytes(c int) int64 {
-	if c < 0 || c >= len(p.classBytes) {
-		return 0
-	}
-	return p.classBytes[c]
 }
 
 // Link returns the attached outgoing link.
@@ -205,16 +136,7 @@ func (p *Port) Link() *Link { return p.link }
 func (p *Port) QueuedBytes() int64 { return p.queuedBytes }
 
 // QueuedPackets returns the number of queued packets.
-func (p *Port) QueuedPackets() int {
-	if len(p.classQ) > 0 {
-		n := 0
-		for c := range p.classQ {
-			n += p.classQ[c].len()
-		}
-		return n
-	}
-	return p.queue.len()
-}
+func (p *Port) QueuedPackets() int { return p.queue.len() }
 
 // Stats returns a snapshot of the port counters.
 func (p *Port) Stats() PortStats { return p.stats }
@@ -266,24 +188,13 @@ func (p *Port) Enqueue(pkt *Packet) {
 		p.stats.Trims++
 	}
 
-	c := 0
-	if len(p.classQ) > 0 {
-		c = p.classOf(pkt)
-	}
-
 	if pkt.ECNCapable && !pkt.ECNMarked {
 		marked := phantomMark
 		if !marked && p.redMax > 0 {
 			// RED sees the occupancy including the arriving packet, the same
 			// after-add convention as PhantomQueue.OnEnqueue (§5.1): the mark
-			// reflects the queue the packet actually joins. In DRR mode the
-			// decision is per class, against its precomputed scaled
-			// thresholds.
-			occ, min, max := float64(qb+size), p.redMin, p.redMax
-			if len(p.classQ) > 0 {
-				occ, min, max = float64(p.classBytes[c]+size), p.classRedMin[c], p.classRedMax[c]
-			}
-			marked = redDecision(occ, min, max, p.net.Rand)
+			// reflects the queue the packet actually joins.
+			marked = redDecision(float64(qb+size), p.redMin, p.redMax, p.net.Rand)
 		}
 		if marked {
 			pkt.ECNMarked = true
@@ -291,12 +202,7 @@ func (p *Port) Enqueue(pkt *Packet) {
 		}
 	}
 
-	if len(p.classQ) > 0 {
-		p.classQ[c].push(pkt)
-		p.classBytes[c] += size
-	} else {
-		p.queue.push(pkt)
-	}
+	p.queue.push(pkt)
 	qb += size
 	p.queuedBytes = qb
 	p.stats.EnqueuedPackets++
@@ -349,69 +255,17 @@ func (p *Port) sendCnm(pkt *Packet) {
 	p.owner.HandlePacket(cnm)
 }
 
-// popNext removes and returns the next packet to transmit, or nil.
-func (p *Port) popNext() *Packet {
-	if len(p.classQ) > 0 {
-		return p.popDRR()
-	}
-	if p.queue.len() == 0 {
-		return nil
-	}
-	// peek+advance instead of pop: nil the slot through the head pointer so
-	// the discard stays inlined (see fifo.advance).
-	head := p.queue.peek()
-	pkt := *head
-	*head = nil
-	p.queue.advance()
-	return pkt
-}
-
-// popDRR serves the class queues by deficit round robin.
-func (p *Port) popDRR() *Packet {
-	n := len(p.classQ)
-	nonempty := false
-	for c := 0; c < n; c++ {
-		if p.classQ[c].len() > 0 {
-			nonempty = true
-			break
-		}
-	}
-	if !nonempty {
-		return nil
-	}
-	// At most two full rounds are needed: one to replenish deficits, one
-	// to serve (quantum ≥ max packet size × weight). An oversize packet
-	// takes more; deficits only grow, so the loop ends.
-	for {
-		c := p.rrNext
-		if p.classQ[c].len() > 0 {
-			slot := p.classQ[c].peek()
-			head := *slot
-			if p.deficit[c] >= int64(head.Size) {
-				p.deficit[c] -= int64(head.Size)
-				*slot = nil
-				p.classQ[c].advance()
-				p.classBytes[c] -= int64(head.Size)
-				// Stay on this class while its deficit lasts (standard
-				// DRR serves a class's burst before moving on).
-				return head
-			}
-			// Replenish and move on.
-			p.deficit[c] += int64(p.cfg.ClassWeights[c]) * drrQuantum
-		} else {
-			// An idle class must not bank credit.
-			p.deficit[c] = 0
-		}
-		p.rrNext = (p.rrNext + 1) % n
-	}
-}
-
-// transmit starts serializing the next packet at now; callers guarantee the
+// transmit starts serializing the head packet at now; callers guarantee the
 // wire is free and the queue non-empty. The timer is armed — only if another
 // packet is waiting — before the hand-off: a drop inside deliver reaches
 // observers, which must see consistent port state.
 func (p *Port) transmit(now eventq.Time) {
-	pkt := p.popNext()
+	// peek+advance instead of a by-value pop: nil the slot through the head
+	// pointer so the discard stays inlined (see fifo.advance).
+	head := p.queue.peek()
+	pkt := *head
+	*head = nil
+	p.queue.advance()
 	p.queuedBytes -= int64(pkt.Size)
 	if pkt.Size != p.serSize {
 		p.serSize = pkt.Size
@@ -420,7 +274,7 @@ func (p *Port) transmit(now eventq.Time) {
 	if !p.net.skipBusyAdvance {
 		p.busyUntil = now + p.serTime
 	}
-	p.busy = p.QueuedPackets() > 0
+	p.busy = p.queue.len() > 0
 	if p.busy {
 		p.txTimer.Reset(p.busyUntil)
 	}

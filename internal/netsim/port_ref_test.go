@@ -13,15 +13,12 @@ import (
 // checked against: kick arms a transmit-done timer for the head packet, and
 // onTxDone puts it on the wire and kicks again — two events per hop, busy or
 // not. It shares no code with Port: admission is spelled out in its plainest
-// form and a single FIFO is DRR with one class.
+// form and the queue is a plain slice.
 type refPort struct {
-	sched   *eventq.Scheduler
-	cfg     PortConfig
-	weights []int
+	sched *eventq.Scheduler
+	cfg   PortConfig
 
-	classQ  [][]*Packet
-	deficit []int64
-	rr      int
+	queue   []*Packet
 	bytes   int64
 	busy    bool
 	txPkt   *Packet
@@ -40,22 +37,9 @@ type portOutcome struct {
 }
 
 func newRefPort(sched *eventq.Scheduler, cfg PortConfig, n int) *refPort {
-	r := &refPort{sched: sched, cfg: cfg, weights: cfg.ClassWeights, out: make([]portOutcome, n)}
-	if len(r.weights) == 0 {
-		r.weights = []int{1}
-	}
-	r.classQ = make([][]*Packet, len(r.weights))
-	r.deficit = make([]int64, len(r.weights))
+	r := &refPort{sched: sched, cfg: cfg, out: make([]portOutcome, n)}
 	r.txTimer = sched.NewTimer(r.onTxDone)
 	return r
-}
-
-func (r *refPort) queued() int {
-	n := 0
-	for _, q := range r.classQ {
-		n += len(q)
-	}
-	return n
 }
 
 func (r *refPort) Enqueue(pkt *Packet) {
@@ -77,49 +61,20 @@ func (r *refPort) Enqueue(pkt *Packet) {
 		r.stats.Trims++
 		o.trimmed = true
 	}
-	c := int(pkt.Class)
-	if c >= len(r.classQ) {
-		c = len(r.classQ) - 1
-	}
-	r.classQ[c] = append(r.classQ[c], pkt)
+	r.queue = append(r.queue, pkt)
 	r.bytes += int64(pkt.Size)
 	r.stats.EnqueuedPackets++
 	r.stats.EnqueuedBytes += uint64(pkt.Size)
 	r.kick()
 }
 
-// pop is textbook deficit round robin: serve the current class while its
-// deficit covers the head, otherwise grant it a quantum and move on; an idle
-// class banks nothing.
-func (r *refPort) pop() *Packet {
-	if r.queued() == 0 {
-		return nil
-	}
-	for {
-		c := r.rr
-		if q := r.classQ[c]; len(q) > 0 {
-			if head := q[0]; r.deficit[c] >= int64(head.Size) {
-				r.deficit[c] -= int64(head.Size)
-				r.classQ[c] = q[1:]
-				return head
-			}
-			r.deficit[c] += int64(r.weights[c]) * drrQuantum
-		} else {
-			r.deficit[c] = 0
-		}
-		r.rr = (r.rr + 1) % len(r.classQ)
-	}
-}
-
 // kick starts the transmitter if it is idle and work is queued.
 func (r *refPort) kick() {
-	if r.busy {
+	if r.busy || len(r.queue) == 0 {
 		return
 	}
-	pkt := r.pop()
-	if pkt == nil {
-		return
-	}
+	pkt := r.queue[0]
+	r.queue = r.queue[1:]
 	r.bytes -= int64(pkt.Size)
 	r.busy, r.txPkt = true, pkt
 	r.txTimer.ResetAfter(SerializationTime(pkt.Size, oracleBW))
@@ -142,7 +97,7 @@ func (r *refPort) onTxDone() {
 // run first. (With packets waiting, both ports take the arrival first: it
 // was scheduled before either timer was armed.)
 func (r *refPort) arrive(x any) {
-	if r.busy && r.queued() == 0 && r.txTimer.At() == r.sched.Now() {
+	if r.busy && len(r.queue) == 0 && r.txTimer.At() == r.sched.Now() {
 		r.sched.ScheduleArg(r.sched.Now(), r.arrive, x)
 		return
 	}
@@ -190,12 +145,12 @@ func oraclePort(cfg PortConfig) (*Network, *Port, *Host) {
 	return net, sw.Port(idx), sink
 }
 
-// randomScript draws n arrivals: MTU data and 64 B control packets over the
-// given number of classes, with gaps of zero (same-picosecond bursts), exact
+// randomScript draws n arrivals: MTU data and 64 B control packets, with
+// gaps of zero (same-picosecond bursts), exact
 // multiples of a serialization time (arrival/completion ties), and uniform
 // draws up to four MTU times — so the port runs idle, back to back and
 // overloaded within one script.
-func randomScript(r *rng.Rand, n, classes int) []scriptedArrival {
+func randomScript(r *rng.Rand, n int) []scriptedArrival {
 	serMTU := SerializationTime(oracleMTU, oracleBW)
 	serAck := SerializationTime(AckSize, oracleBW)
 	script := make([]scriptedArrival, n)
@@ -217,7 +172,7 @@ func randomScript(r *rng.Rand, n, classes int) []scriptedArrival {
 				at += eventq.Time(r.Int63n(int64(4 * serMTU)))
 			}
 		}
-		pkt := Packet{Type: Data, Size: oracleMTU, Seq: int64(i), Class: uint8(r.Intn(classes))}
+		pkt := Packet{Type: Data, Size: oracleMTU, Seq: int64(i)}
 		if r.Intn(3) == 0 {
 			pkt.Type, pkt.Size = Ack, AckSize
 		}
@@ -261,8 +216,9 @@ func runReference(cfg PortConfig, script []scriptedArrival) ([]portOutcome, Port
 // TestPortTimingOracle: the serialization-start hand-off must be invisible
 // on a port taken in isolation. Every scripted packet sees the same queue
 // occupancy, meets the same drop or trim decision, and departs and arrives
-// at the same picosecond as under the eager reference, on FIFO and DRR
-// ports, with trimming and control bypass on a queue that fills.
+// at the same picosecond as under the eager reference, with trimming and
+// control bypass on a queue that fills, and every departure obeys the FIFO
+// recurrence.
 func TestPortTimingOracle(t *testing.T) {
 	const queueCap = 6 * oracleMTU
 	configs := map[string]PortConfig{
@@ -270,14 +226,11 @@ func TestPortTimingOracle(t *testing.T) {
 		"fifo-bypass":      {QueueCap: queueCap, ControlBypass: true},
 		"fifo-trim":        {QueueCap: queueCap, Trim: true},
 		"fifo-trim-bypass": {QueueCap: queueCap, Trim: true, ControlBypass: true},
-		"drr-3-1":          {QueueCap: queueCap, ClassWeights: []int{3, 1}},
-		"drr-1-1-2-trim":   {QueueCap: queueCap, Trim: true, ControlBypass: true, ClassWeights: []int{1, 1, 2}},
 	}
 	for name, cfg := range configs {
-		classes := max(1, len(cfg.ClassWeights))
 		var drops, trims, waits int
 		for seed := uint64(1); seed <= 20; seed++ {
-			script := randomScript(rng.New(seed), 400, classes)
+			script := randomScript(rng.New(seed), 400)
 			got, gotStats := runProduction(cfg, script)
 			want, wantStats := runReference(cfg, script)
 			for i := range script {
@@ -289,9 +242,7 @@ func TestPortTimingOracle(t *testing.T) {
 			if gotStats != wantStats {
 				t.Fatalf("%s seed %d: PortStats %+v, reference %+v", name, seed, gotStats, wantStats)
 			}
-			if len(cfg.ClassWeights) == 0 {
-				checkFIFORecurrence(t, fmt.Sprintf("%s seed %d", name, seed), script, got)
-			}
+			checkFIFORecurrence(t, fmt.Sprintf("%s seed %d", name, seed), script, got)
 			drops += int(gotStats.TailDrops)
 			trims += int(gotStats.Trims)
 			for i := range got {
@@ -371,12 +322,12 @@ func TestPortEventEconomy(t *testing.T) {
 // waits in the queue, arms the transmit timer and drains allocates nothing
 // once the pools are warm.
 func TestQueuedPacketPathAllocFree(t *testing.T) {
-	net, port, sink := oraclePort(PortConfig{QueueCap: 1 << 20, ClassWeights: []int{2, 1}})
+	net, port, sink := oraclePort(PortConfig{QueueCap: 1 << 20})
 	sink.SetHandler(func(*Packet) {})
 	burst := func() {
 		for i := 0; i < 16; i++ {
 			p := net.AllocPacket()
-			p.Type, p.Size, p.Class = Data, oracleMTU, uint8(i%2)
+			p.Type, p.Size = Data, oracleMTU
 			port.Enqueue(p)
 		}
 		net.Sched.Run()

@@ -70,9 +70,7 @@ func (s *Switch) NoRouteDrops() uint64 { return s.noRouteDrops }
 
 // HandlePacket implements Node: route and enqueue.
 func (s *Switch) HandlePacket(p *Packet) {
-	if !s.net.countHop(p) {
-		return
-	}
+	countHop(p)
 	idx := s.router.Route(s, p)
 	if idx < 0 || idx >= len(s.ports) {
 		s.noRouteDrops++

@@ -14,7 +14,6 @@ const (
 	DropLink                    // link administratively down
 	DropLoss                    // stochastic loss process
 	DropRoute                   // no route at a switch
-	DropLoop                    // hop-count exceeded
 )
 
 func (r DropReason) String() string {
@@ -27,8 +26,6 @@ func (r DropReason) String() string {
 		return "loss"
 	case DropRoute:
 		return "noroute"
-	case DropLoop:
-		return "loop"
 	default:
 		return "unknown"
 	}

@@ -82,7 +82,7 @@ func TestWriterObserverDropsOnly(t *testing.T) {
 func TestDropReasonStrings(t *testing.T) {
 	want := map[DropReason]string{
 		DropTail: "taildrop", DropLink: "linkdown", DropLoss: "loss",
-		DropRoute: "noroute", DropLoop: "loop", DropReason(99): "unknown",
+		DropRoute: "noroute", DropReason(99): "unknown",
 	}
 	for r, s := range want {
 		if r.String() != s {

@@ -78,13 +78,6 @@ type Config struct {
 	// demonstrate exactly that).
 	Trimming bool
 
-	// ClassWeights switches every port to per-class DRR queues with these
-	// weights (class 0 = intra-DC, class 1 = inter-DC) — the footnote 1
-	// alternative ("multiple priority queues ... weighted round-robin
-	// scheduling between inter- and intra-DC traffic"). nil keeps single
-	// FIFOs.
-	ClassWeights []int
-
 	// QCN enables QCN congestion-notification messages on every switch
 	// port of the source-side fabric, including the border uplinks (all of
 	// which sit inside the source datacenter — exactly the "congestion
@@ -384,7 +377,6 @@ func (t *DualDC) portConfig(inter bool) netsim.PortConfig {
 		MarkMax:       int64(float64(capBytes) * cfg.REDMaxFrac),
 		ControlBypass: true,
 		Trim:          cfg.Trimming,
-		ClassWeights:  cfg.ClassWeights,
 	}
 	if cfg.QCN {
 		frac := cfg.QCNThreshFrac

@@ -38,12 +38,6 @@ type ConnStats struct {
 	SpuriousRetrans uint64
 }
 
-// blockState is the sender's accounting for one erasure-coding block.
-type blockState struct {
-	acked     int16 // distinct acked packets
-	satisfied bool  // receiver confirmed the block decodable
-}
-
 // Conn is the sender side of one flow. Congestion-control and path-selector
 // policies observe and steer it through the exported accessors. All methods
 // run on the simulation goroutine.
@@ -84,7 +78,7 @@ type Conn struct {
 	// the RACK loss-sweep reference point.
 	maxAckedSent eventq.Time
 
-	blocks []blockState // empty without EC
+	blocks []bool // per EC block: receiver confirmed it decodable; empty without EC
 
 	policyTimers []*eventq.Timer // handed out by NewTimer, released by finish
 
@@ -114,7 +108,7 @@ func newConn(ep *Endpoint, flow *Flow, params *Params, sched schedule, cc Conges
 		onDone: onDone,
 	}
 	if sched.nBlocks > 0 {
-		c.blocks = make([]blockState, sched.nBlocks)
+		c.blocks = make([]bool, sched.nBlocks)
 	}
 	if c.cwnd <= 0 {
 		c.cwnd = float64(params.MTU + HeaderSize)
@@ -303,9 +297,6 @@ func (c *Conn) transmit(seq int64, d pktDesc) {
 	p.BlockIdx = d.blockIdx
 	p.IsParity = d.parity
 	p.Subflow = -1
-	if c.flow.InterDC {
-		p.Class = 1 // class-queue ports separate WAN from local traffic
-	}
 	c.lb.Assign(c, p)
 
 	if st.sent {
@@ -535,9 +526,6 @@ func (c *Conn) handleAck(p *netsim.Packet) {
 		c.stats.BytesAcked += int64(info.Bytes)
 		c.rtoBackoff = 0
 		c.lastProgress = now
-		if d.block >= 0 && !st.dontCare {
-			c.blocks[d.block].acked++
-		}
 	}
 
 	// Receiver-confirmed block completion lets the sender drop stragglers.
@@ -584,10 +572,10 @@ func (c *Conn) updateRTT(rtt eventq.Time) {
 // nextToSend once dontCare; in-flight bytes are released exactly once here
 // (lossPending entries were already released when they were declared lost).
 func (c *Conn) satisfyBlock(b int32) {
-	if b < 0 || int(b) >= len(c.blocks) || c.blocks[b].satisfied {
+	if b < 0 || int(b) >= len(c.blocks) || c.blocks[b] {
 		return
 	}
-	c.blocks[b].satisfied = true
+	c.blocks[b] = true
 	blk := c.sched.block(b)
 	for seq := blk.start; seq < blk.start+int64(blk.count); seq++ {
 		st := &c.state[seq]
@@ -691,7 +679,7 @@ func (c *Conn) handleNack(p *netsim.Packet) {
 	}
 	c.stats.NacksReceived++
 	b := p.NackBlock
-	if b < 0 || int(b) >= len(c.blocks) || c.blocks[b].satisfied {
+	if b < 0 || int(b) >= len(c.blocks) || c.blocks[b] {
 		return
 	}
 	blk := c.sched.block(b)

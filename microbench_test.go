@@ -164,8 +164,8 @@ func BenchmarkDigestFold(b *testing.B) {
 // BenchmarkPortEnqueue isolates Port.Enqueue — the fused single-pass
 // admission that runs once per packet per hop — across the port
 // configurations that activate its different branches: plain FIFO, RED
-// marking, phantom-queue marking, QCN sampling, per-class DRR with scaled
-// thresholds, and trimming under genuine queue pressure. Packets are
+// marking, phantom-queue marking, QCN sampling, and trimming under genuine
+// queue pressure. Packets are
 // enqueued in bursts straight into the output port (no NIC serialization
 // in front), so the queue actually builds depth and the capacity, trim,
 // and QCN>threshold branches run; the scheduler then drains the burst and
@@ -174,19 +174,16 @@ func BenchmarkPortEnqueue(b *testing.B) {
 	const bw = int64(100e9)
 	const qcap = int64(1 << 20)
 	variants := []struct {
-		name    string
-		cfg     netsim.PortConfig
-		classes uint8 // 0 = single FIFO
+		name string
+		cfg  netsim.PortConfig
 	}{
-		{"fifo", netsim.PortConfig{QueueCap: qcap}, 0},
-		{"red", netsim.PortConfig{QueueCap: qcap, MarkMin: qcap / 4, MarkMax: 3 * qcap / 4}, 0},
+		{"fifo", netsim.PortConfig{QueueCap: qcap}},
+		{"red", netsim.PortConfig{QueueCap: qcap, MarkMin: qcap / 4, MarkMax: 3 * qcap / 4}},
 		{"phantom", netsim.PortConfig{QueueCap: qcap,
-			Phantom: netsim.NewPhantomQueue(bw*95/100, qcap, qcap/4, 3*qcap/4)}, 0},
-		{"qcn", netsim.PortConfig{QueueCap: qcap, QCN: true, QCNThresh: 1 << 14, QCNSample: 8}, 0},
-		{"drr", netsim.PortConfig{QueueCap: qcap, MarkMin: qcap / 4, MarkMax: 3 * qcap / 4,
-			ClassWeights: []int{1, 2, 4}}, 3},
+			Phantom: netsim.NewPhantomQueue(bw*95/100, qcap, qcap/4, 3*qcap/4)}},
+		{"qcn", netsim.PortConfig{QueueCap: qcap, QCN: true, QCNThresh: 1 << 14, QCNSample: 8}},
 		// 16 KiB capacity against 96 KiB bursts: most of each burst tail-trims.
-		{"trim-pressure", netsim.PortConfig{QueueCap: 16 << 10, Trim: true}, 0},
+		{"trim-pressure", netsim.PortConfig{QueueCap: 16 << 10, Trim: true}},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
@@ -214,9 +211,6 @@ func BenchmarkPortEnqueue(b *testing.B) {
 					p.Dst = dst.ID()
 					p.Size = 1500
 					p.ECNCapable = true
-					if v.classes > 0 {
-						p.Class = uint8(j) % v.classes
-					}
 					port.Enqueue(p)
 				}
 				net.Sched.Run()

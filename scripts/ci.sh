@@ -69,6 +69,12 @@ for sh in 1 2; do
     UNO_SHARDS=$sh go test -count=1 -run 'TestShardedGoldenDigest' ./internal/harness/
 done
 
+# A ring collective needs a one-shard Sim, so the facade's ring test and
+# example build theirs explicitly; a sharded process default must not
+# reach them.
+echo "== ring collectives, UNO_SHARDS=1 =="
+UNO_SHARDS=1 go test -count=1 -run 'TestFacadeRingAllreduce|ExampleStartRing' .
+
 # The shard count's proof obligations run explicitly under the race
 # detector with caching disabled: the metamorphic worker-count equivalence
 # property on random scenarios and over every registry experiment, the
@@ -97,8 +103,8 @@ go test -race -count=1 \
     -run 'TestSequentialFlowsLeaveNothingBehind|TestFlowAllocationBudget|TestLatePacketsForCompletedSender|TestEndpointAccessors|TestTimerRelease|TestTimerResetAfterRelease|TestQuickAdaptTimerEndsWithFlow|TestConfigPool' \
     ./internal/transport/ ./internal/eventq/ ./internal/core/
 
-# The eventq property tests (wheel-vs-reference-model fire sequences,
-# stale-fire checks) are the proof obligations of the wheel layout; run them
+# The eventq property tests (wheel-vs-reference-model fire sequences over
+# fire-and-forget events and timers, stale-fire checks) are the proof obligations of the wheel layout; run them
 # explicitly under the race detector with caching disabled so a wheel change
 # can never ride a stale cache entry through the full -race sweep below.
 echo "== eventq property tests, -race -count=1 =="
@@ -139,7 +145,8 @@ go test -race -count=1 \
     -run 'TestLossRecovery|TestRTOSaturatedBackoffNoOverflow|TestRTORecoversTailLoss|TestUnoLBReroutesSubflowWithDeadAckPath|TestConnSizeClass' \
     ./internal/transport/ ./internal/core/ ./internal/harness/
 
-# Native fuzz targets, briefly: the differential scheduler fuzzer, the
+# Native fuzz targets, briefly: the differential scheduler fuzzer (opcodes 2,
+# 5 and 6 are aliases kept so older corpus entries decode the same), the
 # transport packet-header fuzzer (hostile data at the receiver, hostile
 # ACKs, NACKs and CNMs at the sender — a seed pins the sender's old panic on
 # an ACK past the schedule), and the fountain GF(2) decoder fuzzer, which

@@ -130,7 +130,7 @@ func TestFacadeLossModels(t *testing.T) {
 
 func TestFacadeExperimentRegistry(t *testing.T) {
 	exps := uno.Experiments()
-	if len(exps) != 16 { // 12 paper figures/tables + 3 extensions + tournament
+	if len(exps) != 15 { // 12 paper figures/tables + 2 extensions + tournament
 		t.Fatalf("registry size %d", len(exps))
 	}
 	report, ok := uno.RunExperiment("fig1", uno.ExperimentConfig{})
@@ -160,8 +160,12 @@ func TestFacadeCustomStackAblation(t *testing.T) {
 
 func TestFacadeRingAllreduce(t *testing.T) {
 	// A 4-member ring spanning the two DCs: 2(N−1) dependency-ordered
-	// steps over the real transport.
-	sim := uno.NewSim(19, uno.DefaultTopology(), uno.UnoStack())
+	// steps over the real transport, on the one-shard Sim StartRing needs
+	// whatever UNO_SHARDS says.
+	sim, err := uno.NewShardedSim(19, uno.DefaultTopology(), uno.UnoStack(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := uno.RingConfig{
 		Members: []int{0, 16, 128, 144}, // two hosts per DC, ring crosses the border twice
 		Bytes:   8 << 20,
