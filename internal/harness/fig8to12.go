@@ -18,34 +18,12 @@ func Fig8(cfg Config) *Report {
 	flowSize := int64(cfg.scaled(64)) << 20
 	horizon := eventq.Time(cfg.scaled(80)) * eventq.Millisecond
 
-	scenarios := []struct {
-		name         string
-		intra, inter int
-	}{
-		{"8 intra / 0 inter", 8, 0},
-		{"4 intra / 4 inter", 4, 4},
-		{"0 intra / 8 inter", 0, 8},
-	}
-
 	fctTbl := r.NewTable("completion times (µs)", "scenario", "scheme", "mean FCT", "p99 FCT")
 	fairTbl := r.NewTable("Uno rate convergence", "scenario", "mean Jain (mid)", "time-to-fairness")
 
-	for _, sc := range scenarios {
-		topoCfg := topoForRTTRatio(128)
-		perDC := topoCfg.HostsPerDC()
-		hpp := perDC / topoCfg.K
-		var specs []workload.FlowSpec
-		for i := 0; i < sc.intra; i++ {
-			specs = append(specs, workload.FlowSpec{
-				Src: (i+1)*hpp + i, Dst: 0, Size: flowSize, InterDC: false,
-			})
-		}
-		for i := 0; i < sc.inter; i++ {
-			specs = append(specs, workload.FlowSpec{
-				Src: perDC + i*hpp + i, Dst: 0, Size: flowSize, InterDC: true,
-			})
-		}
-
+	topoCfg := topoForRTTRatio(128)
+	for _, sc := range fig8Scenarios {
+		specs := fig8Specs(topoCfg, sc.intra, sc.inter, flowSize)
 		for _, base := range BaselineStacks() {
 			stack := withLB(base, NewRPS)
 			sim := MustNewSim(cfg.Seed, topoCfg, stack)
@@ -70,6 +48,36 @@ func Fig8(cfg Config) *Report {
 	}
 	r.Note("8 × %s flows incast to one host; packet spraying for all schemes (as in the paper)", fmtBytes(flowSize))
 	return r
+}
+
+// fig8Scenarios are Figure 8's intra/inter sender mixes.
+var fig8Scenarios = []struct {
+	name         string
+	intra, inter int
+}{
+	{"8 intra / 0 inter", 8, 0},
+	{"4 intra / 4 inter", 4, 4},
+	{"0 intra / 8 inter", 0, 8},
+}
+
+// fig8Specs places Figure 8's incast onto host 0: intra sender i in pod
+// (i+1) mod K of DC 1 — the eighth wraps to the receiver's pod at K = 8 —
+// and inter sender i in pod i of DC 2, each at host offset i of its pod.
+func fig8Specs(cfg topo.Config, intra, inter int, size int64) []workload.FlowSpec {
+	perDC := cfg.HostsPerDC()
+	hpp := perDC / cfg.K
+	var specs []workload.FlowSpec
+	for i := 0; i < intra; i++ {
+		specs = append(specs, workload.FlowSpec{
+			Src: (i+1)%cfg.K*hpp + i, Dst: 0, Size: size, InterDC: false,
+		})
+	}
+	for i := 0; i < inter; i++ {
+		specs = append(specs, workload.FlowSpec{
+			Src: perDC + i*hpp + i, Dst: 0, Size: size, InterDC: true,
+		})
+	}
+	return specs
 }
 
 // Fig9 reproduces Figure 9: a random permutation across both datacenters,

@@ -291,6 +291,27 @@ func TestTopoForRTTRatio(t *testing.T) {
 	}
 }
 
+// TestFig8SendersInTheirDC: Figure 8's "intra" senders share the receiver's
+// DC and its "inter" senders do not; every sender is a distinct host other
+// than the receiver. The eighth intra sender used to land in the other DC.
+func TestFig8SendersInTheirDC(t *testing.T) {
+	cfg := topoForRTTRatio(128)
+	sim := MustNewSim(5, cfg, StackUnoECMP())
+	hosts := sim.Topo.Hosts
+	for _, sc := range fig8Scenarios {
+		seen := map[int]bool{}
+		for _, sp := range fig8Specs(cfg, sc.intra, sc.inter, 1<<20) {
+			if sp.Src == sp.Dst || seen[sp.Src] {
+				t.Errorf("%s: sender %d repeats or is the receiver", sc.name, sp.Src)
+			}
+			seen[sp.Src] = true
+			if same := sim.Topo.SameDC(hosts[sp.Src].ID(), hosts[sp.Dst].ID()); same == sp.InterDC {
+				t.Errorf("%s: %d→%d labelled InterDC=%v, same DC=%v", sc.name, sp.Src, sp.Dst, sp.InterDC, same)
+			}
+		}
+	}
+}
+
 func TestWithLBOverride(t *testing.T) {
 	sim := MustNewSim(6, smallTopo(), StackUno())
 	spec := workload.FlowSpec{Src: 0, Dst: 1, Size: 4096}

@@ -50,9 +50,24 @@ const AckSize = 64
 //
 // A Packet is owned by exactly one component at a time (sender → queue →
 // link → receiver), so no locking is needed.
+//
+// Layout: every field a hop reads — countHop, Switch.HandlePacket's router,
+// Port.Enqueue and the digest fold — sits in the first 64 bytes, so a
+// forwarded packet costs one cache line. hops and pooled fill the padding
+// after Type; TestPacketHotFieldsFirstCacheLine pins the rule.
 type Packet struct {
 	ID   uint64 // globally unique, assigned by the Network
 	Type PacketType
+
+	// pooled marks packets obtained from Network.AllocPacket. Only pooled
+	// packets are recycled by FreePacket; packets built with struct
+	// literals (tests, external injectors) pass through the fabric's
+	// terminal points untouched.
+	pooled bool
+
+	// hops counts traversed links, used to catch routing loops.
+	hops int32
+
 	Flow FlowID
 	Src  NodeID // source host
 	Dst  NodeID // destination host
@@ -102,15 +117,6 @@ type Packet struct {
 	// the Annulus extension): Feedback is the severity in [0, 1], the
 	// sampled queue's occupancy above its notification threshold.
 	Feedback float64
-
-	// hops counts traversed links, used to catch routing loops.
-	hops int
-
-	// pooled marks packets obtained from Network.AllocPacket. Only pooled
-	// packets are recycled by FreePacket; packets built with struct
-	// literals (tests, external injectors) pass through the fabric's
-	// terminal points untouched.
-	pooled bool
 }
 
 // Node is anything that can terminate or forward packets.

@@ -44,7 +44,7 @@ func stuffPacket(t *testing.T, p *Packet, rng *rand.Rand) {
 			t.Fatalf("stuffPacket: unhandled kind %v for Packet.%s — extend the fuzzer", f.Kind(), typ.Field(i).Name)
 		}
 	}
-	p.hops = 1 + rng.Intn(10)
+	p.hops = int32(1 + rng.Intn(10))
 }
 
 // checkZeroed fails if any field of p differs from a fresh packet, Missing

@@ -17,8 +17,8 @@ import (
 func assertInFlightConsistent(t *testing.T, conn *Conn) {
 	t.Helper()
 	var want int64
-	for seq := range conn.state {
-		if conn.state[seq].inFlight {
+	for seq, st := range conn.state[:len(conn.sentAt)] { // nil once completed
+		if st.has(pktInFlight) {
 			want += int64(conn.wireSize(int64(seq)))
 		}
 	}
@@ -140,11 +140,10 @@ func TestSatisfyBlockThenStaleAck(t *testing.T) {
 	// Declare seq 1 lost exactly the way onRTO does: released from the
 	// window, queued for retransmission, not yet re-sent.
 	st := &conn.state[1]
-	if !st.inFlight {
+	if !st.has(pktInFlight) {
 		t.Fatal("seq 1 not in flight")
 	}
-	st.inFlight = false
-	st.lossPending = true
+	*st = *st&^pktInFlight | pktLossPending
 	conn.inFlight -= int64(conn.wireSize(1))
 	conn.rtxQ = append(conn.rtxQ, 1)
 	assertInFlightConsistent(t, conn)
@@ -153,8 +152,8 @@ func TestSatisfyBlockThenStaleAck(t *testing.T) {
 	blk := conn.sched.block(0)
 	for seq := blk.start; seq < blk.start+int64(blk.count); seq++ {
 		s := conn.state[seq]
-		if !s.dontCare || s.inFlight || s.lossPending {
-			t.Fatalf("seq %d not released: %+v", seq, s)
+		if !s.has(pktDontCare) || s.has(pktInFlight|pktLossPending) {
+			t.Fatalf("seq %d not released: flags %#x", seq, s)
 		}
 	}
 	assertInFlightConsistent(t, conn)
@@ -203,11 +202,11 @@ func TestSatisfyBlockThenRTO(t *testing.T) {
 	blk := conn.sched.block(0)
 	for seq := blk.start; seq < blk.start+int64(blk.count); seq++ {
 		s := conn.state[seq]
-		if s.lossPending || s.inFlight {
-			t.Fatalf("satisfied seq %d re-declared: %+v", seq, s)
+		if s.has(pktLossPending | pktInFlight) {
+			t.Fatalf("satisfied seq %d re-declared: flags %#x", seq, s)
 		}
-		if s.rtxCount > 1 {
-			t.Fatalf("satisfied seq %d retransmitted %d times", seq, s.rtxCount-1)
+		if s.has(pktResent) {
+			t.Fatalf("satisfied seq %d retransmitted", seq)
 		}
 	}
 	assertInFlightConsistent(t, conn)
@@ -222,7 +221,7 @@ func TestAckBlockOutOfRangeIgnored(t *testing.T) {
 	params.EC = ECConfig{Data: 8, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
 	conn := openPartial(t, d, params.withDefaults())
 
-	for _, b := range []int32{9999, int32(len(conn.blocks))} {
+	for _, b := range []int32{9999, int32(conn.sched.nBlocks)} {
 		ack := d.net.AllocPacket()
 		ack.Type = netsim.Ack
 		ack.Flow = 1

@@ -6,18 +6,32 @@ import (
 	"uno/internal/rng"
 )
 
-// pktState tracks one schedule entry at the sender.
-type pktState struct {
-	sentAt      eventq.Time
-	entropy     uint32
-	subflow     int8
-	sent        bool
-	acked       bool
-	dontCare    bool // block satisfied without this packet; never (re)send
-	inFlight    bool
-	lossPending bool // queued for retransmission, not yet re-sent
-	rtxCount    uint8
-}
+// pktState is the sender's bit flags for one schedule entry; the entry's
+// last transmission time is Conn.sentAt[seq]. Nine bytes per entry in all,
+// and a WAN flow's BDP exceeds its size, so every entry of such a flow is
+// live for the whole flow.
+type pktState uint8
+
+// pktState flags.
+const (
+	pktSent        pktState = 1 << iota // transmitted at least once
+	pktResent                           // transmitted more than once
+	pktAcked                            // first ACK arrived
+	pktDontCare                         // block satisfied without this packet; never (re)send
+	pktInFlight                         // counted in Conn.inFlight
+	pktLossPending                      // queued for retransmission, not yet re-sent
+
+	// settled entries need nothing more: acknowledged, or their block
+	// was satisfied without them.
+	settled = pktAcked | pktDontCare
+)
+
+// blockSatisfied is the value of EC block b's slot, state[sched.n+b], once
+// the receiver confirmed the block decodable.
+const blockSatisfied pktState = 1
+
+// has reports whether any of the flags in f is set.
+func (s pktState) has(f pktState) bool { return s&f != 0 }
 
 // ConnStats are cumulative sender-side counters.
 type ConnStats struct {
@@ -53,7 +67,10 @@ type Conn struct {
 	lb     PathSelector
 
 	sched schedule
-	state []pktState // one per schedule entry
+	// state holds one flag byte per schedule entry, then one per EC block
+	// (blockSatisfied): the blocks share the entries' allocation.
+	state  []pktState
+	sentAt []eventq.Time // last transmission time per schedule entry
 
 	nextNew  int64   // next never-sent schedule index
 	rtxQ     []int64 // retransmission queue (schedule indices)
@@ -78,8 +95,6 @@ type Conn struct {
 	// the RACK loss-sweep reference point.
 	maxAckedSent eventq.Time
 
-	blocks []bool // per EC block: receiver confirmed it decodable; empty without EC
-
 	policyTimers []*eventq.Timer // handed out by NewTimer, released by finish
 
 	// The small fields share one word.
@@ -103,12 +118,10 @@ func newConn(ep *Endpoint, flow *Flow, params *Params, sched schedule, cc Conges
 		cc:     cc,
 		lb:     lb,
 		sched:  sched,
-		state:  make([]pktState, sched.n),
+		state:  make([]pktState, sched.n+sched.nBlocks),
+		sentAt: make([]eventq.Time, sched.n),
 		cwnd:   params.InitialCwnd,
 		onDone: onDone,
-	}
-	if sched.nBlocks > 0 {
-		c.blocks = make([]bool, sched.nBlocks)
 	}
 	if c.cwnd <= 0 {
 		c.cwnd = float64(params.MTU + HeaderSize)
@@ -224,8 +237,7 @@ func (c *Conn) wireSize(seq int64) int { return c.sched.desc(seq).wire }
 func (c *Conn) nextToSend() int64 {
 	for len(c.rtxQ) > 0 {
 		seq := c.rtxQ[0]
-		st := &c.state[seq]
-		if st.acked || st.dontCare || st.inFlight || !st.lossPending {
+		if st := c.state[seq]; st.has(settled|pktInFlight) || !st.has(pktLossPending) {
 			c.rtxQ = c.rtxQ[1:]
 			continue
 		}
@@ -234,7 +246,7 @@ func (c *Conn) nextToSend() int64 {
 	for c.nextNew < c.sched.n {
 		// A block the receiver confirmed decodable needs none of its
 		// remaining packets.
-		if c.state[c.nextNew].dontCare {
+		if c.state[c.nextNew].has(pktDontCare) {
 			c.nextNew++
 			continue
 		}
@@ -292,31 +304,25 @@ func (c *Conn) transmit(seq int64, d pktDesc) {
 	p.Seq = seq
 	p.ECNCapable = true
 	p.SentAt = c.Now()
-	p.IsRtx = st.sent
+	p.IsRtx = st.has(pktSent)
 	p.Block = d.block
 	p.BlockIdx = d.blockIdx
 	p.IsParity = d.parity
 	p.Subflow = -1
 	c.lb.Assign(c, p)
 
-	if st.sent {
+	if p.IsRtx {
 		c.stats.PktsRetrans++
+		*st |= pktResent
 	} else {
 		c.lastProgress = p.SentAt
 	}
 	c.stats.PktsSent++
-	st.sentAt = p.SentAt
-	st.entropy = p.Entropy
-	st.subflow = p.Subflow
-	st.sent = true
-	st.lossPending = false
-	if !st.inFlight { // probes may re-send an already-counted packet
-		st.inFlight = true
+	c.sentAt[seq] = p.SentAt
+	if !st.has(pktInFlight) { // probes may re-send an already-counted packet
 		c.inFlight += int64(d.wire)
 	}
-	if st.rtxCount < 255 {
-		st.rtxCount++
-	}
+	*st = *st&^pktLossPending | pktSent | pktInFlight
 	if seq == c.nextNew {
 		c.nextNew++
 	}
@@ -406,10 +412,9 @@ func (c *Conn) onRTO() {
 	oldest := int64(-1)
 	var oldestAt eventq.Time
 	for seq := c.lowestUnacked; seq < c.nextNew; seq++ {
-		st := &c.state[seq]
-		if st.inFlight && !st.acked && !st.dontCare {
-			if oldest < 0 || st.sentAt < oldestAt {
-				oldest, oldestAt = seq, st.sentAt
+		if st := c.state[seq]; st.has(pktInFlight) && !st.has(settled) {
+			if oldest < 0 || c.sentAt[seq] < oldestAt {
+				oldest, oldestAt = seq, c.sentAt[seq]
 			}
 		}
 	}
@@ -420,12 +425,11 @@ func (c *Conn) onRTO() {
 		// be reclaimed one packet per timeout.
 		for seq := c.lowestUnacked; seq < c.nextNew; seq++ {
 			st := &c.state[seq]
-			if st.acked || st.dontCare || st.lossPending || !st.inFlight {
+			if st.has(settled|pktLossPending) || !st.has(pktInFlight) {
 				continue
 			}
-			if st.sentAt <= cutoff {
-				st.inFlight = false
-				st.lossPending = true
+			if c.sentAt[seq] <= cutoff {
+				*st = *st&^pktInFlight | pktLossPending
 				c.inFlight -= int64(c.wireSize(seq))
 				c.rtxQ = append(c.rtxQ, seq)
 			}
@@ -473,12 +477,11 @@ func (c *Conn) handleAck(p *netsim.Packet) {
 		// congested queue. Queue an immediate retransmission and let the
 		// policies treat it as a congestion/path signal.
 		c.stats.TrimNotices++
-		if !st.acked && !st.dontCare && !st.lossPending {
-			if st.inFlight {
-				st.inFlight = false
+		if !st.has(settled | pktLossPending) {
+			if st.has(pktInFlight) {
 				c.inFlight -= int64(d.wire)
 			}
-			st.lossPending = true
+			*st = *st&^pktInFlight | pktLossPending
 			c.rtxQ = append(c.rtxQ, seq)
 		}
 		c.cc.OnNack(c)
@@ -509,19 +512,18 @@ func (c *Conn) handleAck(p *netsim.Packet) {
 
 	// The original transmission arrived after all: declaring it lost was
 	// wrong, whichever detector did.
-	if !p.EchoRtx && (st.lossPending || st.rtxCount > 1) {
+	if !p.EchoRtx && st.has(pktLossPending|pktResent) {
 		c.stats.SpuriousRetrans++
 	}
 
 	// Any ACK for a packet we believe is in flight removes it from the
 	// in-flight accounting, including probes of already-acked packets.
-	if st.inFlight {
-		st.inFlight = false
+	if st.has(pktInFlight) {
+		*st &^= pktInFlight
 		c.inFlight -= int64(d.wire)
 	}
-	if !st.acked {
-		st.acked = true
-		st.lossPending = false
+	if !st.has(pktAcked) {
+		*st = *st&^pktLossPending | pktAcked
 		info.Bytes = d.wire
 		c.stats.BytesAcked += int64(info.Bytes)
 		c.rtoBackoff = 0
@@ -572,32 +574,36 @@ func (c *Conn) updateRTT(rtt eventq.Time) {
 // nextToSend once dontCare; in-flight bytes are released exactly once here
 // (lossPending entries were already released when they were declared lost).
 func (c *Conn) satisfyBlock(b int32) {
-	if b < 0 || int(b) >= len(c.blocks) || c.blocks[b] {
+	if c.blockDone(b) {
 		return
 	}
-	c.blocks[b] = true
+	c.state[c.sched.n+int64(b)] = blockSatisfied
 	blk := c.sched.block(b)
 	for seq := blk.start; seq < blk.start+int64(blk.count); seq++ {
 		st := &c.state[seq]
-		if st.acked || st.dontCare {
+		if st.has(settled) {
 			continue
 		}
-		st.dontCare = true
-		st.lossPending = false
-		if st.inFlight {
-			st.inFlight = false
+		if st.has(pktInFlight) {
 			c.inFlight -= int64(c.wireSize(seq))
 		}
+		*st = *st&^(pktLossPending|pktInFlight) | pktDontCare
 	}
+}
+
+// blockDone reports whether the receiver confirmed EC block b decodable; a
+// block outside the schedule counts as done, so hostile ACKs and NACKs
+// naming one are ignored.
+func (c *Conn) blockDone(b int32) bool {
+	return b < 0 || int64(b) >= c.sched.nBlocks || c.state[c.sched.n+int64(b)] == blockSatisfied
 }
 
 // advanceLowestUnacked moves the fast-retransmit cursor past finished
 // packets.
 func (c *Conn) advanceLowestUnacked() {
 	moved := false
-	for c.lowestUnacked < int64(len(c.state)) {
-		st := &c.state[c.lowestUnacked]
-		if st.acked || st.dontCare {
+	for c.lowestUnacked < c.sched.n {
+		if c.state[c.lowestUnacked].has(settled) {
 			c.lowestUnacked++
 			moved = true
 			continue
@@ -617,14 +623,14 @@ func (c *Conn) advanceLowestUnacked() {
 // original window.
 func (c *Conn) maybeFastRetransmit(info AckInfo) {
 	low := c.lowestUnacked
-	if low >= int64(len(c.state)) || info.Seq <= low {
+	if low >= c.sched.n || info.Seq <= low {
 		return
 	}
 	st := &c.state[low]
-	if !st.sent || st.acked || st.dontCare || st.lossPending || !st.inFlight {
+	if !st.has(pktSent) || st.has(settled|pktLossPending) || !st.has(pktInFlight) {
 		return
 	}
-	if info.SentAt < st.sentAt {
+	if info.SentAt < c.sentAt[low] {
 		return // evidence predates the candidate's last transmission
 	}
 	c.acksAboveLow++
@@ -632,8 +638,7 @@ func (c *Conn) maybeFastRetransmit(info AckInfo) {
 		return
 	}
 	c.acksAboveLow = 0
-	st.inFlight = false
-	st.lossPending = true
+	*st = *st&^pktInFlight | pktLossPending
 	c.inFlight -= int64(c.wireSize(low))
 	c.stats.FastRetrans++
 	c.rtxQ = append(c.rtxQ, low)
@@ -657,14 +662,13 @@ func (c *Conn) rackSweep() {
 	}
 	for seq := c.lowestUnacked; seq < c.nextNew; seq++ {
 		st := &c.state[seq]
-		if st.acked || st.dontCare || st.lossPending {
+		if st.has(settled | pktLossPending) {
 			continue
 		}
-		if !st.inFlight || st.sentAt+win >= c.maxAckedSent {
+		if !st.has(pktInFlight) || c.sentAt[seq]+win >= c.maxAckedSent {
 			break
 		}
-		st.inFlight = false
-		st.lossPending = true
+		*st = *st&^pktInFlight | pktLossPending
 		c.inFlight -= int64(c.wireSize(seq))
 		c.stats.FastRetrans++
 		c.rtxQ = append(c.rtxQ, seq)
@@ -679,7 +683,7 @@ func (c *Conn) handleNack(p *netsim.Packet) {
 	}
 	c.stats.NacksReceived++
 	b := p.NackBlock
-	if b < 0 || int(b) >= len(c.blocks) || c.blocks[b] {
+	if c.blockDone(b) {
 		return
 	}
 	blk := c.sched.block(b)
@@ -689,14 +693,13 @@ func (c *Conn) handleNack(p *netsim.Packet) {
 			continue
 		}
 		st := &c.state[seq]
-		if st.acked || st.dontCare || !st.sent || st.lossPending {
+		if st.has(settled|pktLossPending) || !st.has(pktSent) {
 			continue
 		}
-		if st.inFlight {
-			st.inFlight = false
+		if st.has(pktInFlight) {
 			c.inFlight -= int64(c.wireSize(seq))
 		}
-		st.lossPending = true
+		*st = *st&^pktInFlight | pktLossPending
 		c.rtxQ = append(c.rtxQ, seq)
 	}
 	c.cc.OnNack(c)
@@ -735,7 +738,7 @@ func (c *Conn) finish(now eventq.Time) {
 	}
 	c.cc, c.lb, c.policyTimers = nil, nil, nil
 	delete(c.ep.senders, c.flow.ID)
-	c.state, c.rtxQ, c.blocks = nil, nil, nil
+	c.state, c.sentAt, c.rtxQ = nil, nil, nil
 	if c.onDone != nil {
 		c.onDone(c)
 	}

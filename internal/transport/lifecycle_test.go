@@ -35,7 +35,14 @@ func (c *tickCC) Init(conn *Conn) {
 // until nothing is left to do.
 func runOnePacketFlow(t *testing.T, d *dumbbell, id netsim.FlowID, cc CongestionControl) *Conn {
 	t.Helper()
-	flow := &Flow{ID: id, Src: d.a, Dst: d.b, Size: 1024, Start: d.net.Now()}
+	return runFlow(t, d, id, 1024, cc)
+}
+
+// runFlow starts a flow of size bytes now and runs the simulation until
+// nothing is left to do.
+func runFlow(t *testing.T, d *dumbbell, id netsim.FlowID, size int64, cc CongestionControl) *Conn {
+	t.Helper()
+	flow := &Flow{ID: id, Src: d.a, Dst: d.b, Size: size, Start: d.net.Now()}
 	conn, err := Start(d.epA, d.epB, flow, d.baseParams(), cc, &FixedEntropy{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -83,11 +90,12 @@ func TestSequentialFlowsLeaveNothingBehind(t *testing.T) {
 }
 
 // TestFlowAllocationBudget pins the heap bytes one short flow costs from
-// Open to completion. The budget sits a tenth above the measured 857 B (881
+// Open to completion. The budget sits a tenth above the measured 841 B (889
 // under the race detector): 480 for the Conn, 176 for the Receiver, 48 for
-// the Flow, and the rest the two timer handles, one packet's state, the
-// arrival bitmap and the receiver demux entry. Before flows had a lifecycle
-// (two schedule tables, Params held twice, timer closures) it was 1,340 B.
+// the Flow, and the rest the two timer handles, one packet's flag byte and
+// send time, the arrival bitmap and the receiver demux entry. Before flows
+// had a lifecycle (two schedule tables, Params held twice, timer closures)
+// it was 1,340 B.
 func TestFlowAllocationBudget(t *testing.T) {
 	const flows, budget = 4000, 960
 	d := newDumbbell(62, gbps100)
@@ -104,6 +112,37 @@ func TestFlowAllocationBudget(t *testing.T) {
 	t.Logf("%.0f B per flow", perFlow)
 	if perFlow > budget {
 		t.Errorf("a one-packet flow allocates %.0f B, budget %d", perFlow, budget)
+	}
+}
+
+// TestScheduleEntryAllocationBudget pins the heap bytes one more schedule
+// entry costs a flow: the sender's flag byte and send time (9 B) and the
+// receiver's arrival bit. It is the difference between 256-entry flows and
+// one-packet flows, so the per-flow structs cancel out. The sender's old
+// 24-byte entry, two of whose fields nothing read, is what it replaced.
+func TestScheduleEntryAllocationBudget(t *testing.T) {
+	const flows, entries, budget = 400, 256, 10
+	d := newDumbbell(64, gbps100)
+	id := netsim.FlowID(0)
+	perFlow := func(size int64) float64 {
+		for range 16 { // warm the packet pool, the event slab and the fifos
+			id++
+			runFlow(t, d, id, size, &FixedWindow{})
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range flows {
+			id++
+			runFlow(t, d, id, size, &FixedWindow{})
+		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / flows
+	}
+	long, short := perFlow(entries*4096), perFlow(1024)
+	perEntry := (long - short) / (entries - 1)
+	t.Logf("%.0f B per %d-entry flow, %.0f B per 1-entry flow: %.2f B per entry", long, entries, short, perEntry)
+	if perEntry > budget {
+		t.Errorf("a schedule entry costs %.2f B, budget %d", perEntry, budget)
 	}
 }
 

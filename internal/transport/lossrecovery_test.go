@@ -271,3 +271,48 @@ func TestLossRecoverySpuriousRetransCounted(t *testing.T) {
 			st.PktsRetrans, st.SpuriousRetrans, st)
 	}
 }
+
+func TestLossRecoverySpuriousAfterResend(t *testing.T) {
+	// An original whose ACK comes in after its entry was re-sent was
+	// declared lost wrongly, however often it was re-sent since: seq 2 goes
+	// out twice and seq 3 three times, and each original's ACK counts once.
+	// The third transmission leaves the flags as the second did. A packet
+	// ACKed without a retransmission (seq 4) and the retransmissions' own
+	// ACKs count nothing.
+	d := newDumbbell(26, gbps100)
+	conn := openPartial(t, d, d.baseParams().withDefaults())
+	resend := func(seq int64) {
+		st := &conn.state[seq]
+		if st.has(pktInFlight) { // declared lost the way onRTO does
+			conn.inFlight -= int64(conn.wireSize(seq))
+		}
+		*st = *st&^pktInFlight | pktLossPending
+		conn.transmit(seq, conn.sched.desc(seq))
+	}
+	resend(2)
+	resend(3)
+	twice := conn.state[3]
+	resend(3)
+	if conn.state[3] != twice || conn.state[2] != twice {
+		t.Fatalf("flags after two transmissions %#x, after three %#x", conn.state[2], conn.state[3])
+	}
+	if n := conn.Stats().PktsRetrans; n != 3 {
+		t.Fatalf("PktsRetrans = %d, want 3", n)
+	}
+	ack := func(seq int64, rtx bool) {
+		p := d.net.AllocPacket()
+		p.Type, p.Flow, p.Src, p.Dst, p.Size = netsim.Ack, 1, d.b.ID(), d.a.ID(), netsim.AckSize
+		p.AckSeq, p.EchoRtx, p.AckBlock, p.Subflow = seq, rtx, -1, -1
+		d.a.HandlePacket(p)
+	}
+	ack(2, false)
+	ack(3, false)
+	ack(4, false)
+	ack(2, true)
+	ack(3, true)
+	// (The three ACKs above seq 0 also declare it lost: not spurious yet.)
+	if n := conn.Stats().SpuriousRetrans; n != 2 {
+		t.Fatalf("SpuriousRetrans = %d, want 2: both re-sent entries' originals arrived", n)
+	}
+	assertInFlightConsistent(t, conn)
+}

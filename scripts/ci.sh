@@ -100,7 +100,7 @@ go test -race -count=1 -run 'TestCluster|TestBindCross|TestRunBefore' \
 # The lifecycle tests below the harness build their own two-host fabrics, so
 # UNO_SHARDS does not reach them: once is enough.
 go test -race -count=1 \
-    -run 'TestSequentialFlowsLeaveNothingBehind|TestFlowAllocationBudget|TestLatePacketsForCompletedSender|TestEndpointAccessors|TestTimerRelease|TestTimerResetAfterRelease|TestQuickAdaptTimerEndsWithFlow|TestConfigPool' \
+    -run 'TestSequentialFlowsLeaveNothingBehind|TestFlowAllocationBudget|TestScheduleEntryAllocationBudget|TestLatePacketsForCompletedSender|TestEndpointAccessors|TestTimerRelease|TestTimerResetAfterRelease|TestQuickAdaptTimerEndsWithFlow|TestConfigPool' \
     ./internal/transport/ ./internal/eventq/ ./internal/core/
 
 # The eventq property tests (wheel-vs-reference-model fire sequences over
@@ -115,11 +115,12 @@ go test -race -count=1 \
 # The transmit hand-off's proof obligations (a port hands its packet to the
 # link when serialization starts and wakes up only when something waits):
 # the timing oracle against the eager reference port, the event-economy
-# pins, the two seeded defects the invariant checker must catch, and the
-# failure rule — link state and loss sampled at serialization start.
+# pins, the two seeded defects the invariant checker must catch, the
+# failure rule — link state and loss sampled at serialization start — and
+# the packet header layout a hop reads within one cache line.
 echo "== port hand-off oracle, event economy, failure semantics, -race -count=1 =="
 go test -race -count=1 \
-    -run 'TestPortTimingOracle|TestPortEventEconomy|TestQueuedPacketPathAllocFree|TestInvariantMutation|TestInvariantDetectsStrandedQueue|TestLinkStateSampledAtSerializationStart|TestFlapperFasterThanSerialization' \
+    -run 'TestPortTimingOracle|TestPortEventEconomy|TestQueuedPacketPathAllocFree|TestInvariantMutation|TestInvariantDetectsStrandedQueue|TestLinkStateSampledAtSerializationStart|TestFlapperFasterThanSerialization|TestPacketHotFieldsFirstCacheLine' \
     ./internal/netsim/ ./internal/failure/
 
 # The EC block-path regression suite — satisfyBlock release accounting
