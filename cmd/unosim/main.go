@@ -21,6 +21,13 @@
 // digest — is byte-identical for every N. The digest line printed under a
 // report fingerprints every packet event of every constituent run; two
 // invocations with the same -seed must print the same digest.
+//
+// -shards chooses how every Sim of the run lays the fabric out on shards:
+// off (the default) keeps the whole fabric on one shard; N >= 1 gives each
+// datacenter its own shard, run by N worker goroutines. The value reaches the
+// experiments as harness.Config.Shards, and nothing else sets it. Every N >= 1
+// prints the same report; off prints different digests, because the per-DC
+// partition seeds its shards differently.
 package main
 
 import (
@@ -31,10 +38,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"time"
 
 	"uno/internal/harness"
-	"uno/internal/netsim"
 )
 
 func main() {
@@ -52,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 		seed     = fs.Uint64("seed", 42, "base random seed")
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0),
 			"max concurrent simulation runs (independent reruns only; output is identical for any value)")
-		shards = fs.String("shards", netsim.ShardMode(netsim.ShardDefault()),
+		shards = fs.String("shards", "off",
 			"shards per sim: off (the whole fabric on one shard and one scheduler), or one shard per DC run by N >= 1 worker goroutines (results are identical for every N >= 1; -parallel is clamped so reruns x workers stays within GOMAXPROCS)")
 		list       = fs.Bool("list", false, "list available experiments")
 		out        = fs.String("out", "", "also write CSV + text artifacts under this directory (like the paper's artifact_results/)")
@@ -67,12 +74,11 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 		return 2
 	}
 
-	nshards, err := netsim.ParseShards(*shards)
+	nshards, err := parseShards(*shards)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	netsim.SetShardDefault(nshards)
 	*parallel = harness.ClampParallel(*parallel, nshards)
 
 	if *cpuprofile != "" {
@@ -117,7 +123,7 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 		return 0
 	}
 
-	cfg := harness.Config{Scale: *scale, Seed: *seed, Parallel: *parallel}
+	cfg := harness.Config{Scale: *scale, Seed: *seed, Parallel: *parallel, Shards: nshards}
 	runExp := func(e harness.Experiment) int {
 		start := time.Now()
 		report := e.Run(cfg)
@@ -163,4 +169,17 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 		return 2
 	}
 	return runExp(e)
+}
+
+// parseShards parses a -shards value: "off" (0) for one shard holding the
+// whole fabric, or a small non-negative worker count.
+func parseShards(s string) (int, error) {
+	if s == "off" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 0 || n > 1024 {
+		return 0, fmt.Errorf("unosim: -shards %q (want a small non-negative integer, or off)", s)
+	}
+	return n, nil
 }

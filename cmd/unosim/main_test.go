@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"errors"
-	"os"
-	"os/exec"
 	"strings"
 	"testing"
 )
@@ -23,7 +20,7 @@ func TestRunUsage(t *testing.T) {
 	}{
 		{"list", []string{"-list"}, 0, ""},
 		{"unknown experiment", []string{"-exp", "nope"}, 2, `unknown experiment "nope"`},
-		{"bad shards", []string{"-shards", "x", "-list"}, 2, `UNO_SHARDS="x"`},
+		{"bad shards", []string{"-shards", "x", "-list"}, 2, `-shards "x"`},
 		{"bad parallel", []string{"-parallel", "garbage", "-list"}, 2, "-parallel"},
 		{"removed batch flag", []string{"-batch", "on", "-list"}, 2, "flag provided but not defined: -batch"},
 		{"removed ec flag", []string{"-ec", "rs82", "-list"}, 2, "flag provided but not defined: -ec"},
@@ -45,37 +42,49 @@ func TestRunUsage(t *testing.T) {
 	}
 }
 
-// TestMalformedEnvironment: the UNO_* variables are read in package init,
-// before main can report anything, so a bad value is checked on a re-exec of
-// this test binary: it must die with status 2 and one line on stderr, as a
-// bad flag does, and a good value must still start.
-func TestMalformedEnvironment(t *testing.T) {
+// TestParseShards pins the -shards syntax.
+func TestParseShards(t *testing.T) {
 	for _, tc := range []struct {
-		env    string
-		status int
-		stderr string
+		in   string
+		want int
+		ok   bool
 	}{
-		{"UNO_SHARDS=2", 0, ""},
-		{"UNO_SHARDS=two", 2, `UNO_SHARDS="two"`},
+		{"off", 0, true}, {"0", 0, true}, {"1", 1, true}, {"2", 2, true},
+		{"1024", 1024, true}, {"1025", 0, false}, {"-1", 0, false},
+		{"", 0, false}, {"two", 0, false},
 	} {
-		cmd := exec.Command(os.Args[0], "-test.run=^$")
-		cmd.Env = append(os.Environ(), tc.env)
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		status := 0
-		if err := cmd.Run(); err != nil {
-			var exit *exec.ExitError
-			if !errors.As(err, &exit) {
-				t.Fatalf("%s: re-exec: %v", tc.env, err)
+		got, err := parseShards(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("parseShards(%q) = %d, %v; want %d, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
+// TestShardsFlagReachesExperiments: -shards is the run's partition. Every
+// worker count lays the fabric out per DC and prints one digest; off keeps
+// it on one shard, whose digests differ.
+func TestShardsFlagReachesExperiments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs fig13b three times")
+	}
+	digest := func(shards string) string {
+		var stdout, stderr bytes.Buffer
+		if st := run([]string{"-exp", "fig13b", "-scale", "0.1", "-shards", shards}, &stdout, &stderr); st != 0 {
+			t.Fatalf("-shards %s: exit status %d (stderr %q)", shards, st, stderr.String())
+		}
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if strings.HasPrefix(line, "digest: ") {
+				return line
 			}
-			status = exit.ExitCode()
 		}
-		msg := stderr.String()
-		if status != tc.status {
-			t.Errorf("%s: exit status %d, want %d (stderr %q)", tc.env, status, tc.status, msg)
-		}
-		if !strings.Contains(msg, tc.stderr) || strings.Count(msg, "\n") > 1 || strings.Contains(msg, panicTrace) {
-			t.Errorf("%s: stderr %q, want one line containing %q and no trace", tc.env, msg, tc.stderr)
-		}
+		t.Fatalf("-shards %s: no digest line in %q", shards, stdout.String())
+		return ""
+	}
+	one, two, off := digest("1"), digest("2"), digest("off")
+	if one != two {
+		t.Errorf("-shards 1 and 2 differ: %q vs %q", one, two)
+	}
+	if off == one {
+		t.Errorf("-shards off printed the per-DC digest %q", off)
 	}
 }

@@ -54,17 +54,12 @@ func ExampleRunExperiment() {
 }
 
 // ExampleStartRing runs a cross-datacenter ring Allreduce over the
-// simulated transport. A ring needs a one-shard Sim, so it asks for one
-// explicitly instead of following UNO_SHARDS.
+// simulated transport, on the one-shard Sim that NewSim builds.
 func ExampleStartRing() {
-	sim, err := uno.NewShardedSim(7, uno.DefaultTopology(), uno.UnoStack(), 0)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
+	sim := uno.NewSim(7, uno.DefaultTopology(), uno.UnoStack())
 	cfg := uno.RingConfig{Members: []int{0, 16, 128, 144}, Bytes: 1 << 20}
 	done := false
-	_, err = uno.StartRing(sim, cfg, func(uno.Time) { done = true })
+	_, err := uno.StartRing(sim, cfg, func(uno.Time) { done = true })
 	sim.Run(uno.Second)
 	fmt.Println("ok:", err == nil && done, "steps:", cfg.Steps())
 	// Output:

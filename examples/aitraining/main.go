@@ -80,11 +80,8 @@ func main() {
 	// (reduce-scatter + all-gather, 2(N−1) dependency-ordered steps) over
 	// a clean fabric, for comparison with the bulk-exchange model above.
 	// Collectives chain flows from completion callbacks and need the whole
-	// fabric on one shard, whatever UNO_SHARDS says.
-	sim, err := uno.NewShardedSim(29, uno.DefaultTopology(), uno.UnoStack(), 0)
-	if err != nil {
-		panic(err)
-	}
+	// fabric on one shard, as NewSim builds it.
+	sim := uno.NewSim(29, uno.DefaultTopology(), uno.UnoStack())
 	ring := uno.RingConfig{
 		Members: []int{0, 16, 32, 48, 128, 144, 160, 176}, // 4 workers per DC
 		Bytes:   64 << 20,

@@ -12,10 +12,7 @@ import (
 // it had copied at Schedule time for ever; it must show the started flows,
 // through the same array as the slice Schedule returned.
 func TestConnsSeesStartedFlows(t *testing.T) {
-	sim, err := NewSimShards(3, smallTopo(), StackUno(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := MustNewSim(3, smallTopo(), StackUno())
 	perDC := sim.Topo.Cfg.HostsPerDC()
 	specs := []workload.FlowSpec{
 		{Src: 0, Dst: 1, Size: 64 << 10},

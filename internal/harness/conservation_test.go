@@ -96,44 +96,52 @@ func TestFatTreeFlowConservation(t *testing.T) {
 			// Plus disjoint inter-DC pairs exercising the border links.
 			specs = append(specs, interPairSpecs(topoCfg, 4, 128<<10)...)
 
-			sim := MustNewSim(99, topoCfg, stack)
-			shardLedgers := make([]*flowLedger, sim.Cluster().Shards())
-			for i := range shardLedgers {
-				shardLedgers[i] = newFlowLedger()
-				sim.ObserveShard(i, shardLedgers[i])
-			}
-			sim.Schedule(specs)
-			sim.Run(200 * eventq.Millisecond)
-			if sim.Pending() != 0 {
-				t.Fatalf("%d flows unfinished at horizon; conservation check needs completed flows", sim.Pending())
-			}
-			// Drain in-flight packets (trailing ACKs, late retransmissions):
-			// all timers are cancelled at completion, so the queue empties.
-			sim.Drain()
-			ledger := newFlowLedger()
-			for _, l := range shardLedgers {
-				ledger.add(l)
-			}
+			// Both partitions: the whole fabric on one shard, and per-DC
+			// shards, where a flow's sends and deliveries land in different
+			// shards' ledgers.
+			for _, shards := range []int{0, 2} {
+				sim, err := NewSimShards(99, topoCfg, stack, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shardLedgers := make([]*flowLedger, sim.Cluster().Shards())
+				for i := range shardLedgers {
+					shardLedgers[i] = newFlowLedger()
+					sim.ObserveShard(i, shardLedgers[i])
+				}
+				sim.Schedule(specs)
+				sim.Run(200 * eventq.Millisecond)
+				if sim.Pending() != 0 {
+					t.Fatalf("shards=%d: %d flows unfinished at horizon; conservation check needs completed flows", shards, sim.Pending())
+				}
+				// Drain in-flight packets (trailing ACKs, late retransmissions):
+				// all timers are cancelled at completion, so the queue empties.
+				sim.Drain()
+				ledger := newFlowLedger()
+				for _, l := range shardLedgers {
+					ledger.add(l)
+				}
 
-			if len(ledger.sent) != len(specs) {
-				t.Fatalf("ledger saw %d flows, want %d", len(ledger.sent), len(specs))
-			}
-			var totalDropped int64
-			for flow, sent := range ledger.sent {
-				delivered, dropped := ledger.delivered[flow], ledger.dropped[flow]
-				totalDropped += dropped
-				if sent != delivered+dropped {
-					t.Errorf("flow %d: sent %d != delivered %d + dropped %d (leak of %d packets)",
-						flow, sent, delivered, dropped, sent-delivered-dropped)
+				if len(ledger.sent) != len(specs) {
+					t.Fatalf("shards=%d: ledger saw %d flows, want %d", shards, len(ledger.sent), len(specs))
 				}
-				if sent == 0 {
-					t.Errorf("flow %d injected no packets; test is vacuous", flow)
+				var totalDropped int64
+				for flow, sent := range ledger.sent {
+					delivered, dropped := ledger.delivered[flow], ledger.dropped[flow]
+					totalDropped += dropped
+					if sent != delivered+dropped {
+						t.Errorf("shards=%d, flow %d: sent %d != delivered %d + dropped %d (leak of %d packets)",
+							shards, flow, sent, delivered, dropped, sent-delivered-dropped)
+					}
+					if sent == 0 {
+						t.Errorf("shards=%d, flow %d injected no packets; test is vacuous", shards, flow)
+					}
 				}
+				if totalDropped == 0 {
+					t.Errorf("shards=%d: no packets dropped; queues too generous for the drop leg to be exercised", shards)
+				}
+				t.Logf("%s, shards=%d: %d flows, dropped %d packets total", stack.Name, shards, len(ledger.sent), totalDropped)
 			}
-			if totalDropped == 0 {
-				t.Error("no packets dropped; queues too generous for the drop leg to be exercised")
-			}
-			t.Logf("%s: %d flows, dropped %d packets total", stack.Name, len(ledger.sent), totalDropped)
 		})
 	}
 }

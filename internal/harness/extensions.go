@@ -26,7 +26,7 @@ func ExtTrim(cfg Config) *Report {
 		stack := StackUnoCCWithLB("unocc", ec, NewRPS)
 		topoCfg := topo.DefaultConfig()
 		topoCfg.Trimming = trim
-		sim := MustNewSim(cfg.Seed, topoCfg, stack)
+		sim := cfg.newSim(cfg.Seed, topoCfg, stack)
 		if wanLoss {
 			// Correlated random loss on the WAN links: these are genuine
 			// in-flight drops, which trimming by construction cannot
@@ -107,7 +107,7 @@ func ExtAnnulus(cfg Config) *Report {
 	tbl := r.NewTable("", "scheme", "inter mean FCT (µs)", "inter p99 FCT (µs)", "timeouts")
 
 	for _, stack := range []Stack{StackMPRDMABBR(), StackMPRDMABBRAnnulus()} {
-		sim := MustNewSim(cfg.Seed, topo.DefaultConfig(), stack)
+		sim := cfg.newSim(cfg.Seed, topo.DefaultConfig(), stack)
 		perDC := sim.Topo.Cfg.HostsPerDC()
 		// 16 long inter-DC transfers, 2:1 oversubscribed over the 800 Gb/s
 		// border cut: the BBR flows saturate the cut and their probe

@@ -8,28 +8,41 @@ import (
 	"uno/internal/workload"
 )
 
+// TestRCVariantsGrid: every Fig 13 variant runs UnoCC, and an inter-DC
+// flow's Params carry the multipath dup-ACK threshold (24) under every
+// selector and RS(8,2) exactly for the +EC variants.
 func TestRCVariantsGrid(t *testing.T) {
+	want := []struct {
+		name string
+		ec   bool
+	}{
+		{"spray", false}, {"spray+EC", true},
+		{"plb", false}, {"plb+EC", true},
+		{"unolb", false}, {"unolb+EC", true},
+	}
 	variants := rcVariants()
-	if len(variants) != 6 {
-		t.Fatalf("variants = %d", len(variants))
+	if len(variants) != len(want) {
+		t.Fatalf("variants = %d, want %d", len(variants), len(want))
 	}
 	sim := MustNewSim(60, smallTopo(), variants[0])
 	spec := workload.FlowSpec{Src: 0, Dst: sim.Topo.Cfg.HostsPerDC(), Size: 1 << 20}
-	wantEC := map[string]bool{
-		"spray": false, "spray+EC": true,
-		"plb": false, "plb+EC": true,
-		"unolb": false, "unolb+EC": true,
-	}
-	for _, v := range variants {
+	for i, v := range variants {
+		if v.Name != want[i].name {
+			t.Errorf("variant %d is %q, want %q", i, v.Name, want[i].name)
+		}
 		params, cc, lb := v.Policies(sim, spec, true)
 		if _, ok := cc.(*core.UnoCC); !ok {
-			t.Fatalf("%s cc = %T", v.Name, cc)
-		}
-		if params.EC.Enabled() != wantEC[v.Name] {
-			t.Fatalf("%s EC = %v", v.Name, params.EC.Enabled())
+			t.Errorf("%s cc = %T", v.Name, cc)
 		}
 		if lb == nil {
-			t.Fatalf("%s lb nil", v.Name)
+			t.Errorf("%s lb nil", v.Name)
+		}
+		if params.DupAckThresh != 24 {
+			t.Errorf("%s DupAckThresh = %d, want 24", v.Name, params.DupAckThresh)
+		}
+		rs82 := params.EC.Data == 8 && params.EC.Parity == 2
+		if rs82 != want[i].ec || params.EC.Enabled() != want[i].ec {
+			t.Errorf("%s EC = %+v, want RS(8,2) %v", v.Name, params.EC, want[i].ec)
 		}
 	}
 }

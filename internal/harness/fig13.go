@@ -59,7 +59,7 @@ func Fig13A(cfg Config) *Report {
 	outs := RunParallel(cfg.Parallel, len(stacks)*runs, func(job int) simOut {
 		stack, run := stacks[job/runs], job%runs
 		topoCfg := topo.DefaultConfig()
-		sim := MustNewSim(cfg.Seed+uint64(run)*101, topoCfg, stack)
+		sim := cfg.newSim(cfg.Seed+uint64(run)*101, topoCfg, stack)
 		sim.Topo.FailBorderLink(0, 1, run%topoCfg.BorderLinks)
 		sim.Schedule(interPairSpecs(topoCfg, nFlows, flowSize))
 		sim.Run(horizon)
@@ -101,7 +101,7 @@ func Fig13B(cfg Config) *Report {
 	outs := RunParallel(cfg.Parallel, len(stacks)*runs, func(job int) simOut {
 		stack, run := stacks[job/runs], job%runs
 		topoCfg := topo.DefaultConfig()
-		sim := MustNewSim(cfg.Seed+uint64(run)*211, topoCfg, stack)
+		sim := cfg.newSim(cfg.Seed+uint64(run)*211, topoCfg, stack)
 		// Amplified loss (vs Table 1's 5e-5) so the scaled-down flow
 		// count still observes losses every run; correlation shape is
 		// the measured one.
@@ -154,7 +154,7 @@ func Fig13C(cfg Config) *Report {
 		stack := stacks[job]
 		var ratios []float64
 		topoCfg := topo.DefaultConfig()
-		sim := MustNewSim(cfg.Seed, topoCfg, stack)
+		sim := cfg.newSim(cfg.Seed, topoCfg, stack)
 		perDC := topoCfg.HostsPerDC()
 		wr := rng.New(cfg.Seed + 31)
 		iters, err := workload.Allreduce(workload.AllreduceConfig{

@@ -117,7 +117,7 @@ func Fig3(cfg Config) *Report {
 	outs := RunParallel(cfg.Parallel, len(stacks)*len(seeds), func(job int) fairnessOut {
 		stack, seed := stacks[job/len(seeds)], seeds[job%len(seeds)]
 		topoCfg := topoForRTTRatio(128)
-		sim := MustNewSim(seed, topoCfg, stack)
+		sim := cfg.newSim(seed, topoCfg, stack)
 
 		// Destination: host 0 of DC0. Intra sources from distinct
 		// pods of DC0, inter sources from DC1.
@@ -206,7 +206,7 @@ func Fig4(cfg Config) *Report {
 			name = "UnoCC + phantom"
 		}
 		stack.Phantom = phantom
-		sim := MustNewSim(cfg.Seed, topo.DefaultConfig(), stack)
+		sim := cfg.newSim(cfg.Seed, topo.DefaultConfig(), stack)
 		perDC := sim.Topo.Cfg.HostsPerDC()
 
 		// Receiver: host 0 of DC1. Long-lived incast from 8 DC0 hosts.

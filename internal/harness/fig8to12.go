@@ -26,7 +26,7 @@ func Fig8(cfg Config) *Report {
 		specs := fig8Specs(topoCfg, sc.intra, sc.inter, flowSize)
 		for _, base := range BaselineStacks() {
 			stack := withLB(base, NewRPS)
-			sim := MustNewSim(cfg.Seed, topoCfg, stack)
+			sim := cfg.newSim(cfg.Seed, topoCfg, stack)
 			conns := sim.Schedule(specs)
 			var rs *RateSampler
 			if base.Name == "uno" {
@@ -104,7 +104,7 @@ func Fig9(cfg Config) *Report {
 		for _, stack := range stacks {
 			topoCfg := topo.DefaultConfig()
 			topoCfg.BorderLinks = prov.links
-			sim := MustNewSim(cfg.Seed, topoCfg, stack)
+			sim := cfg.newSim(cfg.Seed, topoCfg, stack)
 			wr := rng.New(cfg.Seed + 7)
 			specs := workload.Permutation(
 				workload.HostRange{Lo: 0, Hi: len(sim.Topo.Hosts)},
@@ -183,7 +183,7 @@ type realOut struct {
 // per-class FCT summaries.
 func runRealistic(cfg Config, topoCfg topo.Config, stack Stack, load float64,
 	slowdown bool) realOut {
-	sim := MustNewSim(cfg.Seed, topoCfg, stack)
+	sim := cfg.newSim(cfg.Seed, topoCfg, stack)
 	window := eventq.Time(cfg.scaled(2)) * eventq.Millisecond
 	specs := realisticSpecs(sim, load, window, cfg.scaled(200), cfg.scaled(30), cfg.Seed+13)
 	sim.Schedule(specs)

@@ -219,6 +219,11 @@ type Config struct {
 	// means GOMAXPROCS; 1 forces serial execution. Results are identical
 	// for every value.
 	Parallel int
+	// Shards is the partition of every Sim the experiment builds (see
+	// NewSimShards): 0 keeps the whole fabric on one shard, N >= 1 gives
+	// each datacenter its own shard run by N workers. Reports are identical
+	// for every N >= 1.
+	Shards int
 }
 
 // withDefaults normalizes the config.

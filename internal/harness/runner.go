@@ -76,17 +76,10 @@ type shardState struct {
 	_ [24]byte
 }
 
-// NewSim builds the simulation. The stack decides whether phantom queues
-// are enabled on the fabric. The shard count follows the package default
-// (netsim.ShardDefault, i.e. the -shards flag / UNO_SHARDS); see
-// NewSimShards.
-func NewSim(seed uint64, topoCfg topo.Config, stack Stack) (*Sim, error) {
-	return NewSimShards(seed, topoCfg, stack, netsim.ShardDefault())
-}
-
-// NewSimShards builds the simulation with an explicit partition. shards <= 0
-// puts the whole fabric on one shard: one scheduler, packet pool and RNG
-// stream, no cross link, so no lookahead window, barrier or goroutine.
+// NewSimShards builds the simulation; the stack decides whether phantom
+// queues are enabled on the fabric, and shards chooses the partition.
+// shards <= 0 puts the whole fabric on one shard: one scheduler, packet pool
+// and RNG stream, no cross link, so no lookahead window, barrier or goroutine.
 // shards >= 1 gives every datacenter its own shard, coupled only through
 // the border links' lookahead windows, and runs them with
 // min(shards, NumDCs) worker goroutines. Past 0, the value selects only the
@@ -166,9 +159,16 @@ func (s *Sim) EventsExecuted() uint64 { return s.cluster.Executed() }
 // attach a separate instance per shard of Cluster().
 func (s *Sim) ObserveShard(i int, o netsim.Observer) { s.shards[i].digest.Next = o }
 
-// MustNewSim is NewSim for known-good configurations.
+// MustNewSim builds a one-shard Sim (NewSimShards with shards 0) for a
+// known-good configuration.
 func MustNewSim(seed uint64, topoCfg topo.Config, stack Stack) *Sim {
-	s, err := NewSim(seed, topoCfg, stack)
+	return Config{}.newSim(seed, topoCfg, stack)
+}
+
+// newSim builds one of an experiment's Sims on the partition c.Shards
+// selects. Experiments build known-good configurations, so an error is a bug.
+func (c Config) newSim(seed uint64, topoCfg topo.Config, stack Stack) *Sim {
+	s, err := NewSimShards(seed, topoCfg, stack, c.Shards)
 	if err != nil {
 		panic(err)
 	}
@@ -273,7 +273,7 @@ func startFlowRun(a any) {
 // endpoint belongs to another goroutine), so such a Sim refuses.
 func (s *Sim) StartFlow(src, dst int, size int64, onDone func()) {
 	if s.Sharded() {
-		panic("harness: StartFlow (collective starter) is unsupported on a Sim with more than one shard; run collectives with UNO_SHARDS=off")
+		panic("harness: StartFlow (collective starter) is unsupported on a Sim with more than one shard; run collectives on a one-shard Sim")
 	}
 	// Called from event context, where the one shard's scheduler — not the
 	// cluster clock, which moves between windows — has the time.

@@ -231,22 +231,16 @@ func TestShardedFatTreeConservation(t *testing.T) {
 }
 
 // goldenShardedDualDC pins the per-DC partition's digest for a fixed
-// dual-DC scenario on the default-latency fabric. The CI golden matrix
-// runs this test under UNO_SHARDS=1 and UNO_SHARDS=2: both cells must
-// reproduce this committed constant byte-for-byte (the constant is never
-// regenerated between cells), which is worker-count independence stated
-// as a golden. Like the simtest goldens it also pins
+// dual-DC scenario on the default-latency fabric. Both worker counts must
+// reproduce this committed constant byte-for-byte, which is worker-count
+// independence stated as a golden. Like the simtest goldens it also pins
 // against accidental behavior drift in the partition protocol itself.
 const goldenShardedDualDC = 0xd37c936645e26684
 
 // TestShardedGoldenDigest runs the golden dual-DC scenario on per-DC
-// shards with UNO_SHARDS workers (1 when unset) and compares
-// against the committed digest, with cluster invariants attached.
+// shards with 1 and 2 workers and compares each run against the committed
+// digest, with cluster invariants attached.
 func TestShardedGoldenDigest(t *testing.T) {
-	workers := netsim.ShardDefault()
-	if workers <= 0 {
-		workers = 1
-	}
 	cfg := topo.DefaultConfig()
 	cfg.K = 4
 	perDC := cfg.HostsPerDC()
@@ -258,40 +252,39 @@ func TestShardedGoldenDigest(t *testing.T) {
 		{Src: 8, Dst: perDC + 1, Size: 3 << 20, InterDC: true, Start: eventq.Millisecond},
 		{Src: perDC + 12, Dst: 4, Size: 128 << 10, InterDC: true, Start: 2 * eventq.Millisecond},
 	}
-	sim, err := NewSimShards(42, cfg, StackUno(), workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ci := netsim.AttachClusterInvariants(sim.Cluster())
-	sim.Schedule(specs)
-	sim.Run(200 * eventq.Millisecond)
-	if sim.Pending() > 0 {
-		t.Fatalf("%d flows missed the horizon", sim.Pending())
-	}
-	for _, v := range ci.Check() {
-		t.Errorf("invariant violation: %v", v)
-	}
-	if got := sim.Digest(); got != goldenShardedDualDC {
-		t.Fatalf("sharded dual-DC digest moved: got %#016x, want %#016x (workers=%d)\n(if the change is intentional, update goldenShardedDualDC)",
-			got, uint64(goldenShardedDualDC), workers)
+	for _, workers := range []int{1, 2} {
+		sim, err := NewSimShards(42, cfg, StackUno(), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ci := netsim.AttachClusterInvariants(sim.Cluster())
+		sim.Schedule(specs)
+		sim.Run(200 * eventq.Millisecond)
+		if sim.Pending() > 0 {
+			t.Fatalf("workers=%d: %d flows missed the horizon", workers, sim.Pending())
+		}
+		for _, v := range ci.Check() {
+			t.Errorf("workers=%d: invariant violation: %v", workers, v)
+		}
+		if got := sim.Digest(); got != goldenShardedDualDC {
+			t.Errorf("sharded dual-DC digest moved: got %#016x, want %#016x (workers=%d)\n(if the change is intentional, update goldenShardedDualDC)",
+				got, uint64(goldenShardedDualDC), workers)
+		}
 	}
 }
 
 // TestRegistryShardEquivalence extends the worker-count equivalence property
 // to every experiment in the registry at a small scale: with the fabric
 // partitioned per DC, one worker and two must render the same report, digest
-// line included. The experiments build their sims from the package default,
-// which is restored afterwards.
+// line included.
 func TestRegistryShardEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every registry experiment twice")
 	}
-	defer netsim.SetShardDefault(netsim.ShardDefault())
 	for _, e := range Registry() {
 		var reports [2]string
 		for i := range reports {
-			netsim.SetShardDefault(i + 1)
-			reports[i] = e.Run(Config{Scale: 0.1, Seed: 7, Parallel: 1}).String()
+			reports[i] = e.Run(Config{Scale: 0.1, Seed: 7, Parallel: 1, Shards: i + 1}).String()
 		}
 		if reports[0] != reports[1] {
 			t.Errorf("%s differs between 1 and 2 shard workers:\n--- 1 ---\n%s\n--- 2 ---\n%s",

@@ -77,7 +77,8 @@ func unoVariant(name string, mod func(*core.System)) Stack {
 
 // StackUnoCCWithLB runs UnoCC (phantom fabric) with an arbitrary
 // load-balancer constructor and optional EC — the Fig 13 comparison grid
-// (spraying / PLB / UnoLB, each ± EC).
+// (spraying / PLB / UnoLB, each ± EC). Every selector gets the multipath
+// System's reordering-tolerant dup-ACK threshold (3 × 8 subflows = 24).
 func StackUnoCCWithLB(name string, ec bool, mkLB func() transport.PathSelector) Stack {
 	return Stack{
 		Name:    name,
@@ -85,7 +86,6 @@ func StackUnoCCWithLB(name string, ec bool, mkLB func() transport.PathSelector) 
 		Policies: func(s *Sim, spec workload.FlowSpec, interDC bool) (transport.Params, transport.CongestionControl, transport.PathSelector) {
 			sys := unoSystem(s, func(sys *core.System) { sys.DisableEC = !ec })
 			params, cc, _ := sys.Policies(interDC, s.BaseRTT(spec.Src, spec.Dst))
-			params.DupAckThresh = 24 // reordering-tolerant for spraying LBs
 			return params, cc, mkLB()
 		},
 	}

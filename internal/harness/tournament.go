@@ -125,12 +125,17 @@ type CellResult struct {
 // tournamentFlows is the per-scheme flow count of a cell.
 const tournamentFlows = 2
 
-// TournamentCell runs one pairing under one regime: near and far each
-// drive two long-lived (1 GiB) flows into host 0 of DC0 and the cell is
-// scored over the contested window. Long-lived flows never complete inside
-// the horizon, so the cell measures steady-state coexistence rather than
-// completion order.
+// TournamentCell runs one pairing under one regime on a one-shard Sim:
+// near and far each drive two long-lived (1 GiB) flows into host 0 of DC0
+// and the cell is scored over the contested window. Long-lived flows never
+// complete inside the horizon, so the cell measures steady-state coexistence
+// rather than completion order.
 func TournamentCell(seed uint64, near, far Contender, reg Regime, horizon eventq.Time) CellResult {
+	return Config{Seed: seed}.tournamentCell(near, far, reg, horizon)
+}
+
+// tournamentCell is TournamentCell with the seed and partition of c.
+func (c Config) tournamentCell(near, far Contender, reg Regime, horizon eventq.Time) CellResult {
 	topoCfg := topo.DefaultConfig()
 	if reg.Ratio > 1 {
 		topoCfg = topoForRTTRatio(reg.Ratio)
@@ -174,7 +179,7 @@ func TournamentCell(seed uint64, near, far Contender, reg Regime, horizon eventq
 			return near.Policy(s, spec, interDC)
 		},
 	}
-	sim := MustNewSim(seed, topoCfg, stack)
+	sim := c.newSim(c.Seed, topoCfg, stack)
 	conns := sim.Schedule(specs)
 	bin := horizon / 60
 	rs := sim.SampleRates(conns, bin, horizon)
@@ -247,7 +252,7 @@ func tournament(cfg Config, cs []Contender) *Report {
 	// the folded digest are independent of the worker count.
 	cells := RunParallel(cfg.Parallel, len(pairs)*len(regs), func(job int) CellResult {
 		p, reg := pairs[job/len(regs)], regs[job%len(regs)]
-		return TournamentCell(cfg.Seed, cs[p.a], cs[p.b], reg, horizon)
+		return cfg.tournamentCell(cs[p.a], cs[p.b], reg, horizon)
 	})
 
 	for ri, reg := range regs {

@@ -29,65 +29,10 @@ package netsim
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"uno/internal/eventq"
 )
-
-// shardDefault is the worker count harness.NewSim captures: 0 (unset)
-// keeps the whole fabric on one shard, N >= 1 partitions multi-DC
-// topologies per-DC and drives the shards with min(N, shards) worker
-// goroutines. Note that 1 is not 0: UNO_SHARDS=1 runs the per-DC shards
-// serially, which is exactly what makes the UNO_SHARDS=1 vs 2 digest
-// comparison meaningful — same structure, different parallelism.
-// Atomic because harness workers read it from worker goroutines while a
-// main goroutine (flag parsing, TestMain) may set it.
-var shardDefault atomic.Int32
-
-// A malformed UNO_SHARDS ends the process — a test binary included, so a
-// typo in ci.sh cannot silently run the default partition — with the status
-// and one-line message a bad -shards flag gets, not a panic trace.
-func init() {
-	if v := os.Getenv("UNO_SHARDS"); v != "" {
-		n, err := ParseShards(v)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		shardDefault.Store(int32(n))
-	}
-}
-
-// ParseShards parses a -shards flag / UNO_SHARDS value: a small
-// non-negative integer, or "off" (0) for one shard holding the whole fabric.
-func ParseShards(s string) (int, error) {
-	if s == "off" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 || n > 1024 {
-		return 0, fmt.Errorf("netsim: UNO_SHARDS=%q (want a small non-negative integer, or off)", s)
-	}
-	return n, nil
-}
-
-// ShardMode renders a shard worker count the way ParseShards reads it.
-func ShardMode(n int) string {
-	if n <= 0 {
-		return "off"
-	}
-	return strconv.Itoa(n)
-}
-
-// SetShardDefault sets the worker count subsequently created harness sims
-// capture (the cmd/unosim -shards flag and UNO_SHARDS land here).
-func SetShardDefault(n int) { shardDefault.Store(int32(n)) }
-
-// ShardDefault returns the current default worker count (0 = unsharded).
-func ShardDefault() int { return int(shardDefault.Load()) }
 
 // handoffRecord is one cross-shard packet in transit: its arrival time at
 // the destination node, the cross link it traveled, and a value copy of

@@ -302,24 +302,6 @@ func TestClusterWithoutCrossLinks(t *testing.T) {
 	}
 }
 
-// TestParseShards pins the -shards / UNO_SHARDS syntax.
-func TestParseShards(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want int
-		ok   bool
-	}{
-		{"off", 0, true}, {"0", 0, true}, {"1", 1, true}, {"2", 2, true},
-		{"1024", 1024, true}, {"1025", 0, false}, {"-1", 0, false},
-		{"", 0, false}, {"two", 0, false},
-	} {
-		got, err := ParseShards(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseShards(%q) = %d, %v; want %d, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
-}
-
 // TestPerShardObjectsOwnTheirCacheLines: a sharded run allocates one
 // Scheduler and one DigestObserver per shard back to back, and each shard's
 // goroutine writes its own on every event. Sized a whole number of 64-byte

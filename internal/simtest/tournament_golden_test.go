@@ -5,7 +5,6 @@ import (
 
 	"uno/internal/eventq"
 	"uno/internal/harness"
-	"uno/internal/netsim"
 )
 
 // goldenTournamentCell pins one cheap tournament cell — MPRDMA vs BBR under
@@ -16,9 +15,6 @@ const goldenTournamentCell = 0x471bf442811cc4a5
 // TestGoldenTournamentCell pins the coexistence tournament's cell digest.
 // Regenerate like the other goldens: run the test and copy the "got" value.
 func TestGoldenTournamentCell(t *testing.T) {
-	if netsim.ShardDefault() > 0 {
-		t.Skip("tournament cell golden is pinned for the whole fabric on one shard (UNO_SHARDS=off)")
-	}
 	var mprdma, bbr harness.Contender
 	for _, c := range harness.Contenders() {
 		switch c.Name {

@@ -120,11 +120,8 @@ func newConn(ep *Endpoint, flow *Flow, params *Params, sched schedule, cc Conges
 		sched:  sched,
 		state:  make([]pktState, sched.n+sched.nBlocks),
 		sentAt: make([]eventq.Time, sched.n),
-		cwnd:   params.InitialCwnd,
+		cwnd:   float64(params.MTU + HeaderSize), // until the controller's Init sets it
 		onDone: onDone,
-	}
-	if c.cwnd <= 0 {
-		c.cwnd = float64(params.MTU + HeaderSize)
 	}
 	sch := ep.host.Network().Sched
 	c.sendTimer = sch.NewTimerArg(connTrySend, c)
@@ -408,33 +405,19 @@ func (c *Conn) onRTO() {
 		c.rtoBackoff++
 	}
 
-	// Oldest outstanding packet, scanned only on (rare) timeouts.
-	oldest := int64(-1)
-	var oldestAt eventq.Time
+	// Declare lost everything outstanding that is at least one RTO old, not
+	// only the oldest packet: a burst dropped wholesale would otherwise be
+	// reclaimed one packet per timeout. Scanned only on (rare) timeouts.
+	outstanding := false
 	for seq := c.lowestUnacked; seq < c.nextNew; seq++ {
 		if st := c.state[seq]; st.has(pktInFlight) && !st.has(settled) {
-			if oldest < 0 || c.sentAt[seq] < oldestAt {
-				oldest, oldestAt = seq, c.sentAt[seq]
+			outstanding = true
+			if c.sentAt[seq] <= cutoff {
+				c.declareLost(seq)
 			}
 		}
 	}
-	switch {
-	case oldest >= 0:
-		// Declare lost everything at least one RTO old, not only the
-		// single oldest packet: a burst dropped wholesale would otherwise
-		// be reclaimed one packet per timeout.
-		for seq := c.lowestUnacked; seq < c.nextNew; seq++ {
-			st := &c.state[seq]
-			if st.has(settled|pktLossPending) || !st.has(pktInFlight) {
-				continue
-			}
-			if c.sentAt[seq] <= cutoff {
-				*st = *st&^pktInFlight | pktLossPending
-				c.inFlight -= int64(c.wireSize(seq))
-				c.rtxQ = append(c.rtxQ, seq)
-			}
-		}
-	case c.nextNew >= c.sched.n && len(c.rtxQ) == 0:
+	if !outstanding && c.nextNew >= c.sched.n && len(c.rtxQ) == 0 {
 		// Everything sent and acknowledged but no FlowDone: probe.
 		c.probeFinalAck()
 	}
@@ -448,6 +431,30 @@ func (c *Conn) onRTO() {
 func (c *Conn) probeFinalAck() {
 	seq := c.sched.n - 1
 	c.transmit(seq, c.sched.desc(seq))
+}
+
+// declareLost is the one loss verdict: every detector — trim notice, RTO,
+// duplicate ACKs, RACK, block NACK — hands the entries it judges lost here,
+// each behind its own guard. An entry that is settled or already queued is
+// left alone; any other leaves the in-flight accounting and is queued for
+// retransmission.
+func (c *Conn) declareLost(seq int64) {
+	st := &c.state[seq]
+	if st.has(settled | pktLossPending) {
+		return
+	}
+	c.leaveFlight(seq, c.wireSize(seq))
+	*st |= pktLossPending
+	c.rtxQ = append(c.rtxQ, seq)
+}
+
+// leaveFlight takes entry seq, whose wire size is wire, out of the
+// in-flight accounting if it is counted there.
+func (c *Conn) leaveFlight(seq int64, wire int) {
+	if st := &c.state[seq]; st.has(pktInFlight) {
+		*st &^= pktInFlight
+		c.inFlight -= int64(wire)
+	}
 }
 
 // ---- receive path (ACK / NACK handling) ----
@@ -477,13 +484,7 @@ func (c *Conn) handleAck(p *netsim.Packet) {
 		// congested queue. Queue an immediate retransmission and let the
 		// policies treat it as a congestion/path signal.
 		c.stats.TrimNotices++
-		if !st.has(settled | pktLossPending) {
-			if st.has(pktInFlight) {
-				c.inFlight -= int64(d.wire)
-			}
-			*st = *st&^pktInFlight | pktLossPending
-			c.rtxQ = append(c.rtxQ, seq)
-		}
+		c.declareLost(seq)
 		c.cc.OnNack(c)
 		c.lb.OnNack(c)
 		if p.FlowDone {
@@ -518,10 +519,7 @@ func (c *Conn) handleAck(p *netsim.Packet) {
 
 	// Any ACK for a packet we believe is in flight removes it from the
 	// in-flight accounting, including probes of already-acked packets.
-	if st.has(pktInFlight) {
-		*st &^= pktInFlight
-		c.inFlight -= int64(d.wire)
-	}
+	c.leaveFlight(seq, d.wire)
 	if !st.has(pktAcked) {
 		*st = *st&^pktLossPending | pktAcked
 		info.Bytes = d.wire
@@ -584,10 +582,8 @@ func (c *Conn) satisfyBlock(b int32) {
 		if st.has(settled) {
 			continue
 		}
-		if st.has(pktInFlight) {
-			c.inFlight -= int64(c.wireSize(seq))
-		}
-		*st = *st&^(pktLossPending|pktInFlight) | pktDontCare
+		c.leaveFlight(seq, c.wireSize(seq))
+		*st = *st&^pktLossPending | pktDontCare
 	}
 }
 
@@ -626,8 +622,7 @@ func (c *Conn) maybeFastRetransmit(info AckInfo) {
 	if low >= c.sched.n || info.Seq <= low {
 		return
 	}
-	st := &c.state[low]
-	if !st.has(pktSent) || st.has(settled|pktLossPending) || !st.has(pktInFlight) {
+	if st := c.state[low]; !st.has(pktInFlight) || st.has(settled) {
 		return
 	}
 	if info.SentAt < c.sentAt[low] {
@@ -638,10 +633,8 @@ func (c *Conn) maybeFastRetransmit(info AckInfo) {
 		return
 	}
 	c.acksAboveLow = 0
-	*st = *st&^pktInFlight | pktLossPending
-	c.inFlight -= int64(c.wireSize(low))
+	c.declareLost(low)
 	c.stats.FastRetrans++
-	c.rtxQ = append(c.rtxQ, low)
 }
 
 // rackSweep declares lost every leading outstanding packet whose last
@@ -661,17 +654,15 @@ func (c *Conn) rackSweep() {
 		win = c.params.BaseRTT / 4
 	}
 	for seq := c.lowestUnacked; seq < c.nextNew; seq++ {
-		st := &c.state[seq]
+		st := c.state[seq]
 		if st.has(settled | pktLossPending) {
 			continue
 		}
 		if !st.has(pktInFlight) || c.sentAt[seq]+win >= c.maxAckedSent {
 			break
 		}
-		*st = *st&^pktInFlight | pktLossPending
-		c.inFlight -= int64(c.wireSize(seq))
+		c.declareLost(seq)
 		c.stats.FastRetrans++
-		c.rtxQ = append(c.rtxQ, seq)
 	}
 }
 
@@ -692,15 +683,9 @@ func (c *Conn) handleNack(p *netsim.Packet) {
 		if idx < 0 || seq >= blk.start+int64(blk.count) {
 			continue
 		}
-		st := &c.state[seq]
-		if st.has(settled|pktLossPending) || !st.has(pktSent) {
-			continue
+		if c.state[seq].has(pktSent) {
+			c.declareLost(seq)
 		}
-		if st.has(pktInFlight) {
-			c.inFlight -= int64(c.wireSize(seq))
-		}
-		*st = *st&^pktInFlight | pktLossPending
-		c.rtxQ = append(c.rtxQ, seq)
 	}
 	c.cc.OnNack(c)
 	c.lb.OnNack(c)

@@ -60,9 +60,6 @@ type Params struct {
 	MinRTO eventq.Time
 	// MaxRTO caps exponential RTO backoff.
 	MaxRTO eventq.Time
-	// InitialCwnd in bytes. Zero defaults to one BDP-ish window chosen by
-	// the congestion controller's Init.
-	InitialCwnd float64
 	// DupAckThresh is the number of ACKs above the lowest unacked packet
 	// before fast retransmit fires. Raise it for load balancers that
 	// reorder (RPS, UnoLB).

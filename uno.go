@@ -81,19 +81,18 @@ type FlowResult = harness.FlowResult
 // balancing + transport parameters per flow).
 type Stack = harness.Stack
 
-// NewSim builds a simulation with the given seed, topology, and stack.
-// Identical arguments produce bit-identical runs. The shard count follows
-// the process-wide default (UNO_SHARDS / netsim.SetShardDefault): unset keeps
-// the whole fabric on one shard; see NewShardedSim to choose per-sim.
+// NewSim builds a simulation with the given seed, topology, and stack, the
+// whole fabric on one shard (see NewShardedSim for one shard per
+// datacenter). Identical arguments produce bit-identical runs.
 func NewSim(seed uint64, cfg TopologyConfig, stack Stack) *Sim {
 	return harness.MustNewSim(seed, cfg, stack)
 }
 
 // NewShardedSim builds a simulation with one shard per datacenter and the
 // given worker-goroutine count (>= 1); workers selects parallelism only, so
-// results are bit-identical for every worker count. workers <= 0 keeps the
-// whole fabric on one shard (one scheduler, no barrier, no goroutine), which
-// ring collectives (StartRing) require.
+// results are bit-identical for every worker count. workers <= 0 is NewSim:
+// the whole fabric on one shard (one scheduler, no barrier, no goroutine),
+// which ring collectives (StartRing) require.
 func NewShardedSim(seed uint64, cfg TopologyConfig, stack Stack, workers int) (*Sim, error) {
 	return harness.NewSimShards(seed, cfg, stack, workers)
 }
@@ -174,10 +173,10 @@ type Ring = collective.Ring
 // StartRing launches a ring Allreduce over the simulation's transport;
 // onComplete receives the collective's elapsed time. Collectives chain
 // dependent flows from completion callbacks, which cannot yet cross a shard
-// boundary — sim must hold the whole fabric on one shard.
+// boundary — sim must hold the whole fabric on one shard, as NewSim builds it.
 func StartRing(sim *Sim, cfg RingConfig, onComplete func(elapsed Time)) (*Ring, error) {
 	if sim.Sharded() {
-		return nil, fmt.Errorf("uno: StartRing requires a one-shard Sim (build it with UNO_SHARDS=off, or NewShardedSim(..., 0))")
+		return nil, fmt.Errorf("uno: StartRing requires a one-shard Sim (build it with NewSim)")
 	}
 	return collective.Start(sim, sim.Net.Sched, cfg, onComplete)
 }

@@ -160,12 +160,8 @@ func TestFacadeCustomStackAblation(t *testing.T) {
 
 func TestFacadeRingAllreduce(t *testing.T) {
 	// A 4-member ring spanning the two DCs: 2(N−1) dependency-ordered
-	// steps over the real transport, on the one-shard Sim StartRing needs
-	// whatever UNO_SHARDS says.
-	sim, err := uno.NewShardedSim(19, uno.DefaultTopology(), uno.UnoStack(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// steps over the real transport, on the one-shard Sim StartRing needs.
+	sim := uno.NewSim(19, uno.DefaultTopology(), uno.UnoStack())
 	cfg := uno.RingConfig{
 		Members: []int{0, 16, 128, 144}, // two hosts per DC, ring crosses the border twice
 		Bytes:   8 << 20,
