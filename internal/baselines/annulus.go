@@ -26,9 +26,6 @@ import (
 type Annulus struct {
 	// Inner is the wrapped end-to-end controller (e.g. BBR for WAN flows).
 	Inner transport.CongestionControl
-	// ReactionPeriod rate-limits near-source cuts and paces the cap's
-	// recovery (default 20 µs ≈ one intra-DC RTT).
-	ReactionPeriod eventq.Time
 
 	capBps   float64 // near-source rate cap; +Inf when inactive
 	lastCut  eventq.Time
@@ -38,13 +35,13 @@ type Annulus struct {
 	Cuts int
 }
 
+// annulusReactionPeriod rate-limits near-source cuts and paces the cap's
+// recovery: 20 µs, about one intra-DC RTT.
+const annulusReactionPeriod = 20 * eventq.Microsecond
+
 // NewAnnulus wraps inner with the near-source loop.
 func NewAnnulus(inner transport.CongestionControl) *Annulus {
-	return &Annulus{
-		Inner:          inner,
-		ReactionPeriod: 20 * eventq.Microsecond,
-		capBps:         math.Inf(1),
-	}
+	return &Annulus{Inner: inner, capBps: math.Inf(1)}
 }
 
 // Name implements transport.CongestionControl.
@@ -52,7 +49,7 @@ func (a *Annulus) Name() string { return a.Inner.Name() + "+annulus" }
 
 // Init implements transport.CongestionControl.
 func (a *Annulus) Init(c *transport.Conn) {
-	a.lastCut = c.Now() - a.ReactionPeriod
+	a.lastCut = c.Now() - annulusReactionPeriod
 	a.lastGrow = c.Now()
 	a.Inner.Init(c)
 	a.enforce(c)
@@ -77,9 +74,9 @@ func (a *Annulus) enforce(c *transport.Conn) {
 	}
 	// Multiplicative recovery while the fast loop is quiet.
 	now := c.Now()
-	for now-a.lastGrow >= a.ReactionPeriod {
+	for now-a.lastGrow >= annulusReactionPeriod {
 		a.capBps *= 1.02
-		a.lastGrow += a.ReactionPeriod
+		a.lastGrow += annulusReactionPeriod
 	}
 	rtt := c.SRTT()
 	if rtt <= 0 {
@@ -119,7 +116,7 @@ func (a *Annulus) OnTimeout(c *transport.Conn) {
 // OnCnm implements transport.CnmReceiver: the fast near-source loop.
 func (a *Annulus) OnCnm(c *transport.Conn, fb float64) {
 	now := c.Now()
-	if now-a.lastCut < a.ReactionPeriod {
+	if now-a.lastCut < annulusReactionPeriod {
 		return
 	}
 	a.lastCut = now

@@ -11,7 +11,7 @@ import (
 
 func TestAnnulusDelegatesToInner(t *testing.T) {
 	in := simtest.NewIncast(30, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
-	inner := NewMPRDMA(MPRDMAConfig{})
+	inner := NewMPRDMA()
 	cc := NewAnnulus(inner)
 	if cc.Name() != "mprdma+annulus" {
 		t.Fatalf("name = %q", cc.Name())
@@ -102,7 +102,7 @@ func TestQCNGeneratesCnms(t *testing.T) {
 func TestCnmIgnoredByPlainControllers(t *testing.T) {
 	// Controllers that don't implement CnmReceiver must be unaffected.
 	in := simtest.NewIncast(33, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
-	cc := NewMPRDMA(MPRDMAConfig{})
+	cc := NewMPRDMA()
 	conn := start(t, in, 0, 1, 1<<20, cc)
 	w := conn.Cwnd()
 	in.Senders[0].HandlePacket(&netsim.Packet{

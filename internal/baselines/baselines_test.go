@@ -33,9 +33,14 @@ func start(t *testing.T, in *simtest.Incast, i int, id int64, size int64,
 // ---- Gemini ----
 
 func TestGeminiDefaults(t *testing.T) {
-	cfg := GeminiConfig{BDP: 1e6, IntraBDP: 7e4, BaseRTT: 14 * eventq.Microsecond}.withDefaults()
-	if cfg.AlphaFrac != 0.001 || cfg.K != 1e4 || cfg.InitialCwnd != 1e6 || cfg.MaxCwnd != 2e6 {
-		t.Fatalf("defaults: %+v", cfg)
+	conn, cfg := geminiFixture(t)
+	cc := NewGemini(cfg)
+	cc.Init(conn)
+	if got := conn.Cwnd(); got != cfg.BDP {
+		t.Fatalf("initial cwnd = %v, want one BDP %v", got, cfg.BDP)
+	}
+	if cc.alpha != 0.001*cfg.BDP {
+		t.Fatalf("alpha = %v, want 0.001 BDP", cc.alpha)
 	}
 }
 
@@ -125,7 +130,7 @@ func TestGeminiDelaySignalForWAN(t *testing.T) {
 
 func TestMPRDMASingleFlowUtilization(t *testing.T) {
 	in := simtest.NewIncast(5, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
-	cc := NewMPRDMA(MPRDMAConfig{})
+	cc := NewMPRDMA()
 	conn := start(t, in, 0, 1, 32<<20, cc)
 	in.Net.Sched.RunUntil(50 * eventq.Millisecond)
 	if !conn.Completed() {
@@ -139,7 +144,7 @@ func TestMPRDMASingleFlowUtilization(t *testing.T) {
 
 func TestMPRDMAMarkedAckShrinksWindow(t *testing.T) {
 	in := simtest.NewIncast(6, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
-	cc := NewMPRDMA(MPRDMAConfig{})
+	cc := NewMPRDMA()
 	conn := start(t, in, 0, 1, 1<<20, cc)
 	w := conn.Cwnd()
 	cc.OnAck(conn, transport.AckInfo{Marked: true, Bytes: 4160})
@@ -164,7 +169,7 @@ func TestMPRDMAIncastKeepsQueueBounded(t *testing.T) {
 	in := simtest.NewIncast(7, bw100G, delays, simtest.PortConfig())
 	var conns []*transport.Conn
 	for i := range delays {
-		conns = append(conns, start(t, in, i, int64(i+1), 1<<30, NewMPRDMA(MPRDMAConfig{})))
+		conns = append(conns, start(t, in, i, int64(i+1), 1<<30, NewMPRDMA()))
 	}
 	maxQ := int64(0)
 	var sample func()
@@ -216,7 +221,7 @@ func TestBBRSingleFlowFindsBandwidth(t *testing.T) {
 	epA, epB := transport.NewEndpoint(a), transport.NewEndpoint(b)
 
 	rtt := 600 * eventq.Microsecond
-	cc := NewBBR(BBRConfig{BaseRTT: rtt})
+	cc := NewBBR()
 	flow := &transport.Flow{ID: 1, Src: a, Dst: b, Size: 64 << 20}
 	params := transport.Params{MTU: 4096, BaseRTT: rtt}
 	conn, err := transport.Start(epA, epB, flow, params, cc, &transport.FixedEntropy{}, nil)
@@ -244,8 +249,7 @@ func TestBBRSingleFlowFindsBandwidth(t *testing.T) {
 
 func TestBBRSetsPacing(t *testing.T) {
 	in := simtest.NewIncast(9, bw100G, []eventq.Time{100 * eventq.Microsecond}, simtest.PortConfig())
-	rtt := in.BaseRTT(0, 4096, bw100G)
-	cc := NewBBR(BBRConfig{BaseRTT: rtt})
+	cc := NewBBR()
 	conn := start(t, in, 0, 1, 1<<20, cc)
 	if conn.PacingRate() <= 0 {
 		t.Fatal("BBR did not set a pacing rate")
@@ -254,8 +258,7 @@ func TestBBRSetsPacing(t *testing.T) {
 
 func TestBBRTimeoutRestartsStartup(t *testing.T) {
 	in := simtest.NewIncast(10, bw100G, []eventq.Time{100 * eventq.Microsecond}, simtest.PortConfig())
-	rtt := in.BaseRTT(0, 4096, bw100G)
-	cc := NewBBR(BBRConfig{BaseRTT: rtt})
+	cc := NewBBR()
 	conn := start(t, in, 0, 1, 1<<20, cc)
 	cc.phase = bbrProbeBW
 	cc.OnTimeout(conn)

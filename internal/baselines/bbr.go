@@ -12,36 +12,8 @@ import (
 // exponential Startup. It is delay/bandwidth-driven and ignores ECN — which
 // is precisely why pairing it with an ECN-based intra-DC protocol yields
 // the unfairness of Fig 3 C.
-type BBRConfig struct {
-	// BaseRTT seeds the RTprop estimate.
-	BaseRTT eventq.Time
-	// InitialRateBps seeds pacing before any bandwidth sample (default:
-	// 10 packets per BaseRTT).
-	InitialRateBps float64
-	// MaxCwnd caps the window; zero defaults to 256 MiB.
-	MaxCwnd float64
-}
-
-// bbr state machine phases.
-const (
-	bbrStartup = iota
-	bbrDrain
-	bbrProbeBW
-)
-
-const (
-	bbrStartupGain  = 2.885 // 2/ln2
-	bbrBtlBwRounds  = 10    // max-filter window, in rounds
-	bbrFullBwRounds = 3     // rounds without 25% growth → pipe full
-	bbrCwndGain     = 2.0
-	bbrProbePhases  = 8
-)
-
-var bbrProbeGains = [bbrProbePhases]float64{1.25, 0.75, 1, 1, 1, 1, 1, 1}
-
-// BBR implements transport.CongestionControl.
 type BBR struct {
-	cfg BBRConfig
+	baseRTT eventq.Time // the flow's unloaded RTT; seeds RTprop
 
 	phase      int
 	probeIdx   int
@@ -63,27 +35,36 @@ type BBR struct {
 	Rounds int
 }
 
+// bbr state machine phases.
+const (
+	bbrStartup = iota
+	bbrDrain
+	bbrProbeBW
+)
+
+const (
+	bbrStartupGain  = 2.885 // 2/ln2
+	bbrBtlBwRounds  = 10    // max-filter window, in rounds
+	bbrFullBwRounds = 3     // rounds without 25% growth → pipe full
+	bbrCwndGain     = 2.0
+	bbrProbePhases  = 8
+	bbrInitPkts     = 10        // pre-sample pacing: this many packets per base RTT
+	bbrMaxCwnd      = 256 << 20 // window cap in bytes
+)
+
+var bbrProbeGains = [bbrProbePhases]float64{1.25, 0.75, 1, 1, 1, 1, 1, 1}
+
 // NewBBR builds a controller for one flow.
-func NewBBR(cfg BBRConfig) *BBR {
-	return &BBR{cfg: cfg}
-}
+func NewBBR() *BBR { return &BBR{} }
 
 // Name implements transport.CongestionControl.
 func (b *BBR) Name() string { return "bbr" }
 
 // Init implements transport.CongestionControl.
 func (b *BBR) Init(c *transport.Conn) {
-	if b.cfg.BaseRTT <= 0 {
-		b.cfg.BaseRTT = c.Params().BaseRTT
-	}
-	if b.cfg.MaxCwnd <= 0 {
-		b.cfg.MaxCwnd = 256 << 20
-	}
-	b.rtProp = b.cfg.BaseRTT
-	rate := b.cfg.InitialRateBps
-	if rate <= 0 {
-		rate = 10 * float64(c.MTUWire()) * 8 / b.cfg.BaseRTT.Seconds()
-	}
+	b.baseRTT = c.Params().BaseRTT
+	b.rtProp = b.baseRTT
+	rate := bbrInitPkts * float64(c.MTUWire()) * 8 / b.baseRTT.Seconds()
 	b.initBw = rate / 8
 	b.btlBw = b.initBw
 	b.phase = bbrStartup
@@ -113,8 +94,8 @@ func (b *BBR) apply(c *transport.Conn) {
 	if b.phase == bbrStartup {
 		cwnd = bbrStartupGain * 2 * bdp
 	}
-	if cwnd > b.cfg.MaxCwnd {
-		cwnd = b.cfg.MaxCwnd
+	if cwnd > bbrMaxCwnd {
+		cwnd = bbrMaxCwnd
 	}
 	c.SetCwnd(cwnd)
 }
@@ -128,7 +109,7 @@ func (b *BBR) OnAck(c *transport.Conn, a transport.AckInfo) {
 	// Round boundary: one smoothed RTT of accumulation.
 	rtt := c.SRTT()
 	if rtt <= 0 {
-		rtt = b.cfg.BaseRTT
+		rtt = b.baseRTT
 	}
 	if a.Now-b.roundStart < rtt {
 		return

@@ -5,12 +5,12 @@ import (
 
 	"uno/internal/eventq"
 	"uno/internal/simtest"
+	"uno/internal/transport"
 )
 
 func TestBBRStartupExitsToDrainThenProbe(t *testing.T) {
 	in := simtest.NewIncast(50, bw100G, []eventq.Time{50 * eventq.Microsecond}, simtest.PortConfig())
-	rtt := in.BaseRTT(0, 4096, bw100G)
-	cc := NewBBR(BBRConfig{BaseRTT: rtt})
+	cc := NewBBR()
 	conn := start(t, in, 0, 1, 64<<20, cc)
 	if cc.phase != bbrStartup {
 		t.Fatal("BBR must begin in startup")
@@ -32,8 +32,17 @@ func TestBBRStartupExitsToDrainThenProbe(t *testing.T) {
 func TestBBRRtPropTracksMinimum(t *testing.T) {
 	in := simtest.NewIncast(51, bw100G, []eventq.Time{100 * eventq.Microsecond}, simtest.PortConfig())
 	rtt := in.BaseRTT(0, 4096, bw100G)
-	cc := NewBBR(BBRConfig{BaseRTT: 10 * eventq.Millisecond}) // deliberately bad seed value
-	start(t, in, 0, 1, 16<<20, cc)
+	cc := NewBBR()
+	// The flow's Params carry a deliberately bad base RTT, which seeds
+	// rtProp.
+	flow := &transport.Flow{ID: 1, Src: in.Senders[0], Dst: in.Recv, Size: 16 << 20}
+	params := transport.Params{MTU: 4096, BaseRTT: 10 * eventq.Millisecond}
+	if _, err := transport.Start(in.SenderEps[0], in.RecvEp, flow, params, cc, &transport.FixedEntropy{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if cc.rtProp != params.BaseRTT {
+		t.Fatalf("rtProp seeded at %v, want the Params base RTT %v", cc.rtProp, params.BaseRTT)
+	}
 	in.Net.Sched.RunUntil(20 * eventq.Millisecond)
 	// rtProp must have converged down to the true base RTT.
 	if cc.rtProp > rtt*12/10 {
@@ -43,8 +52,7 @@ func TestBBRRtPropTracksMinimum(t *testing.T) {
 
 func TestBBRProbeGainCycling(t *testing.T) {
 	in := simtest.NewIncast(52, bw100G, []eventq.Time{100 * eventq.Microsecond}, simtest.PortConfig())
-	rtt := in.BaseRTT(0, 4096, bw100G)
-	cc := NewBBR(BBRConfig{BaseRTT: rtt})
+	cc := NewBBR()
 	conn := start(t, in, 0, 1, 128<<20, cc)
 	// Observe the pacing rate over a few ProbeBW cycles: it must vary
 	// (probe/drain phases) rather than stay constant.

@@ -17,7 +17,7 @@ import (
 func TestBBRTimeoutResetsRoundState(t *testing.T) {
 	in := simtest.NewIncast(53, bw100G, []eventq.Time{100 * eventq.Microsecond}, simtest.PortConfig())
 	rtt := in.BaseRTT(0, 4096, bw100G)
-	cc := NewBBR(BBRConfig{BaseRTT: rtt})
+	cc := NewBBR()
 	conn := start(t, in, 0, 1, 8<<20, cc)
 	in.Net.Sched.RunUntil(2 * eventq.Millisecond)
 

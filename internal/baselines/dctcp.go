@@ -14,33 +14,9 @@ import (
 // (§2.3, "DCTCP requires the buffer space to be at least 17% of BDP") is
 // made against, and several comparisons in the literature pair BBR with
 // DCTCP instead of MPRDMA.
-type DCTCPConfig struct {
-	// BaseRTT seeds the round length before RTT samples exist.
-	BaseRTT eventq.Time
-	// G is the EWMA gain for the marked fraction (default 1/16, the
-	// paper's value).
-	G float64
-	// InitialCwnd in wire bytes; zero defaults to 10 packets.
-	InitialCwnd float64
-	// MaxCwnd caps growth; zero defaults to 64 MiB.
-	MaxCwnd float64
-}
-
-func (c DCTCPConfig) withDefaults() DCTCPConfig {
-	if c.G <= 0 {
-		c.G = 1.0 / 16
-	}
-	if c.MaxCwnd <= 0 {
-		c.MaxCwnd = 64 << 20
-	}
-	return c
-}
-
-// DCTCP implements transport.CongestionControl.
 type DCTCP struct {
-	cfg DCTCPConfig
-
-	alpha      float64 // smoothed marked fraction
+	baseRTT    eventq.Time // seeds the round length before RTT samples exist
+	alpha      float64     // smoothed marked fraction
 	ssthresh   float64
 	roundStart eventq.Time
 	acks       int
@@ -51,25 +27,24 @@ type DCTCP struct {
 	Cuts   int
 }
 
+// dctcpG is the EWMA gain for the marked fraction (the DCTCP paper's
+// 1/16), and dctcpInitPkts the initial window in packets.
+const (
+	dctcpG        = 1.0 / 16
+	dctcpInitPkts = 10
+)
+
 // NewDCTCP builds a controller for one flow.
-func NewDCTCP(cfg DCTCPConfig) *DCTCP {
-	return &DCTCP{cfg: cfg.withDefaults()}
-}
+func NewDCTCP() *DCTCP { return &DCTCP{} }
 
 // Name implements transport.CongestionControl.
 func (d *DCTCP) Name() string { return "dctcp" }
 
 // Init implements transport.CongestionControl.
 func (d *DCTCP) Init(c *transport.Conn) {
-	if d.cfg.BaseRTT <= 0 {
-		d.cfg.BaseRTT = c.Params().BaseRTT
-	}
-	w := d.cfg.InitialCwnd
-	if w <= 0 {
-		w = 10 * float64(c.MTUWire())
-	}
-	c.SetCwnd(w)
-	d.ssthresh = d.cfg.MaxCwnd
+	d.baseRTT = c.Params().BaseRTT
+	c.SetCwnd(dctcpInitPkts * float64(c.MTUWire()))
+	d.ssthresh = maxCwnd
 	d.roundStart = c.Now()
 }
 
@@ -88,8 +63,8 @@ func (d *DCTCP) OnAck(c *transport.Conn, a transport.AckInfo) {
 		} else {
 			next = cwnd + mss*float64(a.Bytes)/cwnd // 1 MSS per RTT
 		}
-		if next > d.cfg.MaxCwnd {
-			next = d.cfg.MaxCwnd
+		if next > maxCwnd {
+			next = maxCwnd
 		}
 		c.SetCwnd(next)
 	}
@@ -105,14 +80,14 @@ func (d *DCTCP) onRound(c *transport.Conn, now eventq.Time) {
 	if d.acks > 0 {
 		f = float64(d.marked) / float64(d.acks)
 	}
-	d.alpha = (1-d.cfg.G)*d.alpha + d.cfg.G*f
+	d.alpha = (1-dctcpG)*d.alpha + dctcpG*f
 	if d.marked > 0 {
 		c.SetCwnd(c.Cwnd() * (1 - d.alpha/2))
 		d.ssthresh = c.Cwnd()
 		d.Cuts++
 	}
 	d.acks, d.marked = 0, 0
-	rtt := d.cfg.BaseRTT
+	rtt := d.baseRTT
 	if srtt := c.SRTT(); srtt > 0 {
 		rtt = srtt
 	}

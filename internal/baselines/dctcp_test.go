@@ -10,15 +10,26 @@ import (
 )
 
 func TestDCTCPDefaults(t *testing.T) {
-	cfg := DCTCPConfig{}.withDefaults()
-	if cfg.G != 1.0/16 || cfg.MaxCwnd != 64<<20 {
-		t.Fatalf("defaults: %+v", cfg)
+	in := simtest.NewIncast(24, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
+	cc := NewDCTCP()
+	conn := start(t, in, 0, 1, 1<<20, cc)
+	if got, want := conn.Cwnd(), 10*float64(conn.MTUWire()); got != want {
+		t.Fatalf("initial cwnd = %v, want 10 packets %v", got, want)
+	}
+	if cc.ssthresh != 64<<20 || cc.baseRTT != conn.Params().BaseRTT {
+		t.Fatalf("ssthresh %v, base RTT %v", cc.ssthresh, cc.baseRTT)
+	}
+	// One fully marked round moves α by the gain g = 1/16.
+	now := in.Net.Now() + eventq.Second
+	cc.OnAck(conn, transport.AckInfo{Marked: true, SentAt: now, Now: now})
+	if cc.Alpha() != 1.0/16 {
+		t.Fatalf("alpha after one marked round = %v, want 1/16", cc.Alpha())
 	}
 }
 
 func TestDCTCPSlowStartThenAI(t *testing.T) {
 	in := simtest.NewIncast(20, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
-	cc := NewDCTCP(DCTCPConfig{})
+	cc := NewDCTCP()
 	conn := start(t, in, 0, 1, 32<<20, cc)
 	// Slow start must open the window quickly: within 20 RTTs the flow is
 	// at line rate.
@@ -38,7 +49,7 @@ func TestDCTCPSlowStartThenAI(t *testing.T) {
 
 func TestDCTCPAlphaTracksMarking(t *testing.T) {
 	in := simtest.NewIncast(21, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
-	cc := NewDCTCP(DCTCPConfig{})
+	cc := NewDCTCP()
 	conn := start(t, in, 0, 1, 1<<20, cc)
 	// Synthetic rounds: fully marked traffic must drive α toward 1.
 	now := in.Net.Now() + eventq.Second
@@ -65,7 +76,7 @@ func TestDCTCPKeepsQueueNearThreshold(t *testing.T) {
 	in := simtest.NewIncast(22, bw100G, delays, simtest.PortConfig())
 	var conns []*transport.Conn
 	for i := range delays {
-		conns = append(conns, start(t, in, i, int64(i+1), 1<<30, NewDCTCP(DCTCPConfig{})))
+		conns = append(conns, start(t, in, i, int64(i+1), 1<<30, NewDCTCP()))
 	}
 	maxQ := int64(0)
 	var sample func()
@@ -95,7 +106,7 @@ func TestDCTCPKeepsQueueNearThreshold(t *testing.T) {
 
 func TestDCTCPTimeoutEntersSlowStart(t *testing.T) {
 	in := simtest.NewIncast(23, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
-	cc := NewDCTCP(DCTCPConfig{})
+	cc := NewDCTCP()
 	conn := start(t, in, 0, 1, 1<<20, cc)
 	in.Net.Sched.RunUntil(100 * eventq.Microsecond)
 	cc.OnTimeout(conn)

@@ -4,8 +4,6 @@
 package baselines
 
 import (
-	"math"
-
 	"uno/internal/eventq"
 	"uno/internal/transport"
 )
@@ -26,57 +24,30 @@ type GeminiConfig struct {
 	BaseRTT eventq.Time
 	// InterDC selects the WAN signal (delay) in addition to ECN.
 	InterDC bool
-
-	// AlphaFrac is the AI constant as a fraction of BDP (default 0.001,
-	// matching UnoCC per §4.1.1 "We select UnoCC's AI and MD factors
-	// similar to Gemini").
-	AlphaFrac float64
-	// K is the MD constant in bytes; zero defaults to IntraBDP/7.
-	K float64
-	// EWMAGain for the congestion-fraction average (default 1/8).
-	EWMAGain float64
-	// DelayThresh is the relative delay that flags WAN congestion
-	// (default 10% of BaseRTT).
-	DelayThresh eventq.Time
-	// InitialCwnd in wire bytes; zero defaults to BDP.
-	InitialCwnd float64
-	// MaxCwnd caps growth; zero defaults to 2×BDP.
-	MaxCwnd float64
 }
 
-func (c GeminiConfig) withDefaults() GeminiConfig {
-	if c.AlphaFrac <= 0 {
-		c.AlphaFrac = 0.001
-	}
-	if c.K <= 0 {
-		c.K = c.IntraBDP / 7
-	}
-	if c.EWMAGain <= 0 {
-		c.EWMAGain = 0.125
-	}
-	if c.DelayThresh <= 0 {
-		c.DelayThresh = c.BaseRTT / 10
-	}
-	if c.InitialCwnd <= 0 {
-		c.InitialCwnd = c.BDP
-	}
-	if c.MaxCwnd <= 0 {
-		c.MaxCwnd = 2 * c.BDP
-	}
-	return c
-}
+// Gemini's AIMD factors match UnoCC's (§4.1.1 "We select UnoCC's AI and MD
+// factors similar to Gemini"): α = 0.001·BDP, K = IntraBDP/7, an EWMA gain
+// of 1/8, and a window between one and two BDPs. A relative delay above
+// BaseRTT/10 flags WAN congestion.
+const (
+	geminiAlphaFrac    = 0.001
+	geminiKDivisor     = 7
+	geminiEWMAGain     = 0.125
+	geminiMaxCwndBDPs  = 2
+	geminiDelayDivisor = 10
+)
 
 // Gemini implements transport.CongestionControl.
 type Gemini struct {
 	cfg   GeminiConfig
 	alpha float64
 
-	roundStart  eventq.Time // epoch over the flow's own RTT
-	acks        int
-	marked      int
-	delayed     int
-	minRelDelay eventq.Time
-	ewmaFrac    float64
+	roundStart eventq.Time // epoch over the flow's own RTT
+	acks       int
+	marked     int
+	delayed    int
+	ewmaFrac   float64
 
 	// Rounds and MDs are telemetry for tests.
 	Rounds int
@@ -85,7 +56,7 @@ type Gemini struct {
 
 // NewGemini builds a controller for one flow.
 func NewGemini(cfg GeminiConfig) *Gemini {
-	return &Gemini{cfg: cfg.withDefaults()}
+	return &Gemini{cfg: cfg}
 }
 
 // Name implements transport.CongestionControl.
@@ -93,25 +64,18 @@ func (g *Gemini) Name() string { return "gemini" }
 
 // Init implements transport.CongestionControl.
 func (g *Gemini) Init(c *transport.Conn) {
-	g.alpha = g.cfg.AlphaFrac * g.cfg.BDP
-	c.SetCwnd(g.cfg.InitialCwnd)
+	g.alpha = geminiAlphaFrac * g.cfg.BDP
+	c.SetCwnd(g.cfg.BDP)
 	g.roundStart = c.Now()
-	g.minRelDelay = math.MaxInt64
 }
 
 // OnAck implements transport.CongestionControl.
 func (g *Gemini) OnAck(c *transport.Conn, a transport.AckInfo) {
 	g.acks++
 	congSignal := a.Marked
-	if a.RTT > 0 {
-		rel := a.RTT - g.cfg.BaseRTT
-		if rel < g.minRelDelay {
-			g.minRelDelay = rel
-		}
-		if g.cfg.InterDC && rel > g.cfg.DelayThresh {
-			g.delayed++
-			congSignal = true
-		}
+	if a.RTT > 0 && g.cfg.InterDC && a.RTT-g.cfg.BaseRTT > g.cfg.BaseRTT/geminiDelayDivisor {
+		g.delayed++
+		congSignal = true
 	}
 	if a.Marked {
 		g.marked++
@@ -119,8 +83,8 @@ func (g *Gemini) OnAck(c *transport.Conn, a transport.AckInfo) {
 	if !congSignal && a.Bytes > 0 {
 		cwnd := c.Cwnd()
 		next := cwnd + g.alpha*float64(a.Bytes)/cwnd
-		if next > g.cfg.MaxCwnd {
-			next = g.cfg.MaxCwnd
+		if limit := geminiMaxCwndBDPs * g.cfg.BDP; next > limit {
+			next = limit
 		}
 		c.SetCwnd(next)
 	}
@@ -141,10 +105,11 @@ func (g *Gemini) onRound(c *transport.Conn, now eventq.Time) {
 		}
 		frac = float64(cong) / float64(g.acks)
 	}
-	g.ewmaFrac = g.cfg.EWMAGain*frac + (1-g.cfg.EWMAGain)*g.ewmaFrac
+	g.ewmaFrac = geminiEWMAGain*frac + (1-geminiEWMAGain)*g.ewmaFrac
 
 	if frac > 0 {
-		md := g.ewmaFrac * 4 * g.cfg.K / (g.cfg.K + g.cfg.BDP)
+		k := g.cfg.IntraBDP / geminiKDivisor
+		md := g.ewmaFrac * 4 * k / (k + g.cfg.BDP)
 		if md > 0.5 {
 			md = 0.5
 		}
@@ -152,7 +117,6 @@ func (g *Gemini) onRound(c *transport.Conn, now eventq.Time) {
 		g.MDs++
 	}
 	g.acks, g.marked, g.delayed = 0, 0, 0
-	g.minRelDelay = math.MaxInt64
 	rtt := g.cfg.BaseRTT
 	if srtt := c.SRTT(); srtt > 0 {
 		rtt = srtt

@@ -21,7 +21,7 @@ import (
 func geminiFixture(t *testing.T) (*transport.Conn, GeminiConfig) {
 	t.Helper()
 	in := simtest.NewIncast(3, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
-	conn := start(t, in, 0, 1, 64<<20, NewMPRDMA(MPRDMAConfig{}))
+	conn := start(t, in, 0, 1, 64<<20, NewMPRDMA())
 	cfg := GeminiConfig{
 		BDP: 1e6, IntraBDP: 7e5, BaseRTT: 10 * eventq.Microsecond,
 	}
@@ -77,23 +77,25 @@ func TestGeminiOnAckWindowTable(t *testing.T) {
 
 func TestGeminiGrowthClampsAtMaxCwnd(t *testing.T) {
 	conn, cfg := geminiFixture(t)
-	cfg.MaxCwnd = 1.5e6
 	cc := NewGemini(cfg)
 	cc.Init(conn)
-	conn.SetCwnd(cfg.MaxCwnd - 0.01)
+	limit := 2 * cfg.BDP
+	conn.SetCwnd(limit - 0.01)
 	cc.OnAck(conn, transport.AckInfo{Bytes: 1 << 20, SentAt: -1})
-	if got := conn.Cwnd(); got != cfg.MaxCwnd {
-		t.Fatalf("cwnd = %v, want clamp at MaxCwnd %v", got, cfg.MaxCwnd)
+	if got := conn.Cwnd(); got != limit {
+		t.Fatalf("cwnd = %v, want clamp at two BDPs %v", got, limit)
 	}
 }
 
 func TestGeminiRoundMDTable(t *testing.T) {
 	conn, cfg := geminiFixture(t)
+	// Every case starts from a fully marked history (ewmaFrac = 1), so after
+	// a round with congestion fraction frac the average is
+	// 1 - geminiEWMAGain*(1-frac) and md is that times 4K/(K+BDP).
+	ewma := func(frac float64) float64 { return 1 - geminiEWMAGain*(1-frac) }
 	cases := []struct {
-		name string
-		// ewmaGain 1 makes the round's congestion fraction land in
-		// ewmaFrac unfiltered, so md is exactly frac*4K/(K+BDP).
-		k, bdp     float64
+		name       string
+		k, bdp     float64 // K = IntraBDP/7
 		marked     int
 		unmarked   int
 		wantFactor float64 // cwnd multiplier applied by the round
@@ -101,18 +103,19 @@ func TestGeminiRoundMDTable(t *testing.T) {
 	}{
 		// The closing zero-byte ack counts as unmarked, so with m marked
 		// and u unmarked feeds the fraction is m/(m+u+1), and the round's
-		// multiplier is 1 - min(0.5, frac*4K/(K+BDP)).
+		// multiplier is 1 - min(0.5, ewma*4K/(K+BDP)).
 		{"half marked hits the 0.5 md cap", 1e6, 1e6, 2, 1, 0.5, 1},
 		{"all marked hits the 0.5 md cap", 1e6, 1e6, 4, 0, 0.5, 1},
 		{"clean round leaves window alone", 1e6, 1e6, 0, 4, 1, 0},
-		{"small K damps the decrease", 1e5, 1e6, 4, 0, 1 - 0.8*4*1e5/(1.1e6), 1},
+		{"small K damps the decrease", 1e5, 1e6, 4, 0, 1 - ewma(0.8)*4*1e5/(1.1e6), 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := cfg
-			c.K, c.BDP, c.EWMAGain = tc.k, tc.bdp, 1
+			c.IntraBDP, c.BDP = geminiKDivisor*tc.k, tc.bdp
 			cc := NewGemini(c)
 			cc.Init(conn)
+			cc.ewmaFrac = 1
 			const w = 8e5
 			conn.SetCwnd(w)
 			// Feed the round's acks with SentAt = -1 (no round yet), zero
@@ -149,10 +152,9 @@ func TestGeminiTimeoutAndFloor(t *testing.T) {
 		t.Fatalf("post-timeout cwnd = %v, want one packet %v", got, floor)
 	}
 	// Repeated full-MD rounds can never push the window below the floor.
-	c := cfg
-	c.EWMAGain = 1
-	cc = NewGemini(c)
+	cc = NewGemini(cfg)
 	cc.Init(conn)
+	cc.ewmaFrac = 1
 	conn.SetCwnd(floor)
 	for i := 0; i < 8; i++ {
 		cc.OnAck(conn, transport.AckInfo{Marked: true, SentAt: conn.Now(), Now: conn.Now()})

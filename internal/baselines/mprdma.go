@@ -9,36 +9,23 @@ import "uno/internal/transport"
 // MSS. Reacting per packet makes it very fast inside a datacenter and is
 // exactly what starves slow-loop WAN protocols when the two compete
 // (Fig 3 C).
-type MPRDMAConfig struct {
-	// InitialCwnd in wire bytes; zero defaults to 16 packets.
-	InitialCwnd float64
-	// MaxCwnd caps growth; zero defaults to 64 MiB.
-	MaxCwnd float64
-}
+type MPRDMA struct{}
 
-// MPRDMA implements transport.CongestionControl.
-type MPRDMA struct {
-	cfg MPRDMAConfig
-}
+// mprdmaInitPkts is MPRDMA's initial window in packets.
+const mprdmaInitPkts = 16
+
+// maxCwnd caps window growth in the MPRDMA, DCTCP and Swift baselines.
+const maxCwnd = 64 << 20
 
 // NewMPRDMA builds a controller for one flow.
-func NewMPRDMA(cfg MPRDMAConfig) *MPRDMA {
-	return &MPRDMA{cfg: cfg}
-}
+func NewMPRDMA() *MPRDMA { return &MPRDMA{} }
 
 // Name implements transport.CongestionControl.
 func (m *MPRDMA) Name() string { return "mprdma" }
 
 // Init implements transport.CongestionControl.
 func (m *MPRDMA) Init(c *transport.Conn) {
-	w := m.cfg.InitialCwnd
-	if w <= 0 {
-		w = 16 * float64(c.MTUWire())
-	}
-	if m.cfg.MaxCwnd <= 0 {
-		m.cfg.MaxCwnd = 64 << 20
-	}
-	c.SetCwnd(w)
+	c.SetCwnd(mprdmaInitPkts * float64(c.MTUWire()))
 }
 
 // OnAck implements transport.CongestionControl.
@@ -53,8 +40,8 @@ func (m *MPRDMA) OnAck(c *transport.Conn, a transport.AckInfo) {
 		return
 	}
 	next := cwnd + mss*mss/cwnd
-	if next > m.cfg.MaxCwnd {
-		next = m.cfg.MaxCwnd
+	if next > maxCwnd {
+		next = maxCwnd
 	}
 	c.SetCwnd(next)
 }

@@ -17,23 +17,17 @@ import (
 func mprdmaFixture(t *testing.T) *transport.Conn {
 	t.Helper()
 	in := simtest.NewIncast(4, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
-	return start(t, in, 0, 1, 64<<20, NewMPRDMA(MPRDMAConfig{}))
+	return start(t, in, 0, 1, 64<<20, NewMPRDMA())
 }
 
 func TestMPRDMAInitDefaults(t *testing.T) {
 	conn := mprdmaFixture(t)
 	mss := float64(conn.MTUWire())
 
-	cc := NewMPRDMA(MPRDMAConfig{})
+	cc := NewMPRDMA()
 	cc.Init(conn)
 	if got := conn.Cwnd(); got != 16*mss {
-		t.Fatalf("default initial cwnd = %v, want 16 packets = %v", got, 16*mss)
-	}
-
-	cc = NewMPRDMA(MPRDMAConfig{InitialCwnd: 3 * mss, MaxCwnd: 1 << 20})
-	cc.Init(conn)
-	if got := conn.Cwnd(); got != 3*mss {
-		t.Fatalf("explicit initial cwnd = %v, want %v", got, 3*mss)
+		t.Fatalf("initial cwnd = %v, want 16 packets = %v", got, 16*mss)
 	}
 }
 
@@ -43,27 +37,26 @@ func TestMPRDMAOnAckTable(t *testing.T) {
 
 	cases := []struct {
 		name string
-		cfg  MPRDMAConfig
 		cwnd float64
 		ack  transport.AckInfo
 		want float64
 	}{
 		{"unmarked ack grows by mss^2/cwnd",
-			MPRDMAConfig{}, 10 * mss, transport.AckInfo{Bytes: 4160}, 10*mss + mss/10},
+			10 * mss, transport.AckInfo{Bytes: 4160}, 10*mss + mss/10},
 		{"marked ack shrinks by half an mss",
-			MPRDMAConfig{}, 10 * mss, transport.AckInfo{Bytes: 4160, Marked: true}, 9.5 * mss},
+			10 * mss, transport.AckInfo{Bytes: 4160, Marked: true}, 9.5 * mss},
 		{"marked duplicate still shrinks",
-			MPRDMAConfig{}, 10 * mss, transport.AckInfo{Bytes: 0, Marked: true}, 9.5 * mss},
+			10 * mss, transport.AckInfo{Bytes: 0, Marked: true}, 9.5 * mss},
 		{"unmarked duplicate (zero bytes) leaves window alone",
-			MPRDMAConfig{}, 10 * mss, transport.AckInfo{Bytes: 0}, 10 * mss},
-		{"growth clamps at MaxCwnd",
-			MPRDMAConfig{MaxCwnd: 12 * mss}, 12*mss - 1, transport.AckInfo{Bytes: 4160}, 12 * mss},
+			10 * mss, transport.AckInfo{Bytes: 0}, 10 * mss},
+		{"growth clamps at maxCwnd",
+			maxCwnd - 1, transport.AckInfo{Bytes: 4160}, maxCwnd},
 		{"shrink clamps at the one-packet floor",
-			MPRDMAConfig{}, mss + 1, transport.AckInfo{Bytes: 4160, Marked: true}, mss},
+			mss + 1, transport.AckInfo{Bytes: 4160, Marked: true}, mss},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cc := NewMPRDMA(tc.cfg)
+			cc := NewMPRDMA()
 			cc.Init(conn)
 			conn.SetCwnd(tc.cwnd)
 			cc.OnAck(conn, tc.ack)
@@ -76,7 +69,7 @@ func TestMPRDMAOnAckTable(t *testing.T) {
 
 func TestMPRDMATimeoutCollapsesToOnePacket(t *testing.T) {
 	conn := mprdmaFixture(t)
-	cc := NewMPRDMA(MPRDMAConfig{})
+	cc := NewMPRDMA()
 	cc.Init(conn)
 	conn.SetCwnd(64 * float64(conn.MTUWire()))
 	cc.OnTimeout(conn)

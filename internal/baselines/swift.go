@@ -12,79 +12,35 @@ import (
 // overshoots — at most once per RTT. The paper's §2.2 argues delay is hard
 // to use across heterogeneous intra/inter-DC queues; Swift here serves as
 // that reference point and as another intra-DC pairing for custom stacks.
-type SwiftConfig struct {
-	// BaseRTT is the flow's unloaded RTT.
-	BaseRTT eventq.Time
-	// TargetDelay is the queuing budget above BaseRTT (default: 50% of
-	// BaseRTT, Swift's fabric-delay-scaled flavour).
-	TargetDelay eventq.Time
-	// AI is the additive increase per RTT in wire bytes (default 1 MSS).
-	AI float64
-	// Beta scales the multiplicative decrease (default 0.8).
-	Beta float64
-	// MaxMDF caps a single decrease (default 0.5).
-	MaxMDF float64
-	// InitialCwnd in wire bytes; zero defaults to 10 packets.
-	InitialCwnd float64
-	// MaxCwnd caps growth; zero defaults to 64 MiB.
-	MaxCwnd float64
-	// MinCwnd floors every decrease (timeout halving and multiplicative
-	// decrease) in wire bytes; zero defaults to 1 MSS, real Swift's floor.
-	// Without it a flow starved by a more aggressive peer spirals toward
-	// cwnd≈0 and effectively stalls.
-	MinCwnd float64
-}
-
-func (c SwiftConfig) withDefaults() SwiftConfig {
-	if c.TargetDelay <= 0 {
-		c.TargetDelay = c.BaseRTT / 2
-	}
-	if c.Beta <= 0 {
-		c.Beta = 0.8
-	}
-	if c.MaxMDF <= 0 {
-		c.MaxMDF = 0.5
-	}
-	if c.MaxCwnd <= 0 {
-		c.MaxCwnd = 64 << 20
-	}
-	return c
-}
-
-// Swift implements transport.CongestionControl.
 type Swift struct {
-	cfg     SwiftConfig
+	baseRTT eventq.Time
 	lastCut eventq.Time
 
 	// Cuts is telemetry for tests.
 	Cuts int
 }
 
+// Swift's constants. The delay target is half the flow's base RTT (Swift's
+// fabric-delay-scaled flavour) and the additive increase one MSS per RTT.
+// Decreases bottom out at one packet, real Swift's floor, through the
+// transport's one-packet minimum window: without a floor a flow starved by
+// a more aggressive peer spirals toward cwnd≈0 and stalls.
+const (
+	swiftBeta     = 0.8 // scales the multiplicative decrease
+	swiftMaxMDF   = 0.5 // caps a single decrease
+	swiftInitPkts = 10  // initial window in packets
+)
+
 // NewSwift builds a controller for one flow.
-func NewSwift(cfg SwiftConfig) *Swift {
-	return &Swift{cfg: cfg.withDefaults()}
-}
+func NewSwift() *Swift { return &Swift{} }
 
 // Name implements transport.CongestionControl.
 func (s *Swift) Name() string { return "swift" }
 
 // Init implements transport.CongestionControl.
 func (s *Swift) Init(c *transport.Conn) {
-	if s.cfg.BaseRTT <= 0 {
-		s.cfg.BaseRTT = c.Params().BaseRTT
-		s.cfg = s.cfg.withDefaults()
-	}
-	if s.cfg.AI <= 0 {
-		s.cfg.AI = float64(c.MTUWire())
-	}
-	if s.cfg.MinCwnd <= 0 {
-		s.cfg.MinCwnd = float64(c.MTUWire())
-	}
-	w := s.cfg.InitialCwnd
-	if w <= 0 {
-		w = 10 * float64(c.MTUWire())
-	}
-	c.SetCwnd(w)
+	s.baseRTT = c.Params().BaseRTT
+	c.SetCwnd(swiftInitPkts * float64(c.MTUWire()))
 }
 
 // OnAck implements transport.CongestionControl.
@@ -92,13 +48,13 @@ func (s *Swift) OnAck(c *transport.Conn, a transport.AckInfo) {
 	if a.RTT <= 0 {
 		return
 	}
-	delay := a.RTT - s.cfg.BaseRTT
+	delay, target := a.RTT-s.baseRTT, s.baseRTT/2
 	cwnd := c.Cwnd()
-	if delay <= s.cfg.TargetDelay {
+	if delay <= target {
 		if a.Bytes > 0 {
-			next := cwnd + s.cfg.AI*float64(a.Bytes)/cwnd
-			if next > s.cfg.MaxCwnd {
-				next = s.cfg.MaxCwnd
+			next := cwnd + float64(c.MTUWire())*float64(a.Bytes)/cwnd
+			if next > maxCwnd {
+				next = maxCwnd
 			}
 			c.SetCwnd(next)
 		}
@@ -107,36 +63,28 @@ func (s *Swift) OnAck(c *transport.Conn, a transport.AckInfo) {
 	// Over target: multiplicative decrease, at most once per RTT.
 	rtt := c.SRTT()
 	if rtt <= 0 {
-		rtt = s.cfg.BaseRTT
+		rtt = s.baseRTT
 	}
 	if a.Now-s.lastCut < rtt {
 		return
 	}
 	s.lastCut = a.Now
-	mdf := s.cfg.Beta * float64(delay-s.cfg.TargetDelay) / float64(delay)
-	if mdf > s.cfg.MaxMDF {
-		mdf = s.cfg.MaxMDF
+	mdf := swiftBeta * float64(delay-target) / float64(delay)
+	if mdf > swiftMaxMDF {
+		mdf = swiftMaxMDF
 	}
-	next := cwnd * (1 - mdf)
-	if next < s.cfg.MinCwnd {
-		next = s.cfg.MinCwnd
-	}
-	c.SetCwnd(next)
+	c.SetCwnd(cwnd * (1 - mdf))
 	s.Cuts++
 }
 
 // OnNack implements transport.CongestionControl.
 func (s *Swift) OnNack(c *transport.Conn) {}
 
-// OnTimeout implements transport.CongestionControl. The halving is floored
-// at MinCwnd and counts as this RTT's decrease: without recording lastCut,
-// the first over-target ACK after the timeout would cut the window a second
-// time within one RTT (timeout halving + delay-driven MD back to back).
+// OnTimeout implements transport.CongestionControl. The halving counts as
+// this RTT's decrease: without recording lastCut, the first over-target ACK
+// after the timeout would cut the window a second time within one RTT
+// (timeout halving + delay-driven MD back to back).
 func (s *Swift) OnTimeout(c *transport.Conn) {
 	s.lastCut = c.Now()
-	w := c.Cwnd() / 2
-	if w < s.cfg.MinCwnd {
-		w = s.cfg.MinCwnd
-	}
-	c.SetCwnd(w)
+	c.SetCwnd(c.Cwnd() / 2)
 }

@@ -9,17 +9,39 @@ import (
 	"uno/internal/transport"
 )
 
+// TestSwiftDefaults pins Swift's constants through one decrease: the
+// target is half the base RTT above it, the cut is β = 0.8 times the
+// overshoot's share of the delay, and no cut exceeds 0.5.
 func TestSwiftDefaults(t *testing.T) {
-	cfg := SwiftConfig{BaseRTT: 10 * eventq.Microsecond}.withDefaults()
-	if cfg.TargetDelay != 5*eventq.Microsecond || cfg.Beta != 0.8 || cfg.MaxMDF != 0.5 {
-		t.Fatalf("defaults: %+v", cfg)
+	in := simtest.NewIncast(75, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
+	cc := NewSwift()
+	conn := start(t, in, 0, 1, 1<<20, cc)
+	rtt := conn.Params().BaseRTT
+	if got, want := conn.Cwnd(), 10*float64(conn.MTUWire()); got != want {
+		t.Fatalf("initial cwnd = %v, want 10 packets %v", got, want)
+	}
+	now := in.Net.Now() + eventq.Second
+	for _, tc := range []struct {
+		delay eventq.Time // queuing delay above the base RTT
+		want  float64     // cwnd multiplier
+	}{
+		{rtt / 2, 1},                 // at the target: growth path, zero-byte ACK
+		{rtt, 1 - 0.8*0.5},           // overshoot half the delay
+		{100 * rtt, 1 - swiftMaxMDF}, // capped
+	} {
+		const w = 100 * 4160
+		conn.SetCwnd(w)
+		now += eventq.Second
+		cc.OnAck(conn, transport.AckInfo{RTT: rtt + tc.delay, Now: now})
+		if got := conn.Cwnd(); !approx(got, w*tc.want) {
+			t.Fatalf("delay %v: cwnd %v, want %v", tc.delay, got, w*tc.want)
+		}
 	}
 }
 
 func TestSwiftSingleFlowUtilization(t *testing.T) {
 	in := simtest.NewIncast(70, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
-	rtt := in.BaseRTT(0, 4096, bw100G)
-	cc := NewSwift(SwiftConfig{BaseRTT: rtt})
+	cc := NewSwift()
 	conn := start(t, in, 0, 1, 32<<20, cc)
 	in.Net.Sched.RunUntil(50 * eventq.Millisecond)
 	if !conn.Completed() {
@@ -38,12 +60,9 @@ func TestSwiftHoldsDelayNearTarget(t *testing.T) {
 	// stabilize around the delay target, far below the 1 MiB cap.
 	delays := []eventq.Time{eventq.Microsecond, eventq.Microsecond}
 	in := simtest.NewIncast(71, bw100G, delays, simtest.PortConfig())
-	rtt := in.BaseRTT(0, 4096, bw100G)
-	target := rtt / 2
 	var conns []*transport.Conn
 	for i := range delays {
-		conns = append(conns, start(t, in, i, int64(i+1), 1<<30,
-			NewSwift(SwiftConfig{BaseRTT: rtt, TargetDelay: target})))
+		conns = append(conns, start(t, in, i, int64(i+1), 1<<30, NewSwift()))
 	}
 	var q stats.Sample
 	var sample func()
@@ -77,7 +96,7 @@ func TestSwiftHoldsDelayNearTarget(t *testing.T) {
 func TestSwiftCutRateLimited(t *testing.T) {
 	in := simtest.NewIncast(72, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
 	rtt := in.BaseRTT(0, 4096, bw100G)
-	cc := NewSwift(SwiftConfig{BaseRTT: rtt})
+	cc := NewSwift()
 	conn := start(t, in, 0, 1, 1<<20, cc)
 	in.Net.Sched.RunUntil(eventq.Millisecond)
 
@@ -96,30 +115,26 @@ func TestSwiftCutRateLimited(t *testing.T) {
 	}
 }
 
-// TestSwiftDecreaseFloors pins the cwnd floor on both decrease paths.
-// The timeout cases fail on the pre-floor code (OnTimeout halved
-// unboundedly); the MD-at-floor case additionally documents that the
-// controller itself enforces the floor instead of leaning on the
-// transport's one-packet backstop.
+// TestSwiftDecreaseFloors pins the one-packet cwnd floor on both decrease
+// paths. The timeout cases fail on the pre-floor code (OnTimeout halved
+// unboundedly).
 func TestSwiftDecreaseFloors(t *testing.T) {
 	const mss = 4096 + transport.HeaderSize // one wire packet
 	cases := []struct {
 		name    string
-		minCwnd float64 // config, wire bytes (0 = default 1 MSS)
 		start   float64 // cwnd before the decrease
 		timeout bool    // OnTimeout vs over-target OnAck MD
 		want    float64
 	}{
-		{"timeout-above-floor", 0, 10 * mss, true, 5 * mss},
-		{"timeout-hits-default-floor", 0, 1.5 * mss, true, 1 * mss},
-		{"timeout-hits-raised-floor", 8 * mss, 10 * mss, true, 8 * mss},
-		{"md-hits-raised-floor", 8 * mss, 9 * mss, false, 8 * mss},
+		{"timeout-above-floor", 10 * mss, true, 5 * mss},
+		{"timeout-hits-default-floor", 1.5 * mss, true, 1 * mss},
+		{"md-hits-default-floor", 1.5 * mss, false, 1 * mss},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			in := simtest.NewIncast(73, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
 			rtt := in.BaseRTT(0, 4096, bw100G)
-			cc := NewSwift(SwiftConfig{BaseRTT: rtt, MinCwnd: tc.minCwnd})
+			cc := NewSwift()
 			conn := start(t, in, 0, 1, 1<<20, cc)
 			conn.SetCwnd(tc.start)
 			if tc.timeout {
@@ -145,7 +160,7 @@ func TestSwiftDecreaseFloors(t *testing.T) {
 func TestSwiftTimeoutCountsAsCut(t *testing.T) {
 	in := simtest.NewIncast(74, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
 	rtt := in.BaseRTT(0, 4096, bw100G)
-	cc := NewSwift(SwiftConfig{BaseRTT: rtt})
+	cc := NewSwift()
 	conn := start(t, in, 0, 1, 1<<20, cc)
 	in.Net.Sched.RunUntil(eventq.Millisecond)
 

@@ -5,11 +5,24 @@ import (
 	"uno/internal/transport"
 )
 
-// System bundles the knobs needed to instantiate the full Uno stack
-// (UnoCC + UnoRC) for every flow of an experiment, mirroring the paper's
-// Table 2 defaults.
+// UnoRC's block shape and UnoLB's subflow count (Table 2): (8,2) blocks
+// whose ten packets spread over N = 8 subflows, so a block covers every
+// path.
+const (
+	ecData   = 8
+	ecParity = 2
+	subflows = 8
+)
+
+// MultipathDupAckThresh is the dup-ACK threshold of a flow sprayed over
+// paths (UnoLB, RPS, PLB): three per subflow, since reordering is expected.
+const MultipathDupAckThresh = 3 * subflows
+
+// System holds what varies between the Uno stacks of an experiment: the
+// fabric's line rate and intra-DC RTT, and the variant and ablation
+// switches. The paper's Table 2 values are constants.
 type System struct {
-	// MTU in payload bytes (default 4096).
+	// MTU in payload bytes; zero leaves the transport default (4096).
 	MTU int
 	// LinkBps is the line rate used for BDP computations.
 	LinkBps int64
@@ -17,17 +30,12 @@ type System struct {
 	// period and the MD constant K (§4.1.1).
 	IntraRTT eventq.Time
 
-	// ECData/ECParity configure UnoRC's erasure coding for inter-DC flows
-	// (defaults 8 and 2). DisableEC turns coding off (the "Uno w/o EC"
-	// variant of Fig 13).
-	ECData, ECParity int
-	DisableEC        bool
-
-	// Subflows is UnoLB's N (default 8 to match the block size).
+	// DisableEC turns UnoRC's (8,2) coding of inter-DC flows off (the
+	// "Uno w/o EC" variant of Fig 13).
+	DisableEC bool
 	// UseECMP replaces UnoLB with single-path ECMP (the "Uno+ECMP"
 	// variant of Figs 9, 10, 12).
-	Subflows int
-	UseECMP  bool
+	UseECMP bool
 
 	// Ablation switches forwarded to UnoCC.
 	DisableQA           bool
@@ -42,23 +50,6 @@ type System struct {
 	Configs *ConfigPool
 }
 
-// withDefaults fills unset fields.
-func (s System) withDefaults() System {
-	if s.MTU <= 0 {
-		s.MTU = 4096
-	}
-	if s.ECData <= 0 {
-		s.ECData = 8
-	}
-	if s.ECParity <= 0 {
-		s.ECParity = 2
-	}
-	if s.Subflows <= 0 {
-		s.Subflows = 8
-	}
-	return s
-}
-
 // wireBDP returns the bandwidth-delay product in wire bytes for a base RTT.
 func (s System) wireBDP(rtt eventq.Time) float64 {
 	return float64(s.LinkBps) / 8 * rtt.Seconds()
@@ -68,20 +59,15 @@ func (s System) wireBDP(rtt eventq.Time) float64 {
 // path selector for one flow. baseRTT is the flow's unloaded RTT (use
 // topo.BaseRTT or the Table 2 constants).
 func (s System) Policies(interDC bool, baseRTT eventq.Time) (transport.Params, transport.CongestionControl, transport.PathSelector) {
-	s = s.withDefaults()
-	params := transport.Params{
-		MTU:     s.MTU,
-		BaseRTT: baseRTT,
-		// Reordering is expected under UnoLB's round-robin spraying.
-		DupAckThresh: 3,
-	}
+	params := transport.Params{MTU: s.MTU, BaseRTT: baseRTT}
 	if !s.UseECMP {
-		params.DupAckThresh = 3 * s.Subflows
+		// Single-path ECMP keeps the transport's default threshold of 3.
+		params.DupAckThresh = MultipathDupAckThresh
 	}
 	if interDC && !s.DisableEC {
 		params.EC = transport.ECConfig{
-			Data:         s.ECData,
-			Parity:       s.ECParity,
+			Data:         ecData,
+			Parity:       ecParity,
 			BlockTimeout: baseRTT,
 		}
 	}
@@ -109,7 +95,7 @@ func (s System) Policies(interDC bool, baseRTT eventq.Time) (transport.Params, t
 	if s.UseECMP {
 		lb = &transport.FixedEntropy{}
 	} else {
-		lb = &UnoLB{Subflows: s.Subflows}
+		lb = &UnoLB{}
 	}
 	return params, cc, lb
 }

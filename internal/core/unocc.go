@@ -12,8 +12,53 @@ import (
 	"uno/internal/transport"
 )
 
-// CCConfig parameterizes UnoCC. Defaults (applied by Init) follow the
-// paper's Table 2.
+// UnoCC's tuning values. α, β and K are the paper's Table 2; the EWMA gain
+// and the window cap follow Gemini, whose AI and MD factors UnoCC adopts
+// (§4.1.1); the last three are implementation choices the paper leaves
+// open (EXPERIMENTS.md, "Known deviations", 3, 5 and 6).
+const (
+	// alphaFrac is the AI constant α as a fraction of BDP.
+	alphaFrac = 0.001
+	// qaBeta is Quick Adapt's trigger ratio β.
+	qaBeta = 0.5
+	// kDivisor sets the MD constant K = IntraBDP / kDivisor.
+	kDivisor = 7
+	// ewmaGain is the gain of the ECN-fraction moving average E.
+	ewmaGain = 0.125
+	// maxCwndBDPs caps window growth at this many BDPs; the initial
+	// window is one BDP.
+	maxCwndBDPs = 2
+
+	// gentleFloor bounds MD_scale from below: a single "×0.3" gentle step.
+	// Algorithm 1's literal MD_scale ×= 0.3 drives the scale → 0 over
+	// consecutive phantom-congested epochs; with the phantom queue
+	// saturated every ACK is then marked, AI freezes, and windows deadlock
+	// at arbitrary values — and a deeply-decayed scale also neuters the
+	// phantom's early-warning signal for long-RTT flows, letting them
+	// overrun the physical queue before reacting. The floor keeps the
+	// gentle reduction gentle but effective (deviation 3).
+	gentleFloor = 0.3
+	// phantomDelayThresh is the relative-delay ceiling below which
+	// ECN-marked epochs are attributed to phantom queues ("delay == 0" in
+	// Algorithm 1). It must be an *absolute* queuing-delay bound shared by
+	// every flow — a fraction of the flow's own RTT would classify the
+	// same bottleneck state as physical for short-RTT flows and phantom
+	// for long-RTT ones, destroying fairness. 4 µs is ≈12 MTU
+	// serializations at 100 Gb/s, well below any RED threshold
+	// (deviation 5).
+	phantomDelayThresh = 4 * eventq.Microsecond
+	// pacingGain scales the cwnd/SRTT pacing rate, leaving headroom so
+	// pacing shapes bursts without becoming the limit. The paper's Uno
+	// paces at the NIC (§6 "Uno uses hardware pacing"); without pacing a
+	// long-RTT flow transmits its whole window as one line-rate burst,
+	// which drives the phantom queue through its marking band and ECN-
+	// marks the flow's own burst tail far more often than smooth intra-DC
+	// traffic sharing the same bottleneck (deviation 6).
+	pacingGain = 1.25
+)
+
+// CCConfig is what varies between UnoCC instances: the flow's path and the
+// ablation switches. The tuning values are the constants above.
 type CCConfig struct {
 	// BDP is this flow's bandwidth-delay product in wire bytes
 	// (line rate × the flow's base RTT).
@@ -29,87 +74,18 @@ type CCConfig struct {
 	// ablation and by Gemini).
 	EpochPeriod eventq.Time
 
-	// AlphaFrac is the AI constant as a fraction of BDP (default 0.001).
-	AlphaFrac float64
-	// Beta is the Quick Adapt trigger ratio (default 0.5).
-	Beta float64
-	// K is the MD constant in bytes; zero defaults to IntraBDP/7.
-	K float64
-	// EWMAGain is the gain of the ECN-fraction moving average E
-	// (default 1/8).
-	EWMAGain float64
-	// GentleFloor bounds MD_scale from below (default 0.3, i.e. a single
-	// "×0.3" gentle step). Algorithm 1's literal MD_scale ×= 0.3 drives
-	// the scale → 0 over consecutive phantom-congested epochs; with the
-	// phantom queue saturated every ACK is then marked, AI freezes, and
-	// windows deadlock at arbitrary values — and a deeply-decayed scale
-	// also neuters the phantom's early-warning signal for long-RTT flows,
-	// letting them overrun the physical queue before reacting. The floor
-	// keeps the gentle reduction gentle but effective.
-	GentleFloor float64
-
 	// DisableQA turns Quick Adapt off (ablation).
 	DisableQA bool
 	// DisablePhantomAware turns the gentle-MD phantom/physical
 	// disambiguation off (ablation; also appropriate when the fabric has
 	// no phantom queues).
 	DisablePhantomAware bool
-	// PhantomDelayThresh is the relative-delay ceiling below which
-	// ECN-marked epochs are attributed to phantom queues ("delay == 0" in
-	// Algorithm 1). It must be an *absolute* queuing-delay bound shared by
-	// every flow — a fraction of the flow's own RTT would classify the
-	// same bottleneck state as physical for short-RTT flows and phantom
-	// for long-RTT ones, destroying fairness. Zero defaults to 4 µs
-	// (≈12 MTU serializations at 100 Gb/s, well below any RED threshold).
-	PhantomDelayThresh eventq.Time
-
-	// InitialCwnd in wire bytes; zero defaults to BDP.
-	InitialCwnd float64
-	// MaxCwnd caps window growth; zero defaults to 2×BDP.
-	MaxCwnd float64
-	// DisablePacing turns off sender pacing (ablation). The paper's Uno
-	// paces at the NIC (§6 "Uno uses hardware pacing"); without pacing a
-	// long-RTT flow transmits its whole window as one line-rate burst,
-	// which drives the phantom queue through its marking band and ECN-
-	// marks the flow's own burst tail far more often than smooth intra-DC
-	// traffic sharing the same bottleneck.
-	DisablePacing bool
-	// PacingGain scales the cwnd/SRTT pacing rate (default 1.25, leaving
-	// headroom so pacing shapes bursts without becoming the limit).
-	PacingGain float64
 }
 
-// withDefaults fills the zero fields.
+// withDefaults fills a zero EpochPeriod.
 func (c CCConfig) withDefaults() CCConfig {
-	if c.AlphaFrac <= 0 {
-		c.AlphaFrac = 0.001
-	}
-	if c.Beta <= 0 {
-		c.Beta = 0.5
-	}
-	if c.K <= 0 {
-		c.K = c.IntraBDP / 7
-	}
-	if c.EWMAGain <= 0 {
-		c.EWMAGain = 0.125
-	}
-	if c.GentleFloor <= 0 {
-		c.GentleFloor = 0.3
-	}
 	if c.EpochPeriod <= 0 {
 		c.EpochPeriod = c.BaseRTT
-	}
-	if c.PhantomDelayThresh <= 0 {
-		c.PhantomDelayThresh = 4 * eventq.Microsecond
-	}
-	if c.InitialCwnd <= 0 {
-		c.InitialCwnd = c.BDP
-	}
-	if c.MaxCwnd <= 0 {
-		c.MaxCwnd = 2 * c.BDP
-	}
-	if c.PacingGain <= 0 {
-		c.PacingGain = 1.25
 	}
 	return c
 }
@@ -212,24 +188,21 @@ func (u *UnoCC) Name() string { return "unocc" }
 
 // Init implements transport.CongestionControl.
 func (u *UnoCC) Init(c *transport.Conn) {
-	// α stays strictly BDP-proportional (0.001×BDP by default): flooring
+	// α stays strictly BDP-proportional (0.001×BDP): flooring
 	// it (e.g. at one MSS per RTT) looks harmless but inflates short-RTT
 	// flows' growth per unit time by an order of magnitude and skews the
 	// AIMD fair point. Post-collapse recovery is the ramp's job, not α's.
-	u.alpha = u.cfg.AlphaFrac * u.cfg.BDP
-	c.SetCwnd(u.cfg.InitialCwnd)
-	u.ssthresh = u.cfg.InitialCwnd
+	u.alpha = alphaFrac * u.cfg.BDP
+	c.SetCwnd(u.cfg.BDP)
+	u.ssthresh = u.cfg.BDP
 	u.epochStart = c.Now()
 	u.minRelDelay = math.MaxInt64
 	u.updatePacing(c)
 }
 
-// updatePacing programs the NIC pacer to PacingGain × cwnd/SRTT.
+// updatePacing programs the NIC pacer to pacingGain × cwnd/SRTT.
 func (u *UnoCC) updatePacing(c *transport.Conn) {
-	if u.cfg.DisablePacing {
-		return
-	}
-	c.SetPacingRate(u.cfg.PacingGain * 8 * c.Cwnd() / u.rttEstimate(c).Seconds())
+	c.SetPacingRate(pacingGain * 8 * c.Cwnd() / u.rttEstimate(c).Seconds())
 }
 
 // rttEstimate returns the best current RTT estimate.
@@ -277,7 +250,7 @@ func (u *UnoCC) onQA(c *transport.Conn) {
 	if c.InFlight() == 0 || c.Cwnd() < 4*float64(c.MTUWire()) {
 		return
 	}
-	if float64(bytes) < u.cfg.Beta*c.Cwnd() {
+	if float64(bytes) < qaBeta*c.Cwnd() {
 		c.SetCwnd(float64(bytes))
 		// The QA collapse target is the demonstrated capacity; ramping
 		// back above it would recreate the congestion QA just resolved.
@@ -304,8 +277,8 @@ func (u *UnoCC) OnAck(c *transport.Conn, a transport.AckInfo) {
 		// Additive increase: cwnd += α × bytes_acked / cwnd.
 		cwnd := c.Cwnd()
 		next := cwnd + u.alpha*float64(a.Bytes)/cwnd
-		if next > u.cfg.MaxCwnd {
-			next = u.cfg.MaxCwnd
+		if limit := maxCwndBDPs * u.cfg.BDP; next > limit {
+			next = limit
 		}
 		c.SetCwnd(next)
 	}
@@ -351,8 +324,8 @@ func (u *UnoCC) OnAck(c *transport.Conn, a transport.AckInfo) {
 				// and destroy the AIMD fairness design.
 				spans := float64(a.Now-u.rampWindowStart) / float64(rtt)
 				next := c.Cwnd() + 16*u.alpha*spans
-				if next > u.cfg.MaxCwnd {
-					next = u.cfg.MaxCwnd
+				if limit := maxCwndBDPs * u.cfg.BDP; next > limit {
+					next = limit
 				}
 				c.SetCwnd(next)
 				if next > u.ssthresh {
@@ -380,7 +353,7 @@ func (u *UnoCC) onEpoch(c *transport.Conn, now eventq.Time) {
 	if u.epochAcks > 0 {
 		frac = float64(u.epochMarked) / float64(u.epochAcks)
 	}
-	u.ewmaECN = u.cfg.EWMAGain*frac + (1-u.cfg.EWMAGain)*u.ewmaECN
+	u.ewmaECN = ewmaGain*frac + (1-ewmaGain)*u.ewmaECN
 
 	congested := u.epochMarked > 0
 	if congested && now >= u.mdMutedTo {
@@ -388,17 +361,18 @@ func (u *UnoCC) onEpoch(c *transport.Conn, now eventq.Time) {
 		// physical queue build-up.
 		phantomOnly := !u.cfg.DisablePhantomAware &&
 			u.minRelDelay != math.MaxInt64 &&
-			u.minRelDelay <= u.cfg.PhantomDelayThresh
+			u.minRelDelay <= phantomDelayThresh
 		if phantomOnly {
 			u.mdScale *= 0.3 // Gentle Reduction
-			if u.mdScale < u.cfg.GentleFloor {
-				u.mdScale = u.cfg.GentleFloor
+			if u.mdScale < gentleFloor {
+				u.mdScale = gentleFloor
 			}
 			u.GentleMDs++
 		} else {
 			u.mdScale = 1
 		}
-		mdECN := u.ewmaECN * 4 * u.cfg.K / (u.cfg.K + u.cfg.BDP)
+		k := u.cfg.IntraBDP / kDivisor
+		mdECN := u.ewmaECN * 4 * k / (k + u.cfg.BDP)
 		cut := mdECN * u.mdScale
 		if cut > 0.5 {
 			cut = 0.5 // safety clamp, mirrors DCTCP's maximum halving

@@ -7,13 +7,29 @@ import (
 	"uno/internal/simtest"
 )
 
+// TestGentleFloorDefault: consecutive phantom-only epochs apply one
+// "×0.3" gentle step and then hold MD_scale at gentleFloor instead of
+// decaying it toward zero (EXPERIMENTS.md deviation 3).
 func TestGentleFloorDefault(t *testing.T) {
-	cfg := CCConfig{BDP: 1e6, IntraBDP: 7e4, BaseRTT: 14 * eventq.Microsecond}.withDefaults()
-	if cfg.GentleFloor != 0.3 {
-		t.Fatalf("gentle floor default = %v", cfg.GentleFloor)
+	in := simtest.NewIncast(43, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
+	intraRTT := in.BaseRTT(0, 4096, bw100G)
+	cc := ccFor(in, 0, intraRTT)
+	conn := startFlow(t, in, 0, 1, 1<<20, cc, nil)
+	now := in.Net.Now()
+	for i := 1; i <= 4; i++ {
+		cc.epochAcks, cc.epochMarked, cc.minRelDelay = 1, 1, phantomDelayThresh
+		now += eventq.Millisecond
+		cc.onEpoch(conn, now)
+		if cc.GentleMDs != i || cc.mdScale != gentleFloor {
+			t.Fatalf("epoch %d: %d gentle MDs, MD_scale %v; want %d and the floor %v",
+				i, cc.GentleMDs, cc.mdScale, i, gentleFloor)
+		}
 	}
-	if cfg.PacingGain != 1.25 {
-		t.Fatalf("pacing gain default = %v", cfg.PacingGain)
+	// Just above the threshold the epoch counts as physical congestion.
+	cc.epochAcks, cc.epochMarked, cc.minRelDelay = 1, 1, phantomDelayThresh+1
+	cc.onEpoch(conn, now+eventq.Millisecond)
+	if cc.mdScale != 1 || cc.GentleMDs != 4 {
+		t.Fatalf("delay above phantomDelayThresh: MD_scale %v, %d gentle MDs", cc.mdScale, cc.GentleMDs)
 	}
 }
 
@@ -25,25 +41,11 @@ func TestPacingEnabledByDefault(t *testing.T) {
 	if conn.PacingRate() <= 0 {
 		t.Fatal("UnoCC did not program pacing")
 	}
-	// Pacing tracks PacingGain × cwnd / RTT.
-	want := 1.25 * 8 * conn.Cwnd() / cc.Config().BaseRTT.Seconds()
+	// Pacing tracks pacingGain × cwnd / RTT.
+	want := pacingGain * 8 * conn.Cwnd() / cc.Config().BaseRTT.Seconds()
 	got := conn.PacingRate()
 	if got < want*0.99 || got > want*1.01 {
 		t.Fatalf("pacing %v, want ≈%v", got, want)
-	}
-}
-
-func TestPacingDisabledAblation(t *testing.T) {
-	in := simtest.NewIncast(41, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
-	intraRTT := in.BaseRTT(0, 4096, bw100G)
-	cc := ccFor(in, 0, intraRTT, func(c *CCConfig) { c.DisablePacing = true })
-	conn := startFlow(t, in, 0, 1, 1<<20, cc, nil)
-	in.Net.Sched.RunUntil(eventq.Millisecond)
-	if conn.PacingRate() != 0 {
-		t.Fatalf("pacing %v despite DisablePacing", conn.PacingRate())
-	}
-	if !conn.Completed() {
-		t.Fatal("unpaced flow did not complete")
 	}
 }
 
@@ -73,7 +75,7 @@ func TestUnoCCNameAndConfigRoundTrip(t *testing.T) {
 		t.Fatalf("name = %q", cc.Name())
 	}
 	got := cc.Config()
-	if got.BDP != 2e6 || got.K != 1e5/7 {
+	if got.BDP != 2e6 || got.IntraBDP != 1e5 || got.EpochPeriod != got.BaseRTT {
 		t.Fatalf("config round trip: %+v", got)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"uno/internal/eventq"
@@ -12,24 +13,30 @@ import (
 
 const bw100G = int64(100e9)
 
+// TestCCConfigDefaults pins the Table 2 values a fresh controller starts
+// from: the epoch defaults to the flow's RTT, the window and ssthresh to
+// one BDP, α to 0.001 × BDP, and an epoch's MD to E·4K/(K+BDP) with
+// K = IntraBDP/7 and E the 1/8-gain EWMA of the marked fraction.
 func TestCCConfigDefaults(t *testing.T) {
 	cfg := CCConfig{BDP: 1e6, IntraBDP: 7e4, BaseRTT: 14 * eventq.Microsecond}.withDefaults()
-	if cfg.AlphaFrac != 0.001 || cfg.Beta != 0.5 {
-		t.Fatalf("alpha/beta defaults wrong: %+v", cfg)
-	}
-	if cfg.K != 1e4 {
-		t.Fatalf("K default = %v, want IntraBDP/7", cfg.K)
-	}
 	if cfg.EpochPeriod != cfg.BaseRTT {
 		t.Fatalf("epoch default = %v", cfg.EpochPeriod)
 	}
-	if cfg.InitialCwnd != cfg.BDP || cfg.MaxCwnd != 2*cfg.BDP {
-		t.Fatalf("cwnd defaults wrong: %+v", cfg)
+	in := simtest.NewIncast(11, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
+	cc := NewUnoCC(cfg)
+	conn := startFlow(t, in, 0, 1, 1<<20, cc, nil)
+	if conn.Cwnd() != 1e6 || cc.ssthresh != 1e6 || cc.alpha != 1e3 {
+		t.Fatalf("cwnd %v, ssthresh %v, alpha %v; want 1e6, 1e6, 1e3", conn.Cwnd(), cc.ssthresh, cc.alpha)
 	}
-	if cfg.PhantomDelayThresh != 4*eventq.Microsecond {
-		t.Fatalf("delay thresh default = %v", cfg.PhantomDelayThresh)
+	// One fully marked, physically congested epoch: E = 1/8, K = 1e4.
+	cc.epochAcks, cc.epochMarked = 1, 1
+	cc.onEpoch(conn, in.Net.Now()+eventq.Millisecond)
+	if want := 1e6 * (1 - 0.125*4*1e4/(1e4+1e6)); !approxEq(conn.Cwnd(), want) {
+		t.Fatalf("cwnd after one marked epoch = %v, want %v", conn.Cwnd(), want)
 	}
 }
+
+func approxEq(got, want float64) bool { return math.Abs(got-want) <= 1e-9*want }
 
 // ccFor builds a UnoCC for sender i of an incast fixture.
 func ccFor(in *simtest.Incast, i int, intraRTT eventq.Time, mods ...func(*CCConfig)) *UnoCC {
@@ -73,16 +80,12 @@ func TestAdditiveIncreaseWhenUncongested(t *testing.T) {
 	// window must grow by ≈α per RTT while no ECN marks arrive.
 	in := simtest.NewIncast(1, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
 	intraRTT := in.BaseRTT(0, 4096, bw100G)
-	cc := ccFor(in, 0, intraRTT, func(c *CCConfig) {
-		c.InitialCwnd = 8 * 4160
-		c.AlphaFrac = 0.05 // exaggerate AI so growth is visible quickly
-		c.DisableQA = true
-	})
+	cc := ccFor(in, 0, intraRTT, func(c *CCConfig) { c.DisableQA = true })
 	conn := startFlow(t, in, 0, 1, 64<<20, cc, nil)
 	in.Net.Sched.RunUntil(2 * eventq.Millisecond)
 
-	if conn.Cwnd() <= 8*4160 {
-		t.Fatalf("cwnd did not grow: %v", conn.Cwnd())
+	if bdp := cc.Config().BDP; conn.Cwnd() <= bdp*(1+alphaFrac) {
+		t.Fatalf("cwnd did not grow past one α above its initial BDP %v: %v", bdp, conn.Cwnd())
 	}
 	if cc.MDs != 0 {
 		t.Fatalf("MD fired with empty queues: %d", cc.MDs)
@@ -92,14 +95,13 @@ func TestAdditiveIncreaseWhenUncongested(t *testing.T) {
 func TestMaxCwndCap(t *testing.T) {
 	in := simtest.NewIncast(2, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
 	intraRTT := in.BaseRTT(0, 4096, bw100G)
-	cc := ccFor(in, 0, intraRTT, func(c *CCConfig) {
-		c.AlphaFrac = 0.5
-		c.DisableQA = true
-	})
+	cc := ccFor(in, 0, intraRTT, func(c *CCConfig) { c.DisableQA = true })
 	conn := startFlow(t, in, 0, 1, 256<<20, cc, nil)
 	in.Net.Sched.RunUntil(5 * eventq.Millisecond)
-	if conn.Cwnd() > cc.Config().MaxCwnd {
-		t.Fatalf("cwnd %v exceeded cap %v", conn.Cwnd(), cc.Config().MaxCwnd)
+	// An unmarked path lets AI and the headroom probe push the window into
+	// the cap, which then holds it exactly.
+	if limit := maxCwndBDPs * cc.Config().BDP; conn.Cwnd() != limit {
+		t.Fatalf("cwnd %v, want it held at the cap %v", conn.Cwnd(), limit)
 	}
 }
 

@@ -14,17 +14,11 @@ import (
 // base RTT the most suspicious subflow (the one longest without an ACK) is
 // re-routed: it adopts the path of a randomly chosen recently-ACKed subflow
 // (falling back to a fresh random path), which avoids hopping onto another
-// congested or failed path.
+// congested or failed path. N is the subflows constant, the EC block's
+// data-packet count, so a block covers all paths.
 type UnoLB struct {
-	// Subflows is N; the paper pairs it with the EC block size so a block
-	// covers all paths. Zero defaults to 8.
-	Subflows int
-	// FreshWindow is how recently a subflow must have been ACKed to count
-	// as healthy. Zero defaults to 2× base RTT.
-	FreshWindow eventq.Time
-
-	entropies   []uint32
-	lastAck     []eventq.Time
+	entropies   [subflows]uint32
+	lastAck     [subflows]eventq.Time
 	next        int
 	lastReroute eventq.Time
 	hasRerouted bool
@@ -33,19 +27,16 @@ type UnoLB struct {
 	Reroutes int
 }
 
+// freshRTTs is how many base RTTs ago a subflow may last have been ACKed
+// and still count as healthy.
+const freshRTTs = 2
+
 // Name implements transport.PathSelector.
 func (u *UnoLB) Name() string { return "unolb" }
 
 // Init implements transport.PathSelector.
 func (u *UnoLB) Init(c *transport.Conn) {
-	if u.Subflows <= 0 {
-		u.Subflows = 8
-	}
-	if u.FreshWindow <= 0 {
-		u.FreshWindow = 2 * c.Params().BaseRTT
-	}
-	u.entropies = make([]uint32, u.Subflows)
-	u.lastAck = make([]eventq.Time, u.Subflows)
+	u.lastAck = [subflows]eventq.Time{}
 	for i := range u.entropies {
 		u.entropies[i] = c.Rand().Uint32() | 1
 	}
@@ -55,12 +46,12 @@ func (u *UnoLB) Init(c *transport.Conn) {
 func (u *UnoLB) Assign(c *transport.Conn, p *netsim.Packet) {
 	p.Entropy = u.entropies[u.next]
 	p.Subflow = int8(u.next)
-	u.next = (u.next + 1) % u.Subflows
+	u.next = (u.next + 1) % subflows
 }
 
 // OnAck implements transport.PathSelector: record subflow liveness.
 func (u *UnoLB) OnAck(c *transport.Conn, a transport.AckInfo, subflow int8, _ uint32) {
-	if int(subflow) >= 0 && int(subflow) < u.Subflows {
+	if int(subflow) >= 0 && int(subflow) < subflows {
 		u.lastAck[subflow] = a.Now
 	}
 }
@@ -75,8 +66,8 @@ func (u *UnoLB) OnTimeout(c *transport.Conn) { u.maybeReroute(c) }
 // maybeReroute re-routes the stalest subflow, rate-limited to once per
 // base RTT.
 func (u *UnoLB) maybeReroute(c *transport.Conn) {
-	now := c.Now()
-	if u.hasRerouted && now-u.lastReroute <= c.Params().BaseRTT {
+	now, baseRTT := c.Now(), c.Params().BaseRTT
+	if u.hasRerouted && now-u.lastReroute <= baseRTT {
 		return
 	}
 	u.lastReroute = now
@@ -84,21 +75,23 @@ func (u *UnoLB) maybeReroute(c *transport.Conn) {
 
 	// The suspect: the subflow that has gone longest without an ACK.
 	suspect := 0
-	for i := 1; i < u.Subflows; i++ {
+	for i := 1; i < subflows; i++ {
 		if u.lastAck[i] < u.lastAck[suspect] {
 			suspect = i
 		}
 	}
 
 	// Candidate healthy subflows: ACKed within the freshness window.
-	healthy := make([]int, 0, u.Subflows)
-	for i := 0; i < u.Subflows; i++ {
-		if i != suspect && u.lastAck[i] > 0 && now-u.lastAck[i] <= u.FreshWindow {
-			healthy = append(healthy, i)
+	var healthy [subflows]int
+	n := 0
+	for i := 0; i < subflows; i++ {
+		if i != suspect && u.lastAck[i] > 0 && now-u.lastAck[i] <= freshRTTs*baseRTT {
+			healthy[n] = i
+			n++
 		}
 	}
-	if len(healthy) > 0 {
-		donor := healthy[c.Rand().Intn(len(healthy))]
+	if n > 0 {
+		donor := healthy[c.Rand().Intn(n)]
 		u.entropies[suspect] = u.entropies[donor]
 	} else {
 		u.entropies[suspect] = c.Rand().Uint32() | 1
@@ -111,7 +104,5 @@ func (u *UnoLB) maybeReroute(c *transport.Conn) {
 
 // Entropies returns a copy of the subflow entropies (for tests).
 func (u *UnoLB) Entropies() []uint32 {
-	out := make([]uint32, len(u.entropies))
-	copy(out, u.entropies)
-	return out
+	return append([]uint32(nil), u.entropies[:]...)
 }

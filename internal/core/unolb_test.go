@@ -24,7 +24,7 @@ func parallelFlow(t *testing.T, p *simtest.Parallel, id int64, size int64,
 
 func TestUnoLBRoundRobinAssignment(t *testing.T) {
 	p := simtest.NewParallel(1, bw100G, 8, eventq.Microsecond)
-	lb := &UnoLB{Subflows: 4}
+	lb := &UnoLB{}
 	// Wrap the receive handler with a tap that records each data packet's
 	// subflow before forwarding it to the endpoint.
 	var assigned []int8
@@ -35,24 +35,25 @@ func TestUnoLBRoundRobinAssignment(t *testing.T) {
 		p.EpB.Handle(pkt)
 	})
 	params := transport.Params{MTU: 4096, BaseRTT: 10 * eventq.Microsecond, DupAckThresh: 64}
-	conn := parallelFlow(t, p, 1, 12*4096, params, &transport.FixedWindow{Window: 1 << 20}, lb)
+	const pkts = 2*subflows + 4
+	conn := parallelFlow(t, p, 1, pkts*4096, params, &transport.FixedWindow{Window: 1 << 20}, lb)
 	p.Net.Sched.RunUntil(eventq.Second)
 	if !conn.Completed() {
 		t.Fatal("flow did not complete")
 	}
-	if len(assigned) < 12 {
+	if len(assigned) < pkts {
 		t.Fatalf("observed %d data packets", len(assigned))
 	}
-	for i := 0; i < 12; i++ {
-		if assigned[i] != int8(i%4) {
-			t.Fatalf("packet %d on subflow %d, want %d (round robin)", i, assigned[i], i%4)
+	for i := 0; i < pkts; i++ {
+		if assigned[i] != int8(i%subflows) {
+			t.Fatalf("packet %d on subflow %d, want %d (round robin)", i, assigned[i], i%subflows)
 		}
 	}
 }
 
 func TestUnoLBSpreadsBlockAcrossPaths(t *testing.T) {
 	p := simtest.NewParallel(2, bw100G, 8, eventq.Microsecond)
-	lb := &UnoLB{Subflows: 8}
+	lb := &UnoLB{}
 	params := transport.Params{
 		MTU: 4096, BaseRTT: 10 * eventq.Microsecond, DupAckThresh: 64,
 		EC: transport.ECConfig{Data: 8, Parity: 2, BlockTimeout: 100 * eventq.Microsecond},
@@ -78,7 +79,7 @@ func TestUnoLBSpreadsBlockAcrossPaths(t *testing.T) {
 
 func TestUnoLBRerouteRateLimited(t *testing.T) {
 	p := simtest.NewParallel(3, bw100G, 8, eventq.Microsecond)
-	lb := &UnoLB{Subflows: 4}
+	lb := &UnoLB{}
 	params := transport.Params{MTU: 4096, BaseRTT: 100 * eventq.Microsecond}
 	conn := parallelFlow(t, p, 1, 4096, params, &transport.FixedWindow{Window: 1 << 20}, lb)
 	p.Net.Sched.RunUntil(eventq.Second)
@@ -93,7 +94,7 @@ func TestUnoLBRerouteRateLimited(t *testing.T) {
 
 func TestUnoLBRerouteUsesHealthyDonor(t *testing.T) {
 	p := simtest.NewParallel(4, bw100G, 8, eventq.Microsecond)
-	lb := &UnoLB{Subflows: 4}
+	lb := &UnoLB{}
 	params := transport.Params{MTU: 4096, BaseRTT: 100 * eventq.Microsecond}
 	conn := parallelFlow(t, p, 1, 4096, params, &transport.FixedWindow{Window: 1 << 20}, lb)
 	p.Net.Sched.RunUntil(eventq.Second)
@@ -124,7 +125,7 @@ func TestUnoLBRerouteFallsBackToRandom(t *testing.T) {
 	// With no recently-ACKed subflow, the reroute must draw a fresh random
 	// entropy rather than cloning a (stale) donor.
 	p := simtest.NewParallel(6, bw100G, 8, eventq.Microsecond)
-	lb := &UnoLB{Subflows: 4}
+	lb := &UnoLB{}
 	params := transport.Params{MTU: 4096, BaseRTT: 50 * eventq.Microsecond}
 	conn := parallelFlow(t, p, 1, 4096, params, &transport.FixedWindow{Window: 1 << 20}, lb)
 	p.Net.Sched.RunUntil(eventq.Second) // flow done; all lastAck stale
@@ -157,7 +158,7 @@ func TestUnoLBSurvivesPathFailure(t *testing.T) {
 	// Fail one of 8 parallel paths mid-flow: EC + UnoLB must finish the
 	// transfer and reroute away from the dead path.
 	p := simtest.NewParallel(5, bw100G, 8, eventq.Microsecond)
-	lb := &UnoLB{Subflows: 8}
+	lb := &UnoLB{}
 	params := transport.Params{
 		MTU: 4096, BaseRTT: 10 * eventq.Microsecond, DupAckThresh: 64,
 		MinRTO: 200 * eventq.Microsecond,
@@ -224,7 +225,7 @@ func TestUnoLBReroutesSubflowWithDeadAckPath(t *testing.T) {
 	// per ACK the victim looked healthy and kept its path, and every
 	// subflow lost a quarter of its ACKs for the flow's whole life.)
 	p := simtest.NewParallelDuplex(9, bw100G, 4, eventq.Microsecond)
-	lb := &UnoLB{Subflows: 8}
+	lb := &UnoLB{}
 	params := transport.Params{
 		MTU: 4096, BaseRTT: 10 * eventq.Microsecond, DupAckThresh: 64,
 		MinRTO: 200 * eventq.Microsecond,
@@ -256,5 +257,33 @@ func TestUnoLBReroutesSubflowWithDeadAckPath(t *testing.T) {
 	if after := lb.Entropies(); after[victim] == before[victim] {
 		t.Fatalf("subflow %d kept entropy %#x, whose ACKs cross the failed link (%d reroutes, stats %+v)",
 			victim, before[victim], lb.Reroutes, conn.Stats())
+	}
+}
+
+// TestUnoLBAllocationFree: UnoLB keeps its N subflows in fixed arrays, so
+// setting one up, assigning a packet and re-routing — both onto a fresh
+// path and onto a healthy donor's — allocate nothing.
+func TestUnoLBAllocationFree(t *testing.T) {
+	p := simtest.NewParallel(10, bw100G, 8, eventq.Microsecond)
+	lb := &UnoLB{}
+	params := transport.Params{MTU: 4096, BaseRTT: 10 * eventq.Microsecond}
+	conn := parallelFlow(t, p, 1, 4096, params, &transport.FixedWindow{Window: 1 << 20}, lb)
+	p.Net.Sched.RunUntil(eventq.Millisecond)
+	pkt := &netsim.Packet{}
+	now := conn.Now()
+	allocs := testing.AllocsPerRun(100, func() {
+		lb.Init(conn)
+		lb.Assign(conn, pkt)
+		lb.hasRerouted = false
+		lb.OnTimeout(conn) // nothing ACKed since Init: a fresh random path
+		lb.OnAck(conn, transport.AckInfo{Now: now}, 3, 0)
+		lb.hasRerouted = false
+		lb.OnNack(conn) // subflow 3 is fresh: it donates its path
+	})
+	if allocs != 0 {
+		t.Fatalf("Init + Assign + two re-routes allocate %v times, want 0", allocs)
+	}
+	if lb.Reroutes == 0 {
+		t.Fatal("no re-route ran: the test measured nothing")
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"uno/internal/core"
 	"uno/internal/eventq"
 	"uno/internal/failure"
 	"uno/internal/netsim"
@@ -40,7 +41,7 @@ func withLB(s Stack, mkLB func() transport.PathSelector) Stack {
 	s.Name += "(spray)"
 	s.Policies = func(sim *Sim, spec workload.FlowSpec, interDC bool) (transport.Params, transport.CongestionControl, transport.PathSelector) {
 		params, cc, _ := inner(sim, spec, interDC)
-		params.DupAckThresh = 24
+		params.DupAckThresh = core.MultipathDupAckThresh
 		return params, cc, mkLB()
 	}
 	return s

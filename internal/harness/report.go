@@ -283,10 +283,3 @@ func Find(id string) (Experiment, bool) {
 	}
 	return Experiment{}, false
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

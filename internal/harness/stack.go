@@ -78,7 +78,7 @@ func unoVariant(name string, mod func(*core.System)) Stack {
 // StackUnoCCWithLB runs UnoCC (phantom fabric) with an arbitrary
 // load-balancer constructor and optional EC — the Fig 13 comparison grid
 // (spraying / PLB / UnoLB, each ± EC). Every selector gets the multipath
-// System's reordering-tolerant dup-ACK threshold (3 × 8 subflows = 24).
+// System's reordering-tolerant dup-ACK threshold (core.MultipathDupAckThresh).
 func StackUnoCCWithLB(name string, ec bool, mkLB func() transport.PathSelector) Stack {
 	return Stack{
 		Name:    name,
@@ -121,9 +121,9 @@ func StackMPRDMABBR() Stack {
 			baseRTT := s.BaseRTT(spec.Src, spec.Dst)
 			var cc transport.CongestionControl
 			if interDC {
-				cc = baselines.NewBBR(baselines.BBRConfig{BaseRTT: baseRTT})
+				cc = baselines.NewBBR()
 			} else {
-				cc = baselines.NewMPRDMA(baselines.MPRDMAConfig{})
+				cc = baselines.NewMPRDMA()
 			}
 			return transport.Params{BaseRTT: baseRTT}, cc, &transport.FixedEntropy{}
 		},
@@ -142,9 +142,9 @@ func StackMPRDMABBRAnnulus() Stack {
 			baseRTT := s.BaseRTT(spec.Src, spec.Dst)
 			var cc transport.CongestionControl
 			if interDC {
-				cc = baselines.NewAnnulus(baselines.NewBBR(baselines.BBRConfig{BaseRTT: baseRTT}))
+				cc = baselines.NewAnnulus(baselines.NewBBR())
 			} else {
-				cc = baselines.NewMPRDMA(baselines.MPRDMAConfig{})
+				cc = baselines.NewMPRDMA()
 			}
 			return transport.Params{BaseRTT: baseRTT}, cc, &transport.FixedEntropy{}
 		},

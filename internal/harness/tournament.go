@@ -39,11 +39,11 @@ type Contender struct {
 
 // uniformCC builds a contender policy that runs the same controller for
 // both traffic classes (the tournament deliberately takes single-class
-// controllers out of their comfort zone), with ECMP routing and no EC.
-func uniformCC(mk func(baseRTT eventq.Time) transport.CongestionControl) func(s *Sim, spec workload.FlowSpec, interDC bool) (transport.Params, transport.CongestionControl, transport.PathSelector) {
+// controllers out of their comfort zone), with ECMP routing and no EC. The
+// controller reads the flow's base RTT from its Conn's Params.
+func uniformCC(mk func() transport.CongestionControl) func(s *Sim, spec workload.FlowSpec, interDC bool) (transport.Params, transport.CongestionControl, transport.PathSelector) {
 	return func(s *Sim, spec workload.FlowSpec, interDC bool) (transport.Params, transport.CongestionControl, transport.PathSelector) {
-		baseRTT := s.BaseRTT(spec.Src, spec.Dst)
-		return transport.Params{BaseRTT: baseRTT}, mk(baseRTT), &transport.FixedEntropy{}
+		return transport.Params{BaseRTT: s.BaseRTT(spec.Src, spec.Dst)}, mk(), &transport.FixedEntropy{}
 	}
 }
 
@@ -57,20 +57,12 @@ func Contenders() []Contender {
 	return []Contender{
 		{Name: "unocc", Phantom: true, Policy: StackUnoECMP().Policies},
 		{Name: "gemini", Policy: StackGemini().Policies},
-		{Name: "mprdma", Policy: uniformCC(func(eventq.Time) transport.CongestionControl {
-			return baselines.NewMPRDMA(baselines.MPRDMAConfig{})
-		})},
-		{Name: "bbr", Policy: uniformCC(func(rtt eventq.Time) transport.CongestionControl {
-			return baselines.NewBBR(baselines.BBRConfig{BaseRTT: rtt})
-		})},
-		{Name: "dctcp", Policy: uniformCC(func(rtt eventq.Time) transport.CongestionControl {
-			return baselines.NewDCTCP(baselines.DCTCPConfig{BaseRTT: rtt})
-		})},
-		{Name: "swift", Policy: uniformCC(func(rtt eventq.Time) transport.CongestionControl {
-			return baselines.NewSwift(baselines.SwiftConfig{BaseRTT: rtt})
-		})},
-		{Name: "annulus", QCN: true, Policy: uniformCC(func(rtt eventq.Time) transport.CongestionControl {
-			return baselines.NewAnnulus(baselines.NewBBR(baselines.BBRConfig{BaseRTT: rtt}))
+		{Name: "mprdma", Policy: uniformCC(func() transport.CongestionControl { return baselines.NewMPRDMA() })},
+		{Name: "bbr", Policy: uniformCC(func() transport.CongestionControl { return baselines.NewBBR() })},
+		{Name: "dctcp", Policy: uniformCC(func() transport.CongestionControl { return baselines.NewDCTCP() })},
+		{Name: "swift", Policy: uniformCC(func() transport.CongestionControl { return baselines.NewSwift() })},
+		{Name: "annulus", QCN: true, Policy: uniformCC(func() transport.CongestionControl {
+			return baselines.NewAnnulus(baselines.NewBBR())
 		})},
 	}
 }

@@ -38,14 +38,10 @@ func (r *RPS) OnTimeout(*transport.Conn) {}
 
 // PLB is Protective Load Balancing [Qureshi et al., SIGCOMM'22]: a flow
 // keeps a single path (entropy) but re-hashes to a fresh random one after
-// K consecutive congested rounds (rounds ≈ one RTT; a round is congested
-// when at least half its ACKs carry ECN marks), and immediately on RTO.
+// plbCongestedRounds consecutive congested rounds (rounds ≈ one RTT; a
+// round is congested when at least plbMarkFraction of its ACKs carry ECN
+// marks), and immediately on RTO.
 type PLB struct {
-	// CongestedRounds before repathing (PLB's default is 3).
-	CongestedRounds int
-	// MarkFraction above which a round counts as congested (default 0.5).
-	MarkFraction float64
-
 	entropy   uint32
 	roundEnd  eventq.Time
 	acks      int
@@ -55,17 +51,18 @@ type PLB struct {
 	Repaths int
 }
 
+// PLB's defaults: repath after 3 congested rounds, a round being congested
+// when half its ACKs are marked.
+const (
+	plbCongestedRounds = 3
+	plbMarkFraction    = 0.5
+)
+
 // Name implements transport.PathSelector.
 func (p *PLB) Name() string { return "plb" }
 
 // Init implements transport.PathSelector.
 func (p *PLB) Init(c *transport.Conn) {
-	if p.CongestedRounds <= 0 {
-		p.CongestedRounds = 3
-	}
-	if p.MarkFraction <= 0 {
-		p.MarkFraction = 0.5
-	}
 	p.entropy = c.Rand().Uint32() | 1
 	p.roundEnd = c.Now() + p.roundLen(c)
 }
@@ -93,9 +90,9 @@ func (p *PLB) OnAck(c *transport.Conn, a transport.AckInfo, _ int8, _ uint32) {
 		return
 	}
 	// Round boundary: classify and maybe repath.
-	if p.acks > 0 && float64(p.marked) >= p.MarkFraction*float64(p.acks) {
+	if p.acks > 0 && float64(p.marked) >= plbMarkFraction*float64(p.acks) {
 		p.badRounds++
-		if p.badRounds >= p.CongestedRounds {
+		if p.badRounds >= plbCongestedRounds {
 			p.repath(c)
 		}
 	} else {

@@ -61,14 +61,44 @@ func TestFixedEntropySticksToOnePath(t *testing.T) {
 	}
 }
 
+// TestPLBDefaults pins PLB's constants through behaviour: a round exactly
+// plbMarkFraction marked counts as congested, one ACK short of it does
+// not, and the plbCongestedRounds-th congested round in a row repaths.
 func TestPLBDefaults(t *testing.T) {
 	p := simtest.NewParallel(3, bw100G, 2, eventq.Microsecond)
 	plb := &PLB{}
 	conn := startParallelFlow(t, p, 1, 4096, plb)
 	p.Net.Sched.RunUntil(eventq.Second)
-	_ = conn
-	if plb.CongestedRounds != 3 || plb.MarkFraction != 0.5 {
-		t.Fatalf("PLB defaults: %+v", plb)
+
+	now := p.Net.Now()
+	plb.OnAck(conn, transport.AckInfo{Now: now}, -1, 0) // flush the live flow's round
+	round := func(marked, clean int) {
+		for i := 0; i < clean; i++ {
+			plb.OnAck(conn, transport.AckInfo{Now: now}, -1, 0)
+		}
+		for i := 0; i < marked-1; i++ {
+			plb.OnAck(conn, transport.AckInfo{Marked: true, Now: now}, -1, 0)
+		}
+		now += 20 * eventq.Microsecond
+		plb.OnAck(conn, transport.AckInfo{Marked: true, Now: now}, -1, 0)
+	}
+	// 3 marked of 7 is under half: the streak never starts.
+	for i := 0; i < plbCongestedRounds; i++ {
+		round(3, 4)
+	}
+	if plb.Repaths != 0 || plb.badRounds != 0 {
+		t.Fatalf("rounds under plbMarkFraction counted as congested (repaths %d, streak %d)", plb.Repaths, plb.badRounds)
+	}
+	// 4 marked of 8 is exactly half: congested.
+	for i := 0; i < plbCongestedRounds-1; i++ {
+		round(4, 4)
+	}
+	if plb.Repaths != 0 || plb.badRounds != plbCongestedRounds-1 {
+		t.Fatalf("repaths %d, streak %d before the last congested round", plb.Repaths, plb.badRounds)
+	}
+	round(4, 4)
+	if plb.Repaths != 1 {
+		t.Fatalf("repaths = %d after %d congested rounds, want 1", plb.Repaths, plbCongestedRounds)
 	}
 }
 
@@ -89,7 +119,7 @@ func plbRounds(plb *PLB, conn *transport.Conn, start eventq.Time, pattern []bool
 
 func TestPLBRepathsAfterCongestedRounds(t *testing.T) {
 	p := simtest.NewParallel(4, bw100G, 8, eventq.Microsecond)
-	plb := &PLB{CongestedRounds: 3}
+	plb := &PLB{}
 	conn := startParallelFlow(t, p, 1, 4096, plb)
 	p.Net.Sched.RunUntil(eventq.Second)
 
@@ -113,7 +143,7 @@ func TestPLBStaysOnCleanPath(t *testing.T) {
 
 func TestPLBCongestionStreakResetByCleanRound(t *testing.T) {
 	p := simtest.NewParallel(6, bw100G, 8, eventq.Microsecond)
-	plb := &PLB{CongestedRounds: 3}
+	plb := &PLB{}
 	conn := startParallelFlow(t, p, 1, 4096, plb)
 	p.Net.Sched.RunUntil(eventq.Second)
 

@@ -64,7 +64,7 @@ func runIncast(t *testing.T, withLoss bool) uint64 {
 		}
 		params := transport.Params{MTU: 4096, BaseRTT: in.BaseRTT(i, 4096, bw100G)}
 		conn, err := transport.Start(in.SenderEps[i], in.RecvEp, flow, params,
-			baselines.NewMPRDMA(baselines.MPRDMAConfig{}), &transport.FixedEntropy{}, nil)
+			baselines.NewMPRDMA(), &transport.FixedEntropy{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func runDumbbell(t *testing.T) uint64 {
 		netsim.SerializationTime(4096+transport.HeaderSize, bw100G))
 	params := transport.Params{MTU: 4096, BaseRTT: rtt, DupAckThresh: 24}
 	conn, err := transport.Start(p.EpA, p.EpB, flow, params,
-		baselines.NewMPRDMA(baselines.MPRDMAConfig{}), &lb.RPS{}, nil)
+		baselines.NewMPRDMA(), &lb.RPS{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

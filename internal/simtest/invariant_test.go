@@ -59,7 +59,7 @@ func TestInvariantECIncast(t *testing.T) {
 			EC: transport.ECConfig{Data: 8, Parity: 2, BlockTimeout: eventq.Millisecond},
 		}
 		conn, err := transport.Start(in.SenderEps[i], in.RecvEp, flow, params,
-			baselines.NewMPRDMA(baselines.MPRDMAConfig{}), &transport.FixedEntropy{}, nil)
+			baselines.NewMPRDMA(), &transport.FixedEntropy{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func rescaledIncast(t *testing.T, k int64) uint64 {
 		}
 		conn, err := transport.Start(ep, recvEp, flow,
 			transport.Params{MTU: 4096, BaseRTT: rtt},
-			baselines.NewMPRDMA(baselines.MPRDMAConfig{}), &transport.FixedEntropy{}, nil)
+			baselines.NewMPRDMA(), &transport.FixedEntropy{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func relabeledIncast(t *testing.T, perm [2]netsim.FlowID) map[netsim.FlowID]uint
 		}
 		params := transport.Params{MTU: 4096, BaseRTT: in.BaseRTT(i, 4096, bw100G)}
 		conn, err := transport.Start(in.SenderEps[i], in.RecvEp, flow, params,
-			baselines.NewMPRDMA(baselines.MPRDMAConfig{}), &transport.FixedEntropy{}, nil)
+			baselines.NewMPRDMA(), &transport.FixedEntropy{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,22 +54,9 @@ type Config struct {
 	QueueCapIntra int64
 	QueueCapInter int64
 
-	// RED marking thresholds as fractions of the queue capacity
-	// (paper: 0.25 / 0.75).
-	REDMinFrac, REDMaxFrac float64
-
-	// Phantom queue configuration (§4.1.3). When enabled, every switch
-	// port gets a phantom queue draining at PhantomDrainFrac × line rate
-	// with RED-style marking between REDMinFrac/REDMaxFrac of the phantom
-	// size for that tier.
-	PhantomEnabled   bool
-	PhantomDrainFrac float64
-	PhantomSizeIntra int64
-	PhantomSizeInter int64
-	// PhantomMinFrac is the phantom queues' RED marking floor as a
-	// fraction of the phantom size (default 0.10; see portConfig for why
-	// it sits far below the physical queues' 25%).
-	PhantomMinFrac float64
+	// PhantomEnabled gives every switch port a phantom queue (§4.1.3)
+	// sized and marking as the phantom constants below say.
+	PhantomEnabled bool
 
 	// Trimming enables NDP-style packet trimming on every switch port —
 	// an extension beyond the paper's design (its §6 argues trimming-based
@@ -83,10 +70,38 @@ type Config struct {
 	// which sit inside the source datacenter — exactly the "congestion
 	// near source" Annulus reacts to): the substrate for the add-on the
 	// paper's footnote 4 defers to future work. Notifications fire above
-	// QCNThreshFrac of the queue capacity.
-	QCN           bool
-	QCNThreshFrac float64
+	// qcnThreshFrac of the queue capacity.
+	QCN bool
 }
+
+// The fabric's marking constants.
+const (
+	// redMinFrac and redMaxFrac are the RED marking thresholds as
+	// fractions of a queue's capacity (Table 2: 25 % / 75 %). The phantom
+	// queues' band ends at redMaxFrac of the phantom size too.
+	redMinFrac = 0.25
+	redMaxFrac = 0.75
+
+	// phantomDrainFrac is the phantom queues' drain rate as a fraction of
+	// line rate (Table 2).
+	phantomDrainFrac = 0.9
+	// Phantom sizes: the virtual queue's marking band must be long enough
+	// that the slowest (inter-DC) control loop can regulate within it; a
+	// band crossed in less than an inter-DC RTT pins the ambient marking
+	// fraction near saturation and crushes short-RTT flows' AIMD
+	// equilibria below one packet. The paper does not report its phantom
+	// sizes; these follow from that constraint (EXPERIMENTS.md deviation 4).
+	phantomSizeIntra = 4 << 20
+	phantomSizeInter = 16 << 20
+	// phantomMinFrac is the phantom queues' RED marking floor as a
+	// fraction of the phantom size; see portConfig for why it sits far
+	// below the physical queues' 25 %.
+	phantomMinFrac = 0.10
+
+	// qcnThreshFrac is the queue fill, as a fraction of capacity, above
+	// which a QCN port sends congestion notifications.
+	qcnThreshFrac = 0.2
+)
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -103,43 +118,24 @@ func (c Config) Validate() error {
 		return fmt.Errorf("topo: Oversubscription must be >= 1 (0 means default)")
 	case c.QueueCapIntra <= 0 || c.QueueCapInter <= 0:
 		return fmt.Errorf("topo: queue capacities must be positive")
-	case c.REDMinFrac < 0 || c.REDMaxFrac <= c.REDMinFrac || c.REDMaxFrac > 1:
-		return fmt.Errorf("topo: need 0 <= REDMinFrac < REDMaxFrac <= 1")
-	case c.PhantomEnabled && (c.PhantomDrainFrac <= 0 || c.PhantomDrainFrac > 1):
-		return fmt.Errorf("topo: PhantomDrainFrac must be in (0, 1]")
-	case c.PhantomEnabled && (c.PhantomSizeIntra <= 0 || c.PhantomSizeInter <= 0):
-		return fmt.Errorf("topo: phantom sizes must be positive when enabled")
 	}
 	return nil
 }
 
 // DefaultConfig returns the paper's default parameters: k = 8 fat-trees,
-// two DCs, 100 Gb/s links, 1 MiB port buffers, RED at 25 %/75 %, phantom
-// queues draining at 90 % of line rate, and link delays tuned so the
-// base intra-DC RTT is ≈14 µs and the inter-DC RTT ≈2 ms (Table 2).
+// two DCs, 100 Gb/s links, 1 MiB port buffers, and link delays tuned so
+// the base intra-DC RTT is ≈14 µs and the inter-DC RTT ≈2 ms (Table 2).
+// Phantom queues and QCN are off.
 func DefaultConfig() Config {
 	return Config{
-		K:                8,
-		NumDCs:           2,
-		LinkBps:          100e9,
-		BorderLinks:      8,
-		IntraLinkDelay:   1 * eventq.Microsecond,
-		InterLinkDelay:   982 * eventq.Microsecond,
-		QueueCapIntra:    1 << 20,
-		QueueCapInter:    1 << 20,
-		REDMinFrac:       0.25,
-		REDMaxFrac:       0.75,
-		PhantomEnabled:   false,
-		PhantomDrainFrac: 0.9,
-		// Phantom sizes: the virtual queue's marking band must be long
-		// enough that the slowest (inter-DC) control loop can regulate
-		// within it; a band crossed in less than an inter-DC RTT pins the
-		// ambient marking fraction near saturation and crushes short-RTT
-		// flows' AIMD equilibria below one packet. The paper does not
-		// report its phantom sizes; these follow from that constraint.
-		PhantomSizeIntra: 4 << 20,
-		PhantomSizeInter: 16 << 20,
-		PhantomMinFrac:   0.10,
+		K:              8,
+		NumDCs:         2,
+		LinkBps:        100e9,
+		BorderLinks:    8,
+		IntraLinkDelay: 1 * eventq.Microsecond,
+		InterLinkDelay: 982 * eventq.Microsecond,
+		QueueCapIntra:  1 << 20,
+		QueueCapInter:  1 << 20,
 	}
 }
 
@@ -366,43 +362,35 @@ func MustBuild(net *netsim.Network, cfg Config) *DualDC {
 func (t *DualDC) portConfig(inter bool) netsim.PortConfig {
 	cfg := t.Cfg
 	capBytes := cfg.QueueCapIntra
-	phantomSize := cfg.PhantomSizeIntra
+	phantomSize := int64(phantomSizeIntra)
 	if inter {
 		capBytes = cfg.QueueCapInter
-		phantomSize = cfg.PhantomSizeInter
+		phantomSize = phantomSizeInter
 	}
 	pc := netsim.PortConfig{
 		QueueCap:      capBytes,
-		MarkMin:       int64(float64(capBytes) * cfg.REDMinFrac),
-		MarkMax:       int64(float64(capBytes) * cfg.REDMaxFrac),
+		MarkMin:       int64(float64(capBytes) * redMinFrac),
+		MarkMax:       int64(float64(capBytes) * redMaxFrac),
 		ControlBypass: true,
 		Trim:          cfg.Trimming,
 	}
 	if cfg.QCN {
-		frac := cfg.QCNThreshFrac
-		if frac <= 0 {
-			frac = 0.2
-		}
 		pc.QCN = true
-		pc.QCNThresh = int64(float64(capBytes) * frac)
+		pc.QCNThresh = int64(float64(capBytes) * qcnThreshFrac)
 	}
 	if cfg.PhantomEnabled {
-		// The phantom queue’s RED band starts low (PhantomMinFrac, not the
+		// The phantom queue’s RED band starts low (phantomMinFrac, not the
 		// physical queues' 25%): a virtual queue drains its overhang past
 		// the threshold at only (1-drain)×line rate, so a high threshold
 		// keeps marking long after senders have already yielded and
 		// drives deep under-utilization sawtooths. A low threshold with a
 		// wide band gives a small marking probability near equilibrium —
 		// the gentle, self-scaling signal phantom queues are meant to be.
-		minFrac := cfg.PhantomMinFrac
-		if minFrac <= 0 {
-			minFrac = 0.10
-		}
 		pc.Phantom = netsim.NewPhantomQueue(
-			int64(float64(cfg.LinkBps)*cfg.PhantomDrainFrac),
+			int64(float64(cfg.LinkBps)*phantomDrainFrac),
 			phantomSize,
-			int64(float64(phantomSize)*minFrac),
-			int64(float64(phantomSize)*cfg.REDMaxFrac),
+			int64(float64(phantomSize)*phantomMinFrac),
+			int64(float64(phantomSize)*redMaxFrac),
 		)
 	}
 	return pc

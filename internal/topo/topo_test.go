@@ -22,9 +22,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.LinkBps = 0 },
 		func(c *Config) { c.BorderLinks = 0 },
 		func(c *Config) { c.QueueCapIntra = 0 },
-		func(c *Config) { c.REDMinFrac = 0.9 },
-		func(c *Config) { c.PhantomEnabled = true; c.PhantomDrainFrac = 0 },
-		func(c *Config) { c.PhantomEnabled = true; c.PhantomSizeInter = 0 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()
@@ -320,8 +317,8 @@ func TestPhantomEnabledPortsGetPhantomQueues(t *testing.T) {
 	if ph == nil {
 		t.Fatal("border inter-DC port missing phantom queue")
 	}
-	if ph.Cap != cfg.PhantomSizeInter {
-		t.Fatalf("inter phantom size = %d, want %d", ph.Cap, cfg.PhantomSizeInter)
+	if ph.Cap != phantomSizeInter {
+		t.Fatalf("inter phantom size = %d, want %d", ph.Cap, phantomSizeInter)
 	}
 	if ph.DrainBps != int64(0.9*100e9) {
 		t.Fatalf("phantom drain = %d", ph.DrainBps)

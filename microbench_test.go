@@ -138,7 +138,7 @@ func BenchmarkIncastStep(b *testing.B) {
 			}
 			params := transport.Params{MTU: 4096, BaseRTT: in.BaseRTT(j, 4096, bw)}
 			if _, err := transport.Start(in.SenderEps[j], in.RecvEp, flow, params,
-				baselines.NewMPRDMA(baselines.MPRDMAConfig{}), &transport.FixedEntropy{}, nil); err != nil {
+				baselines.NewMPRDMA(), &transport.FixedEntropy{}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -20,10 +20,12 @@ echo "== go vet ./... =="
 go vet ./...
 
 echo "== gofmt =="
+# Tracked and not-yet-added files alike (--others), minus what .gitignore
+# names (.bench_build/).
 # shellcheck disable=SC2046
-test -z "$(gofmt -l $(git ls-files '*.go'))" || {
+test -z "$(gofmt -l $(git ls-files --cached --others --exclude-standard '*.go'))" || {
     echo "ci: not gofmt-clean:"
-    gofmt -l $(git ls-files '*.go')
+    gofmt -l $(git ls-files --cached --others --exclude-standard '*.go')
     exit 1
 }
 

@@ -112,13 +112,17 @@ var (
 	GeminiStack = harness.StackGemini
 	// MPRDMABBRStack is MPRDMA inside datacenters and BBR across them.
 	MPRDMABBRStack = harness.StackMPRDMABBR
-	// CustomUnoStack builds a Uno stack with modified SystemConfig knobs
+	// CustomUnoStack builds a Uno stack with modified SystemConfig switches
 	// (ablations: disable Quick Adapt, per-flow epochs, plain ECMP, ...).
 	CustomUnoStack = harness.StackUnoMod
 )
 
-// SystemConfig bundles the Uno system's per-flow policy knobs (EC block
-// shape, subflow count, ablation switches); see CustomUnoStack.
+// SystemConfig is a Uno stack's per-flow configuration: the fabric values
+// the harness fills in from the Sim (MTU, LinkBps, IntraRTT), the variant
+// switches (DisableEC, UseECMP) and the ablation switches (DisableQA,
+// DisablePhantomAware, PerFlowEpochs); see CustomUnoStack. The paper's
+// Table 2 values — (8,2) blocks, N = 8 subflows, α, β, K — are constants
+// (DESIGN.md §7).
 type SystemConfig = core.System
 
 // Workload generation.

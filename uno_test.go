@@ -148,7 +148,7 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 func TestFacadeCustomStackAblation(t *testing.T) {
 	stack := uno.CustomUnoStack("uno-custom", func(s *uno.SystemConfig) {
 		s.DisableEC = true
-		s.Subflows = 4
+		s.DisableQA = true
 	})
 	sim := uno.NewSim(13, uno.DefaultTopology(), stack)
 	sim.Schedule([]uno.FlowSpec{{Src: 0, Dst: 140, Size: 2 << 20}})
