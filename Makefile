@@ -13,10 +13,12 @@ test: build
 vet:
 	go vet ./...
 
-# The simulator is single-goroutine per Sim; the harness fan-out layer
-# (RunParallel) is the only sanctioned concurrency. Keep it race-clean.
+# Each shard of a Sim runs on one goroutine at a time; the harness fan-out
+# layer (RunParallel) and a per-DC Sim's shard workers are the only
+# sanctioned concurrency. Keep it race-clean, uncached (-count=1) as
+# scripts/ci.sh runs it, so no change rides a stale result.
 race:
-	go test -race ./...
+	go test -race -count=1 ./...
 
 ci:
 	./scripts/ci.sh

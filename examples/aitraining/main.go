@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"uno"
 )
@@ -88,7 +89,8 @@ func main() {
 	}
 	var elapsed uno.Time
 	if _, err := uno.StartRing(sim, ring, func(e uno.Time) { elapsed = e }); err != nil {
-		panic(err)
+		fmt.Fprintln(os.Stderr, "aitraining:", err)
+		os.Exit(1)
 	}
 	sim.Run(5 * uno.Second)
 	ideal := ring.IdealTime(sim.Topo.Cfg.LinkBps, sim.Topo.InterRTT(sim.MTU))

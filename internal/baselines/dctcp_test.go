@@ -107,7 +107,7 @@ func TestDCTCPKeepsQueueNearThreshold(t *testing.T) {
 func TestDCTCPTimeoutEntersSlowStart(t *testing.T) {
 	in := simtest.NewIncast(23, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
 	cc := NewDCTCP()
-	conn := start(t, in, 0, 1, 1<<20, cc)
+	conn := start(t, in, 0, 1, 16<<20, cc) // still sending at 100 µs
 	in.Net.Sched.RunUntil(100 * eventq.Microsecond)
 	cc.OnTimeout(conn)
 	if conn.Cwnd() != float64(conn.MTUWire()) {

@@ -161,7 +161,7 @@ func TestSwiftTimeoutCountsAsCut(t *testing.T) {
 	in := simtest.NewIncast(74, bw100G, []eventq.Time{eventq.Microsecond}, simtest.PortConfig())
 	rtt := in.BaseRTT(0, 4096, bw100G)
 	cc := NewSwift()
-	conn := start(t, in, 0, 1, 1<<20, cc)
+	conn := start(t, in, 0, 1, 64<<20, cc) // still sending at 1 ms
 	in.Net.Sched.RunUntil(eventq.Millisecond)
 
 	w := conn.Cwnd()

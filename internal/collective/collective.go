@@ -15,10 +15,10 @@ import (
 )
 
 // Starter abstracts the transport layer: it launches a transfer of size
-// bytes from one host to another and reports completion. harness.Sim
-// implements it.
+// bytes from one host to another and reports completion, or returns why it
+// cannot. harness.Sim implements it.
 type Starter interface {
-	StartFlow(src, dst int, size int64, onDone func())
+	StartFlow(src, dst int, size int64, onDone func()) error
 }
 
 // RingConfig describes one ring Allreduce.
@@ -83,10 +83,14 @@ type Ring struct {
 
 	// Transfers counts launched point-to-point sends (telemetry).
 	Transfers int
+
+	err error // the first transfer the starter refused
 }
 
 // Start launches the collective; onComplete fires once every member has
-// finished all 2(N−1) steps.
+// finished all 2(N−1) steps. Step 0 starts here, so a starter that refuses
+// transfers (a harness.Sim with more than one shard) fails Start with its
+// error.
 func Start(starter Starter, sched *eventq.Scheduler, cfg RingConfig,
 	onComplete func(elapsed eventq.Time)) (*Ring, error) {
 	if err := cfg.Validate(); err != nil {
@@ -106,8 +110,16 @@ func Start(starter Starter, sched *eventq.Scheduler, cfg RingConfig,
 	for i := range cfg.Members {
 		r.launch(i)
 	}
+	if r.err != nil {
+		return nil, r.err
+	}
 	return r, nil
 }
+
+// Err returns the first error the starter returned for a transfer: at a
+// later step, where no caller is there to return it to, a refused transfer
+// leaves the collective incomplete, and this says why.
+func (r *Ring) Err() error { return r.err }
 
 // launch starts member i's next step if its dependency is met.
 func (r *Ring) launch(i int) {
@@ -120,7 +132,7 @@ func (r *Ring) launch(i int) {
 	src := r.cfg.Members[i]
 	dst := r.cfg.Members[(i+1)%n]
 	r.Transfers++
-	r.starter.StartFlow(src, dst, r.cfg.ChunkBytes(), func() {
+	err := r.starter.StartFlow(src, dst, r.cfg.ChunkBytes(), func() {
 		// Member i finished sending its step; its *successor* has now
 		// received the chunk it needs for the next step.
 		r.running[i] = false
@@ -137,6 +149,9 @@ func (r *Ring) launch(i int) {
 			r.onComplete(r.sched.Now() - r.start)
 		}
 	})
+	if err != nil && r.err == nil {
+		r.err = err
+	}
 }
 
 // tryAdvance starts member j's next step when its dependency (the

@@ -21,9 +21,10 @@ type fakeStarter struct {
 	started []transferRec
 }
 
-func (f *fakeStarter) StartFlow(src, dst int, size int64, onDone func()) {
+func (f *fakeStarter) StartFlow(src, dst int, size int64, onDone func()) error {
 	f.started = append(f.started, transferRec{src, dst, size, f.sched.Now()})
 	f.sched.After(f.delay, onDone)
+	return nil
 }
 
 func TestRingConfigValidation(t *testing.T) {

@@ -44,10 +44,11 @@ type System struct {
 	// own RTT (ablation isolating the paper's central design decision).
 	PerFlowEpochs bool
 
-	// Configs, when set, interns the controllers' configurations: a harness
-	// that builds a System per flow points every one at its simulation's
-	// pool. Nil gives each controller a private copy.
-	Configs *ConfigPool
+	// Pool, when set, builds the policies: it interns the controllers'
+	// configurations and hands out the controllers and balancers finished
+	// flows gave back. A harness that builds a System per flow points each
+	// at the pool of the flow's source shard. Nil builds private objects.
+	Pool *Pool
 }
 
 // wireBDP returns the bandwidth-delay product in wire bytes for a base RTT.
@@ -84,18 +85,12 @@ func (s System) Policies(interDC bool, baseRTT eventq.Time) (transport.Params, t
 		DisableQA:           s.DisableQA,
 		DisablePhantomAware: s.DisablePhantomAware,
 	}
-	var cc *UnoCC
-	if s.Configs != nil {
-		cc = s.Configs.NewUnoCC(cfg)
-	} else {
-		cc = NewUnoCC(cfg)
-	}
-
+	cc := s.Pool.NewUnoCC(cfg)
 	var lb transport.PathSelector
 	if s.UseECMP {
 		lb = &transport.FixedEntropy{}
 	} else {
-		lb = &UnoLB{}
+		lb = s.Pool.NewUnoLB()
 	}
 	return params, cc, lb
 }

@@ -95,7 +95,7 @@ func (c CCConfig) withDefaults() CCConfig {
 // gentle decrease when only phantom queues are congested, and Quick Adapt
 // under extreme congestion. One instance controls one flow.
 type UnoCC struct {
-	cfg   *CCConfig // defaulted and immutable; shared by equal flows of a ConfigPool
+	cfg   *CCConfig // defaulted and immutable; shared by equal flows of a Pool
 	alpha float64
 
 	// Epoch state (§4.1.1). An epoch terminates on the first ACK of a
@@ -112,10 +112,11 @@ type UnoCC struct {
 	// ACKed bytes (ACKs only begin one RTT in) and spuriously collapse
 	// the window.
 	qaArmed   bool
-	qaBytes   int64         // bytes ACKed during the current QA window
-	qaSkip    bool          // cool-down: skip the next QA/MD window
-	qaTimer   *eventq.Timer // reusable once-per-RTT tick, bound on first arm
-	mdMutedTo eventq.Time   // MD suppressed until this time after a QA fire
+	qaBytes   int64           // bytes ACKed during the current QA window
+	qaSkip    bool            // cool-down: skip the next QA/MD window
+	qaTimer   *eventq.Timer   // reusable once-per-RTT tick, bound on first arm
+	conn      *transport.Conn // the flow, for qaTimer's callback
+	mdMutedTo eventq.Time     // MD suppressed until this time after a QA fire
 
 	// Per-RTT MD budget: epochs run at intra-DC granularity while ECN
 	// echoes lag by the flow's own RTT, so unbounded per-epoch cuts
@@ -156,28 +157,74 @@ func NewUnoCC(cfg CCConfig) *UnoCC {
 	return &UnoCC{cfg: &cfg, mdScale: 1}
 }
 
-// ConfigPool interns controller configurations. A simulation's flows differ
-// in a handful of base RTTs at most, so the thousands of controllers built
-// through one pool share a few CCConfig copies instead of carrying one
-// each. The zero value is ready to use; a pool belongs to one simulation
-// (it is not safe for concurrent use).
-type ConfigPool struct {
-	m map[CCConfig]*CCConfig
+// Pool builds one shard's Uno policy objects and takes them back when
+// their flows finish. It interns controller configurations: a simulation's
+// flows differ in a handful of base RTTs at most, so the thousands of
+// controllers built through one pool share a few CCConfig copies instead of
+// carrying one each. And a finished flow's controller and balancer, handed
+// back through Recycle, serve a later flow, so a run builds only as many as
+// it has flows live at once. The zero value is ready to use; a nil Pool
+// builds private objects. A pool belongs to one shard of one simulation (it
+// is not safe for concurrent use).
+type Pool struct {
+	configs map[CCConfig]*CCConfig
+	ccs     []*UnoCC
+	lbs     []*UnoLB
 }
 
-// NewUnoCC is the package-level NewUnoCC with the configuration interned.
-func (p *ConfigPool) NewUnoCC(cfg CCConfig) *UnoCC {
+// NewUnoCC is the package-level NewUnoCC with the configuration interned
+// and the controller recycled.
+func (p *Pool) NewUnoCC(cfg CCConfig) *UnoCC {
+	if p == nil {
+		return NewUnoCC(cfg)
+	}
 	cfg = cfg.withDefaults()
-	shared, ok := p.m[cfg]
+	shared, ok := p.configs[cfg]
 	if !ok {
-		if p.m == nil {
-			p.m = make(map[CCConfig]*CCConfig)
+		if p.configs == nil {
+			p.configs = make(map[CCConfig]*CCConfig)
 		}
 		shared = new(CCConfig) // not &cfg: that would heap-allocate cfg on every call
 		*shared = cfg
-		p.m[cfg] = shared
+		p.configs[cfg] = shared
 	}
-	return &UnoCC{cfg: shared, mdScale: 1}
+	u := pop(&p.ccs)
+	*u = UnoCC{cfg: shared, mdScale: 1}
+	return u
+}
+
+// NewUnoLB returns a reset UnoLB, recycled when the pool holds one.
+func (p *Pool) NewUnoLB() *UnoLB {
+	if p == nil {
+		return new(UnoLB)
+	}
+	u := pop(&p.lbs)
+	*u = UnoLB{}
+	return u
+}
+
+// pop takes the last object off a free list, or allocates one.
+func pop[T any](list *[]*T) *T {
+	k := len(*list) - 1
+	if k < 0 {
+		return new(T)
+	}
+	x := (*list)[k]
+	(*list)[k] = nil
+	*list = (*list)[:k]
+	return x
+}
+
+// Recycle takes back a finished flow's policies for later flows. Only the
+// objects themselves are recycled, not a wrapper around them: whoever
+// wrapped them may still read them.
+func (p *Pool) Recycle(cc transport.CongestionControl, lb transport.PathSelector) {
+	if u, ok := cc.(*UnoCC); ok {
+		p.ccs = append(p.ccs, u)
+	}
+	if u, ok := lb.(*UnoLB); ok {
+		p.lbs = append(p.lbs, u)
+	}
 }
 
 // Config returns the controller's (defaulted) configuration.
@@ -222,14 +269,20 @@ func (u *UnoCC) armQA(c *transport.Conn) {
 		return
 	}
 	if u.qaTimer == nil {
-		u.qaTimer = c.NewTimer(func() {
-			u.onQA(c)
-			if !u.cfg.DisableQA {
-				u.armQA(c)
-			}
-		})
+		u.conn = c
+		u.qaTimer = c.NewTimerArg(unoccOnQATick, u)
 	}
 	u.qaTimer.ResetAfter(u.rttEstimate(c))
+}
+
+// unoccOnQATick is the Quick Adapt timer's callback, pre-bound so the
+// timer needs no closure.
+func unoccOnQATick(a any) {
+	u := a.(*UnoCC)
+	u.onQA(u.conn)
+	if !u.cfg.DisableQA {
+		u.armQA(u.conn)
+	}
 }
 
 // onQA is procedure ONQA of Algorithm 1.

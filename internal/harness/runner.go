@@ -6,6 +6,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -52,12 +53,11 @@ type Sim struct {
 	nextID netsim.FlowID
 	conns  []*transport.Conn
 
-	// Per-Sim state of the Uno stacks' Policies, which run on one goroutine
-	// per Sim (the coordinator at Schedule time when flows are pre-opened,
-	// the simulation's otherwise): ccConfigs interns the flows' UnoCC
-	// configurations, unoSys is unoSystem's scratch value.
-	ccConfigs core.ConfigPool
-	unoSys    core.System
+	// unoSys is unoSystem's scratch value. Stack.Policies runs on one
+	// goroutine at a time (the coordinator at Schedule time when flows are
+	// pre-opened, shard 0's otherwise); the policy objects themselves come
+	// from the source shard's pool (shardState.policies).
+	unoSys core.System
 
 	cluster *netsim.Cluster
 	shards  []shardState
@@ -71,9 +71,14 @@ type shardState struct {
 	digest  *netsim.DigestObserver
 	results []FlowResult
 	pending int
-	// Pad to one 64-byte cache line: neighbouring shards' goroutines append
-	// to results and count pending down concurrently (DESIGN §3.7).
-	_ [24]byte
+	// policies builds the Uno policies of the flows this shard sources and
+	// takes them back at completion (flowRun.done): the coordinator draws
+	// on it between windows, the shard's goroutine inside them.
+	policies core.Pool
+	// Pad to two 64-byte cache lines: neighbouring shards' goroutines append
+	// to results, count pending down and recycle policies concurrently
+	// (DESIGN §3.7).
+	_ [32]byte
 }
 
 // NewSimShards builds the simulation; the stack decides whether phantom
@@ -270,10 +275,11 @@ func startFlowRun(a any) {
 // collection). Partition-dependent decision 2 of 2: a collective's
 // completion callbacks run inside event execution, where a Sim with more
 // than one shard must not create cross-shard flows (the destination
-// endpoint belongs to another goroutine), so such a Sim refuses.
-func (s *Sim) StartFlow(src, dst int, size int64, onDone func()) {
+// endpoint belongs to another goroutine), so such a Sim refuses with an
+// error.
+func (s *Sim) StartFlow(src, dst int, size int64, onDone func()) error {
 	if s.Sharded() {
-		panic("harness: StartFlow (collective starter) is unsupported on a Sim with more than one shard; run collectives on a one-shard Sim")
+		return errors.New("harness: StartFlow (collective starter) is unsupported on a Sim with more than one shard; run collectives on a one-shard Sim")
 	}
 	// Called from event context, where the one shard's scheduler — not the
 	// cluster clock, which moves between windows — has the time.
@@ -286,6 +292,7 @@ func (s *Sim) StartFlow(src, dst int, size int64, onDone func()) {
 	conn := s.openFlow(fr)
 	s.conns = append(s.conns, conn)
 	conn.Launch()
+	return nil
 }
 
 // openFlow resolves what fr's flow needs to be wired — descriptor,
@@ -317,11 +324,14 @@ func (s *Sim) openFlow(fr *flowRun) *transport.Conn {
 }
 
 // done is the flow's completion callback. It fires inside the source
-// shard's event execution, so it touches only that shard's state.
+// shard's event execution, so it touches only that shard's state: it
+// records the result and gives the flow's policies back to the shard's
+// pool, which recycles the Uno ones.
 func (fr *flowRun) done(c *transport.Conn) {
 	st := &fr.s.shards[fr.shard]
 	st.pending--
 	st.results = append(st.results, FlowResult{Spec: fr.spec, FCT: c.FCT(), Ideal: fr.ideal, Completed: true})
+	st.policies.Recycle(c.Policies())
 	if fr.hook != nil {
 		fr.hook()
 	}

@@ -21,16 +21,17 @@ type Stack struct {
 	Policies func(s *Sim, spec workload.FlowSpec, interDC bool) (transport.Params, transport.CongestionControl, transport.PathSelector)
 }
 
-// unoSystem derives the core.System for a Sim's topology parameters. It is
-// built in a field of the Sim: mod is an arbitrary function, so a local
-// handed to it would be heap-allocated once per flow.
-func unoSystem(s *Sim, mod func(*core.System)) core.System {
+// unoSystem derives the core.System for a flow from host src on a Sim's
+// topology, drawing its policies from the pool of src's shard. It is built
+// in a field of the Sim: mod is an arbitrary function, so a local handed to
+// it would be heap-allocated once per flow.
+func unoSystem(s *Sim, src int, mod func(*core.System)) core.System {
 	sys := &s.unoSys
 	*sys = core.System{
 		MTU:      s.MTU,
 		LinkBps:  s.Topo.Cfg.LinkBps,
 		IntraRTT: s.Topo.IntraRTT(s.MTU),
-		Configs:  &s.ccConfigs,
+		Pool:     &s.shards[s.Topo.Hosts[src].Network().Shard()].policies,
 	}
 	if mod != nil {
 		mod(sys)
@@ -69,7 +70,7 @@ func unoVariant(name string, mod func(*core.System)) Stack {
 		Name:    name,
 		Phantom: true,
 		Policies: func(s *Sim, spec workload.FlowSpec, interDC bool) (transport.Params, transport.CongestionControl, transport.PathSelector) {
-			sys := unoSystem(s, mod)
+			sys := unoSystem(s, spec.Src, mod)
 			return sys.Policies(interDC, s.BaseRTT(spec.Src, spec.Dst))
 		},
 	}
@@ -84,7 +85,7 @@ func StackUnoCCWithLB(name string, ec bool, mkLB func() transport.PathSelector) 
 		Name:    name,
 		Phantom: true,
 		Policies: func(s *Sim, spec workload.FlowSpec, interDC bool) (transport.Params, transport.CongestionControl, transport.PathSelector) {
-			sys := unoSystem(s, func(sys *core.System) { sys.DisableEC = !ec })
+			sys := unoSystem(s, spec.Src, func(sys *core.System) { sys.DisableEC = !ec })
 			params, cc, _ := sys.Policies(interDC, s.BaseRTT(spec.Src, spec.Dst))
 			return params, cc, mkLB()
 		},

@@ -67,11 +67,9 @@ func TestFixedEntropySticksToOnePath(t *testing.T) {
 func TestPLBDefaults(t *testing.T) {
 	p := simtest.NewParallel(3, bw100G, 2, eventq.Microsecond)
 	plb := &PLB{}
-	conn := startParallelFlow(t, p, 1, 4096, plb)
-	p.Net.Sched.RunUntil(eventq.Second)
+	conn := startParallelFlow(t, p, 1, 4096, plb) // live, never run: its first round is one BaseRTT
 
 	now := p.Net.Now()
-	plb.OnAck(conn, transport.AckInfo{Now: now}, -1, 0) // flush the live flow's round
 	round := func(marked, clean int) {
 		for i := 0; i < clean; i++ {
 			plb.OnAck(conn, transport.AckInfo{Now: now}, -1, 0)
@@ -102,13 +100,11 @@ func TestPLBDefaults(t *testing.T) {
 	}
 }
 
-// plbRounds drives PLB with synthetic rounds. It first flushes the stale
-// round left over from the live flow (whose boundary is long past), then
-// plays one round per entry of pattern: two ACKs, both marked or both
-// clean, the second landing past the round boundary so it classifies.
+// plbRounds drives PLB, on a flow started but never run, with synthetic
+// rounds: one per entry of pattern, two ACKs, both marked or both clean, the
+// second landing past the round boundary (one BaseRTT on) so it classifies.
 func plbRounds(plb *PLB, conn *transport.Conn, start eventq.Time, pattern []bool) {
 	now := start
-	plb.OnAck(conn, transport.AckInfo{Marked: false, Now: now}, -1, 0)
 	round := 20 * eventq.Microsecond
 	for _, marked := range pattern {
 		plb.OnAck(conn, transport.AckInfo{Marked: marked, Now: now}, -1, 0)
@@ -121,7 +117,6 @@ func TestPLBRepathsAfterCongestedRounds(t *testing.T) {
 	p := simtest.NewParallel(4, bw100G, 8, eventq.Microsecond)
 	plb := &PLB{}
 	conn := startParallelFlow(t, p, 1, 4096, plb)
-	p.Net.Sched.RunUntil(eventq.Second)
 
 	plbRounds(plb, conn, p.Net.Now(), []bool{true, true, true})
 	if plb.Repaths != 1 {
@@ -133,7 +128,6 @@ func TestPLBStaysOnCleanPath(t *testing.T) {
 	p := simtest.NewParallel(5, bw100G, 8, eventq.Microsecond)
 	plb := &PLB{}
 	conn := startParallelFlow(t, p, 1, 4096, plb)
-	p.Net.Sched.RunUntil(eventq.Second)
 
 	plbRounds(plb, conn, p.Net.Now(), make([]bool, 20)) // 20 clean rounds
 	if plb.Repaths != 0 {
@@ -145,7 +139,6 @@ func TestPLBCongestionStreakResetByCleanRound(t *testing.T) {
 	p := simtest.NewParallel(6, bw100G, 8, eventq.Microsecond)
 	plb := &PLB{}
 	conn := startParallelFlow(t, p, 1, 4096, plb)
-	p.Net.Sched.RunUntil(eventq.Second)
 
 	// Two congested, one clean (streak resets), two congested: no repath.
 	plbRounds(plb, conn, p.Net.Now(), []bool{true, true, false, true, true})

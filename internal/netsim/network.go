@@ -45,6 +45,10 @@ type Network struct {
 	// skipBusyAdvance is the transmit hand-off's seeded defect: Port.transmit
 	// forgets to advance busyUntil, so packets overlap on the wire.
 	skipBusyAdvance bool
+
+	// Transport is the state the transport layer's endpoints on this
+	// network share (its flow table); netsim never reads it.
+	Transport any
 }
 
 // poolHook receives packet-pool lifecycle events (invariant checking).

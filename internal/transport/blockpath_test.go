@@ -17,9 +17,11 @@ import (
 func assertInFlightConsistent(t *testing.T, conn *Conn) {
 	t.Helper()
 	var want int64
-	for seq, st := range conn.state[:len(conn.sentAt)] { // nil once completed
-		if st.has(pktInFlight) {
-			want += int64(conn.wireSize(int64(seq)))
+	if s := conn.s; s != nil { // recycled once completed
+		for seq, st := range s.state {
+			if seq < len(s.sentAt) && st.has(pktInFlight) {
+				want += int64(s.wireSize(int64(seq)))
+			}
 		}
 	}
 	if conn.inFlight != want {
@@ -102,7 +104,7 @@ func TestRSTailBlockLossRecovers(t *testing.T) {
 	params.EC = ECConfig{Data: 8, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
 	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 19 * 4096}
 	conn := d.run(flow, params, &FixedWindow{Window: 1 << 20}, &FixedEntropy{})
-	if !conn.Completed() || !d.epB.Receiver(1).Complete() {
+	if !conn.Completed() || d.epB.Receiver(1) != nil {
 		t.Fatal("tail-block flow did not complete")
 	}
 	if !dropped {
@@ -139,19 +141,19 @@ func TestSatisfyBlockThenStaleAck(t *testing.T) {
 
 	// Declare seq 1 lost exactly the way onRTO does: released from the
 	// window, queued for retransmission, not yet re-sent.
-	st := &conn.state[1]
+	st := &conn.s.state[1]
 	if !st.has(pktInFlight) {
 		t.Fatal("seq 1 not in flight")
 	}
 	*st = *st&^pktInFlight | pktLossPending
-	conn.inFlight -= int64(conn.wireSize(1))
-	conn.rtxQ = append(conn.rtxQ, 1)
+	conn.inFlight -= int64(conn.s.wireSize(1))
+	conn.s.rtxQ = append(conn.s.rtxQ, 1)
 	assertInFlightConsistent(t, conn)
 
-	conn.satisfyBlock(0)
-	blk := conn.sched.block(0)
+	conn.s.satisfyBlock(0)
+	blk := conn.s.sched.block(0)
 	for seq := blk.start; seq < blk.start+int64(blk.count); seq++ {
-		s := conn.state[seq]
+		s := conn.s.state[seq]
 		if !s.has(pktDontCare) || s.has(pktInFlight|pktLossPending) {
 			t.Fatalf("seq %d not released: flags %#x", seq, s)
 		}
@@ -179,7 +181,7 @@ func TestSatisfyBlockThenStaleAck(t *testing.T) {
 	}
 	assertInFlightConsistent(t, conn)
 	// The retransmission queue must never re-send the released entry.
-	if seq := conn.nextToSend(); seq >= 0 && seq < blk.start+int64(blk.count) {
+	if seq := conn.s.nextToSend(); seq >= 0 && seq < blk.start+int64(blk.count) {
 		t.Fatalf("nextToSend picked released seq %d", seq)
 	}
 }
@@ -194,14 +196,14 @@ func TestSatisfyBlockThenRTO(t *testing.T) {
 	params.EC = ECConfig{Data: 8, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
 	conn := openPartial(t, d, params.withDefaults())
 
-	conn.satisfyBlock(0)
+	conn.s.satisfyBlock(0)
 	assertInFlightConsistent(t, conn)
 
 	// Let real RTOs fire and declare the rest lost.
 	d.net.Sched.RunUntil(5 * eventq.Millisecond)
-	blk := conn.sched.block(0)
+	blk := conn.s.sched.block(0)
 	for seq := blk.start; seq < blk.start+int64(blk.count); seq++ {
-		s := conn.state[seq]
+		s := conn.s.state[seq]
 		if s.has(pktLossPending | pktInFlight) {
 			t.Fatalf("satisfied seq %d re-declared: flags %#x", seq, s)
 		}
@@ -221,7 +223,7 @@ func TestAckBlockOutOfRangeIgnored(t *testing.T) {
 	params.EC = ECConfig{Data: 8, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
 	conn := openPartial(t, d, params.withDefaults())
 
-	for _, b := range []int32{9999, int32(conn.sched.nBlocks)} {
+	for _, b := range []int32{9999, int32(conn.s.sched.nBlocks)} {
 		ack := d.net.AllocPacket()
 		ack.Type = netsim.Ack
 		ack.Flow = 1
@@ -258,15 +260,15 @@ func TestBlockNackExhaustionNoRearm(t *testing.T) {
 	r.set(0)
 	blk.nacks = maxBlockNacks - 1
 	r.onBlockTimeout(0) // sends the final NACK of the budget
-	if blk.nacks != maxBlockNacks || r.NacksSent != 1 {
-		t.Fatalf("budget accounting wrong: nacks=%d sent=%d", blk.nacks, r.NacksSent)
+	if blk.nacks != maxBlockNacks || d.epB.RecvStats().NacksSent != 1 {
+		t.Fatalf("budget accounting wrong: nacks=%d sent=%d", blk.nacks, d.epB.RecvStats().NacksSent)
 	}
 	if blk.timerPending() {
 		t.Fatal("timer re-armed past NACK exhaustion")
 	}
 	// Further timeouts (e.g. an already-queued firing) send nothing.
 	r.onBlockTimeout(0)
-	if r.NacksSent != 1 {
+	if d.epB.RecvStats().NacksSent != 1 {
 		t.Fatal("NACK sent past exhaustion")
 	}
 }
@@ -299,7 +301,7 @@ func TestBlockCompletionAfterExhaustionCancelsTimer(t *testing.T) {
 		t.Fatal("completion left the exhausted block's timer armed")
 	}
 	r.onBlockTimeout(0) // stale firing is a no-op
-	if r.NacksSent != 0 {
+	if d.epB.RecvStats().NacksSent != 0 {
 		t.Fatal("completed block sent a NACK")
 	}
 }

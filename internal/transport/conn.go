@@ -7,7 +7,7 @@ import (
 )
 
 // pktState is the sender's bit flags for one schedule entry; the entry's
-// last transmission time is Conn.sentAt[seq]. Nine bytes per entry in all,
+// last transmission time is sender.sentAt[seq]. Nine bytes per entry in all,
 // and a WAN flow's BDP exceeds its size, so every entry of such a flow is
 // live for the whole flow.
 type pktState uint8
@@ -52,16 +52,34 @@ type ConnStats struct {
 	SpuriousRetrans uint64
 }
 
-// Conn is the sender side of one flow. Congestion-control and path-selector
-// policies observe and steer it through the exported accessors. All methods
-// run on the simulation goroutine.
+// Conn is one flow's handle: what Open returns, what policies observe and
+// steer the flow through, and — once the flow completed — its result record.
+// All methods run on the source host's shard.
 //
-// A Conn outlives its flow as a result handle: finish tears down everything
-// transmission needed (timers, policies, per-packet state, the demux entry)
-// and leaves Flow, Stats, FCT and Completed readable.
+// The handle holds only what outlives the flow: Flow, Stats, FCT,
+// Completed, and the window and in-flight bytes at their final values. The
+// live sender state — schedule, per-packet flags and send times,
+// retransmission queue, RTT and RTO estimators, timers, policies — is a
+// sender that finish returns to its shard's free list for the next flow to
+// reuse. Accessors of live state (Params, SRTT, PacingRate, MTUWire,
+// TotalPkts) read zero after completion.
 type Conn struct {
+	flow *Flow
+	s    *sender // live sender state; nil once completed
+
+	stats    ConnStats
+	fct      eventq.Time
+	cwnd     float64 // congestion window, wire bytes
+	inFlight int64   // wire bytes outstanding
+}
+
+// sender is the live half of a Conn: everything transmission needs and a
+// finished flow does not. It belongs to its shard's flowTable: taken by
+// Open, reset there, and returned by finish; its pacer and RTO timers stay
+// bound to it across flows.
+type sender struct {
+	c      *Conn // the flow this state serves now
 	ep     *Endpoint
-	flow   *Flow
 	params Params
 	cc     CongestionControl
 	lb     PathSelector
@@ -72,11 +90,9 @@ type Conn struct {
 	state  []pktState
 	sentAt []eventq.Time // last transmission time per schedule entry
 
-	nextNew  int64   // next never-sent schedule index
-	rtxQ     []int64 // retransmission queue (schedule indices)
-	inFlight int64   // wire bytes outstanding
-	cwnd     float64 // congestion window, wire bytes
-	pacing   float64 // pacing rate in bits/s; 0 disables pacing
+	nextNew int64   // next never-sent schedule index
+	rtxQ    []int64 // retransmission queue (schedule indices)
+	pacing  float64 // pacing rate in bits/s; 0 disables pacing
 
 	nextSendAt eventq.Time
 	sendTimer  *eventq.Timer // pacer wakeup, bound once to trySend
@@ -95,54 +111,33 @@ type Conn struct {
 	// the RACK loss-sweep reference point.
 	maxAckedSent eventq.Time
 
-	policyTimers []*eventq.Timer // handed out by NewTimer, released by finish
+	policyTimers []*eventq.Timer // handed out by NewTimerArg, released by finish
 
 	// The small fields share one word.
 	acksAboveLow int32 // fast-retransmit evidence count
 	rtoBackoff   uint8
 	hasRTT       bool
 	running      bool // both policies initialized; transmission may begin
-	completed    bool
+	done         bool // FlowDone seen; the state is being returned
 
-	stats  ConnStats
-	fct    eventq.Time
 	onDone func(*Conn)
 }
 
-// newConn builds (but does not start) a sender.
-func newConn(ep *Endpoint, flow *Flow, params *Params, sched schedule, cc CongestionControl, lb PathSelector, onDone func(*Conn)) *Conn {
-	c := &Conn{
-		ep:     ep,
-		flow:   flow,
-		params: *params,
-		cc:     cc,
-		lb:     lb,
-		sched:  sched,
-		state:  make([]pktState, sched.n+sched.nBlocks),
-		sentAt: make([]eventq.Time, sched.n),
-		cwnd:   float64(params.MTU + HeaderSize), // until the controller's Init sets it
-		onDone: onDone,
-	}
-	sch := ep.host.Network().Sched
-	c.sendTimer = sch.NewTimerArg(connTrySend, c)
-	c.rtoTimer = sch.NewTimerArg(connOnRTO, c)
-	return c
-}
-
-// The two timer callbacks, pre-bound so a flow's timers need no closures.
-func connTrySend(a any) { a.(*Conn).trySend() }
-func connOnRTO(a any)   { a.(*Conn).onRTO() }
+// The two timer callbacks, pre-bound so a sender's timers need no closures.
+func senderTrySend(a any) { a.(*sender).trySend() }
+func senderOnRTO(a any)   { a.(*sender).onRTO() }
 
 // Launch runs the policies' Init hooks and begins transmitting. It must
 // run on the source host's shard at the flow's start time: everything
-// before it (newConn via Open) is passive setup, everything from here on
-// draws entropy and schedules events on the source shard's clock.
+// before it (Open) is passive setup, everything from here on draws entropy
+// and schedules events on the source shard's clock.
 func (c *Conn) Launch() {
-	c.lastProgress = c.Now()
-	c.cc.Init(c)
-	c.lb.Init(c)
-	c.running = true
-	c.trySend()
+	s := c.s
+	s.lastProgress = s.now()
+	s.cc.Init(c)
+	s.lb.Init(c)
+	s.running = true
+	s.trySend()
 }
 
 // ---- accessors for policies and harnesses ----
@@ -150,25 +145,41 @@ func (c *Conn) Launch() {
 // Flow returns the flow descriptor.
 func (c *Conn) Flow() *Flow { return c.flow }
 
-// Params returns the transport parameters.
-func (c *Conn) Params() Params { return c.params }
+// Params returns the transport parameters (zero once completed).
+func (c *Conn) Params() Params {
+	if c.s == nil {
+		return Params{}
+	}
+	return c.s.params
+}
+
+// Policies returns the flow's congestion controller and path selector. They
+// are the flow's until it completes: the completion callback may take them
+// back for reuse; afterwards both are nil.
+func (c *Conn) Policies() (CongestionControl, PathSelector) {
+	if c.s == nil {
+		return nil, nil
+	}
+	return c.s.cc, c.s.lb
+}
 
 // Scheduler returns the simulation scheduler.
-func (c *Conn) Scheduler() *eventq.Scheduler { return c.ep.host.Network().Sched }
+func (c *Conn) Scheduler() *eventq.Scheduler { return c.flow.Src.Network().Sched }
 
-// NewTimer returns a timer for a policy's own ticks (UnoCC's Quick Adapt
-// period). It belongs to the flow: completion cancels and releases it, so a
-// tick can neither fire for a finished flow nor pin a scheduler slot past
-// it. The hook sits on the Conn, not on the policy interfaces, so it also
-// reaches a policy that a harness has wrapped.
-func (c *Conn) NewTimer(fn func()) *eventq.Timer {
-	t := c.Scheduler().NewTimer(fn)
-	c.policyTimers = append(c.policyTimers, t)
+// NewTimerArg returns a timer calling fn(arg), for a policy's own ticks
+// (UnoCC's Quick Adapt period). It belongs to the flow: completion cancels
+// and releases it, so a tick can neither fire for a finished flow nor pin a
+// scheduler slot past it. The hook sits on the Conn, not on the policy
+// interfaces, so it also reaches a policy that a harness has wrapped. Call
+// it only while the flow is live.
+func (c *Conn) NewTimerArg(fn func(any), arg any) *eventq.Timer {
+	t := c.Scheduler().NewTimerArg(fn, arg)
+	c.s.policyTimers = append(c.s.policyTimers, t)
 	return t
 }
 
 // Rand returns the simulation's deterministic RNG.
-func (c *Conn) Rand() *rng.Rand { return c.ep.host.Network().Rand }
+func (c *Conn) Rand() *rng.Rand { return c.flow.Src.Network().Rand }
 
 // Now returns the current simulated time.
 func (c *Conn) Now() eventq.Time { return c.Scheduler().Now() }
@@ -176,35 +187,53 @@ func (c *Conn) Now() eventq.Time { return c.Scheduler().Now() }
 // Cwnd returns the congestion window in wire bytes.
 func (c *Conn) Cwnd() float64 { return c.cwnd }
 
-// SetCwnd sets the congestion window, clamped to at least one packet.
+// SetCwnd sets the congestion window, clamped to at least one packet. Once
+// the flow completed the window is final and this does nothing.
 func (c *Conn) SetCwnd(w float64) {
-	min := float64(c.params.MTU + HeaderSize)
+	s := c.s
+	if s == nil || s.done {
+		return
+	}
+	min := float64(s.params.MTU + HeaderSize)
 	if w < min {
 		w = min
 	}
 	grew := w > c.cwnd
 	c.cwnd = w
-	if grew && !c.completed {
-		c.trySend()
+	if grew {
+		s.trySend()
 	}
 }
 
 // PacingRate returns the pacing rate in bits per second (0 = unpaced).
-func (c *Conn) PacingRate() float64 { return c.pacing }
+func (c *Conn) PacingRate() float64 {
+	if c.s == nil {
+		return 0
+	}
+	return c.s.pacing
+}
 
 // SetPacingRate sets the pacing rate in bits per second; 0 disables pacing.
 func (c *Conn) SetPacingRate(bps float64) {
+	s := c.s
+	if s == nil || s.done {
+		return
+	}
 	if bps < 0 {
 		bps = 0
 	}
-	c.pacing = bps
-	if !c.completed {
-		c.trySend()
-	}
+	s.pacing = bps
+	s.trySend()
 }
 
-// SRTT returns the smoothed RTT (0 before the first sample).
-func (c *Conn) SRTT() eventq.Time { return c.srtt }
+// SRTT returns the smoothed RTT (0 before the first sample and once
+// completed).
+func (c *Conn) SRTT() eventq.Time {
+	if c.s == nil {
+		return 0
+	}
+	return c.s.srtt
+}
 
 // InFlight returns the outstanding wire bytes.
 func (c *Conn) InFlight() int64 { return c.inFlight }
@@ -213,118 +242,132 @@ func (c *Conn) InFlight() int64 { return c.inFlight }
 func (c *Conn) Stats() ConnStats { return c.stats }
 
 // Completed reports whether the flow finished.
-func (c *Conn) Completed() bool { return c.completed }
+func (c *Conn) Completed() bool { return c.s == nil || c.s.done }
 
 // FCT returns the flow completion time (valid only once Completed).
 func (c *Conn) FCT() eventq.Time { return c.fct }
 
-// MTUWire returns the wire size of a full data packet.
-func (c *Conn) MTUWire() int { return c.params.MTU + HeaderSize }
+// MTUWire returns the wire size of a full data packet (0 once completed).
+func (c *Conn) MTUWire() int {
+	if c.s == nil {
+		return 0
+	}
+	return c.s.params.MTU + HeaderSize
+}
 
-// TotalPkts returns the static schedule length (data + parity packets).
-func (c *Conn) TotalPkts() int64 { return c.sched.n }
+// TotalPkts returns the static schedule length, data plus parity packets
+// (0 once completed).
+func (c *Conn) TotalPkts() int64 {
+	if c.s == nil {
+		return 0
+	}
+	return c.s.sched.n
+}
 
 // ---- sending ----
 
+// now returns the source shard's simulated time.
+func (s *sender) now() eventq.Time { return s.ep.host.Network().Sched.Now() }
+
 // wireSize returns the wire size of schedule entry seq.
-func (c *Conn) wireSize(seq int64) int { return c.sched.desc(seq).wire }
+func (s *sender) wireSize(seq int64) int { return s.sched.desc(seq).wire }
 
 // nextToSend picks the next schedule index to transmit: retransmissions
 // first, then fresh packets. Returns -1 when nothing is eligible.
-func (c *Conn) nextToSend() int64 {
-	for len(c.rtxQ) > 0 {
-		seq := c.rtxQ[0]
-		if st := c.state[seq]; st.has(settled|pktInFlight) || !st.has(pktLossPending) {
-			c.rtxQ = c.rtxQ[1:]
+func (s *sender) nextToSend() int64 {
+	for len(s.rtxQ) > 0 {
+		seq := s.rtxQ[0]
+		if st := s.state[seq]; st.has(settled|pktInFlight) || !st.has(pktLossPending) {
+			s.rtxQ = s.rtxQ[1:]
 			continue
 		}
 		return seq
 	}
-	for c.nextNew < c.sched.n {
+	for s.nextNew < s.sched.n {
 		// A block the receiver confirmed decodable needs none of its
 		// remaining packets.
-		if c.state[c.nextNew].has(pktDontCare) {
-			c.nextNew++
+		if s.state[s.nextNew].has(pktDontCare) {
+			s.nextNew++
 			continue
 		}
-		return c.nextNew
+		return s.nextNew
 	}
 	return -1
 }
 
 // trySend transmits as many packets as the window and pacer allow.
-func (c *Conn) trySend() {
-	if !c.running || c.completed {
+func (s *sender) trySend() {
+	if !s.running || s.done {
 		return
 	}
 	for {
-		now := c.Now()
-		if c.pacing > 0 && now < c.nextSendAt {
-			c.armSendEvent(c.nextSendAt)
+		now := s.now()
+		if s.pacing > 0 && now < s.nextSendAt {
+			s.armSendEvent(s.nextSendAt)
 			return
 		}
-		seq := c.nextToSend()
+		seq := s.nextToSend()
 		if seq < 0 {
 			return
 		}
-		d := c.sched.desc(seq)
+		d := s.sched.desc(seq)
 		size := d.wire
 		// Window check: always allow one packet when nothing is in
 		// flight, so the flow can never stall on a tiny window.
-		if c.inFlight > 0 && float64(c.inFlight+int64(size)) > c.cwnd {
+		if s.c.inFlight > 0 && float64(s.c.inFlight+int64(size)) > s.c.cwnd {
 			return
 		}
-		c.transmit(seq, d)
-		if c.pacing > 0 {
-			c.nextSendAt = now + eventq.Time(float64(size)*8*float64(eventq.Second)/c.pacing)
+		s.transmit(seq, d)
+		if s.pacing > 0 {
+			s.nextSendAt = now + eventq.Time(float64(size)*8*float64(eventq.Second)/s.pacing)
 		}
 	}
 }
 
 // armSendEvent schedules a pacer wakeup at time at.
-func (c *Conn) armSendEvent(at eventq.Time) {
-	if c.sendTimer.Pending() && c.sendTimer.At() <= at {
+func (s *sender) armSendEvent(at eventq.Time) {
+	if s.sendTimer.Pending() && s.sendTimer.At() <= at {
 		return
 	}
-	c.sendTimer.Reset(at)
+	s.sendTimer.Reset(at)
 }
 
 // transmit puts schedule entry seq, whose descriptor is d, on the wire.
-func (c *Conn) transmit(seq int64, d pktDesc) {
-	st := &c.state[seq]
-	p := c.ep.host.Network().AllocPacket()
+func (s *sender) transmit(seq int64, d pktDesc) {
+	st := &s.state[seq]
+	p := s.ep.host.Network().AllocPacket()
 	p.Type = netsim.Data
-	p.Flow = c.flow.ID
-	p.Src = c.flow.Src.ID()
-	p.Dst = c.flow.Dst.ID()
+	p.Flow = s.c.flow.ID
+	p.Src = s.c.flow.Src.ID()
+	p.Dst = s.c.flow.Dst.ID()
 	p.Size = d.wire
 	p.Seq = seq
 	p.ECNCapable = true
-	p.SentAt = c.Now()
+	p.SentAt = s.now()
 	p.IsRtx = st.has(pktSent)
 	p.Block = d.block
 	p.BlockIdx = d.blockIdx
 	p.IsParity = d.parity
 	p.Subflow = -1
-	c.lb.Assign(c, p)
+	s.lb.Assign(s.c, p)
 
 	if p.IsRtx {
-		c.stats.PktsRetrans++
+		s.c.stats.PktsRetrans++
 		*st |= pktResent
 	} else {
-		c.lastProgress = p.SentAt
+		s.lastProgress = p.SentAt
 	}
-	c.stats.PktsSent++
-	c.sentAt[seq] = p.SentAt
+	s.c.stats.PktsSent++
+	s.sentAt[seq] = p.SentAt
 	if !st.has(pktInFlight) { // probes may re-send an already-counted packet
-		c.inFlight += int64(d.wire)
+		s.c.inFlight += int64(d.wire)
 	}
 	*st = *st&^pktLossPending | pktSent | pktInFlight
-	if seq == c.nextNew {
-		c.nextNew++
+	if seq == s.nextNew {
+		s.nextNew++
 	}
-	c.flow.Src.Send(p)
-	c.armRTO()
+	s.c.flow.Src.Send(p)
+	s.armRTO()
 }
 
 // ---- RTO ----
@@ -336,12 +379,12 @@ func (c *Conn) transmit(seq int64, d pktDesc) {
 // ACK — the sender's own NIC included, where four flows' initial windows
 // take longer to serialize than MinRTO lasts — and onRTO resends everything
 // one RTO old, so a timeout that fires with nothing lost costs a window.
-func (c *Conn) rto() eventq.Time {
-	if !c.hasRTT {
-		return c.params.MaxRTO
+func (s *sender) rto() eventq.Time {
+	if !s.hasRTT {
+		return s.params.MaxRTO
 	}
-	base := c.params.MinRTO
-	if est := c.srtt + 4*c.rttvar; est > base {
+	base := s.params.MinRTO
+	if est := s.srtt + 4*s.rttvar; est > base {
 		base = est
 	}
 	// Clamp the estimate before the backoff loop: doubling first and
@@ -349,11 +392,11 @@ func (c *Conn) rto() eventq.Time {
 	// (int64 picoseconds) before the guard ever tripped. Inside the loop,
 	// bail as soon as one more doubling would reach the cap — base then
 	// never exceeds MaxRTO/2+ε, so the multiply cannot overflow.
-	max := c.params.MaxRTO
+	max := s.params.MaxRTO
 	if base >= max {
 		return max
 	}
-	for i := uint8(0); i < c.rtoBackoff; i++ {
+	for i := uint8(0); i < s.rtoBackoff; i++ {
 		if base > max/2 {
 			return max
 		}
@@ -367,18 +410,18 @@ func (c *Conn) rto() eventq.Time {
 // find when the timer expires; one that moved earlier — the first RTT sample
 // replaces the conservative pre-sample RTO, an ACK resets the back-off —
 // pulls the timer in, or the flow would sit out a timeout it no longer has.
-func (c *Conn) armRTO() {
-	if c.completed {
+func (s *sender) armRTO() {
+	if s.done {
 		return
 	}
-	at := c.lastProgress + c.rto()
-	if c.rtoTimer.Pending() && c.rtoTimer.At() <= at {
+	at := s.lastProgress + s.rto()
+	if s.rtoTimer.Pending() && s.rtoTimer.At() <= at {
 		return
 	}
-	if at < c.Now() {
-		at = c.Now()
+	if at < s.now() {
+		at = s.now()
 	}
-	c.rtoTimer.Reset(at)
+	s.rtoTimer.Reset(at)
 }
 
 // onRTO fires when the lazy timer expires. If real progress happened in
@@ -386,51 +429,51 @@ func (c *Conn) armRTO() {
 // is declared lost (or, if everything is acknowledged but the flow never
 // saw FlowDone — the final ACK was lost — the last packet is re-sent as a
 // probe to solicit a fresh FlowDone).
-func (c *Conn) onRTO() {
-	if c.completed {
+func (s *sender) onRTO() {
+	if s.done {
 		return
 	}
-	if deadline := c.lastProgress + c.rto(); c.Now() < deadline {
-		c.armRTO()
+	if deadline := s.lastProgress + s.rto(); s.now() < deadline {
+		s.armRTO()
 		return
 	}
-	c.stats.Timeouts++
+	s.c.stats.Timeouts++
 	// Lost is what is one RTO old by the timeout that just expired: take
 	// the cutoff before backing off. Taken after, it reaches two RTOs back,
 	// behind the very tail this timeout is for, and the tail waits for the
 	// second, third and fourth timeout while the back-off doubles.
-	cutoff := c.Now() - c.rto()
-	c.lastProgress = c.Now()
-	if c.rtoBackoff < 16 {
-		c.rtoBackoff++
+	cutoff := s.now() - s.rto()
+	s.lastProgress = s.now()
+	if s.rtoBackoff < 16 {
+		s.rtoBackoff++
 	}
 
 	// Declare lost everything outstanding that is at least one RTO old, not
 	// only the oldest packet: a burst dropped wholesale would otherwise be
 	// reclaimed one packet per timeout. Scanned only on (rare) timeouts.
 	outstanding := false
-	for seq := c.lowestUnacked; seq < c.nextNew; seq++ {
-		if st := c.state[seq]; st.has(pktInFlight) && !st.has(settled) {
+	for seq := s.lowestUnacked; seq < s.nextNew; seq++ {
+		if st := s.state[seq]; st.has(pktInFlight) && !st.has(settled) {
 			outstanding = true
-			if c.sentAt[seq] <= cutoff {
-				c.declareLost(seq)
+			if s.sentAt[seq] <= cutoff {
+				s.declareLost(seq)
 			}
 		}
 	}
-	if !outstanding && c.nextNew >= c.sched.n && len(c.rtxQ) == 0 {
+	if !outstanding && s.nextNew >= s.sched.n && len(s.rtxQ) == 0 {
 		// Everything sent and acknowledged but no FlowDone: probe.
-		c.probeFinalAck()
+		s.probeFinalAck()
 	}
-	c.cc.OnTimeout(c)
-	c.lb.OnTimeout(c)
-	c.armRTO()
-	c.trySend()
+	s.cc.OnTimeout(s.c)
+	s.lb.OnTimeout(s.c)
+	s.armRTO()
+	s.trySend()
 }
 
 // probeFinalAck re-sends the last schedule entry to solicit a FlowDone.
-func (c *Conn) probeFinalAck() {
-	seq := c.sched.n - 1
-	c.transmit(seq, c.sched.desc(seq))
+func (s *sender) probeFinalAck() {
+	seq := s.sched.n - 1
+	s.transmit(seq, s.sched.desc(seq))
 }
 
 // declareLost is the one loss verdict: every detector — trim notice, RTO,
@@ -438,61 +481,61 @@ func (c *Conn) probeFinalAck() {
 // each behind its own guard. An entry that is settled or already queued is
 // left alone; any other leaves the in-flight accounting and is queued for
 // retransmission.
-func (c *Conn) declareLost(seq int64) {
-	st := &c.state[seq]
+func (s *sender) declareLost(seq int64) {
+	st := &s.state[seq]
 	if st.has(settled | pktLossPending) {
 		return
 	}
-	c.leaveFlight(seq, c.wireSize(seq))
+	s.leaveFlight(seq, s.wireSize(seq))
 	*st |= pktLossPending
-	c.rtxQ = append(c.rtxQ, seq)
+	s.rtxQ = append(s.rtxQ, seq)
 }
 
 // leaveFlight takes entry seq, whose wire size is wire, out of the
 // in-flight accounting if it is counted there.
-func (c *Conn) leaveFlight(seq int64, wire int) {
-	if st := &c.state[seq]; st.has(pktInFlight) {
+func (s *sender) leaveFlight(seq int64, wire int) {
+	if st := &s.state[seq]; st.has(pktInFlight) {
 		*st &^= pktInFlight
-		c.inFlight -= int64(wire)
+		s.c.inFlight -= int64(wire)
 	}
 }
 
 // ---- receive path (ACK / NACK handling) ----
 
 // handleAck processes one incoming ACK packet.
-func (c *Conn) handleAck(p *netsim.Packet) {
-	if c.completed {
+func (s *sender) handleAck(p *netsim.Packet) {
+	if s.done {
 		return
 	}
-	now := c.Now()
-	c.stats.AcksReceived++
+	now := s.now()
+	s.c.stats.AcksReceived++
 	if p.EchoMarked {
-		c.stats.MarkedAcks++
+		s.c.stats.MarkedAcks++
 	}
 
 	seq := p.AckSeq
-	if seq < 0 || seq >= c.sched.n {
+	if seq < 0 || seq >= s.sched.n {
 		// The receiver echoes only sequence numbers of the schedule, so
 		// this ACK was forged or corrupted on the way: no state to release.
 		return
 	}
-	st := &c.state[seq]
-	d := c.sched.desc(seq)
+	st := &s.state[seq]
+	d := s.sched.desc(seq)
 
 	if p.EchoTrimmed {
 		// Fast loss notification: the packet's payload was trimmed at a
 		// congested queue. Queue an immediate retransmission and let the
 		// policies treat it as a congestion/path signal.
-		c.stats.TrimNotices++
-		c.declareLost(seq)
-		c.cc.OnNack(c)
-		c.lb.OnNack(c)
+		s.c.stats.TrimNotices++
+		s.declareLost(seq)
+		s.cc.OnNack(s.c)
+		s.lb.OnNack(s.c)
 		if p.FlowDone {
-			c.finish(now)
+			s.finish(now)
 			return
 		}
-		c.armRTO()
-		c.trySend()
+		s.armRTO()
+		s.trySend()
 		return
 	}
 
@@ -507,63 +550,63 @@ func (c *Conn) handleAck(p *netsim.Packet) {
 	if !p.EchoRtx {
 		if rtt := now - p.EchoSentAt; rtt > 0 {
 			info.RTT = rtt
-			c.updateRTT(rtt)
+			s.updateRTT(rtt)
 		}
 	}
 
 	// The original transmission arrived after all: declaring it lost was
 	// wrong, whichever detector did.
 	if !p.EchoRtx && st.has(pktLossPending|pktResent) {
-		c.stats.SpuriousRetrans++
+		s.c.stats.SpuriousRetrans++
 	}
 
 	// Any ACK for a packet we believe is in flight removes it from the
 	// in-flight accounting, including probes of already-acked packets.
-	c.leaveFlight(seq, d.wire)
+	s.leaveFlight(seq, d.wire)
 	if !st.has(pktAcked) {
 		*st = *st&^pktLossPending | pktAcked
 		info.Bytes = d.wire
-		c.stats.BytesAcked += int64(info.Bytes)
-		c.rtoBackoff = 0
-		c.lastProgress = now
+		s.c.stats.BytesAcked += int64(info.Bytes)
+		s.rtoBackoff = 0
+		s.lastProgress = now
 	}
 
 	// Receiver-confirmed block completion lets the sender drop stragglers.
 	if p.AckBlock >= 0 && p.AckBlockOK {
-		c.satisfyBlock(p.AckBlock)
+		s.satisfyBlock(p.AckBlock)
 	}
-	if p.EchoSentAt > c.maxAckedSent {
-		c.maxAckedSent = p.EchoSentAt
+	if p.EchoSentAt > s.maxAckedSent {
+		s.maxAckedSent = p.EchoSentAt
 	}
-	c.advanceLowestUnacked()
-	c.maybeFastRetransmit(info)
-	c.rackSweep()
+	s.advanceLowestUnacked()
+	s.maybeFastRetransmit(info)
+	s.rackSweep()
 
-	c.cc.OnAck(c, info)
-	c.lb.OnAck(c, info, p.Subflow, p.Entropy)
+	s.cc.OnAck(s.c, info)
+	s.lb.OnAck(s.c, info, p.Subflow, p.Entropy)
 
 	if p.FlowDone {
-		c.finish(now)
+		s.finish(now)
 		return
 	}
-	c.armRTO()
-	c.trySend()
+	s.armRTO()
+	s.trySend()
 }
 
 // updateRTT runs the RFC 6298 estimator.
-func (c *Conn) updateRTT(rtt eventq.Time) {
-	if !c.hasRTT {
-		c.srtt = rtt
-		c.rttvar = rtt / 2
-		c.hasRTT = true
+func (s *sender) updateRTT(rtt eventq.Time) {
+	if !s.hasRTT {
+		s.srtt = rtt
+		s.rttvar = rtt / 2
+		s.hasRTT = true
 		return
 	}
-	diff := c.srtt - rtt
+	diff := s.srtt - rtt
 	if diff < 0 {
 		diff = -diff
 	}
-	c.rttvar = (3*c.rttvar + diff) / 4
-	c.srtt = (7*c.srtt + rtt) / 8
+	s.rttvar = (3*s.rttvar + diff) / 4
+	s.srtt = (7*s.srtt + rtt) / 8
 }
 
 // satisfyBlock marks block b decodable: unacked packets become don't-care
@@ -571,18 +614,18 @@ func (c *Conn) updateRTT(rtt eventq.Time) {
 // already queued for retransmission stay in rtxQ but are skipped by
 // nextToSend once dontCare; in-flight bytes are released exactly once here
 // (lossPending entries were already released when they were declared lost).
-func (c *Conn) satisfyBlock(b int32) {
-	if c.blockDone(b) {
+func (s *sender) satisfyBlock(b int32) {
+	if s.blockDone(b) {
 		return
 	}
-	c.state[c.sched.n+int64(b)] = blockSatisfied
-	blk := c.sched.block(b)
+	s.state[s.sched.n+int64(b)] = blockSatisfied
+	blk := s.sched.block(b)
 	for seq := blk.start; seq < blk.start+int64(blk.count); seq++ {
-		st := &c.state[seq]
+		st := &s.state[seq]
 		if st.has(settled) {
 			continue
 		}
-		c.leaveFlight(seq, c.wireSize(seq))
+		s.leaveFlight(seq, s.wireSize(seq))
 		*st = *st&^pktLossPending | pktDontCare
 	}
 }
@@ -590,24 +633,24 @@ func (c *Conn) satisfyBlock(b int32) {
 // blockDone reports whether the receiver confirmed EC block b decodable; a
 // block outside the schedule counts as done, so hostile ACKs and NACKs
 // naming one are ignored.
-func (c *Conn) blockDone(b int32) bool {
-	return b < 0 || int64(b) >= c.sched.nBlocks || c.state[c.sched.n+int64(b)] == blockSatisfied
+func (s *sender) blockDone(b int32) bool {
+	return b < 0 || int64(b) >= s.sched.nBlocks || s.state[s.sched.n+int64(b)] == blockSatisfied
 }
 
 // advanceLowestUnacked moves the fast-retransmit cursor past finished
 // packets.
-func (c *Conn) advanceLowestUnacked() {
+func (s *sender) advanceLowestUnacked() {
 	moved := false
-	for c.lowestUnacked < c.sched.n {
-		if c.state[c.lowestUnacked].has(settled) {
-			c.lowestUnacked++
+	for s.lowestUnacked < s.sched.n {
+		if s.state[s.lowestUnacked].has(settled) {
+			s.lowestUnacked++
 			moved = true
 			continue
 		}
 		break
 	}
 	if moved {
-		c.acksAboveLow = 0
+		s.acksAboveLow = 0
 	}
 }
 
@@ -617,24 +660,24 @@ func (c *Conn) advanceLowestUnacked() {
 // declared lost and queued for retransmission. The send-time comparison
 // prevents re-declaring a freshly retransmitted packet lost on ACKs of the
 // original window.
-func (c *Conn) maybeFastRetransmit(info AckInfo) {
-	low := c.lowestUnacked
-	if low >= c.sched.n || info.Seq <= low {
+func (s *sender) maybeFastRetransmit(info AckInfo) {
+	low := s.lowestUnacked
+	if low >= s.sched.n || info.Seq <= low {
 		return
 	}
-	if st := c.state[low]; !st.has(pktInFlight) || st.has(settled) {
+	if st := s.state[low]; !st.has(pktInFlight) || st.has(settled) {
 		return
 	}
-	if info.SentAt < c.sentAt[low] {
+	if info.SentAt < s.sentAt[low] {
 		return // evidence predates the candidate's last transmission
 	}
-	c.acksAboveLow++
-	if int(c.acksAboveLow) < c.params.DupAckThresh {
+	s.acksAboveLow++
+	if int(s.acksAboveLow) < s.params.DupAckThresh {
 		return
 	}
-	c.acksAboveLow = 0
-	c.declareLost(low)
-	c.stats.FastRetrans++
+	s.acksAboveLow = 0
+	s.declareLost(low)
+	s.c.stats.FastRetrans++
 }
 
 // rackSweep declares lost every leading outstanding packet whose last
@@ -645,86 +688,89 @@ func (c *Conn) maybeFastRetransmit(info AckInfo) {
 // initial burst that mostly tail-drops (incast with a BDP-sized initial
 // window) leaves in-flight bytes that only RTOs would reclaim, one packet
 // at a time.
-func (c *Conn) rackSweep() {
-	if c.maxAckedSent == 0 {
+func (s *sender) rackSweep() {
+	if s.maxAckedSent == 0 {
 		return
 	}
-	win := c.srtt / 4
+	win := s.srtt / 4
 	if win <= 0 {
-		win = c.params.BaseRTT / 4
+		win = s.params.BaseRTT / 4
 	}
-	for seq := c.lowestUnacked; seq < c.nextNew; seq++ {
-		st := c.state[seq]
+	for seq := s.lowestUnacked; seq < s.nextNew; seq++ {
+		st := s.state[seq]
 		if st.has(settled | pktLossPending) {
 			continue
 		}
-		if !st.has(pktInFlight) || c.sentAt[seq]+win >= c.maxAckedSent {
+		if !st.has(pktInFlight) || s.sentAt[seq]+win >= s.maxAckedSent {
 			break
 		}
-		c.declareLost(seq)
-		c.stats.FastRetrans++
+		s.declareLost(seq)
+		s.c.stats.FastRetrans++
 	}
 }
 
 // handleNack processes a UnoRC block NACK: retransmit the listed missing
 // packets and tell the policies.
-func (c *Conn) handleNack(p *netsim.Packet) {
-	if c.completed {
+func (s *sender) handleNack(p *netsim.Packet) {
+	if s.done {
 		return
 	}
-	c.stats.NacksReceived++
+	s.c.stats.NacksReceived++
 	b := p.NackBlock
-	if c.blockDone(b) {
+	if s.blockDone(b) {
 		return
 	}
-	blk := c.sched.block(b)
+	blk := s.sched.block(b)
 	for _, idx := range p.Missing {
 		seq := blk.start + int64(idx)
 		if idx < 0 || seq >= blk.start+int64(blk.count) {
 			continue
 		}
-		if c.state[seq].has(pktSent) {
-			c.declareLost(seq)
+		if s.state[seq].has(pktSent) {
+			s.declareLost(seq)
 		}
 	}
-	c.cc.OnNack(c)
-	c.lb.OnNack(c)
-	c.armRTO()
-	c.trySend()
+	s.cc.OnNack(s.c)
+	s.lb.OnNack(s.c)
+	s.armRTO()
+	s.trySend()
 }
 
 // handleCnm delivers a QCN congestion notification to controllers that
 // opt in via the CnmReceiver extension interface.
-func (c *Conn) handleCnm(p *netsim.Packet) {
-	if c.completed {
+func (s *sender) handleCnm(p *netsim.Packet) {
+	if s.done {
 		return
 	}
-	c.stats.CnmsReceived++
-	if r, ok := c.cc.(CnmReceiver); ok {
-		r.OnCnm(c, p.Feedback)
+	s.c.stats.CnmsReceived++
+	if r, ok := s.cc.(CnmReceiver); ok {
+		r.OnCnm(s.c, p.Feedback)
 	}
 }
 
-// finish records completion and tears the sender down to a result handle:
-// the timers' slab events — the policies' too — go back to the scheduler,
-// the policies are dropped, the demux entry goes (every handler returns on
-// c.completed anyway, so late ACKs lose nothing by missing it) and the
-// per-packet state is released. Flow, Stats, FCT and Completed stay valid.
-func (c *Conn) finish(now eventq.Time) {
-	if c.completed {
-		return
-	}
-	c.completed = true
+// finish records completion and hands the live state back: the pacer and
+// RTO timers are cancelled (they stay bound to the sender for its next
+// flow), every timer a policy took from NewTimerArg is released, the demux
+// entry goes, the completion callback runs — it may take the policies back
+// for reuse — and the sender returns to its shard's free list. The handle
+// keeps Flow, Stats, FCT and the final window.
+func (s *sender) finish(now eventq.Time) {
+	c := s.c
+	s.done = true
 	c.fct = now - c.flow.Start
-	c.rtoTimer.Release()
-	c.sendTimer.Release()
-	for _, t := range c.policyTimers {
+	s.rtoTimer.Cancel()
+	s.sendTimer.Cancel()
+	for i, t := range s.policyTimers {
 		t.Release()
+		s.policyTimers[i] = nil
 	}
-	c.cc, c.lb, c.policyTimers = nil, nil, nil
-	delete(c.ep.senders, c.flow.ID)
-	c.state, c.sentAt, c.rtxQ = nil, nil, nil
-	if c.onDone != nil {
-		c.onDone(c)
+	ft := s.ep.flows
+	if !ft.keepDemux {
+		delete(s.ep.senders, c.flow.ID)
 	}
+	if s.onDone != nil {
+		s.onDone(c)
+	}
+	c.s = nil
+	ft.putSender(s)
 }

@@ -97,7 +97,7 @@ func (p Params) withDefaults() Params {
 
 // validate rejects nonsensical parameters.
 func (p Params) validate() error {
-	if p.EC.Data < 0 || p.EC.Parity < 0 {
+	if p.EC.Data < 0 || p.EC.Parity < 0 || p.EC.Data+p.EC.Parity > math.MaxInt16 {
 		return fmt.Errorf("transport: invalid EC config %+v", p.EC)
 	}
 	if p.MTU > math.MaxInt32-HeaderSize {

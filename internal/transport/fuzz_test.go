@@ -14,7 +14,11 @@ import (
 // wrong packet types for the direction, trimmed/rtx/marked flag
 // combinations, duplicate data — are injected straight into the receiving
 // host or, for ACKs, NACKs and CNMs, into the sending host. The transport
-// must neither panic nor stall the legitimate flow.
+// must neither panic nor stall the legitimate flow. Once flow 1 completes, a
+// second flow opens on the same endpoints and reuses its sender and
+// receiver state while the flow-1 injections go on, now at the finished
+// flow's record: both flows must complete, and flow 1's handle must read
+// what it read at completion.
 //
 // The one fabric-provided field the decoder constrains is SentAt, which is
 // clamped to the past: timestamps are stamped by the local clock on send,
@@ -32,6 +36,9 @@ func FuzzReceiverPacket(f *testing.F) {
 	f.Add([]byte{0x08, 0x00, 0x01, 0x10, 0x00, 0x02, 0x18, 0x00, 0x03, 0x38, 0x00, 0x04})
 	// An ACK at the sender for seq 80, one past the flow's 80-entry schedule.
 	f.Add([]byte{0x06, 0x00, 0x50, 0xff, 0xff})
+	// Four unknown-flow packets carry the clock past flow 1's completion;
+	// then data for flow 1 at seq 256, beyond the range its record answers.
+	f.Add([]byte{0x7c, 0, 0, 0, 0, 0x7c, 0, 0, 0, 0, 0x7c, 0, 0, 0, 0, 0x7c, 0, 0, 0, 0, 0x30, 0x01, 0x00, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2048 {
@@ -41,9 +48,29 @@ func FuzzReceiverPacket(f *testing.F) {
 		flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 1 << 18, Start: 0}
 		params := d.baseParams()
 		params.EC = ECConfig{Data: 8, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
+		var (
+			final struct {
+				stats    ConnStats
+				fct      eventq.Time
+				cwnd     float64
+				inFlight int64
+			}
+			second *Conn
+			reused bool
+		)
 		conn := MustStart(d.epA, d.epB, flow, params,
-			&FixedWindow{Window: 16 * 4160}, &FixedEntropy{}, nil)
-		nBlocks := conn.sched.nBlocks
+			&FixedWindow{Window: 16 * 4160}, &FixedEntropy{}, func(c *Conn) {
+				final.stats, final.fct, final.cwnd, final.inFlight = c.Stats(), c.FCT(), c.Cwnd(), c.InFlight()
+				// Open the second flow once flow 1's sender is back on the
+				// free list, right after this callback returns.
+				old := c.s
+				d.net.Sched.Schedule(d.net.Now(), func() {
+					second = MustStart(d.epA, d.epB, &Flow{ID: 2, Src: d.a, Dst: d.b, Size: 1 << 16, Start: d.net.Now()},
+						params, &FixedWindow{Window: 16 * 4160}, &FixedEntropy{}, nil)
+					reused = second.s == old
+				})
+			})
+		nBlocks := conn.s.sched.nBlocks
 
 		pos := 0
 		next := func() byte {
@@ -125,9 +152,14 @@ func FuzzReceiverPacket(f *testing.F) {
 		if !conn.Completed() {
 			t.Fatal("legitimate flow stalled by injected packets")
 		}
-		rcv := d.epB.Receiver(1)
-		if rcv == nil {
-			t.Fatal("receiver disappeared")
+		if second == nil || !second.Completed() || !reused {
+			t.Fatal("the second flow, on flow 1's recycled state, did not complete")
+		}
+		if conn.Stats() != final.stats || conn.FCT() != final.fct || conn.Cwnd() != final.cwnd || conn.InFlight() != final.inFlight {
+			t.Fatalf("flow 1's handle changed after completion: %+v fct=%v", conn.Stats(), conn.FCT())
+		}
+		if d.epB.Receiver(1) != nil || d.epB.finished(1).n == 0 {
+			t.Fatal("flow 1's receiver still registered, or its record missing")
 		}
 	})
 }

@@ -212,8 +212,10 @@ func TestLossRecoveryAckReturnsOnDataPath(t *testing.T) {
 	})
 	cross := MustStart(d.epB, d.epA, &Flow{ID: 2, Src: d.b, Dst: d.a, Size: 4 << 20}, params,
 		&FixedWindow{Window: 128 * 4160}, &FixedEntropy{Entropy: 2}, nil)
+	var srtt eventq.Time // the sender's estimate at completion
 	flow := MustStart(d.epA, d.epB, &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 1 << 20}, params,
-		&FixedWindow{Window: 32 * 4160}, &FixedEntropy{Entropy: 2}, nil)
+		&FixedWindow{Window: 32 * 4160}, &FixedEntropy{Entropy: 2}, func(c *Conn) { srtt = c.SRTT() })
+	pkts := flow.TotalPkts()
 	d.net.Sched.RunUntil(eventq.Second)
 	if !flow.Completed() || !cross.Completed() {
 		t.Fatal("flows did not complete")
@@ -222,12 +224,12 @@ func TestLossRecoveryAckReturnsOnDataPath(t *testing.T) {
 	if got := d.rev[0].Stats().Delivered; got != 0 {
 		t.Errorf("%d packets crossed reverse link 0; every ACK of entropy 2 belongs on reverse link 1", got)
 	}
-	if want := uint64(flow.TotalPkts()); d.fwd[1].Stats().Delivered != 0 || d.fwd[0].Stats().Delivered < want {
+	if want := uint64(pkts); d.fwd[1].Stats().Delivered != 0 || d.fwd[0].Stats().Delivered < want {
 		t.Fatalf("fixture routed the data wrong: forward links delivered %d / %d",
 			d.fwd[0].Stats().Delivered, d.fwd[1].Stats().Delivered)
 	}
-	if len(echoes) != int(flow.TotalPkts()) {
-		t.Errorf("%d first-transmission ACKs for %d packets", len(echoes), flow.TotalPkts())
+	if len(echoes) != int(pkts) {
+		t.Errorf("%d first-transmission ACKs for %d packets", len(echoes), pkts)
 	}
 	for i := 1; i < len(echoes); i++ {
 		if echoes[i] < echoes[i-1] {
@@ -236,8 +238,8 @@ func TestLossRecoveryAckReturnsOnDataPath(t *testing.T) {
 		}
 	}
 	// The congestion was real: an ACK waited well over the unloaded RTT.
-	if flow.SRTT() < 5*params.BaseRTT {
-		t.Fatalf("SRTT = %v: the reverse path was not congested, the test shows nothing", flow.SRTT())
+	if srtt < 5*params.BaseRTT {
+		t.Fatalf("SRTT = %v: the reverse path was not congested, the test shows nothing", srtt)
 	}
 	if st := flow.Stats(); st.FastRetrans != 0 || st.SpuriousRetrans != 0 || st.Timeouts != 0 {
 		t.Errorf("lossless one-path flow retransmitted: FastRetrans = %d, SpuriousRetrans = %d, Timeouts = %d",
@@ -282,19 +284,19 @@ func TestLossRecoverySpuriousAfterResend(t *testing.T) {
 	d := newDumbbell(26, gbps100)
 	conn := openPartial(t, d, d.baseParams().withDefaults())
 	resend := func(seq int64) {
-		st := &conn.state[seq]
+		st := &conn.s.state[seq]
 		if st.has(pktInFlight) { // declared lost the way onRTO does
-			conn.inFlight -= int64(conn.wireSize(seq))
+			conn.inFlight -= int64(conn.s.wireSize(seq))
 		}
 		*st = *st&^pktInFlight | pktLossPending
-		conn.transmit(seq, conn.sched.desc(seq))
+		conn.s.transmit(seq, conn.s.sched.desc(seq))
 	}
 	resend(2)
 	resend(3)
-	twice := conn.state[3]
+	twice := conn.s.state[3]
 	resend(3)
-	if conn.state[3] != twice || conn.state[2] != twice {
-		t.Fatalf("flags after two transmissions %#x, after three %#x", conn.state[2], conn.state[3])
+	if conn.s.state[3] != twice || conn.s.state[2] != twice {
+		t.Fatalf("flags after two transmissions %#x, after three %#x", conn.s.state[2], conn.s.state[3])
 	}
 	if n := conn.Stats().PktsRetrans; n != 3 {
 		t.Fatalf("PktsRetrans = %d, want 3", n)

@@ -19,56 +19,30 @@ type rcvBlock struct {
 // timerPending reports whether the block's NACK timer is armed.
 func (b *rcvBlock) timerPending() bool { return b.timer != nil && b.timer.Pending() }
 
-// Receiver is the receive side of one flow: it tracks which schedule
+// Receiver is the receive side of one live flow: it tracks which schedule
 // entries arrived, detects block completion for erasure-coded flows, arms
 // the per-block NACK timers of §4.2, and acknowledges every data packet.
+// Once the message is complete it leaves the endpoint for its shard's free
+// list, and a 16-byte record answers the flow's late packets.
 type Receiver struct {
 	ep   *Endpoint
 	flow *Flow
 
-	sched    schedule // Open's copy of the sender's
-	got      []uint64 // arrival bitmap over the schedule
-	gotCount int64    // distinct packets received
-	dataGot  int64    // distinct data (non-parity) packets received
-	blocks   []rcvBlock
+	sched   schedule // Open's copy of the sender's
+	got     []uint64 // arrival bitmap over the schedule
+	dataGot int64    // distinct data (non-parity) packets received
+	blocks  []rcvBlock
 
 	// The NACK timer's first period (EC.BlockTimeout) and the ceiling of
 	// its retry back-off (8 × BaseRTT): all the receiver needs of Params.
 	blockTimeout, maxNackBackoff eventq.Time
 
-	complete   bool
-	completeAt eventq.Time
-
-	// Stats.
-	DupPkts     uint64
-	NacksSent   uint64
-	TrimmedPkts uint64
+	complete bool
 }
 
 // maxBlockNacks bounds NACK retries per block; beyond it the sender's RTO
 // is the backstop.
 const maxBlockNacks = 8
-
-func newReceiver(ep *Endpoint, flow *Flow, params *Params, sched schedule) *Receiver {
-	r := &Receiver{
-		ep:             ep,
-		flow:           flow,
-		sched:          sched,
-		got:            make([]uint64, (sched.n+63)/64),
-		blockTimeout:   params.EC.BlockTimeout,
-		maxNackBackoff: 8 * params.BaseRTT,
-	}
-	if sched.nBlocks > 0 {
-		r.blocks = make([]rcvBlock, sched.nBlocks)
-	}
-	return r
-}
-
-// Complete reports whether the full message is reconstructable.
-func (r *Receiver) Complete() bool { return r.complete }
-
-// CompleteAt returns when the message became reconstructable.
-func (r *Receiver) CompleteAt() eventq.Time { return r.completeAt }
 
 func (r *Receiver) has(seq int64) bool {
 	return r.got[seq>>6]&(1<<(uint(seq)&63)) != 0
@@ -78,27 +52,28 @@ func (r *Receiver) set(seq int64) {
 	r.got[seq>>6] |= 1 << (uint(seq) & 63)
 }
 
-// handleData processes an arriving data packet and responds with an ACK.
+// handleData processes an arriving data packet and responds with an ACK;
+// the packet that completes the message retires the receiver.
 func (r *Receiver) handleData(p *netsim.Packet) {
 	seq := p.Seq
 	if seq < 0 || seq >= r.sched.n {
 		return
 	}
 	d := r.sched.desc(seq)
+	ep := r.ep
 
 	if p.Trimmed {
 		// The payload was cut at an overflowing queue: echo an immediate
 		// loss notification instead of recording a delivery (NDP-style).
-		r.TrimmedPkts++
-		ack := r.newAck(p)
+		ep.recv.TrimmedPkts++
+		ack := ep.newAck(p, r.flow.ID, r.flow.Src.ID(), r.complete)
 		ack.EchoTrimmed = true
-		r.ep.host.Send(ack)
+		ep.host.Send(ack)
 		return
 	}
 
 	if !r.has(seq) {
 		r.set(seq)
-		r.gotCount++
 		if !d.parity {
 			r.dataGot++
 		}
@@ -107,40 +82,17 @@ func (r *Receiver) handleData(p *netsim.Packet) {
 		}
 		r.checkComplete()
 	} else {
-		r.DupPkts++
+		ep.recv.DupPkts++
 	}
 
-	ack := r.newAck(p)
+	ack := ep.newAck(p, r.flow.ID, r.flow.Src.ID(), r.complete)
 	ack.EchoMarked = p.ECNMarked
 	ack.AckBlock = d.block
 	ack.AckBlockOK = d.block >= 0 && r.blocks[d.block].complete
-	r.ep.host.Send(ack)
-}
-
-// newAck builds the acknowledgement of data packet p, trimmed or whole: the
-// echo fields every ACK carries, with no block report. The ACK keeps p's
-// Entropy, as the ACK of a real flow keeps the 5-tuple of its data: ACKs of
-// packets that shared a forward path share one reverse path and arrive in
-// the order they were sent, so the sender's time-based loss sweep sees no
-// reordering a single path cannot produce, and a path selector's OnAck
-// learns about the path it actually chose. (A fresh random entropy per ACK
-// sprayed a one-path flow's ACKs over every reverse path, and the sender
-// read the overtaking as loss — DESIGN §5, "Loss recovery".)
-func (r *Receiver) newAck(p *netsim.Packet) *netsim.Packet {
-	ack := r.ep.host.Network().AllocPacket()
-	ack.Type = netsim.Ack
-	ack.Flow = r.flow.ID
-	ack.Src = r.flow.Dst.ID()
-	ack.Dst = r.flow.Src.ID()
-	ack.Size = netsim.AckSize
-	ack.Entropy = p.Entropy
-	ack.Subflow = p.Subflow
-	ack.AckSeq = p.Seq
-	ack.EchoSentAt = p.SentAt
-	ack.EchoRtx = p.IsRtx
-	ack.AckBlock = -1
-	ack.FlowDone = r.complete
-	return ack
+	ep.host.Send(ack)
+	if r.complete {
+		ep.flows.retire(r)
+	}
 }
 
 // onBlockArrival updates block state for a newly received packet of block b.
@@ -181,14 +133,14 @@ func (r *Receiver) armBlockTimer(b int32, after eventq.Time) {
 // onBlockTimeout fires the NACK path for block b.
 func (r *Receiver) onBlockTimeout(b int32) {
 	blk := &r.blocks[b]
-	if blk.complete || r.complete {
+	if blk.complete {
 		return
 	}
 	if blk.nacks >= maxBlockNacks {
 		return // sender RTO takes over
 	}
 	blk.nacks++
-	r.NacksSent++
+	r.ep.recv.NacksSent++
 
 	// Collect missing indices within the block, reusing the pooled
 	// packet's NACK buffer (length zero, capacity from prior frees).
@@ -228,11 +180,10 @@ func (r *Receiver) onBlockTimeout(b int32) {
 	r.armBlockTimer(b, backoff)
 }
 
-// checkComplete evaluates whether the message is fully reconstructable.
+// checkComplete evaluates whether the message is fully reconstructable. A
+// complete receiver retires with the packet that completed it, so it never
+// sees another.
 func (r *Receiver) checkComplete() {
-	if r.complete {
-		return
-	}
 	if len(r.blocks) > 0 {
 		for i := range r.blocks {
 			if !r.blocks[i].complete {
@@ -243,5 +194,4 @@ func (r *Receiver) checkComplete() {
 		return
 	}
 	r.complete = true
-	r.completeAt = r.ep.host.Network().Sched.Now()
 }

@@ -7,17 +7,17 @@ import (
 	"uno/internal/eventq"
 )
 
-// Regression tests for Conn.rto's clamp-and-backoff arithmetic. The
+// Regression tests for the sender's rto clamp-and-backoff arithmetic. The
 // pre-fix code doubled the estimate up to 16 times before comparing
 // against MaxRTO, so a large srtt+4*rttvar estimate could wrap int64
 // picoseconds negative before the guard ever tripped. rto() only reads
-// params and the RTT estimator fields, so a bare Conn is enough.
+// params and the RTT estimator fields, so a bare sender is enough.
 
-// rtoConn builds a Conn with just the fields rto() consumes. It has an RTT
-// sample (a zero one leaves MinRTO as the base): the clamp and the back-off
-// only apply once it does.
-func rtoConn(min, max eventq.Time, srtt, rttvar eventq.Time, backoff uint8) *Conn {
-	c := &Conn{params: Params{MinRTO: min, MaxRTO: max}}
+// rtoConn builds a sender with just the fields rto() consumes. It has an
+// RTT sample (a zero one leaves MinRTO as the base): the clamp and the
+// back-off only apply once it does.
+func rtoConn(min, max eventq.Time, srtt, rttvar eventq.Time, backoff uint8) *sender {
+	c := &sender{params: Params{MinRTO: min, MaxRTO: max}}
 	c.hasRTT = true
 	c.srtt, c.rttvar = srtt, rttvar
 	c.rtoBackoff = backoff
@@ -25,7 +25,7 @@ func rtoConn(min, max eventq.Time, srtt, rttvar eventq.Time, backoff uint8) *Con
 }
 
 // noSample takes c's RTT sample away.
-func noSample(c *Conn) *Conn {
+func noSample(c *sender) *sender {
 	c.hasRTT = false
 	return c
 }
@@ -34,7 +34,7 @@ func TestRTOSaturatedBackoffNoOverflow(t *testing.T) {
 	huge := eventq.Time(math.MaxInt64)
 	cases := []struct {
 		name string
-		c    *Conn
+		c    *sender
 		want eventq.Time
 	}{
 		{

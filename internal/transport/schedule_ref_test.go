@@ -24,7 +24,7 @@ func buildSchedule(size int64, p Params) ([]pktDesc, []blockDesc) {
 
 // testReceiver builds a detached receiver the way Open does.
 func testReceiver(ep *Endpoint, flow *Flow, p Params) *Receiver {
-	return newReceiver(ep, flow, &p, newSchedule(flow.Size, &p))
+	return ep.flows.takeReceiver(ep, flow, &p, newSchedule(flow.Size, &p))
 }
 
 // refSchedule is the table builder the closed form replaced, kept as the

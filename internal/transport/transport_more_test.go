@@ -25,28 +25,45 @@ func TestBlockNackBackoffAndCap(t *testing.T) {
 	})
 	d.net.Sched.RunUntil(200 * eventq.Millisecond)
 
-	rcv := d.epB.Receiver(1)
-	if rcv.NacksSent == 0 {
+	nacks := d.epB.RecvStats().NacksSent
+	if nacks == 0 {
 		t.Fatal("no NACKs for a black-holed block")
 	}
-	if rcv.NacksSent > maxBlockNacks {
-		t.Fatalf("NACKs %d exceed cap %d", rcv.NacksSent, maxBlockNacks)
+	if nacks > maxBlockNacks {
+		t.Fatalf("NACKs %d exceed cap %d", nacks, maxBlockNacks)
 	}
 	if conn.Completed() {
 		t.Fatal("flow completed despite black-holed block and muted RTO")
 	}
 }
 
-func TestReceiverCompleteAtAccessors(t *testing.T) {
+// TestReceiverRetiresAtCompletion: the data packet that completes the
+// message is answered with FlowDone, before the sender's FCT, and the
+// receiver then leaves the endpoint for the shard's free list, leaving the
+// flow's record behind.
+func TestReceiverRetiresAtCompletion(t *testing.T) {
 	d := newDumbbell(21, gbps100)
+	var doneSentAt eventq.Time = -1
+	d.b.SetHandler(func(p *netsim.Packet) {
+		d.epB.Handle(p)
+		if doneSentAt < 0 && d.epB.Receiver(1) == nil {
+			doneSentAt = d.net.Now() // the completing packet's ACK left just now
+		}
+	})
 	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 4 * 4096}
 	conn := d.run(flow, d.baseParams(), &FixedWindow{Window: 1 << 20}, &FixedEntropy{})
-	rcv := d.epB.Receiver(1)
-	if !rcv.Complete() {
-		t.Fatal("receiver not complete")
+	if !conn.Completed() || d.epB.Receiver(1) != nil {
+		t.Fatal("flow incomplete, or its receiver still registered")
 	}
-	if rcv.CompleteAt() <= 0 || rcv.CompleteAt() > conn.FCT() {
-		t.Fatalf("CompleteAt %v vs FCT %v", rcv.CompleteAt(), conn.FCT())
+	if doneSentAt <= 0 || doneSentAt > conn.FCT() {
+		t.Fatalf("receiver completed at %v, FCT %v", doneSentAt, conn.FCT())
+	}
+	want := finishedFlow{src: d.a.ID(), dst: d.b.ID(), n: 4}
+	if got := d.epB.finished(1); got != want {
+		t.Fatalf("finished record %+v, want %+v", got, want)
+	}
+	if n := len(d.epB.flows.receivers); n != 1 {
+		t.Fatalf("%d receivers on the free list, want the retired one", n)
 	}
 }
 
@@ -67,7 +84,8 @@ func TestEndpointAccessors(t *testing.T) {
 	if d.epB.Receiver(7) == nil {
 		t.Fatal("Receiver lookup wrong")
 	}
-	// Completion deregisters the sender; the handle and the receiver stay.
+	// Completion deregisters both ends; the handle and the flow's record
+	// stay.
 	d.net.Sched.RunUntil(10 * eventq.Second)
 	if !conn.Completed() {
 		t.Fatal("flow incomplete")
@@ -75,8 +93,8 @@ func TestEndpointAccessors(t *testing.T) {
 	if d.epA.Sender(7) != nil {
 		t.Fatal("completed sender still registered")
 	}
-	if rcv := d.epB.Receiver(7); rcv == nil || !rcv.Complete() {
-		t.Fatal("completed receiver must stay registered")
+	if d.epB.Receiver(7) != nil || d.epB.finished(7).n == 0 {
+		t.Fatal("completed receiver still registered, or no record left")
 	}
 	if conn.Flow() != flow || conn.FCT() <= 0 || conn.Stats().PktsSent != 64 {
 		t.Fatalf("result handle unreadable after completion: fct=%v stats=%+v", conn.FCT(), conn.Stats())
@@ -118,7 +136,7 @@ func TestConnAccessors(t *testing.T) {
 func TestSetCwndClampsToOnePacket(t *testing.T) {
 	d := newDumbbell(24, gbps100)
 	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 4096}
-	conn := d.run(flow, d.baseParams(), &FixedWindow{}, &FixedEntropy{})
+	conn := MustOpen(d.epA, d.epB, flow, d.baseParams(), &FixedWindow{}, &FixedEntropy{}, nil)
 	conn.SetCwnd(-5)
 	if conn.Cwnd() != float64(conn.MTUWire()) {
 		t.Fatalf("cwnd clamped to %v", conn.Cwnd())
@@ -133,7 +151,7 @@ func TestFixedWindowDefault(t *testing.T) {
 	d := newDumbbell(25, gbps100)
 	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 4096}
 	conn := d.run(flow, d.baseParams(), &FixedWindow{}, &FixedEntropy{})
-	if conn.Cwnd() != 16*float64(conn.MTUWire()) {
+	if conn.Cwnd() != 16*float64(4096+HeaderSize) {
 		t.Fatalf("FixedWindow default = %v", conn.Cwnd())
 	}
 }

@@ -53,7 +53,7 @@ func TestTrimNotificationDrivesRetransmission(t *testing.T) {
 	if st.Timeouts != 0 {
 		t.Fatalf("RTOs fired (%d); trimming should have recovered first", st.Timeouts)
 	}
-	if rcv := d.epB.Receiver(1); rcv.TrimmedPkts == 0 {
+	if d.epB.RecvStats().TrimmedPkts == 0 {
 		t.Fatal("receiver saw no trimmed packets")
 	}
 	if st.PktsRetrans == 0 {

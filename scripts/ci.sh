@@ -81,9 +81,11 @@ go test -run '^$' -fuzz '^FuzzFountainDecode$' -fuzztime "$FUZZTIME" ./internal/
 # equivalence on random scenarios and over every registry experiment, at 1
 # and 2 workers; cross-shard conservation; what a one-shard Sim guarantees;
 # the netsim cluster suite with its seeded dropped-handoff defect), the flow
-# lifecycle's (a completing sender releases its timers and demux entry while
-# the other shard still serves its receiver), the timing wheel's (the
-# reference-model differential and stale-fire checks), the port hand-off's
+# lifecycle's (recycled flow state: a completing sender returns its state to
+# its own shard's free list while the other shard still serves its receiver,
+# which then returns its own there, and a sharded Sim's pre-opened flows draw
+# state from both shards' free lists between windows), the timing wheel's
+# (the reference-model differential and stale-fire checks), the port hand-off's
 # (timing oracle, event economy, the seeded invariant defects, failure
 # sampled at serialization start), the EC block path's, and loss recovery's
 # (DESIGN §5).

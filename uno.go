@@ -25,8 +25,6 @@
 package uno
 
 import (
-	"fmt"
-
 	"uno/internal/collective"
 	"uno/internal/core"
 	"uno/internal/ec"
@@ -177,11 +175,9 @@ type Ring = collective.Ring
 // StartRing launches a ring Allreduce over the simulation's transport;
 // onComplete receives the collective's elapsed time. Collectives chain
 // dependent flows from completion callbacks, which cannot yet cross a shard
-// boundary — sim must hold the whole fabric on one shard, as NewSim builds it.
+// boundary — sim must hold the whole fabric on one shard, as NewSim builds
+// it; on any other StartRing returns the Sim's error.
 func StartRing(sim *Sim, cfg RingConfig, onComplete func(elapsed Time)) (*Ring, error) {
-	if sim.Sharded() {
-		return nil, fmt.Errorf("uno: StartRing requires a one-shard Sim (build it with NewSim)")
-	}
 	return collective.Start(sim, sim.Net.Sched, cfg, onComplete)
 }
 
