@@ -40,8 +40,8 @@ func TestQuickAdaptTimerEndsWithFlow(t *testing.T) {
 	if in.Net.Sched.Pending() != 0 {
 		t.Errorf("%d events pending after the flow completed", in.Net.Sched.Pending())
 	}
-	if cc.qaTimer == nil || cc.qaTimer.Pending() {
-		t.Error("Quick Adapt timer never armed, or still armed after completion")
+	if cc.conn == nil || cc.qaTimer.Bound() {
+		t.Error("Quick Adapt timer never bound, or still bound after completion")
 	}
 }
 

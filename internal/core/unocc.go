@@ -114,8 +114,8 @@ type UnoCC struct {
 	qaArmed   bool
 	qaBytes   int64           // bytes ACKed during the current QA window
 	qaSkip    bool            // cool-down: skip the next QA/MD window
-	qaTimer   *eventq.Timer   // reusable once-per-RTT tick, bound on first arm
-	conn      *transport.Conn // the flow, for qaTimer's callback
+	qaTimer   eventq.Timer    // reusable once-per-RTT tick, bound on first arm
+	conn      *transport.Conn // the flow, for qaTimer's callback; nil until bound
 	mdMutedTo eventq.Time     // MD suppressed until this time after a QA fire
 
 	// Per-RTT MD budget: epochs run at intra-DC granularity while ECN
@@ -261,16 +261,17 @@ func (u *UnoCC) rttEstimate(c *transport.Conn) eventq.Time {
 }
 
 // armQA schedules the next once-per-RTT Quick Adapt evaluation (§4.1.2).
-// One Timer serves the flow's whole lifetime; every rearm is allocation-
-// free. The Conn owns it and releases it at completion, so no tick fires
-// for a finished flow.
+// One Timer, a field of the controller, serves the flow's whole lifetime;
+// binding it and every rearm are allocation-free. The Conn releases it at
+// completion, so no tick fires for a finished flow and a recycled
+// controller finds it unbound.
 func (u *UnoCC) armQA(c *transport.Conn) {
 	if c.Completed() {
 		return
 	}
-	if u.qaTimer == nil {
+	if u.conn == nil {
 		u.conn = c
-		u.qaTimer = c.NewTimerArg(unoccOnQATick, u)
+		c.BindTimerArg(&u.qaTimer, unoccOnQATick, u)
 	}
 	u.qaTimer.ResetAfter(u.rttEstimate(c))
 }

@@ -26,7 +26,9 @@
 //     the queue in place, making recurring timers (pacing, RTO, epochs, port
 //     transmit wake-ups) allocation-free after setup. A component that ends
 //     before the simulation does (a completed flow) hands the event back
-//     with Release.
+//     with Release. BindTimerArg binds a Timer the caller owns, such as a
+//     struct field, so a per-flow timer costs no allocation of its own and
+//     can be bound again once released.
 package eventq
 
 import "fmt"
@@ -316,7 +318,8 @@ func (s *Scheduler) Step() bool {
 // NewTimer binds the callback once, and Reset/Cancel then move the timer's
 // embedded event in and out of the heap in place. It is the intended tool
 // for every recurring per-component timer (port transmit wake-ups, pacer
-// wakeups, RTOs, congestion-control epochs).
+// wakeups, RTOs, congestion-control epochs). The zero Timer is unbound;
+// BindTimerArg binds it in place, so an owner can embed its timers by value.
 //
 // A Timer is single-owner, like the rest of a simulation: Reset while
 // pending reschedules (the old firing is removed from the heap, never
@@ -339,9 +342,23 @@ func (s *Scheduler) NewTimer(fn func()) *Timer {
 // With fn a package-level function and arg a pointer, creating the timer
 // allocates no closure — what a per-flow timer bound to a method would.
 func (s *Scheduler) NewTimerArg(fn func(any), arg any) *Timer {
-	t := &Timer{s: s, e: s.alloc()}
-	t.e.argfn, t.e.arg = fn, arg
+	t := new(Timer)
+	s.BindTimerArg(t, fn, arg)
 	return t
+}
+
+// BindTimerArg binds a caller-owned Timer — typically a struct field — to
+// fn(arg), taking its event from the slab as NewTimerArg does. An owner
+// that embeds its timer by value and passes itself as arg costs the heap
+// nothing per binding. t must be unbound: a zero Timer, or one that was
+// Released (a recycled owner binds its timer again for its next life).
+// Binding a still-bound timer panics, since its event would leak.
+func (s *Scheduler) BindTimerArg(t *Timer, fn func(any), arg any) {
+	if t.e != nil {
+		panic("eventq: BindTimerArg on a bound Timer")
+	}
+	t.s, t.e = s, s.alloc()
+	t.e.argfn, t.e.arg = fn, arg
 }
 
 // Reset (re)schedules the timer to fire at absolute time at. If the timer
@@ -360,12 +377,12 @@ func (t *Timer) Reset(at Time) {
 	t.s.w.insert(e)
 }
 
-// live returns the timer's event, refusing a released timer: its slot may
-// already belong to another timer or a packet event, and arming it from
-// here would fire someone else's callback.
+// live returns the timer's event, refusing a released (or never bound)
+// timer: a released timer's slot may already belong to another timer or a
+// packet event, and arming it from here would fire someone else's callback.
 func (t *Timer) live() *event {
 	if t.e == nil {
-		panic("eventq: Reset on a released Timer")
+		panic("eventq: Reset on an unbound or released Timer")
 	}
 	return t.e
 }
@@ -392,8 +409,9 @@ func (t *Timer) Cancel() {
 // list, for owners that end before the simulation does: without it every
 // finished flow would pin its timers' slab slots until the run ends. It may
 // be called while pending, while idle, or from inside the timer's own
-// callback. Afterwards the timer is dead: Pending reports false, Cancel and
-// a second Release are no-ops, and Reset panics.
+// callback. Afterwards the timer is unbound, like a zero Timer: Pending
+// reports false, Cancel and a second Release are no-ops, Reset panics, and
+// BindTimerArg may bind it again.
 func (t *Timer) Release() {
 	if t.e == nil {
 		return
@@ -405,6 +423,10 @@ func (t *Timer) Release() {
 
 // Pending reports whether the timer is armed.
 func (t *Timer) Pending() bool { return t.e != nil && t.e.queued() }
+
+// Bound reports whether the timer holds a slab event: bound and not yet
+// released, armed or not.
+func (t *Timer) Bound() bool { return t.e != nil }
 
 // At returns the time of the pending firing (meaningful only while
 // Pending).

@@ -7,7 +7,7 @@ import (
 // FuzzSchedulerOps is the fuzzing face of the differential suite: an
 // arbitrary byte string is decoded into an operation script — schedules
 // into every wheel level (including the overflow heap), same-tick bursts,
-// timer rearm/cancel, RunUntil — and the script is replayed
+// timer rearm/cancel/release-and-rebind, RunUntil — and the script is replayed
 // on both the wheel and the reference model. The two fire sequences must be
 // identical.
 // Where the randomized tests sample the interleaving space, the fuzzer
@@ -19,7 +19,8 @@ func FuzzSchedulerOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x11, 0x22, 0x01, 0x33, 0x44, 0x02, 0x55, 0x03, 0x04, 0x05, 0x06, 0x07, 0x66})
 	// Overflow-horizon schedules (delay selector 4) mixed with bursts.
 	f.Add([]byte{0x00, 0x04, 0xff, 0x02, 0x04, 0xff, 0x07, 0xff, 0x00, 0x00, 0x00})
-	// The aliased opcodes 2, 5 and 6 interleaved with arms and noise.
+	// The aliased opcodes 2 and 5 and the rebind opcode 6 interleaved with
+	// arms and noise.
 	f.Add([]byte{0x05, 0x01, 0x10, 0x06, 0x00, 0x01, 0x20, 0x05, 0x02, 0x30, 0x06, 0x07, 0x40})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -93,9 +94,11 @@ func runFuzzScript(mk func() scriptSched, data []byte) []firing {
 		})
 	}
 
-	// Opcodes 5 alias 0, and 2 and 6 alias 4: the operations they once
-	// encoded are gone, and keeping eight opcodes lets corpus entries found
-	// earlier still decode into scripts of the same length.
+	// Opcode 5 aliases 0 and 2 aliases 4: the operations they once encoded
+	// are gone, and keeping eight opcodes lets corpus entries found earlier
+	// still decode into scripts of the same length. Opcode 6, once a second
+	// Cancel, releases a timer and binds the same Timer value again; the
+	// model reads that as a Cancel, so old entries expect the same firings.
 	for pos < len(data) {
 		switch next() % 8 {
 		case 0, 5:
@@ -107,8 +110,10 @@ func runFuzzScript(mk func() scriptSched, data []byte) []firing {
 			}
 		case 3:
 			timers[int(next())%len(timers)].ResetAfter(delay())
-		case 2, 4, 6:
+		case 2, 4:
 			timers[int(next())%len(timers)].Cancel()
+		case 6:
+			timers[int(next())%len(timers)].Rebind()
 		default:
 			s.RunUntil(s.Now() + delay())
 		}

@@ -144,6 +144,10 @@ func (t *refTimer) ResetAfter(d Time) {
 func (t *refTimer) Cancel()       { t.removePending() }
 func (t *refTimer) Pending() bool { return t.e != nil }
 
+// Rebind models Release followed by binding the same callback again: to
+// the queue that is a Cancel.
+func (t *refTimer) Rebind() { t.removePending() }
+
 // ---- the shared script-facing interface ----
 
 // scriptTimer is the least common denominator of *Timer and *refTimer.
@@ -152,6 +156,7 @@ type scriptTimer interface {
 	ResetAfter(Time)
 	Cancel()
 	Pending() bool
+	Rebind() // release, then bind the same Timer to its callback again
 }
 
 // scriptSched lets one operation script drive either the real Scheduler or
@@ -172,4 +177,19 @@ type scriptSched interface {
 // return type differs, needs wrapping).
 type realSched struct{ *Scheduler }
 
-func (r realSched) NewTimer(fn func()) scriptTimer { return r.Scheduler.NewTimer(fn) }
+func (r realSched) NewTimer(fn func()) scriptTimer {
+	return &realTimer{r.Scheduler.NewTimer(fn), fn}
+}
+
+// realTimer is a *Timer that remembers its callback, so Rebind can bind the
+// same Timer value to it again through BindTimerArg.
+type realTimer struct {
+	*Timer
+	fn func()
+}
+
+func (t *realTimer) Rebind() {
+	s := t.s
+	t.Release()
+	s.BindTimerArg(t.Timer, callFunc, t.fn)
+}

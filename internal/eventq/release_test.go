@@ -7,8 +7,8 @@ import (
 
 // Timer.Release hands a timer's slab event back to the free list. These
 // tests pin the contract the flow lifecycle rests on: a released timer never
-// fires, never reports pending, cannot be re-armed, and its slot is reused
-// instead of growing the slab.
+// fires, never reports pending, cannot be re-armed until BindTimerArg binds
+// it again, and its slot is reused instead of growing the slab.
 
 func TestTimerReleaseWhilePending(t *testing.T) {
 	s := New()
@@ -88,6 +88,82 @@ func TestTimerResetAfterReleasePanics(t *testing.T) {
 			t.Errorf("%s: free list corrupted: new owner fired %d times, %d pending", name, hits, s.Pending())
 		}
 	}
+}
+
+// TestBindTimerField: a Timer embedded by value in its owner binds in
+// place, fires, is released, and binds again — to another callback — for
+// the owner's next life, all without a heap allocation of its own.
+func TestBindTimerField(t *testing.T) {
+	type owner struct {
+		timer         Timer
+		first, second int
+	}
+	s := New()
+	o := new(owner)
+	s.BindTimerArg(&o.timer, func(a any) { a.(*owner).first++ }, o)
+	o.timer.Reset(10)
+	s.Run()
+	if o.first != 1 || o.timer.Pending() {
+		t.Fatalf("first binding fired %d times, pending %v; want 1, false", o.first, o.timer.Pending())
+	}
+	o.timer.Release()
+	if o.timer.Pending() || s.FreeEvents() != 1 {
+		t.Fatalf("Release left pending=%v, %d free events; want false, 1", o.timer.Pending(), s.FreeEvents())
+	}
+	s.BindTimerArg(&o.timer, func(a any) { a.(*owner).second++ }, o)
+	o.timer.ResetAfter(5)
+	s.Run()
+	if o.first != 1 || o.second != 1 {
+		t.Fatalf("after rebinding: first fired %d, second %d; want 1 and 1", o.first, o.second)
+	}
+	if n := s.SlabEvents(); n != 1 {
+		t.Errorf("slab holds %d events for one timer bound twice, want 1", n)
+	}
+
+	var tm Timer
+	fire := func(any) {}
+	if n := testing.AllocsPerRun(100, func() {
+		s.BindTimerArg(&tm, fire, o)
+		tm.ResetAfter(1)
+		s.Run()
+		tm.Release()
+	}); n != 0 {
+		t.Errorf("bind, fire and release of a Timer field allocate %.1f times", n)
+	}
+}
+
+// TestBindBoundTimerPanics: binding a timer that still holds its event
+// would leak the event and orphan its pending firing, so it panics and the
+// first binding keeps working.
+func TestBindBoundTimerPanics(t *testing.T) {
+	s := New()
+	fires := 0
+	var tm Timer
+	s.BindTimerArg(&tm, func(any) { fires++ }, nil)
+	tm.Reset(10)
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "bound Timer") {
+				t.Errorf("rebinding a bound timer: recovered %q, want the bound-Timer panic", msg)
+			}
+		}()
+		s.BindTimerArg(&tm, func(any) { t.Error("the second binding fired") }, nil)
+	}()
+	s.Run()
+	if fires != 1 || s.Pending() != 0 {
+		t.Errorf("first binding fired %d times with %d pending, want 1 and 0", fires, s.Pending())
+	}
+	// A NewTimer timer is bound too.
+	nt := s.NewTimer(func() {})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("binding a NewTimer timer did not panic")
+			}
+		}()
+		s.BindTimerArg(nt, func(any) {}, nil)
+	}()
 }
 
 // TestTimerReleaseBoundsSlab: create, arm, fire and release ten thousand

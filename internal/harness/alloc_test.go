@@ -51,7 +51,7 @@ func TestSamplerTickAllocFree(t *testing.T) {
 // receiver, controller and balancer serve the next flow. Before flows were
 // recycled this cost 1,453 B per flow (every flow kept all of its state to
 // the end of the run); the budget is half of that, and the measurement is
-// about 520 B (610 under the race detector).
+// about 480 B (550 under the race detector).
 func TestBackToBackFlowsAllocation(t *testing.T) {
 	const flows, budget = 20000, 1453 / 2
 	const gap = 20 * eventq.Microsecond // several one-packet FCTs on this fabric

@@ -263,7 +263,7 @@ func TestBlockNackExhaustionNoRearm(t *testing.T) {
 	if blk.nacks != maxBlockNacks || d.epB.RecvStats().NacksSent != 1 {
 		t.Fatalf("budget accounting wrong: nacks=%d sent=%d", blk.nacks, d.epB.RecvStats().NacksSent)
 	}
-	if blk.timerPending() {
+	if blk.timer.Pending() {
 		t.Fatal("timer re-armed past NACK exhaustion")
 	}
 	// Further timeouts (e.g. an already-queued firing) send nothing.
@@ -285,19 +285,19 @@ func TestBlockCompletionAfterExhaustionCancelsTimer(t *testing.T) {
 
 	blk := &r.blocks[0]
 	blk.nacks = maxBlockNacks
-	r.armBlockTimer(0, 50*eventq.Microsecond)
-	if !blk.timerPending() {
+	r.onBlockArrival(0) // the first arrival arms the timer
+	if !blk.timer.Pending() {
 		t.Fatal("setup: timer not armed")
 	}
 	// Parity-heavy completion: 2 data + 2 parity = dataCount distinct
 	// arrivals decode the block under RS counting.
-	for range 4 {
+	for range 3 {
 		r.onBlockArrival(0)
 	}
 	if !blk.complete {
 		t.Fatal("block did not complete")
 	}
-	if blk.timerPending() {
+	if blk.timer.Pending() {
 		t.Fatal("completion left the exhausted block's timer armed")
 	}
 	r.onBlockTimeout(0) // stale firing is a no-op

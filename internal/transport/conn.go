@@ -111,7 +111,7 @@ type sender struct {
 	// the RACK loss-sweep reference point.
 	maxAckedSent eventq.Time
 
-	policyTimers []*eventq.Timer // handed out by NewTimerArg, released by finish
+	policyTimers []*eventq.Timer // bound by Conn.BindTimerArg, released by finish
 
 	// The small fields share one word.
 	acksAboveLow int32 // fast-retransmit evidence count
@@ -166,16 +166,17 @@ func (c *Conn) Policies() (CongestionControl, PathSelector) {
 // Scheduler returns the simulation scheduler.
 func (c *Conn) Scheduler() *eventq.Scheduler { return c.flow.Src.Network().Sched }
 
-// NewTimerArg returns a timer calling fn(arg), for a policy's own ticks
-// (UnoCC's Quick Adapt period). It belongs to the flow: completion cancels
-// and releases it, so a tick can neither fire for a finished flow nor pin a
-// scheduler slot past it. The hook sits on the Conn, not on the policy
+// BindTimerArg binds a policy-owned timer, typically a field of the policy,
+// to fn(arg), for the policy's own ticks (UnoCC's Quick Adapt period). The
+// binding belongs to the flow: completion releases the timer before the
+// completion callback runs, so a tick can neither fire for a finished flow
+// nor pin a scheduler slot past it, and a policy recycled for a later flow
+// finds its timer unbound. The hook sits on the Conn, not on the policy
 // interfaces, so it also reaches a policy that a harness has wrapped. Call
-// it only while the flow is live.
-func (c *Conn) NewTimerArg(fn func(any), arg any) *eventq.Timer {
-	t := c.Scheduler().NewTimerArg(fn, arg)
+// it only while the flow is live, on an unbound timer.
+func (c *Conn) BindTimerArg(t *eventq.Timer, fn func(any), arg any) {
+	c.Scheduler().BindTimerArg(t, fn, arg)
 	c.s.policyTimers = append(c.s.policyTimers, t)
-	return t
 }
 
 // Rand returns the simulation's deterministic RNG.
@@ -750,10 +751,10 @@ func (s *sender) handleCnm(p *netsim.Packet) {
 
 // finish records completion and hands the live state back: the pacer and
 // RTO timers are cancelled (they stay bound to the sender for its next
-// flow), every timer a policy took from NewTimerArg is released, the demux
-// entry goes, the completion callback runs — it may take the policies back
-// for reuse — and the sender returns to its shard's free list. The handle
-// keeps Flow, Stats, FCT and the final window.
+// flow), every timer a policy bound through BindTimerArg is released, the
+// demux entry goes, the completion callback runs — it may take the policies
+// back for reuse — and the sender returns to its shard's free list. The
+// handle keeps Flow, Stats, FCT and the final window.
 func (s *sender) finish(now eventq.Time) {
 	c := s.c
 	s.done = true

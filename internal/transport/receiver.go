@@ -5,19 +5,18 @@ import (
 	"uno/internal/netsim"
 )
 
-// rcvBlock tracks one erasure-coding block at the receiver.
+// rcvBlock tracks one erasure-coding block at the receiver. Its NACK timer
+// is a field, bound at the block's first arrival with the block itself as
+// the callback's argument, so the block carries its receiver and index; it
+// is released at completion, so a reused blocks array holds no binding.
 type rcvBlock struct {
+	timer    eventq.Timer
+	r        *Receiver
+	b        int32
 	got      int16
 	nacks    int16
 	complete bool
-	// timer is the block's NACK timer, created lazily on first arming,
-	// reused (rearmed in place) across NACK retries and released (nil
-	// again) when the block completes.
-	timer *eventq.Timer
 }
-
-// timerPending reports whether the block's NACK timer is armed.
-func (b *rcvBlock) timerPending() bool { return b.timer != nil && b.timer.Pending() }
 
 // Receiver is the receive side of one live flow: it tracks which schedule
 // entries arrived, detects block completion for erasure-coded flows, arms
@@ -32,6 +31,9 @@ type Receiver struct {
 	got     []uint64 // arrival bitmap over the schedule
 	dataGot int64    // distinct data (non-parity) packets received
 	blocks  []rcvBlock
+	// blocksDone counts the complete blocks, so completion is O(1) per
+	// arrival.
+	blocksDone int
 
 	// The NACK timer's first period (EC.BlockTimeout) and the ceiling of
 	// its retry back-off (8 × BaseRTT): all the receiver needs of Params.
@@ -107,27 +109,25 @@ func (r *Receiver) onBlockArrival(b int32) {
 		// Nothing arms the NACK timer of a complete block again: hand its
 		// slab event back now, not when the simulation ends.
 		blk.complete = true
-		if blk.timer != nil {
-			blk.timer.Release()
-			blk.timer = nil
-		}
+		r.blocksDone++
+		blk.timer.Release()
 		return
 	}
-	if !blk.timerPending() && blk.got == 1 {
-		r.armBlockTimer(b, r.blockTimeout)
+	if blk.got == 1 {
+		// The first arrival starts the NACK timer of §4.2: if the block is
+		// still not decodable when it fires, a NACK listing the missing
+		// packets is sent. Retries rearm it in place.
+		blk.r, blk.b = r, b
+		r.ep.host.Network().Sched.BindTimerArg(&blk.timer, rcvBlockTimeout, blk)
+		blk.timer.ResetAfter(r.blockTimeout)
 	}
 }
 
-// armBlockTimer starts the NACK timer of §4.2: if the block is still not
-// decodable when it fires, a NACK listing the missing packets is sent. The
-// Timer is created once per block (on first arming) and rearmed in place
-// for retries.
-func (r *Receiver) armBlockTimer(b int32, after eventq.Time) {
-	blk := &r.blocks[b]
-	if blk.timer == nil {
-		blk.timer = r.ep.host.Network().Sched.NewTimer(func() { r.onBlockTimeout(b) })
-	}
-	blk.timer.ResetAfter(after)
+// rcvBlockTimeout is the NACK timer's callback, pre-bound so the timer needs
+// no closure.
+func rcvBlockTimeout(a any) {
+	blk := a.(*rcvBlock)
+	blk.r.onBlockTimeout(blk.b)
 }
 
 // onBlockTimeout fires the NACK path for block b.
@@ -177,7 +177,7 @@ func (r *Receiver) onBlockTimeout(b int32) {
 	if max := r.maxNackBackoff; backoff > max && max > 0 {
 		backoff = max
 	}
-	r.armBlockTimer(b, backoff)
+	blk.timer.ResetAfter(backoff)
 }
 
 // checkComplete evaluates whether the message is fully reconstructable. A
@@ -185,10 +185,8 @@ func (r *Receiver) onBlockTimeout(b int32) {
 // sees another.
 func (r *Receiver) checkComplete() {
 	if len(r.blocks) > 0 {
-		for i := range r.blocks {
-			if !r.blocks[i].complete {
-				return
-			}
+		if r.blocksDone < len(r.blocks) {
+			return
 		}
 	} else if r.dataGot < r.sched.nData {
 		return

@@ -67,6 +67,51 @@ func TestReceiverRetiresAtCompletion(t *testing.T) {
 	}
 }
 
+// TestReceiverRetiresAtLastBlockOutOfOrder: the blocks of a 3-block EC
+// flow complete in the order 2, 0, 1, one of them from parity, with a
+// duplicate in between. The receiver counts each block once and stays
+// registered until the arrival that completes the last block retires it.
+func TestReceiverRetiresAtLastBlockOutOfOrder(t *testing.T) {
+	d := newDumbbell(22, gbps100)
+	params := d.baseParams()
+	params.EC = ECConfig{Data: 2, Parity: 1, BlockTimeout: 50 * eventq.Microsecond}
+	// Three blocks of two data packets and one parity: block b is entries
+	// 3b (data), 3b+1 (data) and 3b+2 (parity).
+	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 6 * 4096}
+	MustOpen(d.epA, d.epB, flow, params, &FixedWindow{}, &FixedEntropy{}, nil)
+	r := d.epB.Receiver(1)
+	if r == nil || len(r.blocks) != 3 {
+		t.Fatal("setup: no 3-block receiver")
+	}
+	steps := []struct {
+		seq  int64
+		done int // complete blocks after the arrival
+	}{
+		{6, 0}, {8, 1}, // block 2, data then parity
+		{1, 1}, {0, 2}, // block 0
+		{3, 2}, {3, 2}, // block 1's first packet, then its duplicate
+		{5, 3}, // block 1 from parity: the last block
+	}
+	for i, st := range steps {
+		p := d.net.AllocPacket()
+		p.Type, p.Flow, p.Seq, p.Src, p.Dst, p.Size = netsim.Data, 1, st.seq, d.a.ID(), d.b.ID(), 4160
+		d.epB.Handle(p)
+		last := i == len(steps)-1
+		if got := d.epB.Receiver(1) != nil; got == last {
+			t.Fatalf("after seq %d (step %d): registered %v, want %v", st.seq, i, got, !last)
+		}
+		if !last && r.blocksDone != st.done {
+			t.Fatalf("after seq %d (step %d): %d blocks done, want %d", st.seq, i, r.blocksDone, st.done)
+		}
+	}
+	if got := d.epB.finished(1); got.n != 9 {
+		t.Fatalf("finished record %+v, want 9 entries", got)
+	}
+	if got := d.epB.RecvStats().DupPkts; got != 1 {
+		t.Fatalf("%d duplicates counted, want 1", got)
+	}
+}
+
 func TestEndpointAccessors(t *testing.T) {
 	d := newDumbbell(22, gbps100)
 	if d.epA.Host() != d.a {

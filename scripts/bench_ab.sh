@@ -5,7 +5,8 @@
 # alternating which side goes first so drift and a noisy neighbour hit both
 # equally; every pair's end-to-end metrics and digest= line are printed, then
 # per metric the two medians, the old side's quartiles (its own run-to-run
-# spread) and who won how many pairs.
+# spread) and who won how many pairs, and last one line per workload saying
+# whether all runs of both sides printed the same digest=/events= pair.
 #
 #   ./scripts/bench_ab.sh HEAD                          # working tree vs HEAD
 #   ./scripts/bench_ab.sh -n 12 -w perm_sharded -seed 7 -seconds 5 HEAD
@@ -74,8 +75,11 @@ run() {
         echo "$0: $2 side failed in pair $1" >&2
         exit 1
     }
-    awk -v pair="$1" -v side="$2" -v runs="$WORK/runs" '
-    $1 == "info" && $3 ~ /^digest=/ { w = $2; if (!(w in line)) order[++k] = w; line[w] = $3 " " $4 }
+    awk -v pair="$1" -v side="$2" -v runs="$WORK/runs" -v digests="$WORK/digests" '
+    $1 == "info" && $3 ~ /^digest=/ {
+        w = $2; if (!(w in line)) order[++k] = w; line[w] = $3 " " $4
+        print w, side, $3, $4 >> digests
+    }
     $1 == "metric" {
         print pair, side, $2, $3, $4 >> runs
         line[$2] = line[$2] " " $3 "=" $4
@@ -85,6 +89,7 @@ run() {
 }
 
 : >"$WORK/runs"
+: >"$WORK/digests"
 i=1
 while [ "$i" -le "$N" ]; do
     if [ $((i % 2)) -eq 1 ]; then
@@ -154,3 +159,30 @@ END {
             (om != 0 ? 100 * (cm - om) / om : 0), bound[part[2]], (diff <= q3 - q1 ? "yes" : "no"), nw, ow, tie
     }
 }' BENCHMARK.json "$WORK/runs"
+
+# Per workload: did every run, on both sides, simulate the same thing? One
+# line each, listing every distinct digest=/events= pair and which side
+# printed it how often when they differ.
+awk -v runs=$((2 * N)) '
+{
+    key = $3 " " $4
+    if (!($1 in nd)) order[++k] = $1
+    if (!(($1, key) in seen)) { seen[$1, key] = 1; nd[$1]++; pairs[$1, nd[$1]] = key }
+    side[$1, key, $2]++
+}
+END {
+    print ""
+    for (i = 1; i <= k; i++) {
+        w = order[i]
+        if (nd[w] == 1) {
+            printf "== %s: digest same in all %d runs: %s ==\n", w, runs, pairs[w, 1]
+            continue
+        }
+        printf "== %s: digest MOVED, %d distinct pairs over %d runs:", w, nd[w], runs
+        for (j = 1; j <= nd[w]; j++) {
+            key = pairs[w, j]
+            printf " [%s old %d new %d]", key, side[w, key, "old"], side[w, key, "new"]
+        }
+        printf " ==\n"
+    }
+}' "$WORK/digests"

@@ -35,7 +35,9 @@ test -z "$(gofmt -l $(git ls-files --cached --others --exclude-standard '*.go'))
 # API change that breaks the benchmark (transport.Open/Start, Conn.Stats
 # after completion, eventq.NewTimer, the simtest helpers, harness.Sim's
 # Sharded/Cluster/Net/ObserveShard) is caught before the benchmark itself is
-# run.
+# run. eventq.NewTimer stays because bench/drives.go calls it. The benchmark
+# uses no policy-timer hook of Conn (Conn.NewTimerArg is gone; policies bind
+# their own timer fields with Conn.BindTimerArg), so that hook may change.
 echo "== bench module: go vet + go test =="
 go -C bench vet ./...
 go -C bench test ./...
@@ -60,8 +62,9 @@ else
     echo "ci: wrote initial coverage baseline ${TOTAL}% to $BASELINE_FILE"
 fi
 
-# Native fuzz targets, briefly: the differential scheduler fuzzer (opcodes 2,
-# 5 and 6 are aliases kept so older corpus entries decode the same), the
+# Native fuzz targets, briefly: the differential scheduler fuzzer (opcodes 2
+# and 5 are aliases kept so older corpus entries decode the same, and 6
+# releases and rebinds a timer, which the model reads as a cancel), the
 # transport packet-header fuzzer (hostile data at the receiver, hostile
 # ACKs, NACKs and CNMs at the sender — a seed pins the sender's old panic on
 # an ACK past the schedule), and the fountain GF(2) decoder fuzzer, which
