@@ -14,10 +14,11 @@ func Example() {
 	sim := uno.NewSim(42, uno.DefaultTopology(), uno.UnoStack())
 	sim.Schedule([]uno.FlowSpec{{Src: 0, Dst: 200, Size: 1 << 20}}) // DC0 → DC1
 	sim.Run(100 * uno.Millisecond)
-	r := sim.Results()[0]
-	fmt.Println("completed:", r.Completed, "inter-DC:", r.Spec.InterDC)
+	// Only a finished flow leaves a result.
+	rs := sim.Results()
+	fmt.Println("completed:", len(rs), "inter-DC:", rs[0].Spec.InterDC)
 	// Output:
-	// completed: true inter-DC: true
+	// completed: 1 inter-DC: true
 }
 
 // ExampleCodec shows the real Reed-Solomon codec behind UnoRC's (8, 2)

@@ -70,10 +70,8 @@ func TestQCNGeneratesCnms(t *testing.T) {
 	a := netsim.NewHost(net, "a", 0)
 	b := netsim.NewHost(net, "b", 0)
 	a.AttachNIC(sw, bw100G, eventq.Microsecond)
-	cfg := simtest.PortConfig()
-	cfg.QCN = true
-	cfg.QCNThresh = 64 << 10
-	cfg.QCNSample = 4
+	// 320 KiB: the QCN threshold, a fifth of the queue, is 64 KiB.
+	cfg := netsim.PortConfig{QueueCap: 320 << 10, ControlBypass: true, QCN: true}
 	sw.AddPort(b, 10e9, eventq.Microsecond, cfg) // 10:1 bottleneck
 	sw.AddPort(a, bw100G, eventq.Microsecond, simtest.PortConfig())
 	b.AttachNIC(sw, bw100G, eventq.Microsecond)

@@ -87,7 +87,7 @@ func TestPoolRecycledPoliciesRunLikeFresh(t *testing.T) {
 		in.Net.Observer = digest
 		pool := new(Pool)
 		baseRTT := in.BaseRTT(0, 4096, bw100G)
-		sys := System{MTU: 4096, LinkBps: bw100G, IntraRTT: baseRTT, Pool: pool}
+		sys := System{LinkBps: bw100G, IntraRTT: baseRTT, Pool: pool}
 		var last *transport.Conn
 		var reused bool
 		for id := int64(1); id <= 2; id++ {

@@ -5,14 +5,9 @@ import (
 	"uno/internal/transport"
 )
 
-// UnoRC's block shape and UnoLB's subflow count (Table 2): (8,2) blocks
-// whose ten packets spread over N = 8 subflows, so a block covers every
-// path.
-const (
-	ecData   = 8
-	ecParity = 2
-	subflows = 8
-)
+// subflows is UnoLB's subflow count (Table 2): a transport (8,2) block's
+// ten packets spread over N = 8 subflows, so a block covers every path.
+const subflows = 8
 
 // MultipathDupAckThresh is the dup-ACK threshold of a flow sprayed over
 // paths (UnoLB, RPS, PLB): three per subflow, since reordering is expected.
@@ -22,8 +17,6 @@ const MultipathDupAckThresh = 3 * subflows
 // fabric's line rate and intra-DC RTT, and the variant and ablation
 // switches. The paper's Table 2 values are constants.
 type System struct {
-	// MTU in payload bytes; zero leaves the transport default (4096).
-	MTU int
 	// LinkBps is the line rate used for BDP computations.
 	LinkBps int64
 	// IntraRTT is the unloaded intra-DC RTT: it sets the unified epoch
@@ -58,19 +51,13 @@ func (s System) wireBDP(rtt eventq.Time) float64 {
 
 // Policies builds the transport parameters, congestion controller, and
 // path selector for one flow. baseRTT is the flow's unloaded RTT (use
-// topo.BaseRTT or the Table 2 constants).
+// topo.BaseRTT or the Table 2 constants). The parameters leave the MTU at
+// the transport default (4096).
 func (s System) Policies(interDC bool, baseRTT eventq.Time) (transport.Params, transport.CongestionControl, transport.PathSelector) {
-	params := transport.Params{MTU: s.MTU, BaseRTT: baseRTT}
+	params := transport.Params{BaseRTT: baseRTT, EC: interDC && !s.DisableEC}
 	if !s.UseECMP {
 		// Single-path ECMP keeps the transport's default threshold of 3.
 		params.DupAckThresh = MultipathDupAckThresh
-	}
-	if interDC && !s.DisableEC {
-		params.EC = transport.ECConfig{
-			Data:         ecData,
-			Parity:       ecParity,
-			BlockTimeout: baseRTT,
-		}
 	}
 
 	epoch := s.IntraRTT

@@ -83,11 +83,13 @@ func TestUnoCCNameAndConfigRoundTrip(t *testing.T) {
 func TestSystemDefaults(t *testing.T) {
 	sys := System{LinkBps: 100e9, IntraRTT: 14 * eventq.Microsecond}
 	params, _, _ := sys.Policies(true, 2*eventq.Millisecond)
-	if params.EC.Data != 8 || params.EC.Parity != 2 {
-		t.Fatalf("EC default = %+v", params.EC)
+	// EC in the transport's (8,2) blocks, whose NACK timer is the flow's
+	// BaseRTT.
+	if !params.EC {
+		t.Fatalf("EC default = %+v", params)
 	}
-	if params.EC.BlockTimeout != 2*eventq.Millisecond {
-		t.Fatalf("block timeout = %v", params.EC.BlockTimeout)
+	if params.BaseRTT != 2*eventq.Millisecond {
+		t.Fatalf("base RTT = %v", params.BaseRTT)
 	}
 	// Reordering tolerance for subflow spraying.
 	if params.DupAckThresh != 24 {

@@ -55,8 +55,7 @@ func TestUnoLBSpreadsBlockAcrossPaths(t *testing.T) {
 	p := simtest.NewParallel(2, bw100G, 8, eventq.Microsecond)
 	lb := &UnoLB{}
 	params := transport.Params{
-		MTU: 4096, BaseRTT: 10 * eventq.Microsecond, DupAckThresh: 64,
-		EC: transport.ECConfig{Data: 8, Parity: 2, BlockTimeout: 100 * eventq.Microsecond},
+		MTU: 4096, BaseRTT: 10 * eventq.Microsecond, DupAckThresh: 64, EC: true,
 	}
 	conn := parallelFlow(t, p, 1, 8*4096, params, &transport.FixedWindow{Window: 1 << 20}, lb)
 	p.Net.Sched.RunUntil(eventq.Second)
@@ -159,10 +158,9 @@ func TestUnoLBSurvivesPathFailure(t *testing.T) {
 	// transfer and reroute away from the dead path.
 	p := simtest.NewParallel(5, bw100G, 8, eventq.Microsecond)
 	lb := &UnoLB{}
+	// BaseRTT puts the RTO floor at 200 µs and the NACK timer at 50 µs.
 	params := transport.Params{
-		MTU: 4096, BaseRTT: 10 * eventq.Microsecond, DupAckThresh: 64,
-		MinRTO: 200 * eventq.Microsecond,
-		EC:     transport.ECConfig{Data: 8, Parity: 2, BlockTimeout: 50 * eventq.Microsecond},
+		MTU: 4096, BaseRTT: 50 * eventq.Microsecond, DupAckThresh: 64, EC: true,
 	}
 	p.Net.Sched.Schedule(5*eventq.Microsecond, func() { p.Paths[3].SetUp(false) })
 	conn := parallelFlow(t, p, 1, 4<<20, params, &transport.FixedWindow{Window: 256 * 4160}, lb)
@@ -176,8 +174,8 @@ func TestSystemPolicies(t *testing.T) {
 	sys := System{LinkBps: 100e9, IntraRTT: 14 * eventq.Microsecond}
 	// Inter-DC flow gets EC and UnoLB.
 	params, cc, lb := sys.Policies(true, 2*eventq.Millisecond)
-	if !params.EC.Enabled() || params.EC.Data != 8 || params.EC.Parity != 2 {
-		t.Fatalf("inter-DC params missing EC: %+v", params.EC)
+	if !params.EC {
+		t.Fatalf("inter-DC params missing EC: %+v", params)
 	}
 	if _, ok := cc.(*UnoCC); !ok {
 		t.Fatalf("cc = %T", cc)
@@ -191,7 +189,7 @@ func TestSystemPolicies(t *testing.T) {
 	}
 	// Intra-DC flow: no EC.
 	params, _, _ = sys.Policies(false, 14*eventq.Microsecond)
-	if params.EC.Enabled() {
+	if params.EC {
 		t.Fatal("intra-DC flow got EC")
 	}
 	// ECMP variant.
@@ -203,7 +201,7 @@ func TestSystemPolicies(t *testing.T) {
 	// DisableEC variant.
 	sys.DisableEC = true
 	params, _, _ = sys.Policies(true, 2*eventq.Millisecond)
-	if params.EC.Enabled() {
+	if params.EC {
 		t.Fatal("DisableEC variant still has EC")
 	}
 	// Per-flow epoch ablation.
@@ -226,9 +224,9 @@ func TestUnoLBReroutesSubflowWithDeadAckPath(t *testing.T) {
 	// subflow lost a quarter of its ACKs for the flow's whole life.)
 	p := simtest.NewParallelDuplex(9, bw100G, 4, eventq.Microsecond)
 	lb := &UnoLB{}
+	// BaseRTT puts the RTO floor at 200 µs.
 	params := transport.Params{
-		MTU: 4096, BaseRTT: 10 * eventq.Microsecond, DupAckThresh: 64,
-		MinRTO: 200 * eventq.Microsecond,
+		MTU: 4096, BaseRTT: 50 * eventq.Microsecond, DupAckThresh: 64,
 	}
 	conn := parallelFlow(t, p, 1, 4<<20, params, &transport.FixedWindow{Window: 256 * 4160}, lb)
 	before := lb.Entropies()

@@ -40,9 +40,8 @@ func TestRCVariantsGrid(t *testing.T) {
 		if params.DupAckThresh != 24 {
 			t.Errorf("%s DupAckThresh = %d, want 24", v.Name, params.DupAckThresh)
 		}
-		rs82 := params.EC.Data == 8 && params.EC.Parity == 2
-		if rs82 != want[i].ec || params.EC.Enabled() != want[i].ec {
-			t.Errorf("%s EC = %+v, want RS(8,2) %v", v.Name, params.EC, want[i].ec)
+		if params.EC != want[i].ec {
+			t.Errorf("%s EC = %v, want %v", v.Name, params.EC, want[i].ec)
 		}
 	}
 }

@@ -190,7 +190,7 @@ func TestStacksProducePolicies(t *testing.T) {
 		t.Fatalf("intra-DC mprdma+bbr cc = %T", cc)
 	}
 	params, cc, _ := StackUno().Policies(sim, spec, true)
-	if !params.EC.Enabled() {
+	if !params.EC {
 		t.Fatal("uno inter-DC flow lacks EC")
 	}
 	if _, ok := cc.(*core.UnoCC); !ok {

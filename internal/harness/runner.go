@@ -19,12 +19,12 @@ import (
 	"uno/internal/workload"
 )
 
-// FlowResult records one completed (or abandoned) flow.
+// FlowResult records one completed flow; a flow that never finishes
+// records none.
 type FlowResult struct {
-	Spec      workload.FlowSpec
-	FCT       eventq.Time
-	Ideal     eventq.Time // unloaded completion time for slowdown metrics
-	Completed bool
+	Spec  workload.FlowSpec
+	FCT   eventq.Time
+	Ideal eventq.Time // unloaded completion time for slowdown metrics
 }
 
 // Slowdown returns FCT relative to the unloaded ideal.
@@ -330,7 +330,7 @@ func (s *Sim) openFlow(fr *flowRun) *transport.Conn {
 func (fr *flowRun) done(c *transport.Conn) {
 	st := &fr.s.shards[fr.shard]
 	st.pending--
-	st.results = append(st.results, FlowResult{Spec: fr.spec, FCT: c.FCT(), Ideal: fr.ideal, Completed: true})
+	st.results = append(st.results, FlowResult{Spec: fr.spec, FCT: c.FCT(), Ideal: fr.ideal})
 	st.policies.Recycle(c.Policies())
 	if fr.hook != nil {
 		fr.hook()

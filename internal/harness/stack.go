@@ -28,7 +28,6 @@ type Stack struct {
 func unoSystem(s *Sim, src int, mod func(*core.System)) core.System {
 	sys := &s.unoSys
 	*sys = core.System{
-		MTU:      s.MTU,
 		LinkBps:  s.Topo.Cfg.LinkBps,
 		IntraRTT: s.Topo.IntraRTT(s.MTU),
 		Pool:     &s.shards[s.Topo.Hosts[src].Network().Shard()].policies,

@@ -169,10 +169,8 @@ func TestPLBSurvivesPathFailureViaRTORepath(t *testing.T) {
 	p := simtest.NewParallel(8, bw100G, 2, eventq.Microsecond)
 	plb := &PLB{}
 	flow := &transport.Flow{ID: 1, Src: p.A, Dst: p.B, Size: 64 * 4096}
-	params := transport.Params{
-		MTU: 4096, BaseRTT: 10 * eventq.Microsecond,
-		MinRTO: 100 * eventq.Microsecond, DupAckThresh: 64,
-	}
+	// BaseRTT puts the RTO floor at 100 µs.
+	params := transport.Params{MTU: 4096, BaseRTT: 25 * eventq.Microsecond, DupAckThresh: 64}
 	conn, err := transport.Start(p.EpA, p.EpB, flow, params,
 		&transport.FixedWindow{Window: 64 * 4160}, plb, nil)
 	if err != nil {

@@ -93,8 +93,10 @@ func invariantConfigs() map[string]PortConfig {
 	red.MarkMin, red.MarkMax = 1<<14, 3<<14
 	phantom := base
 	phantom.Phantom = NewPhantomQueue(9e8, 1<<16, 1<<13, 1<<15)
+	// QCN samples every 32nd data packet above a fifth of the queue: a
+	// 1 MiB queue takes two bursts and samples them several times.
 	qcn := base
-	qcn.QCN, qcn.QCNThresh, qcn.QCNSample = true, 1<<14, 4
+	qcn.QueueCap, qcn.QCN = 1<<20, true
 	trim := red
 	trim.Trim, trim.ControlBypass = true, true
 	return map[string]PortConfig{

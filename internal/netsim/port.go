@@ -20,13 +20,11 @@ type PortConfig struct {
 	ControlBypass bool
 	// QCN enables QCN-style congestion notification (the Annulus add-on
 	// the paper's footnote 4 defers to future work): when the queue
-	// exceeds QCNThresh bytes, every QCNSample-th admitted data packet
-	// triggers a Cnm packet sent directly back to the packet's source
-	// with the queue's relative overload as feedback. Useful only for
-	// congestion near the source — precisely Annulus's premise.
-	QCN       bool
-	QCNThresh int64
-	QCNSample uint64
+	// exceeds qcnThreshFrac of QueueCap, every qcnSample-th admitted data
+	// packet triggers a Cnm packet sent directly back to the packet's
+	// source with the queue's relative overload as feedback. Useful only
+	// for congestion near the source — precisely Annulus's premise.
+	QCN bool
 
 	// Trim enables NDP-style packet trimming: a data packet that would be
 	// tail-dropped is instead cut to its header (AckSize bytes) and
@@ -37,6 +35,13 @@ type PortConfig struct {
 	// WAN RTT) — the trimming extension exists here to demonstrate that.
 	Trim bool
 }
+
+// QCN's constants: the queue fill, as a fraction of capacity, above which a
+// QCN port samples admitted data packets, and the sampling interval.
+const (
+	qcnThreshFrac = 0.2
+	qcnSample     = 32
+)
 
 // PortStats are cumulative counters exposed for the harness.
 type PortStats struct {
@@ -61,7 +66,7 @@ type PortStats struct {
 // Enqueue is the per-hop hot path: it runs once for every packet at every
 // switch, so the admission logic is a single fused pass over one snapshot
 // of queue state, with every static threshold that RED and QCN need
-// precomputed in newPort (see the redMin/qcnSample fields).
+// precomputed in newPort (see the redMin/qcnThresh fields).
 // The float conversions precomputed there are exact (int64 → float64 of
 // in-range values), so the fused pass is bit-identical to the multi-pass
 // code it replaced — golden digests do not move.
@@ -86,11 +91,12 @@ type Port struct {
 	// divides nothing that is statically known:
 	//   redMin/redMax   — float64(cfg.MarkMin/MarkMax); RED enabled iff
 	//                     redMax > 0 (exact conversion, same predicate).
-	//   qcnSample       — cfg.QCNSample with the 0 → 32 default resolved.
-	//   qcnRange        — float64(QueueCap - QCNThresh), sendCnm's
+	//   qcnThresh       — qcnThreshFrac of QueueCap in bytes, always
+	//                     below QueueCap.
+	//   qcnRange        — float64(QueueCap - qcnThresh), sendCnm's
 	//                     normalization denominator.
 	redMin, redMax float64
-	qcnSample      uint64
+	qcnThresh      int64
 	qcnRange       float64
 
 	// dropLabel is the observer location string for tail drops,
@@ -111,20 +117,12 @@ func newPort(net *Network, owner Node, link *Link, cfg PortConfig) *Port {
 	if cfg.QueueCap <= 0 {
 		panic("netsim: port needs positive queue capacity")
 	}
-	if cfg.QCN && cfg.QCNThresh >= cfg.QueueCap {
-		// sendCnm normalizes overload by QueueCap-QCNThresh; a threshold at
-		// or above the capacity would make every feedback +Inf/NaN.
-		panic("netsim: QCN threshold must be below queue capacity")
-	}
 	p := &Port{net: net, owner: owner, cfg: cfg, link: link}
 	p.dropLabel = owner.Name() + " port"
 	p.txTimer = net.Sched.NewTimer(p.onTxTimer)
 	p.redMin, p.redMax = float64(cfg.MarkMin), float64(cfg.MarkMax)
-	p.qcnSample = cfg.QCNSample
-	if p.qcnSample == 0 {
-		p.qcnSample = 32
-	}
-	p.qcnRange = float64(cfg.QueueCap - cfg.QCNThresh)
+	p.qcnThresh = int64(float64(cfg.QueueCap) * qcnThreshFrac)
+	p.qcnRange = float64(cfg.QueueCap - p.qcnThresh)
 	return p
 }
 
@@ -210,9 +208,9 @@ func (p *Port) Enqueue(pkt *Packet) {
 
 	// QCN samples every admitted data packet above the threshold — trimmed
 	// data packets included (they still signal offered load at this hop).
-	if p.cfg.QCN && pkt.Type == Data && qb > p.cfg.QCNThresh {
+	if p.cfg.QCN && pkt.Type == Data && qb > p.qcnThresh {
 		p.qcnCount++
-		if p.qcnCount%p.qcnSample == 0 {
+		if p.qcnCount%qcnSample == 0 {
 			p.sendCnm(pkt)
 		}
 	}
@@ -231,7 +229,7 @@ func (p *Port) Enqueue(pkt *Packet) {
 // sendCnm emits a congestion-notification message straight back to the
 // sampled packet's source, carrying the queue's relative overload.
 func (p *Port) sendCnm(pkt *Packet) {
-	over := float64(p.queuedBytes-p.cfg.QCNThresh) / p.qcnRange
+	over := float64(p.queuedBytes-p.qcnThresh) / p.qcnRange
 	// Clamp to [0, 1]: ControlBypass (and trimming) can push queuedBytes
 	// past QueueCap, and the inverted comparison also rejects NaN, so a
 	// CC consuming Packet.Feedback never sees a value outside the range.

@@ -7,33 +7,10 @@ import (
 	"uno/internal/eventq"
 )
 
-// TestQCNThreshAtCapacityPanics is the regression test for the sendCnm
-// division by zero: a QCN threshold at (or above) the queue capacity used
-// to produce +Inf/NaN feedback; newPort now rejects the configuration.
-func TestQCNThreshAtCapacityPanics(t *testing.T) {
-	for _, thresh := range []int64{1 << 20, 2 << 20} { // == cap, > cap
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("QCNThresh=%d with QueueCap=%d did not panic", thresh, int64(1<<20))
-				}
-			}()
-			net := New(1)
-			sw := NewSwitch(net, "sw", directRouter{})
-			h := NewHost(net, "h", 0)
-			sw.AddPort(h, 100e9, eventq.Microsecond,
-				PortConfig{QueueCap: 1 << 20, QCN: true, QCNThresh: thresh})
-		}()
-	}
-}
-
 // TestQCNFeedbackClamped: even when bypassing control traffic pushes the
 // queue past its capacity, the CNM feedback stays in [0, 1].
 func TestQCNFeedbackClamped(t *testing.T) {
-	cfg := PortConfig{
-		QueueCap: 4 << 10, ControlBypass: true, Trim: true,
-		QCN: true, QCNThresh: 2 << 10, QCNSample: 1,
-	}
+	cfg := PortConfig{QueueCap: 4 << 10, ControlBypass: true, Trim: true, QCN: true}
 	net, a, sw, b := buildPair(t, cfg, 1e9, eventq.Microsecond)
 	var feedbacks []float64
 	// buildPair's single-port switch routes everything — CNMs included —
@@ -45,7 +22,7 @@ func TestQCNFeedbackClamped(t *testing.T) {
 	})
 	// Flood faster than the port drains: everything past the capacity is
 	// trimmed and bypasses, so queuedBytes exceeds QueueCap while QCN keeps
-	// sampling data packets.
+	// sampling data packets (every 32nd above 819 B, a fifth of 4 KiB).
 	for i := 0; i < 64; i++ {
 		sw.Port(0).Enqueue(&Packet{Type: Data, Src: a.ID(), Dst: b.ID(), Size: 4096, Seq: int64(i)})
 	}
@@ -60,19 +37,20 @@ func TestQCNFeedbackClamped(t *testing.T) {
 	}
 }
 
-// TestQCNSampleDefault: QCNSample == 0 falls back to sampling every 32nd
-// admitted data packet above the threshold.
+// TestQCNSampleDefault: QCN samples every 32nd admitted data packet above
+// the threshold, a fifth of the queue capacity.
 func TestQCNSampleDefault(t *testing.T) {
-	cfg := PortConfig{QueueCap: 1 << 20, QCN: true, QCNThresh: 0}
+	cfg := PortConfig{QueueCap: 1 << 20, QCN: true}
 	_, a, sw, b := buildPair(t, cfg, 1e9, eventq.Microsecond)
 	// Enqueue synchronously (no scheduler run): the first packet enters the
-	// transmitter, every later one queues above the zero threshold.
-	for i := 0; i < 65; i++ {
+	// transmitter and the next 51 fill the queue to 208,896 B, just under
+	// the 209,715 B threshold; every later one queues above it.
+	for i := 0; i < 1+51+64; i++ {
 		sw.Port(0).Enqueue(&Packet{Type: Data, Src: a.ID(), Dst: b.ID(), Size: 4096, Seq: int64(i)})
 	}
 	// 64 packets counted above the threshold → exactly 2 samples.
 	if got := sw.Port(0).Stats().CnmsSent; got != 2 {
-		t.Fatalf("CnmsSent = %d with default sampling, want 2", got)
+		t.Fatalf("CnmsSent = %d, want 2", got)
 	}
 }
 
@@ -100,8 +78,7 @@ func TestQCNCnmRoutedFromMidPathSwitch(t *testing.T) {
 	sw1.AddPort(a, fast, eventq.Microsecond, defaultPort())
 	sw1.SetRouter(byDst(1, 0))
 	// sw2: port 0 → b is the slow, QCN-enabled bottleneck; port 1 → sw1.
-	sw2.AddPort(b, slow, eventq.Microsecond,
-		PortConfig{QueueCap: 1 << 20, QCN: true, QCNThresh: 16 << 10, QCNSample: 1})
+	sw2.AddPort(b, slow, eventq.Microsecond, PortConfig{QueueCap: 1 << 20, QCN: true})
 	sw2.AddPort(sw1, fast, eventq.Microsecond, defaultPort())
 	sw2.SetRouter(byDst(1, 0))
 
@@ -115,7 +92,9 @@ func TestQCNCnmRoutedFromMidPathSwitch(t *testing.T) {
 		}
 	})
 	b.SetHandler(func(*Packet) {})
-	for i := 0; i < 32; i++ {
+	// The queue passes the 209,715 B threshold at its 52nd packet; the
+	// rest give two samples.
+	for i := 0; i < 128; i++ {
 		a.Send(&Packet{Type: Data, Src: a.ID(), Dst: b.ID(), Size: 4096, Seq: int64(i)})
 	}
 	net.Sched.Run()
@@ -134,13 +113,12 @@ func TestQCNCnmRoutedFromMidPathSwitch(t *testing.T) {
 // past QueueCap by trim+bypass admissions clamps to exactly 1.0 rather
 // than exceeding it.
 func TestQCNFeedbackExactBounds(t *testing.T) {
-	// 8 KiB capacity, threshold at half, sample every admitted data packet.
+	// 40 KiB capacity, so the threshold is 8 KiB and the 32 samples'
+	// worth of admissions above it fit the 32 KiB band in 1 KiB packets.
 	// ControlBypass lets the CNM itself through the full queue (data
 	// admissions are still capacity-checked, so the occupancy math below is
 	// unchanged); the feedback is computed before the CNM joins the queue.
-	cfg := PortConfig{
-		QueueCap: 8 << 10, ControlBypass: true, QCN: true, QCNThresh: 4 << 10, QCNSample: 1,
-	}
+	cfg := PortConfig{QueueCap: 40 << 10, ControlBypass: true, QCN: true}
 	net, a, sw, b := buildPair(t, cfg, 1e9, eventq.Microsecond)
 	var feedbacks []float64
 	b.SetHandler(func(p *Packet) {
@@ -149,11 +127,16 @@ func TestQCNFeedbackExactBounds(t *testing.T) {
 		}
 	})
 	// Synchronous enqueues: the first packet enters the transmitter
-	// immediately (queuedBytes 0), the second queues to 4096 (== thresh, no
-	// sample: the comparison is strict), the third queues to exactly 8192 ==
-	// QueueCap → feedback (8192−4096)/(8192−4096) = 1.0 exactly.
-	for i := 0; i < 3; i++ {
-		sw.Port(0).Enqueue(&Packet{Type: Data, Src: a.ID(), Dst: b.ID(), Size: 4096, Seq: int64(i)})
+	// immediately (queuedBytes 0), the next two queue to 8192 (== thresh,
+	// not counted: the comparison is strict), and 32 of 1 KiB take it to
+	// exactly 40960 == QueueCap. The 32nd is sampled → feedback
+	// (40960−8192)/(40960−8192) = 1.0 exactly.
+	for i := 0; i < 3+32; i++ {
+		size := 4096
+		if i >= 3 {
+			size = 1024
+		}
+		sw.Port(0).Enqueue(&Packet{Type: Data, Src: a.ID(), Dst: b.ID(), Size: size, Seq: int64(i)})
 	}
 	net.Sched.Run()
 	if len(feedbacks) != 1 {
@@ -167,10 +150,7 @@ func TestQCNFeedbackExactBounds(t *testing.T) {
 	// and ControlBypass admits the headers past QueueCap, so queuedBytes
 	// exceeds the capacity while QCN keeps sampling. Every feedback must be
 	// the clamped 1.0, never more.
-	cfg2 := PortConfig{
-		QueueCap: 8 << 10, ControlBypass: true, Trim: true,
-		QCN: true, QCNThresh: 4 << 10, QCNSample: 1,
-	}
+	cfg2 := PortConfig{QueueCap: 40 << 10, ControlBypass: true, Trim: true, QCN: true}
 	net2, a2, sw2, b2 := buildPair(t, cfg2, 1e9, eventq.Microsecond)
 	feedbacks = nil
 	b2.SetHandler(func(p *Packet) {
@@ -178,7 +158,9 @@ func TestQCNFeedbackExactBounds(t *testing.T) {
 			feedbacks = append(feedbacks, p.Feedback)
 		}
 	})
-	for i := 0; i < 8; i++ {
+	// One packet in service, ten to fill the queue (eight counted above
+	// 8 KiB), then 37 trimmed: the 32nd count falls past QueueCap.
+	for i := 0; i < 48; i++ {
 		sw2.Port(0).Enqueue(&Packet{Type: Data, Src: a2.ID(), Dst: b2.ID(), Size: 4096, Seq: int64(i)})
 	}
 	if qb := sw2.Port(0).QueuedBytes(); qb <= cfg2.QueueCap {
@@ -202,31 +184,29 @@ func TestQCNFeedbackExactBounds(t *testing.T) {
 // TestQCNSamplingCountsTrimmedPackets: the sampling counter advances on
 // every admitted data packet above the threshold, trimmed headers included
 // — a trimmed packet still signals offered load at this hop. With
-// QCNSample = 4 and 16 trimmed admissions, exactly 4 CNMs must go out; a
-// regression that skips trimmed packets (p.Trimmed check in the fused
-// pass) would halve the cadence or stall it entirely.
+// one untrimmed and 127 trimmed admissions above the threshold, exactly 4
+// CNMs must go out; a regression that skips trimmed packets (p.Trimmed
+// check in the fused pass) would stall the cadence entirely.
 func TestQCNSamplingCountsTrimmedPackets(t *testing.T) {
-	cfg := PortConfig{
-		QueueCap: 4 << 10, ControlBypass: true, Trim: true,
-		QCN: true, QCNThresh: 0, QCNSample: 4,
-	}
+	cfg := PortConfig{QueueCap: 4 << 10, ControlBypass: true, Trim: true, QCN: true}
 	_, a, sw, b := buildPair(t, cfg, 1e9, eventq.Microsecond)
-	// First packet occupies the transmitter, second fills the queue; the
-	// following 16 all arrive at a full queue and are trimmed+bypassed.
+	// First packet occupies the transmitter, second fills the queue past
+	// the 819 B threshold; the following 127 all arrive at a full queue
+	// and are trimmed+bypassed.
 	for i := 0; i < 2; i++ {
 		sw.Port(0).Enqueue(&Packet{Type: Data, Src: a.ID(), Dst: b.ID(), Size: 4096, Seq: int64(i)})
 	}
 	trimsBefore := sw.Port(0).Stats().Trims
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 127; i++ {
 		sw.Port(0).Enqueue(&Packet{Type: Data, Src: a.ID(), Dst: b.ID(), Size: 4096, Seq: int64(2 + i)})
 	}
 	st := sw.Port(0).Stats()
-	if st.Trims-trimsBefore != 16 {
-		t.Fatalf("trims = %d, want 16 (scenario must trim every late arrival)", st.Trims-trimsBefore)
+	if st.Trims-trimsBefore != 127 {
+		t.Fatalf("trims = %d, want 127 (scenario must trim every late arrival)", st.Trims-trimsBefore)
 	}
-	// Cadence: 1 untrimmed admission above threshold (packet 2) + 16 trimmed
-	// = 17 counted → samples at counts 4, 8, 12, 16.
+	// Cadence: 1 untrimmed admission above threshold (packet 2) + 127
+	// trimmed = 128 counted → samples at counts 32, 64, 96, 128.
 	if st.CnmsSent != 4 {
-		t.Fatalf("CnmsSent = %d, want 4 (every 4th counted admission, trimmed included)", st.CnmsSent)
+		t.Fatalf("CnmsSent = %d, want 4 (every 32nd counted admission, trimmed included)", st.CnmsSent)
 	}
 }

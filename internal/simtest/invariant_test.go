@@ -54,10 +54,7 @@ func TestInvariantECIncast(t *testing.T) {
 			ID: netsim.FlowID(i + 1), Src: in.Senders[i], Dst: in.Recv,
 			Size: 1 << 20, Start: in.Net.Now(),
 		}
-		params := transport.Params{
-			MTU: 4096, BaseRTT: in.BaseRTT(i, 4096, bw100G),
-			EC: transport.ECConfig{Data: 8, Parity: 2, BlockTimeout: eventq.Millisecond},
-		}
+		params := transport.Params{MTU: 4096, BaseRTT: in.BaseRTT(i, 4096, bw100G), EC: true}
 		conn, err := transport.Start(in.SenderEps[i], in.RecvEp, flow, params,
 			baselines.NewMPRDMA(), &transport.FixedEntropy{}, nil)
 		if err != nil {

@@ -35,12 +35,6 @@ type Config struct {
 	LinkBps     int64 // line rate of every link, bits per second
 	BorderLinks int   // parallel links between each pair of border switches
 
-	// Oversubscription multiplies the number of hosts per edge switch
-	// (default 1 = the paper's non-blocking K/2 hosts per edge). At 2,
-	// each edge carries twice as many hosts as uplinks, creating the
-	// oversubscribed regime the paper's footnote 4 mentions.
-	Oversubscription int
-
 	// IntraLinkDelay is the one-way propagation delay of every link inside
 	// a DC (host-edge, edge-agg, agg-core, core-border).
 	IntraLinkDelay eventq.Time
@@ -69,8 +63,8 @@ type Config struct {
 	// port of the source-side fabric, including the border uplinks (all of
 	// which sit inside the source datacenter — exactly the "congestion
 	// near source" Annulus reacts to): the substrate for the add-on the
-	// paper's footnote 4 defers to future work. Notifications fire above
-	// qcnThreshFrac of the queue capacity.
+	// paper's footnote 4 defers to future work. The ports derive their
+	// notification threshold from their capacity (netsim.PortConfig.QCN).
 	QCN bool
 }
 
@@ -97,10 +91,6 @@ const (
 	// fraction of the phantom size; see portConfig for why it sits far
 	// below the physical queues' 25 %.
 	phantomMinFrac = 0.10
-
-	// qcnThreshFrac is the queue fill, as a fraction of capacity, above
-	// which a QCN port sends congestion notifications.
-	qcnThreshFrac = 0.2
 )
 
 // Validate reports configuration errors.
@@ -114,8 +104,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("topo: LinkBps must be positive")
 	case c.NumDCs > 1 && c.BorderLinks <= 0:
 		return fmt.Errorf("topo: BorderLinks must be positive with multiple DCs")
-	case c.Oversubscription < 0:
-		return fmt.Errorf("topo: Oversubscription must be >= 1 (0 means default)")
 	case c.QueueCapIntra <= 0 || c.QueueCapInter <= 0:
 		return fmt.Errorf("topo: queue capacities must be positive")
 	}
@@ -140,16 +128,10 @@ func DefaultConfig() Config {
 }
 
 // PodsPerDC, switches-per-tier helpers.
-func (c Config) pods() int   { return c.K }
-func (c Config) perPod() int { return c.K / 2 } // edges or aggs per pod
-func (c Config) hostsPerEdge() int {
-	o := c.Oversubscription
-	if o < 1 {
-		o = 1
-	}
-	return c.K / 2 * o
-}
-func (c Config) cores() int { return (c.K / 2) * (c.K / 2) }
+func (c Config) pods() int         { return c.K }
+func (c Config) perPod() int       { return c.K / 2 } // edges or aggs per pod
+func (c Config) hostsPerEdge() int { return c.K / 2 }
+func (c Config) cores() int        { return (c.K / 2) * (c.K / 2) }
 
 // HostsPerDC returns the number of servers in each datacenter.
 func (c Config) HostsPerDC() int { return c.pods() * c.perPod() * c.hostsPerEdge() }
@@ -373,10 +355,7 @@ func (t *DualDC) portConfig(inter bool) netsim.PortConfig {
 		MarkMax:       int64(float64(capBytes) * redMaxFrac),
 		ControlBypass: true,
 		Trim:          cfg.Trimming,
-	}
-	if cfg.QCN {
-		pc.QCN = true
-		pc.QCNThresh = int64(float64(capBytes) * qcnThreshFrac)
+		QCN:           cfg.QCN,
 	}
 	if cfg.PhantomEnabled {
 		// The phantom queue’s RED band starts low (phantomMinFrac, not the

@@ -325,52 +325,6 @@ func TestPhantomEnabledPortsGetPhantomQueues(t *testing.T) {
 	}
 }
 
-func TestOversubscribedTopology(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Oversubscription = 2
-	net := netsim.New(15)
-	tp := MustBuild(net, cfg)
-	// k=4 at 2:1: 4 hosts per edge instead of 2 → 32 hosts per DC.
-	if got := cfg.HostsPerDC(); got != 32 {
-		t.Fatalf("hosts per DC = %d, want 32", got)
-	}
-	if len(tp.DCs[0].Hosts) != 32 {
-		t.Fatalf("built %d hosts", len(tp.DCs[0].Hosts))
-	}
-	// Hosts on the same (now bigger) edge still reach each other and
-	// cross-DC peers.
-	for _, pr := range [][2]int{{0, 3}, {0, 31}, {0, 32}, {35, 2}} {
-		ok, _ := probe(net, tp.Hosts[pr[0]], tp.Hosts[pr[1]], 1000)
-		if !ok {
-			t.Fatalf("no connectivity %d → %d under oversubscription", pr[0], pr[1])
-		}
-	}
-	// The edge uplink capacity is now half the hosts' aggregate: all four
-	// hosts of edge 0 blasting to another pod must queue at the two
-	// uplinks.
-	dst := tp.Hosts[16] // pod 2
-	dst.SetHandler(func(p *netsim.Packet) {})
-	for h := 0; h < 4; h++ {
-		for i := 0; i < 64; i++ {
-			tp.Hosts[h].Send(&netsim.Packet{
-				Type: netsim.Data, Flow: netsim.FlowID(h), Src: tp.Hosts[h].ID(),
-				Dst: dst.ID(), Size: 4096, Entropy: uint32(i * 2654435761),
-			})
-		}
-	}
-	queued := int64(0)
-	net.Sched.After(10*eventq.Microsecond, func() {
-		edge := tp.DCs[0].Edges[0][0]
-		for i := 4; i < edge.NumPorts(); i++ { // uplink ports follow host ports
-			queued += edge.Port(i).QueuedBytes()
-		}
-	})
-	net.Sched.Run()
-	if queued == 0 {
-		t.Fatal("no uplink queuing despite 2:1 oversubscription")
-	}
-}
-
 func TestThreeDCTopology(t *testing.T) {
 	cfg := smallConfig()
 	cfg.NumDCs = 3

@@ -33,29 +33,29 @@ func assertInFlightConsistent(t *testing.T, conn *Conn) {
 }
 
 // TestTailBlockScheduleAccounting pins the tail-block audit verdict: a flow
-// whose last block holds fewer than EC.Data packets gets a correctly shrunk
+// whose last block holds fewer than ecData packets gets a correctly shrunk
 // block (count, dataCount, start), parity sized to the block's largest
 // payload, and a receiver blockStart that stays valid because only the last
 // block can be short. Not a bug — this test keeps it that way.
 func TestTailBlockScheduleAccounting(t *testing.T) {
 	for _, size := range []int64{1, 4096, 19 * 4096, 19*4096 - 100, 8*4096 + 1, 64 * 4096} {
-		p := Params{MTU: 4096, EC: ECConfig{Data: 8, Parity: 2}}.withDefaults()
-		descs, blocks := buildSchedule(size, p)
-		full := int64(p.EC.Data + p.EC.Parity)
+		p := Params{MTU: 4096, EC: true}.withDefaults()
+		descs, blocks := expand(p.schedule(size))
+		full := int64(ecData + ecParity)
 		nData := (size + int64(p.MTU) - 1) / int64(p.MTU)
 		var payload int64
 		for b, blk := range blocks {
 			// All blocks before the last are full, so the receiver's
-			// blockStart(b) = b*(Data+Parity) assumption holds.
+			// blockStart(b) = b*(ecData+ecParity) assumption holds.
 			if blk.start != int64(b)*full {
 				t.Fatalf("size %d block %d start %d, want %d", size, b, blk.start, int64(b)*full)
 			}
-			if b < len(blocks)-1 && int(blk.dataCount) != p.EC.Data {
+			if b < len(blocks)-1 && blk.dataCount != ecData {
 				t.Fatalf("size %d: non-tail block %d short (%d data)", size, b, blk.dataCount)
 			}
-			if int(blk.count) != int(blk.dataCount)+p.EC.Parity {
+			if blk.count != blk.dataCount+ecParity {
 				t.Fatalf("size %d block %d count %d != data %d + parity %d",
-					size, b, blk.count, blk.dataCount, p.EC.Parity)
+					size, b, blk.count, blk.dataCount, ecParity)
 			}
 			maxPayload := 0
 			for i := int16(0); i < blk.count; i++ {
@@ -81,7 +81,7 @@ func TestTailBlockScheduleAccounting(t *testing.T) {
 		if payload != size {
 			t.Fatalf("size %d: schedule carries %d payload bytes", size, payload)
 		}
-		if got := blocks[len(blocks)-1].dataCount; int64(got) != nData-(int64(len(blocks))-1)*int64(p.EC.Data) {
+		if got := blocks[len(blocks)-1].dataCount; int64(got) != nData-(int64(len(blocks))-1)*ecData {
 			t.Fatalf("size %d: tail dataCount %d", size, got)
 		}
 	}
@@ -101,7 +101,7 @@ func TestRSTailBlockLossRecovers(t *testing.T) {
 		return false
 	}})
 	params := d.baseParams()
-	params.EC = ECConfig{Data: 8, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
+	params.EC = true
 	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 19 * 4096}
 	conn := d.run(flow, params, &FixedWindow{Window: 1 << 20}, &FixedEntropy{})
 	if !conn.Completed() || d.epB.Receiver(1) != nil {
@@ -136,7 +136,7 @@ func openPartial(t *testing.T, d *dumbbell, params Params) *Conn {
 func TestSatisfyBlockThenStaleAck(t *testing.T) {
 	d := newDumbbell(41, gbps100)
 	params := d.baseParams()
-	params.EC = ECConfig{Data: 8, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
+	params.EC = true
 	conn := openPartial(t, d, params.withDefaults())
 
 	// Declare seq 1 lost exactly the way onRTO does: released from the
@@ -193,7 +193,7 @@ func TestSatisfyBlockThenRTO(t *testing.T) {
 	// Black-hole everything so no ACK ever interferes.
 	d.mid.SetLoss(filterLoss{fn: func(p *netsim.Packet) bool { return true }})
 	params := d.baseParams()
-	params.EC = ECConfig{Data: 8, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
+	params.EC = true
 	conn := openPartial(t, d, params.withDefaults())
 
 	conn.s.satisfyBlock(0)
@@ -220,7 +220,7 @@ func TestSatisfyBlockThenRTO(t *testing.T) {
 func TestAckBlockOutOfRangeIgnored(t *testing.T) {
 	d := newDumbbell(43, gbps100)
 	params := d.baseParams()
-	params.EC = ECConfig{Data: 8, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
+	params.EC = true
 	conn := openPartial(t, d, params.withDefaults())
 
 	for _, b := range []int32{9999, int32(conn.s.sched.nBlocks)} {
@@ -251,7 +251,7 @@ func TestAckBlockOutOfRangeIgnored(t *testing.T) {
 func TestBlockNackExhaustionNoRearm(t *testing.T) {
 	d := newDumbbell(44, gbps100)
 	params := d.baseParams()
-	params.EC = ECConfig{Data: 8, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
+	params.EC = true
 	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 16 * 4096}
 	r := testReceiver(d.epB, flow, params.withDefaults())
 
@@ -279,7 +279,7 @@ func TestBlockNackExhaustionNoRearm(t *testing.T) {
 func TestBlockCompletionAfterExhaustionCancelsTimer(t *testing.T) {
 	d := newDumbbell(45, gbps100)
 	params := d.baseParams()
-	params.EC = ECConfig{Data: 4, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
+	params.EC = true
 	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 8 * 4096}
 	r := testReceiver(d.epB, flow, params.withDefaults())
 
@@ -289,9 +289,9 @@ func TestBlockCompletionAfterExhaustionCancelsTimer(t *testing.T) {
 	if !blk.timer.Pending() {
 		t.Fatal("setup: timer not armed")
 	}
-	// Parity-heavy completion: 2 data + 2 parity = dataCount distinct
+	// Parity-heavy completion: 6 data + 2 parity = dataCount distinct
 	// arrivals decode the block under RS counting.
-	for range 3 {
+	for range 7 {
 		r.onBlockArrival(0)
 	}
 	if !blk.complete {

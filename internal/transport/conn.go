@@ -374,17 +374,18 @@ func (s *sender) transmit(seq int64, d pktDesc) {
 // ---- RTO ----
 
 // rto returns the current retransmission timeout with backoff applied,
-// clamped to [MinRTO, MaxRTO]. Until the flow has an RTT sample it is
-// MaxRTO, RFC 6298's conservative initial RTO: MinRTO is a multiple of the
-// unloaded BaseRTT and knows nothing of the queue in front of the first
+// clamped to Params.rtoBounds. Until the flow has an RTT sample it is the
+// ceiling, RFC 6298's conservative initial RTO: the floor is a multiple of
+// the unloaded BaseRTT and knows nothing of the queue in front of the first
 // ACK — the sender's own NIC included, where four flows' initial windows
-// take longer to serialize than MinRTO lasts — and onRTO resends everything
-// one RTO old, so a timeout that fires with nothing lost costs a window.
+// take longer to serialize than the floor lasts — and onRTO resends
+// everything one RTO old, so a timeout that fires with nothing lost costs a
+// window.
 func (s *sender) rto() eventq.Time {
+	base, max := s.params.rtoBounds()
 	if !s.hasRTT {
-		return s.params.MaxRTO
+		return max
 	}
-	base := s.params.MinRTO
 	if est := s.srtt + 4*s.rttvar; est > base {
 		base = est
 	}
@@ -392,8 +393,7 @@ func (s *sender) rto() eventq.Time {
 	// comparing after could wrap a large srtt+4*rttvar estimate negative
 	// (int64 picoseconds) before the guard ever tripped. Inside the loop,
 	// bail as soon as one more doubling would reach the cap — base then
-	// never exceeds MaxRTO/2+ε, so the multiply cannot overflow.
-	max := s.params.MaxRTO
+	// never exceeds max/2+ε, so the multiply cannot overflow.
 	if base >= max {
 		return max
 	}

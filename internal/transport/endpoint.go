@@ -128,7 +128,7 @@ func Open(src, dst *Endpoint, flow *Flow, params Params,
 	}
 
 	// One schedule for both ends: it is a small value, so each keeps a copy.
-	sched := newSchedule(flow.Size, &params)
+	sched := params.schedule(flow.Size)
 	if sched.n > math.MaxUint32 {
 		return nil, fmt.Errorf("transport: flow %d has %d packets, beyond the 32-bit sequence space", flow.ID, sched.n)
 	}
@@ -321,7 +321,7 @@ func (t *flowTable) takeReceiver(ep *Endpoint, flow *Flow, params *Params, sched
 	r.ep, r.flow, r.sched = ep, flow, sched
 	r.got = reuse(r.got, (sched.n+63)/64)
 	r.blocks = reuse(r.blocks, sched.nBlocks)
-	r.blockTimeout, r.maxNackBackoff = params.EC.BlockTimeout, 8*params.BaseRTT
+	r.nackTimeout = params.BaseRTT
 	return r
 }
 

@@ -36,36 +36,41 @@ type Flow struct {
 	InterDC bool
 }
 
-// ECConfig enables UnoRC erasure coding on a flow.
-type ECConfig struct {
-	// Data and Parity packets per block — the paper's default scheme is
-	// (8, 2) (§5.2.3).
-	Data, Parity int
-	// BlockTimeout is the receiver's NACK timer: the estimated maximum
-	// queuing + transmission delay to gather a block (§4.2).
-	BlockTimeout eventq.Time
-}
+// UnoRC's block shape (Table 2, §5.2.3): every block of ecData data
+// packets is followed by ecParity parity packets, and any ecData of its
+// packets decode it.
+const (
+	ecData   = 8
+	ecParity = 2
+)
 
-// Enabled reports whether erasure coding is configured.
-func (e ECConfig) Enabled() bool { return e.Data > 0 }
+// The retransmission timeout's bounds, in multiples of the flow's BaseRTT:
+// the RTO floor is minRTOFactor × BaseRTT and the back-off ceiling
+// maxRTOFactor times that. A tight ceiling: failure-recovery experiments
+// depend on timeouts staying lively (each RTO is also a repath opportunity
+// for the load balancers), and a 64× ceiling lets one bad streak sleep
+// through hundreds of milliseconds. validate rejects a BaseRTT whose
+// ceiling overflows eventq.Time.
+const (
+	minRTOFactor = 4
+	maxRTOFactor = 8
+)
 
 // Params are per-flow transport parameters.
 type Params struct {
 	// MTU is the data packet payload size in bytes (paper default 4096).
 	MTU int
-	// BaseRTT is the unloaded round-trip estimate used to seed RTO and
-	// pacing before any RTT sample exists.
+	// BaseRTT is the unloaded round-trip estimate: it seeds pacing before
+	// any RTT sample exists, sets the RTO bounds (minRTOFactor,
+	// maxRTOFactor) and is the receiver's NACK timer.
 	BaseRTT eventq.Time
-	// MinRTO floors the retransmission timeout.
-	MinRTO eventq.Time
-	// MaxRTO caps exponential RTO backoff.
-	MaxRTO eventq.Time
 	// DupAckThresh is the number of ACKs above the lowest unacked packet
 	// before fast retransmit fires. Raise it for load balancers that
 	// reorder (RPS, UnoLB).
 	DupAckThresh int
-	// EC optionally enables erasure coding (inter-DC flows under UnoRC).
-	EC ECConfig
+	// EC turns on UnoRC erasure coding in (ecData, ecParity) blocks
+	// (inter-DC flows under UnoRC).
+	EC bool
 }
 
 // withDefaults fills unset parameters.
@@ -76,34 +81,36 @@ func (p Params) withDefaults() Params {
 	if p.BaseRTT <= 0 {
 		p.BaseRTT = 100 * eventq.Microsecond
 	}
-	if p.MinRTO <= 0 {
-		p.MinRTO = 4 * p.BaseRTT
-	}
-	if p.MaxRTO <= 0 {
-		// A tight backoff ceiling: failure-recovery experiments depend on
-		// timeouts staying lively (each RTO is also a repath opportunity
-		// for the load balancers), and a 64× ceiling lets one bad streak
-		// sleep through hundreds of milliseconds.
-		p.MaxRTO = 8 * p.MinRTO
-	}
 	if p.DupAckThresh <= 0 {
 		p.DupAckThresh = 3
-	}
-	if p.EC.Enabled() && p.EC.BlockTimeout <= 0 {
-		p.EC.BlockTimeout = p.BaseRTT
 	}
 	return p
 }
 
 // validate rejects nonsensical parameters.
 func (p Params) validate() error {
-	if p.EC.Data < 0 || p.EC.Parity < 0 || p.EC.Data+p.EC.Parity > math.MaxInt16 {
-		return fmt.Errorf("transport: invalid EC config %+v", p.EC)
-	}
 	if p.MTU > math.MaxInt32-HeaderSize {
 		return fmt.Errorf("transport: MTU %d does not fit the schedule's 32-bit payload sizes", p.MTU)
 	}
+	if p.BaseRTT > math.MaxInt64/(minRTOFactor*maxRTOFactor) {
+		return fmt.Errorf("transport: BaseRTT %v overflows the RTO ceiling (%d × BaseRTT)", p.BaseRTT, minRTOFactor*maxRTOFactor)
+	}
 	return nil
+}
+
+// rtoBounds returns the RTO floor and back-off ceiling.
+func (p *Params) rtoBounds() (min, max eventq.Time) {
+	min = minRTOFactor * p.BaseRTT
+	return min, maxRTOFactor * min
+}
+
+// schedule lays out a flow of size bytes under p: with EC in
+// (ecData, ecParity) blocks.
+func (p *Params) schedule(size int64) schedule {
+	if p.EC {
+		return newSchedule(size, p.MTU, ecData, ecParity)
+	}
+	return newSchedule(size, p.MTU, 0, 0)
 }
 
 // pktDesc is one entry of a flow's transmission schedule: the sequence space
@@ -126,17 +133,17 @@ type blockDesc struct {
 
 // schedule is a flow's static transmission schedule in closed form. Without
 // EC it is ceil(size/MTU) data packets. With EC, data packets are grouped
-// into blocks of EC.Data and each block is followed by EC.Parity parity
-// packets sized like the block's largest payload; every block but the last
-// is full, so block b starts at b*(Data+Parity). Open builds it once and
-// hands a copy to both ends: an entry is a pure function of its sequence
-// number, so no per-packet table exists and a flow's fixed state does not
-// grow with its size.
+// into blocks of x and each block is followed by y parity packets sized
+// like the block's largest payload; every block but the last is full, so
+// block b starts at b*(x+y). Open builds it once and hands a copy to both
+// ends: an entry is a pure function of its sequence number, so no
+// per-packet table exists and a flow's fixed state does not grow with its
+// size.
 type schedule struct {
 	nData   int64 // data packets
 	n       int64 // entries: data plus parity
 	nBlocks int64 // 0 without EC
-	// x and y are the EC block shape (Data, Parity); x == 0 without EC.
+	// x and y are the EC block shape (data, parity); x == 0 without EC.
 	x, y int32
 	// Payload of a full and of the final data packet; 32-bit (validate
 	// bounds MTU) so that the schedule is 40 bytes and a Conn stays inside
@@ -144,16 +151,20 @@ type schedule struct {
 	mtu, lastPayload int32
 }
 
-func newSchedule(size int64, p *Params) schedule {
+// newSchedule lays out size bytes in packets of at most mtu payload bytes,
+// in blocks of data packets each followed by parity packets when data > 0.
+// Flows take the (ecData, ecParity) shape or none (Params.schedule); the
+// schedule tests check arbitrary shapes against a reference table.
+func newSchedule(size int64, mtu int, data, parity int32) schedule {
 	if size <= 0 {
 		size = 1
 	}
-	mtu := int64(p.MTU)
-	s := schedule{nData: (size + mtu - 1) / mtu, mtu: int32(p.MTU)}
-	s.lastPayload = int32(size - (s.nData-1)*mtu)
+	m := int64(mtu)
+	s := schedule{nData: (size + m - 1) / m, mtu: int32(mtu)}
+	s.lastPayload = int32(size - (s.nData-1)*m)
 	s.n = s.nData
-	if p.EC.Enabled() {
-		s.x, s.y = int32(p.EC.Data), int32(p.EC.Parity)
+	if data > 0 {
+		s.x, s.y = data, parity
 		s.nBlocks = (s.nData + int64(s.x) - 1) / int64(s.x)
 		s.n += s.nBlocks * int64(s.y)
 	}

@@ -47,7 +47,7 @@ func FuzzReceiverPacket(f *testing.F) {
 		d := newDumbbell(11, gbps100)
 		flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 1 << 18, Start: 0}
 		params := d.baseParams()
-		params.EC = ECConfig{Data: 8, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
+		params.EC = true
 		var (
 			final struct {
 				stats    ConnStats

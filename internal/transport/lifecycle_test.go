@@ -141,7 +141,7 @@ func TestFlowAllocationBudget(t *testing.T) {
 // race detector measured 2.3 B a block; 0 is usual).
 func TestECBlockAllocationFree(t *testing.T) {
 	const flows, size, blocks = 200, 96 * 4096, 12
-	perFlow := func(ec ECConfig) float64 {
+	perFlow := func(ec bool) float64 {
 		d := newDumbbell(65, gbps100)
 		params := d.baseParams()
 		params.EC = ec
@@ -164,8 +164,7 @@ func TestECBlockAllocationFree(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		return float64(m1.TotalAlloc-m0.TotalAlloc) / flows
 	}
-	ec := ECConfig{Data: 8, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
-	coded, plain := perFlow(ec), perFlow(ECConfig{})
+	coded, plain := perFlow(true), perFlow(false)
 	perBlock := (coded - plain) / blocks
 	t.Logf("%.0f B per coded flow, %.0f B per plain flow: %.1f B per block", coded, plain, perBlock)
 	if perBlock > 8 {
@@ -227,8 +226,8 @@ func TestConnSizeClass(t *testing.T) {
 func TestLatePacketsForCompletedSender(t *testing.T) {
 	d := newDumbbell(63, gbps100)
 	params := d.baseParams()
-	params.EC = ECConfig{Data: 4, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
-	flow := &Flow{ID: 9, Src: d.a, Dst: d.b, Size: 8 * 4096}
+	params.EC = true
+	flow := &Flow{ID: 9, Src: d.a, Dst: d.b, Size: 16 * 4096} // two (8,2) blocks
 	conn := d.run(flow, params, &FixedWindow{Window: 1 << 20}, &FixedEntropy{})
 	if !conn.Completed() || d.epA.Sender(9) != nil || d.epB.Receiver(9) != nil {
 		t.Fatal("setup: flow must be complete and deregistered")
@@ -253,7 +252,7 @@ func TestLatePacketsForCompletedSender(t *testing.T) {
 	if conn.Stats() != stats || conn.FCT() != fct || conn.Flow() != flow || conn.Cwnd() != cwnd {
 		t.Errorf("late packets changed the result handle: %+v fct=%v cwnd=%v", conn.Stats(), conn.FCT(), conn.Cwnd())
 	}
-	if stats.PktsSent < 12 || stats.BytesAcked == 0 || fct <= 0 {
+	if stats.PktsSent < 20 || stats.BytesAcked == 0 || fct <= 0 {
 		t.Errorf("result handle lost the flow's record: %+v fct=%v", stats, fct)
 	}
 	if conn.InFlight() != 0 || d.net.Sched.Pending() != 0 {
@@ -271,12 +270,12 @@ func TestLatePacketsForCompletedSender(t *testing.T) {
 	})
 	lateBefore := d.epB.RecvStats().LatePkts // parity the decode did not need
 	dup := d.net.AllocPacket()
-	dup.Type, dup.Flow, dup.Src, dup.Dst, dup.Size, dup.Seq = netsim.Data, 9, d.a.ID(), d.b.ID(), 4160, 7
+	dup.Type, dup.Flow, dup.Src, dup.Dst, dup.Size, dup.Seq = netsim.Data, 9, d.a.ID(), d.b.ID(), 4160, 12
 	d.epB.Handle(dup)
 	d.net.Sched.Run()
-	if len(answers) != 1 || !answers[0].FlowDone || answers[0].AckSeq != 7 ||
+	if len(answers) != 1 || !answers[0].FlowDone || answers[0].AckSeq != 12 ||
 		answers[0].AckBlock != 1 || !answers[0].AckBlockOK {
-		t.Errorf("late duplicate answered with %+v, want one FlowDone ACK for seq 7 reporting block 1 decodable", answers)
+		t.Errorf("late duplicate answered with %+v, want one FlowDone ACK for seq 12 reporting block 1 decodable", answers)
 	}
 	if n := d.epB.RecvStats().LatePkts - lateBefore; n != 1 {
 		t.Errorf("%d late packets counted, want 1", n)
@@ -342,9 +341,8 @@ func snapshotFlow(c *Conn, r *Receiver) flowSnapshot {
 func recyclingViolations(keepDemux, skipReset bool) []string {
 	var bad []string
 	failf := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
-	params := Params{MTU: 4096, BaseRTT: 10 * eventq.Microsecond, MinRTO: 100 * eventq.Microsecond,
-		EC: ECConfig{Data: 4, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}}
-	const size = 12 * 4096 // three blocks of four data and two parity packets
+	params := Params{MTU: 4096, BaseRTT: 25 * eventq.Microsecond, EC: true}
+	const size = 24 * 4096 // three blocks of eight data and two parity packets
 	startB := func(d *dumbbell) *Conn {
 		flow := &Flow{ID: 2, Src: d.a, Dst: d.b, Size: size, Start: d.net.Now()}
 		return MustStart(d.epA, d.epB, flow, params, &FixedWindow{Window: 4 * 4160}, &FixedEntropy{Entropy: 5}, nil)

@@ -55,7 +55,8 @@ func TestLossRecoveryFirstTimeoutResendsTail(t *testing.T) {
 		t.Fatalf("SpuriousRetrans = %d, want 0: every resent packet was lost", st.SpuriousRetrans)
 	}
 	// One RTO of silence, not 1 + 2 + 4 + 8.
-	if limit := 2 * params.MinRTO; conn.FCT() > limit {
+	minRTO, _ := params.rtoBounds()
+	if limit := 2 * minRTO; conn.FCT() > limit {
 		t.Fatalf("FCT = %v, want under %v (one timeout)", conn.FCT(), limit)
 	}
 }
@@ -114,9 +115,9 @@ func TestLossRecoveryNoTimeoutBeforeFirstSample(t *testing.T) {
 	// Four one-window flows launched together from one host: the windows
 	// queue in the host's own NIC, and the fourth flow's first ACK comes
 	// back after 3 × 32 packets have serialized (32 µs) plus a round trip —
-	// later than MinRTO = 4 × BaseRTT = 32 µs. Nothing is lost anywhere, so
-	// nothing may time out: a flow with no RTT sample knows only the
-	// unloaded BaseRTT, and waits MaxRTO.
+	// later than the RTO floor, 4 × BaseRTT = 32 µs. Nothing is lost
+	// anywhere, so nothing may time out: a flow with no RTT sample knows
+	// only the unloaded BaseRTT, and waits the RTO ceiling.
 	d := newDumbbell(23, gbps100)
 	params := Params{MTU: 4096, BaseRTT: 8 * eventq.Microsecond}
 	var conns []*Conn
@@ -201,7 +202,7 @@ func TestLossRecoveryAckReturnsOnDataPath(t *testing.T) {
 	// by a queue's worth of delay, and the sender read that as loss.
 	const gbps25 = int64(25e9)
 	d := newDuplex(24, 2, gbps25)
-	params := Params{MTU: 4096, BaseRTT: 10 * eventq.Microsecond, MinRTO: 5 * eventq.Millisecond}
+	params := Params{MTU: 4096, BaseRTT: 10 * eventq.Microsecond}
 
 	var echoes []eventq.Time
 	d.a.SetHandler(func(p *netsim.Packet) {

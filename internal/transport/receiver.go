@@ -35,16 +35,21 @@ type Receiver struct {
 	// arrival.
 	blocksDone int
 
-	// The NACK timer's first period (EC.BlockTimeout) and the ceiling of
-	// its retry back-off (8 × BaseRTT): all the receiver needs of Params.
-	blockTimeout, maxNackBackoff eventq.Time
+	// nackTimeout is the NACK timer's first period, the flow's BaseRTT:
+	// all the receiver needs of Params. Retries double it up to
+	// 2^maxNackBackoffShift times.
+	nackTimeout eventq.Time
 
 	complete bool
 }
 
 // maxBlockNacks bounds NACK retries per block; beyond it the sender's RTO
-// is the backstop.
-const maxBlockNacks = 8
+// is the backstop. maxNackBackoffShift caps a retry's back-off at 8 ×
+// nackTimeout.
+const (
+	maxBlockNacks       = 8
+	maxNackBackoffShift = 3
+)
 
 func (r *Receiver) has(seq int64) bool {
 	return r.got[seq>>6]&(1<<(uint(seq)&63)) != 0
@@ -119,7 +124,7 @@ func (r *Receiver) onBlockArrival(b int32) {
 		// packets is sent. Retries rearm it in place.
 		blk.r, blk.b = r, b
 		r.ep.host.Network().Sched.BindTimerArg(&blk.timer, rcvBlockTimeout, blk)
-		blk.timer.ResetAfter(r.blockTimeout)
+		blk.timer.ResetAfter(r.nackTimeout)
 	}
 }
 
@@ -172,12 +177,9 @@ func (r *Receiver) onBlockTimeout(b int32) {
 		return
 	}
 	// Exponential backoff on retries, in case the NACK or the
-	// retransmissions are lost too.
-	backoff := r.blockTimeout << uint(blk.nacks)
-	if max := r.maxNackBackoff; backoff > max && max > 0 {
-		backoff = max
-	}
-	blk.timer.ResetAfter(backoff)
+	// retransmissions are lost too. Capping the shift, not the product,
+	// keeps it from overflowing at any BaseRTT validate accepts.
+	blk.timer.ResetAfter(r.nackTimeout << min(blk.nacks, maxNackBackoffShift))
 }
 
 // checkComplete evaluates whether the message is fully reconstructable. A

@@ -3,8 +3,6 @@ package transport
 import (
 	"testing"
 	"testing/quick"
-
-	"uno/internal/eventq"
 )
 
 // TestBuildScheduleProperty checks the schedule invariants over random
@@ -12,21 +10,17 @@ import (
 //   - data payloads sum exactly to the flow size,
 //   - every wire size covers its payload plus the header,
 //   - with EC, blocks are contiguous, labeled consistently, and carry
-//     exactly EC.Parity parity packets each,
+//     exactly the shape's parity packets each,
 //   - without EC, no packet carries block metadata.
 func TestBuildScheduleProperty(t *testing.T) {
 	f := func(sizeRaw uint32, mtuRaw uint16, dRaw, pRaw uint8, useEC bool) bool {
 		size := int64(sizeRaw%(1<<22)) + 1 // 1 B .. 4 MiB
-		p := Params{MTU: int(mtuRaw%8192) + 256}
+		mtu := int(mtuRaw%8192) + 256
+		var data, parity int32
 		if useEC {
-			p.EC = ECConfig{
-				Data:         int(dRaw%15) + 1,
-				Parity:       int(pRaw % 5),
-				BlockTimeout: eventq.Millisecond,
-			}
+			data, parity = int32(dRaw%15)+1, int32(pRaw%5)
 		}
-		p = p.withDefaults()
-		descs, blocks := buildSchedule(size, p)
+		descs, blocks := expand(newSchedule(size, mtu, data, parity))
 
 		var payload int64
 		for _, d := range descs {
@@ -34,14 +28,14 @@ func TestBuildScheduleProperty(t *testing.T) {
 			if d.wire < d.payload+HeaderSize {
 				return false
 			}
-			if !p.EC.Enabled() && (d.block != -1 || d.parity) {
+			if !useEC && (d.block != -1 || d.parity) {
 				return false
 			}
 		}
 		if payload != size {
 			return false
 		}
-		if !p.EC.Enabled() {
+		if !useEC {
 			return blocks == nil
 		}
 
@@ -51,23 +45,23 @@ func TestBuildScheduleProperty(t *testing.T) {
 			if blk.start != seq {
 				return false // contiguous layout
 			}
-			parity := 0
+			nParity := 0
 			for i := int16(0); i < blk.count; i++ {
 				d := descs[blk.start+int64(i)]
 				if d.block != int32(b) || d.blockIdx != i {
 					return false
 				}
 				if d.parity {
-					parity++
+					nParity++
 					if d.payload != 0 {
 						return false
 					}
 				}
 			}
-			if parity != p.EC.Parity {
+			if nParity != int(parity) {
 				return false
 			}
-			if int(blk.dataCount)+parity != int(blk.count) {
+			if int(blk.dataCount)+nParity != int(blk.count) {
 				return false
 			}
 			seq += int64(blk.count)

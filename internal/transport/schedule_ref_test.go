@@ -3,14 +3,11 @@ package transport
 import (
 	"testing"
 	"testing/quick"
-
-	"uno/internal/eventq"
 )
 
-// buildSchedule expands the closed-form schedule into the table the
-// schedule tests inspect entry by entry.
-func buildSchedule(size int64, p Params) ([]pktDesc, []blockDesc) {
-	s := newSchedule(size, &p)
+// expand turns a closed-form schedule into the table the schedule tests
+// inspect entry by entry.
+func expand(s schedule) ([]pktDesc, []blockDesc) {
 	descs := make([]pktDesc, s.n)
 	for seq := range descs {
 		descs[seq] = s.desc(int64(seq))
@@ -24,24 +21,25 @@ func buildSchedule(size int64, p Params) ([]pktDesc, []blockDesc) {
 
 // testReceiver builds a detached receiver the way Open does.
 func testReceiver(ep *Endpoint, flow *Flow, p Params) *Receiver {
-	return ep.flows.takeReceiver(ep, flow, &p, newSchedule(flow.Size, &p))
+	return ep.flows.takeReceiver(ep, flow, &p, p.schedule(flow.Size))
 }
 
 // refSchedule is the table builder the closed form replaced, kept as the
 // reference the closed form is checked against: it lays the schedule out
-// entry by entry, block by block, with no arithmetic shortcuts.
-func refSchedule(size int64, p Params) ([]pktDesc, []blockDesc) {
+// entry by entry, block by block, with no arithmetic shortcuts. data == 0
+// means no EC.
+func refSchedule(size int64, mtu int, data, parity int32) ([]pktDesc, []blockDesc) {
 	if size <= 0 {
 		size = 1
 	}
-	mtu := int64(p.MTU)
-	nData := (size + mtu - 1) / mtu
-	lastPayload := int(size - (nData-1)*mtu)
+	m := int64(mtu)
+	nData := (size + m - 1) / m
+	lastPayload := int(size - (nData-1)*m)
 
-	if !p.EC.Enabled() {
+	if data == 0 {
 		descs := make([]pktDesc, nData)
 		for i := int64(0); i < nData; i++ {
-			payload := p.MTU
+			payload := mtu
 			if i == nData-1 {
 				payload = lastPayload
 			}
@@ -50,7 +48,7 @@ func refSchedule(size int64, p Params) ([]pktDesc, []blockDesc) {
 		return descs, nil
 	}
 
-	x, y := int64(p.EC.Data), int64(p.EC.Parity)
+	x, y := int64(data), int64(parity)
 	nBlocks := (nData + x - 1) / x
 	descs := make([]pktDesc, 0, nData+nBlocks*y)
 	blocks := make([]blockDesc, 0, nBlocks)
@@ -64,7 +62,7 @@ func refSchedule(size int64, p Params) ([]pktDesc, []blockDesc) {
 		start := int64(len(descs))
 		maxPayload := 0
 		for i := int64(0); i < d; i++ {
-			payload := p.MTU
+			payload := mtu
 			if b*x+i == nData-1 {
 				payload = lastPayload
 			}
@@ -93,13 +91,13 @@ func refSchedule(size int64, p Params) ([]pktDesc, []blockDesc) {
 func TestScheduleClosedFormMatchesTable(t *testing.T) {
 	f := func(sizeRaw uint32, mtuRaw uint16, dRaw, pRaw uint8, useEC bool) bool {
 		size := int64(sizeRaw % (1 << 21))
-		p := Params{MTU: int(mtuRaw%8192) + 64}
+		mtu := int(mtuRaw%8192) + 64
+		var data, parity int32
 		if useEC {
-			p.EC = ECConfig{Data: int(dRaw%15) + 1, Parity: int(pRaw % 5), BlockTimeout: eventq.Millisecond}
+			data, parity = int32(dRaw%15)+1, int32(pRaw%5)
 		}
-		p = p.withDefaults()
-		want, wantBlocks := refSchedule(size, p)
-		got, gotBlocks := buildSchedule(size, p)
+		want, wantBlocks := refSchedule(size, mtu, data, parity)
+		got, gotBlocks := expand(newSchedule(size, mtu, data, parity))
 		if len(got) != len(want) || len(gotBlocks) != len(wantBlocks) {
 			return false
 		}
@@ -118,11 +116,12 @@ func TestScheduleClosedFormMatchesTable(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
-	// Sizes at every block and packet boundary of the paper's RS(8,2).
-	p := Params{MTU: 4096, EC: ECConfig{Data: 8, Parity: 2}}.withDefaults()
+	// Sizes at every block and packet boundary of the paper's RS(8,2), as
+	// a flow's Params lay them out.
+	p := Params{MTU: 4096, EC: true}.withDefaults()
 	for _, size := range []int64{0, 1, 4095, 4096, 4097, 8 * 4096, 8*4096 + 1, 9 * 4096, 16*4096 - 1, 16 * 4096} {
-		want, _ := refSchedule(size, p)
-		got, _ := buildSchedule(size, p)
+		want, _ := refSchedule(size, 4096, ecData, ecParity)
+		got, _ := expand(p.schedule(size))
 		if len(got) != len(want) {
 			t.Fatalf("size %d: %d entries, want %d", size, len(got), len(want))
 		}

@@ -8,17 +8,17 @@ import (
 )
 
 func TestBlockNackBackoffAndCap(t *testing.T) {
-	// Black-hole the four data packets of block 0 (parity still arrives
-	// and arms the block timer): the receiver must re-NACK with backoff
-	// but stop at maxBlockNacks, leaving recovery to the sender's RTO.
+	// Black-hole the eight data packets of block 0, first transmissions
+	// and RTO resends alike (parity still arrives and arms the block
+	// timer): the receiver must re-NACK with backoff but stop at
+	// maxBlockNacks, leaving recovery to the sender's RTO.
 	d := newDumbbell(20, gbps100)
 	d.mid.SetLoss(filterLoss{fn: func(p *netsim.Packet) bool {
 		return p.Type == netsim.Data && p.Block == 0 && !p.IsParity
 	}})
 	params := d.baseParams()
-	params.EC = ECConfig{Data: 4, Parity: 2, BlockTimeout: 30 * eventq.Microsecond}
-	params.MinRTO = eventq.Second // keep the sender quiet
-	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 12 * 4096}
+	params.EC = true
+	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 16 * 4096}
 	var conn *Conn
 	d.net.Sched.Schedule(0, func() {
 		conn = MustStart(d.epA, d.epB, flow, params, &FixedWindow{Window: 1 << 20}, &FixedEntropy{}, nil)
@@ -33,7 +33,7 @@ func TestBlockNackBackoffAndCap(t *testing.T) {
 		t.Fatalf("NACKs %d exceed cap %d", nacks, maxBlockNacks)
 	}
 	if conn.Completed() {
-		t.Fatal("flow completed despite black-holed block and muted RTO")
+		t.Fatal("flow completed despite a black-holed block")
 	}
 }
 
@@ -74,24 +74,31 @@ func TestReceiverRetiresAtCompletion(t *testing.T) {
 func TestReceiverRetiresAtLastBlockOutOfOrder(t *testing.T) {
 	d := newDumbbell(22, gbps100)
 	params := d.baseParams()
-	params.EC = ECConfig{Data: 2, Parity: 1, BlockTimeout: 50 * eventq.Microsecond}
-	// Three blocks of two data packets and one parity: block b is entries
-	// 3b (data), 3b+1 (data) and 3b+2 (parity).
-	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 6 * 4096}
+	params.EC = true
+	// Three (8,2) blocks: block b is entries 10b..10b+7 (data) and 10b+8,
+	// 10b+9 (parity).
+	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 24 * 4096}
 	MustOpen(d.epA, d.epB, flow, params, &FixedWindow{}, &FixedEntropy{}, nil)
 	r := d.epB.Receiver(1)
 	if r == nil || len(r.blocks) != 3 {
 		t.Fatal("setup: no 3-block receiver")
 	}
-	steps := []struct {
+	type step struct {
 		seq  int64
 		done int // complete blocks after the arrival
-	}{
-		{6, 0}, {8, 1}, // block 2, data then parity
-		{1, 1}, {0, 2}, // block 0
-		{3, 2}, {3, 2}, // block 1's first packet, then its duplicate
-		{5, 3}, // block 1 from parity: the last block
 	}
+	var steps []step
+	arrive := func(done int, seqs ...int64) {
+		for _, seq := range seqs {
+			steps = append(steps, step{seq, done})
+		}
+	}
+	arrive(0, 20, 21, 22, 23, 24, 25, 26) // block 2: seven data packets…
+	arrive(1, 28)                         // …and a parity packet
+	arrive(1, 7, 6, 5, 4, 3, 2, 1)        // block 0, data only
+	arrive(2, 0)
+	arrive(2, 10, 10, 11, 12, 13, 14, 15, 16) // block 1's first packet, its duplicate, six more
+	arrive(3, 19)                             // block 1 from parity: the last block
 	for i, st := range steps {
 		p := d.net.AllocPacket()
 		p.Type, p.Flow, p.Seq, p.Src, p.Dst, p.Size = netsim.Data, 1, st.seq, d.a.ID(), d.b.ID(), 4160
@@ -104,8 +111,8 @@ func TestReceiverRetiresAtLastBlockOutOfOrder(t *testing.T) {
 			t.Fatalf("after seq %d (step %d): %d blocks done, want %d", st.seq, i, r.blocksDone, st.done)
 		}
 	}
-	if got := d.epB.finished(1); got.n != 9 {
-		t.Fatalf("finished record %+v, want 9 entries", got)
+	if got := d.epB.finished(1); got.n != 30 {
+		t.Fatalf("finished record %+v, want 30 entries", got)
 	}
 	if got := d.epB.RecvStats().DupPkts; got != 1 {
 		t.Fatalf("%d duplicates counted, want 1", got)
@@ -213,9 +220,9 @@ func TestFixedEntropyDrawsNonZero(t *testing.T) {
 
 func TestECWholeScheduleAccounting(t *testing.T) {
 	// The schedule's wire bytes must equal payload + parity + headers.
-	p := Params{MTU: 4096, EC: ECConfig{Data: 8, Parity: 2, BlockTimeout: eventq.Millisecond}}.withDefaults()
+	p := Params{MTU: 4096, EC: true}.withDefaults()
 	size := int64(80 * 4096) // 10 full blocks
-	descs, blocks := buildSchedule(size, p)
+	descs, blocks := expand(p.schedule(size))
 	if len(blocks) != 10 || len(descs) != 100 {
 		t.Fatalf("schedule %d descs %d blocks", len(descs), len(blocks))
 	}

@@ -70,12 +70,10 @@ func newDumbbell(seed uint64, midBps int64) *dumbbell {
 	return d
 }
 
+// baseParams' BaseRTT puts the RTO floor at 100 µs and the NACK timer at
+// 25 µs, well above the dumbbell's ≈10 µs unloaded RTT.
 func (d *dumbbell) baseParams() Params {
-	return Params{
-		MTU:     4096,
-		BaseRTT: 10 * eventq.Microsecond,
-		MinRTO:  100 * eventq.Microsecond,
-	}
+	return Params{MTU: 4096, BaseRTT: 25 * eventq.Microsecond}
 }
 
 func (d *dumbbell) run(flow *Flow, params Params, cc CongestionControl, lb PathSelector) *Conn {
@@ -89,7 +87,7 @@ func (d *dumbbell) run(flow *Flow, params Params, cc CongestionControl, lb PathS
 
 func TestBuildScheduleNoEC(t *testing.T) {
 	p := Params{MTU: 1000}.withDefaults()
-	descs, blocks := buildSchedule(2500, p)
+	descs, blocks := expand(p.schedule(2500))
 	if blocks != nil {
 		t.Fatal("blocks without EC")
 	}
@@ -116,27 +114,27 @@ func TestBuildScheduleNoEC(t *testing.T) {
 
 func TestBuildScheduleTinyFlow(t *testing.T) {
 	p := Params{MTU: 4096}.withDefaults()
-	descs, _ := buildSchedule(1, p)
+	descs, _ := expand(p.schedule(1))
 	if len(descs) != 1 || descs[0].payload != 1 {
 		t.Fatalf("tiny flow schedule wrong: %+v", descs)
 	}
-	descs, _ = buildSchedule(0, p)
+	descs, _ = expand(p.schedule(0))
 	if len(descs) != 1 {
 		t.Fatal("zero-size flow must still send one packet")
 	}
 }
 
 func TestBuildScheduleEC(t *testing.T) {
-	p := Params{MTU: 1000, EC: ECConfig{Data: 4, Parity: 2, BlockTimeout: eventq.Millisecond}}.withDefaults()
-	// 10 data packets → blocks of 4+2, 4+2, 2+2.
-	descs, blocks := buildSchedule(10000, p)
+	p := Params{MTU: 1000, EC: true}.withDefaults()
+	// 20 data packets → blocks of 8+2, 8+2, 4+2.
+	descs, blocks := expand(p.schedule(20000))
 	if len(blocks) != 3 {
 		t.Fatalf("blocks = %d, want 3", len(blocks))
 	}
-	if len(descs) != 10+3*2 {
-		t.Fatalf("schedule length = %d, want 16", len(descs))
+	if len(descs) != 20+3*2 {
+		t.Fatalf("schedule length = %d, want 26", len(descs))
 	}
-	if blocks[2].dataCount != 2 || blocks[2].count != 4 {
+	if blocks[2].dataCount != 4 || blocks[2].count != 6 {
 		t.Fatalf("last block = %+v", blocks[2])
 	}
 	// Parity packets have zero payload but full wire size.
@@ -151,7 +149,7 @@ func TestBuildScheduleEC(t *testing.T) {
 			}
 		}
 	}
-	if parity != 6 || payload != 10000 {
+	if parity != 6 || payload != 20000 {
 		t.Fatalf("parity=%d payload=%d", parity, payload)
 	}
 	// Block boundaries: every desc's block matches its position.
@@ -167,12 +165,9 @@ func TestBuildScheduleEC(t *testing.T) {
 
 func TestParamsDefaults(t *testing.T) {
 	p := Params{}.withDefaults()
-	if p.MTU != 4096 || p.DupAckThresh != 3 || p.MinRTO <= 0 || p.MaxRTO <= p.MinRTO {
+	if min, max := p.rtoBounds(); p.MTU != 4096 || p.BaseRTT != 100*eventq.Microsecond ||
+		p.DupAckThresh != 3 || min <= 0 || max <= min {
 		t.Fatalf("defaults wrong: %+v", p)
-	}
-	p = Params{EC: ECConfig{Data: 8, Parity: 2}}.withDefaults()
-	if p.EC.BlockTimeout <= 0 {
-		t.Fatal("EC block timeout not defaulted")
 	}
 }
 
@@ -220,13 +215,16 @@ func TestWindowLimitedThroughput(t *testing.T) {
 
 	const size = 4 << 20
 	flow := &Flow{ID: 1, Src: a, Dst: b, Size: size}
-	params := Params{MTU: 4096, BaseRTT: 300 * eventq.Microsecond, MinRTO: 5 * eventq.Millisecond}
+	params := Params{MTU: 4096, BaseRTT: 300 * eventq.Microsecond}
 	window := 4.0 * 4160
 	conn := MustStart(epA, epB, flow, params, &FixedWindow{Window: window}, &FixedEntropy{}, nil)
 	net.Sched.RunUntil(5 * eventq.Second)
 
 	if !conn.Completed() {
 		t.Fatal("flow did not complete")
+	}
+	if n := conn.Stats().Timeouts; n != 0 {
+		t.Fatalf("%d timeouts: the window, not the RTO, must set the pace", n)
 	}
 	// RTT ≈ 6 hops of delay = 300µs (+ serialization noise).
 	rtt := 300 * eventq.Microsecond
@@ -329,14 +327,16 @@ func TestRandomLossAlwaysCompletes(t *testing.T) {
 
 func TestECToleratesParityLosses(t *testing.T) {
 	d := newDumbbell(7, gbps100)
-	// (4, 2): drop blockIdx 1 and 3 of every block — exactly the
+	// (8, 2): drop blockIdx 1 and 5 of every block — exactly the
 	// tolerated budget. The flow must complete with zero retransmissions
-	// and zero NACKs.
+	// and zero NACKs. Its dup-ACK threshold is the one UnoRC flows run
+	// with (core.MultipathDupAckThresh), above a block's eight ACKs.
 	d.mid.SetLoss(filterLoss{fn: func(p *netsim.Packet) bool {
-		return p.Type == netsim.Data && (p.BlockIdx == 1 || p.BlockIdx == 3)
+		return p.Type == netsim.Data && (p.BlockIdx == 1 || p.BlockIdx == 5)
 	}})
 	params := d.baseParams()
-	params.EC = ECConfig{Data: 4, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
+	params.EC = true
+	params.DupAckThresh = 24
 	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 40 * 4096}
 	conn := d.run(flow, params, &FixedWindow{Window: 1 << 20}, &FixedEntropy{})
 	if !conn.Completed() {
@@ -353,7 +353,7 @@ func TestECToleratesParityLosses(t *testing.T) {
 
 func TestECNackRecoversExcessLoss(t *testing.T) {
 	d := newDumbbell(8, gbps100)
-	// (4, 2): drop three packets of block 0 on first transmission — one
+	// (8, 2): drop three packets of block 0 on first transmission — one
 	// beyond the parity budget, forcing the NACK path.
 	seen := map[int64]bool{}
 	d.mid.SetLoss(filterLoss{fn: func(p *netsim.Packet) bool {
@@ -364,15 +364,17 @@ func TestECNackRecoversExcessLoss(t *testing.T) {
 		return false
 	}})
 	params := d.baseParams()
-	params.EC = ECConfig{Data: 4, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
-	// Disable the competing recovery paths so the NACK mechanism itself
-	// must do the work.
+	params.EC = true
+	// Disable fast retransmit and check that no RTO fired, so the NACK
+	// mechanism itself must have done the work.
 	params.DupAckThresh = 1 << 20
-	params.MinRTO = 100 * eventq.Millisecond
 	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 40 * 4096}
 	conn := d.run(flow, params, &FixedWindow{Window: 1 << 20}, &FixedEntropy{})
 	if !conn.Completed() {
 		t.Fatal("EC flow did not complete after unrecoverable block")
+	}
+	if n := conn.Stats().Timeouts; n != 0 {
+		t.Fatalf("%d timeouts: the RTO, not the NACK, recovered the block", n)
 	}
 	if d.epB.RecvStats().NacksSent == 0 {
 		t.Fatal("no NACK sent for an undecodable block")
@@ -392,7 +394,7 @@ func TestECSenderStopsAfterBlockSatisfied(t *testing.T) {
 		return p.Type == netsim.Data && p.IsParity
 	}})
 	params := d.baseParams()
-	params.EC = ECConfig{Data: 4, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
+	params.EC = true
 	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 32 * 4096}
 	conn := d.run(flow, params, &FixedWindow{Window: 1 << 20}, &FixedEntropy{})
 	if !conn.Completed() {
@@ -460,15 +462,19 @@ func TestStartValidation(t *testing.T) {
 		t.Fatal("duplicate flow id accepted")
 	}
 	bad := d.baseParams()
-	bad.EC = ECConfig{Data: -1, Parity: 1}
+	bad.MTU = math.MaxInt32
 	flow2 := &Flow{ID: 2, Src: d.a, Dst: d.b, Size: 4096}
 	if _, err := Start(d.epA, d.epB, flow2, bad, &FixedWindow{}, &FixedEntropy{}, nil); err == nil {
-		t.Fatal("invalid EC accepted")
-	}
-	bad = d.baseParams()
-	bad.MTU = math.MaxInt32
-	if _, err := Start(d.epA, d.epB, flow2, bad, &FixedWindow{}, &FixedEntropy{}, nil); err == nil {
 		t.Fatal("MTU beyond the schedule's 32-bit payload sizes accepted")
+	}
+	// A BaseRTT whose RTO ceiling (32 × BaseRTT) overflows eventq.Time
+	// would wrap the bounds negative and time out on every event.
+	for _, rtt := range []eventq.Time{math.MaxInt64 / 3, math.MaxInt64/32 + 1} {
+		bad = d.baseParams()
+		bad.BaseRTT = rtt
+		if _, err := Start(d.epA, d.epB, flow2, bad, &FixedWindow{}, &FixedEntropy{}, nil); err == nil {
+			t.Fatalf("BaseRTT %d, whose RTO ceiling overflows, accepted", int64(rtt))
+		}
 	}
 }
 
@@ -533,7 +539,7 @@ func TestInFlightNeverNegativeUnderChaos(t *testing.T) {
 	d.mid.SetLoss(loss)
 	d.back.SetLoss(filterLoss{fn: func(p *netsim.Packet) bool { return r.Float64() < 0.03 }})
 	params := d.baseParams()
-	params.EC = ECConfig{Data: 8, Parity: 2, BlockTimeout: 50 * eventq.Microsecond}
+	params.EC = true
 	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 300 * 4096}
 	var conn *Conn
 	d.net.Sched.Schedule(0, func() {

@@ -36,11 +36,7 @@ func TestTrimNotificationDrivesRetransmission(t *testing.T) {
 	// A 64-packet burst into an 8-packet queue at a 10:1 bandwidth
 	// mismatch: most packets are trimmed; the trim echoes must recover
 	// everything without waiting for RTOs.
-	params := Params{
-		MTU:     4096,
-		BaseRTT: 10 * eventq.Microsecond,
-		MinRTO:  50 * eventq.Millisecond, // RTO effectively disabled
-	}
+	params := Params{MTU: 4096, BaseRTT: 10 * eventq.Microsecond}
 	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 64 * 4096}
 	conn := d.run(flow, params, &FixedWindow{Window: 1 << 20}, &FixedEntropy{})
 	if !conn.Completed() {
@@ -65,12 +61,7 @@ func TestTrimNoticeIgnoredForSatisfiedBlocks(t *testing.T) {
 	// With EC enabled, trims of packets in already-satisfied blocks must
 	// not trigger retransmissions.
 	d := trimDumbbell(2)
-	params := Params{
-		MTU:     4096,
-		BaseRTT: 10 * eventq.Microsecond,
-		MinRTO:  50 * eventq.Millisecond,
-		EC:      ECConfig{Data: 4, Parity: 2, BlockTimeout: eventq.Millisecond},
-	}
+	params := Params{MTU: 4096, BaseRTT: 10 * eventq.Microsecond, EC: true}
 	flow := &Flow{ID: 1, Src: d.a, Dst: d.b, Size: 32 * 4096}
 	conn := d.run(flow, params, &FixedWindow{Window: 1 << 20}, &FixedEntropy{})
 	if !conn.Completed() {

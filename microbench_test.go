@@ -181,7 +181,8 @@ func BenchmarkPortEnqueue(b *testing.B) {
 		{"red", netsim.PortConfig{QueueCap: qcap, MarkMin: qcap / 4, MarkMax: 3 * qcap / 4}},
 		{"phantom", netsim.PortConfig{QueueCap: qcap,
 			Phantom: netsim.NewPhantomQueue(bw*95/100, qcap, qcap/4, 3*qcap/4)}},
-		{"qcn", netsim.PortConfig{QueueCap: qcap, QCN: true, QCNThresh: 1 << 14, QCNSample: 8}},
+		// 80 KiB: the QCN threshold, a fifth of the queue, is 16 KiB.
+		{"qcn", netsim.PortConfig{QueueCap: 80 << 10, QCN: true}},
 		// 16 KiB capacity against 96 KiB bursts: most of each burst tail-trims.
 		{"trim-pressure", netsim.PortConfig{QueueCap: 16 << 10, Trim: true}},
 	}

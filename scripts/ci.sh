@@ -42,8 +42,39 @@ echo "== bench module: go vet + go test =="
 go -C bench vet ./...
 go -C bench test ./...
 
-echo "== go test ./... (with coverage profile) =="
-go test -coverprofile=coverage.out ./...
+# Native fuzz targets, briefly: the differential scheduler fuzzer (opcodes 2
+# and 5 are aliases kept so older corpus entries decode the same, and 6
+# releases and rebinds a timer, which the model reads as a cancel), the
+# transport packet-header fuzzer (hostile data at the receiver, hostile
+# ACKs, NACKs and CNMs at the sender — a seed pins the sender's old panic on
+# an ACK past the schedule), and the fountain GF(2) decoder fuzzer, which
+# keeps the codec the bench drive measures honest, each get a short budget
+# per CI run (the corpus accumulates in the build cache across runs;
+# crashes fail CI).
+FUZZTIME="${UNO_FUZZTIME:-10s}"
+echo "== fuzz smoke, -fuzztime $FUZZTIME each =="
+go test -run '^$' -fuzz '^FuzzSchedulerOps$' -fuzztime "$FUZZTIME" ./internal/eventq/
+go test -run '^$' -fuzz '^FuzzReceiverPacket$' -fuzztime "$FUZZTIME" ./internal/transport/
+go test -run '^$' -fuzz '^FuzzFountainDecode$' -fuzztime "$FUZZTIME" ./internal/ec/
+
+# The whole suite, once, under the race detector, uncached (-count=1), so
+# no change rides a stale result; the same pass writes the coverage profile
+# (atomic mode, which -race needs). It carries every proof obligation the
+# design rests on, each test choosing its own partition and worker counts:
+# the shard count's (the sharded golden and the metamorphic worker-count
+# equivalence on random scenarios and over every registry experiment, at 1
+# and 2 workers; cross-shard conservation; what a one-shard Sim guarantees;
+# the netsim cluster suite with its seeded dropped-handoff defect), the flow
+# lifecycle's (recycled flow state: a completing sender returns its state to
+# its own shard's free list while the other shard still serves its receiver,
+# which then returns its own there, and a sharded Sim's pre-opened flows draw
+# state from both shards' free lists between windows), the timing wheel's
+# (the reference-model differential and stale-fire checks), the port hand-off's
+# (timing oracle, event economy, the seeded invariant defects, failure
+# sampled at serialization start), the EC block path's, and loss recovery's
+# (DESIGN §5).
+echo "== go test -race -count=1 -covermode=atomic ./... =="
+go test -race -count=1 -covermode=atomic -coverprofile=coverage.out ./...
 
 # Soft coverage gate: warn — never fail — if total statement coverage
 # drops below the committed baseline (scripts/coverage_baseline.txt,
@@ -61,38 +92,5 @@ else
     echo "${TOTAL}" > "$BASELINE_FILE"
     echo "ci: wrote initial coverage baseline ${TOTAL}% to $BASELINE_FILE"
 fi
-
-# Native fuzz targets, briefly: the differential scheduler fuzzer (opcodes 2
-# and 5 are aliases kept so older corpus entries decode the same, and 6
-# releases and rebinds a timer, which the model reads as a cancel), the
-# transport packet-header fuzzer (hostile data at the receiver, hostile
-# ACKs, NACKs and CNMs at the sender — a seed pins the sender's old panic on
-# an ACK past the schedule), and the fountain GF(2) decoder fuzzer, which
-# keeps the codec the bench drive measures honest, each get a short budget
-# per CI run (the corpus accumulates in the build cache across runs;
-# crashes fail CI).
-FUZZTIME="${UNO_FUZZTIME:-10s}"
-echo "== fuzz smoke, -fuzztime $FUZZTIME each =="
-go test -run '^$' -fuzz '^FuzzSchedulerOps$' -fuzztime "$FUZZTIME" ./internal/eventq/
-go test -run '^$' -fuzz '^FuzzReceiverPacket$' -fuzztime "$FUZZTIME" ./internal/transport/
-go test -run '^$' -fuzz '^FuzzFountainDecode$' -fuzztime "$FUZZTIME" ./internal/ec/
-
-# The whole suite once more under the race detector, uncached (-count=1), so
-# no change rides a stale result. It carries every proof obligation the
-# design rests on, each test choosing its own partition and worker counts:
-# the shard count's (the sharded golden and the metamorphic worker-count
-# equivalence on random scenarios and over every registry experiment, at 1
-# and 2 workers; cross-shard conservation; what a one-shard Sim guarantees;
-# the netsim cluster suite with its seeded dropped-handoff defect), the flow
-# lifecycle's (recycled flow state: a completing sender returns its state to
-# its own shard's free list while the other shard still serves its receiver,
-# which then returns its own there, and a sharded Sim's pre-opened flows draw
-# state from both shards' free lists between windows), the timing wheel's
-# (the reference-model differential and stale-fire checks), the port hand-off's
-# (timing oracle, event economy, the seeded invariant defects, failure
-# sampled at serialization start), the EC block path's, and loss recovery's
-# (DESIGN §5).
-echo "== go test -race -count=1 ./... =="
-go test -race -count=1 ./...
 
 echo "ci: OK"

@@ -72,7 +72,8 @@ type Sim = harness.Sim
 // topology's DC-major host list).
 type FlowSpec = workload.FlowSpec
 
-// FlowResult records one completed flow.
+// FlowResult records one completed flow; a flow that never finishes
+// records none.
 type FlowResult = harness.FlowResult
 
 // Stack is a named protocol configuration (congestion control + load
@@ -116,11 +117,12 @@ var (
 )
 
 // SystemConfig is a Uno stack's per-flow configuration: the fabric values
-// the harness fills in from the Sim (MTU, LinkBps, IntraRTT), the variant
+// the harness fills in from the Sim (LinkBps, IntraRTT), the variant
 // switches (DisableEC, UseECMP) and the ablation switches (DisableQA,
 // DisablePhantomAware, PerFlowEpochs); see CustomUnoStack. The paper's
-// Table 2 values — (8,2) blocks, N = 8 subflows, α, β, K — are constants
-// (DESIGN.md §7).
+// Table 2 values — (8,2) blocks, N = 8 subflows, α, β, K — are constants,
+// and so are the RTO bounds and the NACK timer, derived from each flow's
+// base RTT (DESIGN.md §7).
 type SystemConfig = core.System
 
 // Workload generation.
