@@ -29,6 +29,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzSchedulerOps$$' -fuzztime $(FUZZTIME) ./internal/eventq/
 	go test -run '^$$' -fuzz '^FuzzReceiverPacket$$' -fuzztime $(FUZZTIME) ./internal/transport/
 	go test -run '^$$' -fuzz '^FuzzFountainDecode$$' -fuzztime $(FUZZTIME) ./internal/ec/
+	go test -run '^$$' -fuzz '^FuzzBuildCluster$$' -fuzztime $(FUZZTIME) ./internal/topo/
 
 # The repository benchmark (BENCHMARK.json): four workloads, eight bounded
 # end-to-end metrics. Compare two commits with scripts/bench_ab.sh.

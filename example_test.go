@@ -53,16 +53,3 @@ func ExampleRunExperiment() {
 	// Output:
 	// ran: true tables: 1
 }
-
-// ExampleStartRing runs a cross-datacenter ring Allreduce over the
-// simulated transport, on the one-shard Sim that NewSim builds.
-func ExampleStartRing() {
-	sim := uno.NewSim(7, uno.DefaultTopology(), uno.UnoStack())
-	cfg := uno.RingConfig{Members: []int{0, 16, 128, 144}, Bytes: 1 << 20}
-	done := false
-	_, err := uno.StartRing(sim, cfg, func(uno.Time) { done = true })
-	sim.Run(uno.Second)
-	fmt.Println("ok:", err == nil && done, "steps:", cfg.Steps())
-	// Output:
-	// ok: true steps: 6
-}

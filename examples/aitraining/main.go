@@ -8,7 +8,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 
 	"uno"
 )
@@ -76,24 +75,4 @@ func main() {
 		}
 		fmt.Println()
 	}
-
-	// The same synchronization expressed as a true ring Allreduce
-	// (reduce-scatter + all-gather, 2(N−1) dependency-ordered steps) over
-	// a clean fabric, for comparison with the bulk-exchange model above.
-	// Collectives chain flows from completion callbacks and need the whole
-	// fabric on one shard, as NewSim builds it.
-	sim := uno.NewSim(29, uno.DefaultTopology(), uno.UnoStack())
-	ring := uno.RingConfig{
-		Members: []int{0, 16, 32, 48, 128, 144, 160, 176}, // 4 workers per DC
-		Bytes:   64 << 20,
-	}
-	var elapsed uno.Time
-	if _, err := uno.StartRing(sim, ring, func(e uno.Time) { elapsed = e }); err != nil {
-		fmt.Fprintln(os.Stderr, "aitraining:", err)
-		os.Exit(1)
-	}
-	sim.Run(5 * uno.Second)
-	ideal := ring.IdealTime(sim.Topo.Cfg.LinkBps, sim.Topo.InterRTT(sim.MTU))
-	fmt.Printf("ring allreduce (8 workers, %d MiB): %v vs step-latency bound %v (×%.2f)\n",
-		ring.Bytes>>20, elapsed, ideal, float64(elapsed)/float64(ideal))
 }

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"uno/internal/collective"
 	"uno/internal/eventq"
 	"uno/internal/workload"
 )
@@ -73,25 +72,5 @@ func TestBackToBackFlowsAllocation(t *testing.T) {
 	t.Logf("%.0f B per flow", perFlow)
 	if perFlow > budget {
 		t.Errorf("a back-to-back one-packet flow allocates %.0f B, budget %d", perFlow, budget)
-	}
-}
-
-// TestRingOnShardedSimErrors: a Sim with more than one shard refuses the
-// flows a collective starts from completion callbacks, and says so: the
-// ring's first step fails collective.Start with an error instead of a
-// panic inside the simulation.
-func TestRingOnShardedSimErrors(t *testing.T) {
-	sim, err := NewSimShards(1, smallTopo(), StackUno(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perDC := sim.Topo.Cfg.HostsPerDC()
-	cfg := collective.RingConfig{Members: []int{0, 1, perDC, perDC + 1}, Bytes: 1 << 20}
-	ring, err := collective.Start(sim, sim.Net.Sched, cfg, nil)
-	if err == nil || ring != nil {
-		t.Fatalf("ring on a 2-shard Sim: ring %v, error %v; want an error", ring, err)
-	}
-	if sim.Pending() != 0 || len(sim.Conns()) != 0 {
-		t.Errorf("the refused ring left %d pending flows and %d connections", sim.Pending(), len(sim.Conns()))
 	}
 }

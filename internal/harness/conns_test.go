@@ -33,20 +33,22 @@ func TestConnsSeesStartedFlows(t *testing.T) {
 		t.Fatalf("at 60us flows 0 and 1 have started and flow 2 has not: %v", c)
 	}
 
-	// A second batch grows the list, possibly into a new array: flows of the
-	// first batch that start afterwards must still reach both views.
+	// A second batch grows the list into a new array: flow 2 of the first
+	// batch starts afterwards and must still reach both views.
 	ret2 := sim.Schedule([]workload.FlowSpec{
 		{Src: 6, Dst: 7, Size: 64 << 10, Start: 80 * eventq.Microsecond},
 		{Src: 8, Dst: perDC + 1, Size: 64 << 10, Start: 90 * eventq.Microsecond},
 	})
-	sim.StartFlow(9, 10, 64<<10, nil)
+	if &sim.Conns()[0] == &ret[0] {
+		t.Fatal("the second Schedule must move Conns() to a new backing array")
+	}
 	sim.Run(100 * eventq.Millisecond)
 	if sim.Pending() != 0 {
 		t.Fatalf("%d flows did not complete", sim.Pending())
 	}
 	all := sim.Conns()
-	if len(all) != 6 {
-		t.Fatalf("Conns() has %d entries, want 6", len(all))
+	if len(all) != 5 {
+		t.Fatalf("Conns() has %d entries, want 5", len(all))
 	}
 	for i, c := range all {
 		if c == nil || !c.Completed() || c.Stats().PktsSent == 0 {

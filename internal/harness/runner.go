@@ -6,7 +6,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -201,16 +200,15 @@ func (s *Sim) IdealFCT(spec workload.FlowSpec) eventq.Time {
 	return base + eventq.Time(float64(rest)*8/float64(s.Topo.Cfg.LinkBps)*float64(eventq.Second))
 }
 
-// flowRun is the harness's record of one flow from Schedule (or StartFlow)
-// to completion. A Schedule call allocates its flows' records as one slice
-// and hands each to the scheduler as the argument of a pre-bound callback,
-// so starting a flow costs no closure and no retained event.
+// flowRun is the harness's record of one flow from Schedule to completion.
+// A Schedule call allocates its flows' records as one slice and hands each
+// to the scheduler as the argument of a pre-bound callback, so starting a
+// flow costs no closure and no retained event.
 type flowRun struct {
 	s     *Sim
 	spec  workload.FlowSpec // private copy: the caller keeps its slice
 	flow  transport.Flow
 	ideal eventq.Time
-	hook  func() // a collective's extra completion callback, else nil
 	// Where a scheduled flow's connection is published: slot is its element
 	// of the slice Schedule returned, idx its index in s.conns.
 	slot  **transport.Conn
@@ -227,7 +225,7 @@ func (s *Sim) Schedule(specs []workload.FlowSpec) []*transport.Conn {
 	conns := s.conns[base : base+n : base+n]
 	clear(conns)
 	runs := make([]flowRun, n)
-	// Partition-dependent decision 1 of 2. With more than one shard every
+	// The one partition-dependent decision. With more than one shard every
 	// connection is opened here, on the coordinating goroutine (passively —
 	// no events, no entropy): a cross-shard flow registers its receiver on
 	// another goroutine's endpoint, which is only safe between windows. One
@@ -258,7 +256,7 @@ func (s *Sim) Schedule(specs []workload.FlowSpec) []*transport.Conn {
 // startFlowRun is the pre-bound start callback: it launches the flow at its
 // start time, first opening it if Schedule did not, and then publishes the
 // connection in both the slice Schedule returned and Conns() — one element,
-// unless a later Schedule or StartFlow grew s.conns into a new array.
+// unless a later Schedule grew s.conns into a new array.
 func startFlowRun(a any) {
 	fr := a.(*flowRun)
 	conn := *fr.slot
@@ -268,31 +266,6 @@ func startFlowRun(a any) {
 		fr.s.conns[fr.idx] = conn
 	}
 	conn.Launch()
-}
-
-// StartFlow implements collective.Starter: it launches a transfer right
-// now and invokes onDone at completion (in addition to the normal result
-// collection). Partition-dependent decision 2 of 2: a collective's
-// completion callbacks run inside event execution, where a Sim with more
-// than one shard must not create cross-shard flows (the destination
-// endpoint belongs to another goroutine), so such a Sim refuses with an
-// error.
-func (s *Sim) StartFlow(src, dst int, size int64, onDone func()) error {
-	if s.Sharded() {
-		return errors.New("harness: StartFlow (collective starter) is unsupported on a Sim with more than one shard; run collectives on a one-shard Sim")
-	}
-	// Called from event context, where the one shard's scheduler — not the
-	// cluster clock, which moves between windows — has the time.
-	fr := &flowRun{
-		s:    s,
-		spec: workload.FlowSpec{Src: src, Dst: dst, Size: size, Start: s.Net.Now()},
-		hook: onDone,
-	}
-	s.shards[0].pending++
-	conn := s.openFlow(fr)
-	s.conns = append(s.conns, conn)
-	conn.Launch()
-	return nil
 }
 
 // openFlow resolves what fr's flow needs to be wired — descriptor,
@@ -332,9 +305,6 @@ func (fr *flowRun) done(c *transport.Conn) {
 	st.pending--
 	st.results = append(st.results, FlowResult{Spec: fr.spec, FCT: c.FCT(), Ideal: fr.ideal})
 	st.policies.Recycle(c.Policies())
-	if fr.hook != nil {
-		fr.hook()
-	}
 }
 
 // Now returns the current simulated time: the cluster clock, i.e. the last

@@ -362,6 +362,44 @@ func TestOneShardSim(t *testing.T) {
 	}
 }
 
+// TestNewSimShardsRejectsBadTopology: a topology config the fabric cannot be
+// built from is an error from NewSimShards, never a panic inside netsim:
+// a zero-delay border link between shards (no lookahead window), a negative
+// link delay, and a line rate whose phantom drain rate truncates to zero.
+func TestNewSimShardsRejectsBadTopology(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		shards int
+		mutate func(*topo.Config)
+	}{
+		{"zero inter delay, 1 worker", 1, func(c *topo.Config) { c.InterLinkDelay = 0 }},
+		{"zero inter delay, 2 workers", 2, func(c *topo.Config) { c.InterLinkDelay = 0 }},
+		{"negative inter delay", 0, func(c *topo.Config) { c.InterLinkDelay = -1 }},
+		{"negative intra delay", 0, func(c *topo.Config) { c.IntraLinkDelay = -eventq.Microsecond }},
+		{"phantom drain truncates to zero", 0, func(c *topo.Config) { c.LinkBps = 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic: %v", r)
+				}
+			}()
+			cfg := topo.DefaultConfig()
+			tc.mutate(&cfg)
+			if _, err := NewSimShards(1, cfg, StackUno(), tc.shards); err == nil {
+				t.Fatal("no error")
+			}
+		})
+	}
+
+	// One shard binds no cross link, so a zero-delay border link is fine.
+	cfg := topo.DefaultConfig()
+	cfg.InterLinkDelay = 0
+	if _, err := NewSimShards(1, cfg, StackUno(), 0); err != nil {
+		t.Fatalf("zero inter delay on one shard: %v", err)
+	}
+}
+
 // TestClampParallel pins the combined-fan-out budget: `parallel` reruns of
 // `shards`-worker sims may not exceed GOMAXPROCS total goroutines.
 func TestClampParallel(t *testing.T) {

@@ -100,7 +100,6 @@ type Packet struct {
 
 	// Ack packet fields (echoes of the acked data packet).
 	AckSeq      int64       // Seq of the data packet being acked
-	AckBytes    int         // payload bytes newly acknowledged
 	EchoSentAt  eventq.Time // SentAt of the acked packet (RTT sampling)
 	EchoMarked  bool        // ECN mark observed by the receiver
 	EchoRtx     bool        // acked packet was a retransmission

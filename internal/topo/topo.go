@@ -106,6 +106,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("topo: BorderLinks must be positive with multiple DCs")
 	case c.QueueCapIntra <= 0 || c.QueueCapInter <= 0:
 		return fmt.Errorf("topo: queue capacities must be positive")
+	case c.IntraLinkDelay < 0 || c.InterLinkDelay < 0:
+		return fmt.Errorf("topo: link delays must not be negative")
+	case c.PhantomEnabled && int64(float64(c.LinkBps)*phantomDrainFrac) <= 0:
+		return fmt.Errorf("topo: LinkBps %d gives phantom queues no drain rate", c.LinkBps)
 	}
 	return nil
 }
@@ -185,15 +189,19 @@ func Build(net *netsim.Network, cfg Config) (*DualDC, error) {
 // DC, DC d's entire fabric (hosts, edge/agg/core/border switches, and every
 // intra-DC link) lives on cl.Shard(d), and each border-to-border link is
 // bound as a cross-shard link whose delay bounds the cluster's lookahead
-// window. A one-shard cluster holds every DC and binds no cross link. The
-// node-creation order is Build's either way, so NodeIDs and the routing
-// coord table match the single-network build exactly.
+// window, so it must be positive. A one-shard cluster holds every DC and
+// binds no cross link. The node-creation order is Build's either way, so
+// NodeIDs and the routing coord table match the single-network build
+// exactly.
 func BuildCluster(cl *netsim.Cluster, cfg Config) (*DualDC, error) {
 	netFor := cl.Shard
 	switch cl.Shards() {
 	case 1:
 		netFor = func(int) *netsim.Network { return cl.Shard(0) }
 	case cfg.NumDCs:
+		if cfg.InterLinkDelay == 0 {
+			return nil, fmt.Errorf("topo: a zero InterLinkDelay leaves per-DC shards no lookahead window")
+		}
 	default:
 		return nil, fmt.Errorf("topo: cluster has %d shards, config has %d DCs (need one shard, or one per DC)",
 			cl.Shards(), cfg.NumDCs)

@@ -47,8 +47,10 @@ go -C bench test ./...
 # releases and rebinds a timer, which the model reads as a cancel), the
 # transport packet-header fuzzer (hostile data at the receiver, hostile
 # ACKs, NACKs and CNMs at the sender — a seed pins the sender's old panic on
-# an ACK past the schedule), and the fountain GF(2) decoder fuzzer, which
-# keeps the codec the bench drive measures honest, each get a short budget
+# an ACK past the schedule), the fountain GF(2) decoder fuzzer, which
+# keeps the codec the bench drive measures honest, and the topology-config
+# fuzzer (hostile delays, rates and capacities on one shard or one per DC
+# must be an error from BuildCluster, never a panic), each get a short budget
 # per CI run (the corpus accumulates in the build cache across runs;
 # crashes fail CI).
 FUZZTIME="${UNO_FUZZTIME:-10s}"
@@ -56,6 +58,7 @@ echo "== fuzz smoke, -fuzztime $FUZZTIME each =="
 go test -run '^$' -fuzz '^FuzzSchedulerOps$' -fuzztime "$FUZZTIME" ./internal/eventq/
 go test -run '^$' -fuzz '^FuzzReceiverPacket$' -fuzztime "$FUZZTIME" ./internal/transport/
 go test -run '^$' -fuzz '^FuzzFountainDecode$' -fuzztime "$FUZZTIME" ./internal/ec/
+go test -run '^$' -fuzz '^FuzzBuildCluster$' -fuzztime "$FUZZTIME" ./internal/topo/
 
 # The whole suite, once, under the race detector, uncached (-count=1), so
 # no change rides a stale result; the same pass writes the coverage profile

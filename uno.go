@@ -25,7 +25,6 @@
 package uno
 
 import (
-	"uno/internal/collective"
 	"uno/internal/core"
 	"uno/internal/ec"
 	"uno/internal/eventq"
@@ -90,8 +89,7 @@ func NewSim(seed uint64, cfg TopologyConfig, stack Stack) *Sim {
 // NewShardedSim builds a simulation with one shard per datacenter and the
 // given worker-goroutine count (>= 1); workers selects parallelism only, so
 // results are bit-identical for every worker count. workers <= 0 is NewSim:
-// the whole fabric on one shard (one scheduler, no barrier, no goroutine),
-// which ring collectives (StartRing) require.
+// the whole fabric on one shard (one scheduler, no barrier, no goroutine).
 func NewShardedSim(seed uint64, cfg TopologyConfig, stack Stack, workers int) (*Sim, error) {
 	return harness.NewSimShards(seed, cfg, stack, workers)
 }
@@ -166,22 +164,6 @@ var (
 
 // AllreduceIteration is one training step's communication.
 type AllreduceIteration = workload.Iteration
-
-// RingConfig describes a ring Allreduce collective (reduce-scatter +
-// all-gather, 2(N−1) dependency-ordered steps).
-type RingConfig = collective.RingConfig
-
-// Ring is an in-flight ring Allreduce.
-type Ring = collective.Ring
-
-// StartRing launches a ring Allreduce over the simulation's transport;
-// onComplete receives the collective's elapsed time. Collectives chain
-// dependent flows from completion callbacks, which cannot yet cross a shard
-// boundary — sim must hold the whole fabric on one shard, as NewSim builds
-// it; on any other StartRing returns the Sim's error.
-func StartRing(sim *Sim, cfg RingConfig, onComplete func(elapsed Time)) (*Ring, error) {
-	return collective.Start(sim, sim.Net.Sched, cfg, onComplete)
-}
 
 // Failure models (§2.4, §5.2.3).
 type (

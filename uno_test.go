@@ -158,37 +158,6 @@ func TestFacadeCustomStackAblation(t *testing.T) {
 	}
 }
 
-func TestFacadeRingAllreduce(t *testing.T) {
-	// A 4-member ring spanning the two DCs: 2(N−1) dependency-ordered
-	// steps over the real transport, on the one-shard Sim StartRing needs.
-	sim := uno.NewSim(19, uno.DefaultTopology(), uno.UnoStack())
-	cfg := uno.RingConfig{
-		Members: []int{0, 16, 128, 144}, // two hosts per DC, ring crosses the border twice
-		Bytes:   8 << 20,
-	}
-	var elapsed uno.Time
-	ring, err := uno.StartRing(sim, cfg, func(e uno.Time) { elapsed = e })
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Run(2 * uno.Second)
-	if ring.Remaining() != 0 {
-		t.Fatalf("ring incomplete: %d transfers left", ring.Remaining())
-	}
-	if ring.Transfers != cfg.TotalTransfers() {
-		t.Fatalf("transfers = %d, want %d", ring.Transfers, cfg.TotalTransfers())
-	}
-	// The collective cannot beat its bandwidth/latency lower bound; the
-	// cross-DC edges bound the per-step latency.
-	ideal := cfg.IdealTime(sim.Topo.Cfg.LinkBps, sim.Topo.InterRTT(sim.MTU))
-	if elapsed < ideal/2 {
-		t.Fatalf("elapsed %v implausibly beats ideal %v", elapsed, ideal)
-	}
-	if elapsed > 100*ideal {
-		t.Fatalf("elapsed %v far above ideal %v", elapsed, ideal)
-	}
-}
-
 func TestFacadeFailureInjection(t *testing.T) {
 	sim := uno.NewSim(17, uno.DefaultTopology(), uno.UnoStack())
 	sim.Topo.FailBorderLink(0, 1, 0)
