@@ -55,10 +55,10 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	fs.SetOutput(stderr)
 	var (
 		exp      = fs.String("exp", "", "experiment id (fig1, fig3, fig4, table1, fig8...fig13c, ext-*) or 'all'")
-		scale    = fs.Float64("scale", 1, "experiment scale; 1 = quick validation")
+		scale    = fs.Float64("scale", 1, fmt.Sprintf("experiment scale, greater than 0 and at most %d; 1 = quick validation", harness.MaxScale))
 		seed     = fs.Uint64("seed", 42, "base random seed")
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0),
-			"max concurrent simulation runs (independent reruns only; output is identical for any value)")
+			"max concurrent simulation runs, 0 for GOMAXPROCS (independent reruns only; output is identical for any value)")
 		shards = fs.String("shards", "off",
 			"shards per sim: off (the whole fabric on one shard and one scheduler), or one shard per DC run by N >= 1 worker goroutines (results are identical for every N >= 1; -parallel is clamped so reruns x workers stays within GOMAXPROCS)")
 		list       = fs.Bool("list", false, "list available experiments")
@@ -78,6 +78,18 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
+	}
+	// Written so that NaN fails too.
+	if !(*scale > 0 && *scale <= harness.MaxScale) {
+		fmt.Fprintf(stderr, "unosim: -scale %v (want a number greater than 0 and at most %d)\n", *scale, harness.MaxScale)
+		return 2
+	}
+	if *parallel < 0 {
+		fmt.Fprintf(stderr, "unosim: -parallel %d (want 0 for GOMAXPROCS, or a positive count)\n", *parallel)
+		return 2
+	}
+	if *parallel == 0 {
+		*parallel = runtime.GOMAXPROCS(0)
 	}
 	*parallel = harness.ClampParallel(*parallel, nshards)
 

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"uno/internal/harness"
 )
 
 // panicTrace is what a crash leaves on stderr ("goroutine 1 [running]:").
@@ -38,6 +41,46 @@ func TestRunUsage(t *testing.T) {
 		}
 		if tc.status == 0 && !strings.Contains(stdout.String(), "fig13a") {
 			t.Errorf("%s: stdout does not list the experiments: %q", tc.name, stdout.String())
+		}
+	}
+}
+
+// TestRunRefusesBadScaleAndParallel: a -scale outside (0, harness.MaxScale]
+// or a negative -parallel is refused with exit status 2 and a message,
+// before any experiment runs. Without the check NaN ran fig3 on garbage
+// sizes and horizons, 1e9 overflowed Fig 3's horizon and panicked in a
+// RunParallel worker, 0 and -1 quietly ran at scale 1, and -parallel -3
+// ran and printed "parallel=-3".
+func TestRunRefusesBadScaleAndParallel(t *testing.T) {
+	for _, tc := range []struct {
+		name, flag, value string
+	}{
+		{"NaN scale", "-scale", "NaN"},
+		{"scale past MaxScale", "-scale", "1e9"},
+		{"infinite scale", "-scale", "+Inf"},
+		{"zero scale", "-scale", "0"},
+		{"negative scale", "-scale", "-1"},
+		{"negative parallel", "-parallel", "-3"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if got := run([]string{"-exp", "fig1", tc.flag, tc.value}, &stdout, &stderr); got != 2 {
+			t.Errorf("%s: exit status %d, want 2 (stdout %q)", tc.name, got, stdout.String())
+		}
+		if msg := stderr.String(); !strings.HasPrefix(msg, "unosim: "+tc.flag+" ") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%s: stderr %q, want a one-line message about %s", tc.name, msg, tc.flag)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: the experiment ran: %q", tc.name, stdout.String())
+		}
+	}
+	// The edges that stay valid: the largest scale, and -parallel 0 (GOMAXPROCS).
+	for _, args := range [][]string{
+		{"-exp", "fig1", "-scale", fmt.Sprint(harness.MaxScale)},
+		{"-exp", "fig1", "-parallel", "0"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if got := run(args, &stdout, &stderr); got != 0 || strings.Contains(stdout.String(), "parallel=0") {
+			t.Errorf("%v: exit status %d, stdout %q, stderr %q", args, got, stdout.String(), stderr.String())
 		}
 	}
 }

@@ -27,7 +27,7 @@ func main() {
 			specs = append(specs, uno.FlowSpec{Src: 128 + 16*i, Dst: 0, Size: flowSize})
 		}
 		conns := sim.Schedule(specs)
-		rs := sim.SampleRates(conns, horizon/24, horizon)
+		rs := sim.SampleRates(specs, conns, horizon/24, horizon)
 		sim.Run(horizon)
 
 		fmt.Printf("=== %s: per-flow goodput (GB/s), 4 intra then 4 inter\n", stack.Name)

@@ -22,7 +22,7 @@ func TestSamplerTickAllocFree(t *testing.T) {
 	conns := sim.Schedule(specs)
 	interval := 250 * eventq.Microsecond
 	stop := 40 * eventq.Second // far past anything this test runs
-	rs := sim.SampleRates(conns, interval, stop)
+	rs := sim.SampleRates(specs, conns, interval, stop)
 
 	// Let the flows finish and several ticks fire (warming the timer and
 	// any lazily grown state), then measure pure tick cycles.
@@ -50,27 +50,44 @@ func TestSamplerTickAllocFree(t *testing.T) {
 // receiver, controller and balancer serve the next flow. Before flows were
 // recycled this cost 1,453 B per flow (every flow kept all of its state to
 // the end of the run); the budget is half of that, and the measurement is
-// about 480 B (550 under the race detector).
+// about 480 B (550 under the race detector). The per-DC leg runs the flows
+// inside DC 1: they open at their start times on shard 1, so they recycle
+// there too (opened all at once by Schedule, as they once were, they cost
+// about 1,740 B).
 func TestBackToBackFlowsAllocation(t *testing.T) {
 	const flows, budget = 20000, 1453 / 2
 	const gap = 20 * eventq.Microsecond // several one-packet FCTs on this fabric
-	sim := MustNewSim(9, smallTopo(), StackUno())
-	specs := make([]workload.FlowSpec, flows)
-	for i := range specs {
-		specs[i] = workload.FlowSpec{Src: 0, Dst: 1, Size: 1024, Start: eventq.Time(i) * gap}
-	}
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	sim.Schedule(specs)
-	sim.Run(eventq.Time(flows+1) * gap)
-	runtime.ReadMemStats(&m1)
-	if sim.Pending() != 0 {
-		t.Fatalf("%d flows did not complete", sim.Pending())
-	}
-	perFlow := float64(m1.TotalAlloc-m0.TotalAlloc) / flows
-	t.Logf("%.0f B per flow", perFlow)
-	if perFlow > budget {
-		t.Errorf("a back-to-back one-packet flow allocates %.0f B, budget %d", perFlow, budget)
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{{"one shard", 0}, {"per-DC shards", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim, err := NewSimShards(9, smallTopo(), StackUno(), tc.shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := 0
+			if sim.Sharded() {
+				src = sim.Topo.Cfg.HostsPerDC()
+			}
+			specs := make([]workload.FlowSpec, flows)
+			for i := range specs {
+				specs[i] = workload.FlowSpec{Src: src, Dst: src + 1, Size: 1024, Start: eventq.Time(i) * gap}
+			}
+			var m0, m1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			sim.Schedule(specs)
+			sim.Run(eventq.Time(flows+1) * gap)
+			runtime.ReadMemStats(&m1)
+			if sim.Pending() != 0 {
+				t.Fatalf("%d flows did not complete", sim.Pending())
+			}
+			perFlow := float64(m1.TotalAlloc-m0.TotalAlloc) / flows
+			t.Logf("%.0f B per flow", perFlow)
+			if perFlow > budget {
+				t.Errorf("a back-to-back one-packet flow allocates %.0f B, budget %d", perFlow, budget)
+			}
+		})
 	}
 }

@@ -4,13 +4,16 @@ import (
 	"testing"
 
 	"uno/internal/eventq"
+	"uno/internal/netsim"
 	"uno/internal/workload"
 )
 
 // TestConnsSeesStartedFlows: on a one-shard Sim a flow's connection exists
 // only from its start time on. Conns() used to return the nil placeholders
 // it had copied at Schedule time for ever; it must show the started flows,
-// through the same array as the slice Schedule returned.
+// through the same array as the slice Schedule returned. On per-DC shards
+// the same holds for every flow inside one DC, while a flow between the
+// DCs is open from Schedule on.
 func TestConnsSeesStartedFlows(t *testing.T) {
 	sim := MustNewSim(3, smallTopo(), StackUno())
 	perDC := sim.Topo.Cfg.HostsPerDC()
@@ -65,6 +68,45 @@ func TestConnsSeesStartedFlows(t *testing.T) {
 			t.Errorf("second batch entry %d: Schedule's slice has %p, Conns() has %p", i, c, all[3+i])
 		}
 	}
+
+	// The per-DC leg, at 1 and 2 workers: flows are numbered in spec order
+	// at Schedule, a flow between the shards is opened there, and a flow
+	// inside either DC stays nil until its start time, when its own shard
+	// opens it.
+	for _, workers := range []int{1, 2} {
+		sim, err := NewSimShards(3, smallTopo(), StackUno(), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs := []workload.FlowSpec{
+			{Src: 0, Dst: 1, Size: 64 << 10, Start: 100 * eventq.Microsecond},
+			{Src: 2, Dst: perDC + 3, Size: 64 << 10, Start: 50 * eventq.Microsecond},
+			{Src: perDC + 4, Dst: perDC + 5, Size: 64 << 10, Start: 20 * eventq.Microsecond},
+			{Src: perDC + 6, Dst: 7, Size: 64 << 10, Start: 200 * eventq.Microsecond},
+		}
+		ret := sim.Schedule(specs)
+		for i, c := range ret {
+			if cross := i == 1 || i == 3; (c != nil) != cross {
+				t.Fatalf("workers=%d: at Schedule flow %d has connection %v; only the cross-shard flows 1 and 3 are open", workers, i, c)
+			}
+		}
+		sim.RunUntil(60 * eventq.Microsecond)
+		if c := sim.Conns(); c[0] != nil || c[2] == nil || ret[2] != c[2] {
+			t.Fatalf("workers=%d: at 60us flow 2 has started on shard 1 and flow 0 has not: %v", workers, c)
+		}
+		sim.Run(100 * eventq.Millisecond)
+		if sim.Pending() != 0 {
+			t.Fatalf("workers=%d: %d flows did not complete", workers, sim.Pending())
+		}
+		for i, c := range sim.Conns() {
+			if c == nil || !c.Completed() || c != ret[i] {
+				t.Fatalf("workers=%d: Conns()[%d] = %v: not the completed connection", workers, i, c)
+			}
+			if id := c.Flow().ID; id != netsim.FlowID(i+1) {
+				t.Errorf("workers=%d: flow %d has ID %d, want %d (spec order)", workers, i, id, i+1)
+			}
+		}
+	}
 }
 
 // TestFlowLifecycleOnEveryEngine: on one shard and on per-DC shards with one
@@ -73,9 +115,10 @@ func TestConnsSeesStartedFlows(t *testing.T) {
 // event left once the fabric has drained, and every Conn readable as a
 // result handle. With per-DC shards a sender completes and is recycled on
 // the source host's shard while its receiver completes and is recycled on
-// the other, and pre-opened flows draw their state from both shards' free
-// lists at Schedule time, which is what scripts/ci.sh runs this test under
-// the race detector for.
+// the other; the cross-shard flows, opened by Schedule between windows,
+// draw their state from both shards' free lists, while both shards'
+// goroutines open their own flows at the same time. That is what
+// scripts/ci.sh runs this test under the race detector for.
 func TestFlowLifecycleOnEveryEngine(t *testing.T) {
 	for _, shards := range []int{0, 1, 2} {
 		sim, err := NewSimShards(11, smallTopo(), StackUno(), shards)
@@ -84,8 +127,7 @@ func TestFlowLifecycleOnEveryEngine(t *testing.T) {
 		}
 		perDC := sim.Topo.Cfg.HostsPerDC()
 		// Two batches: the second starts after the first completed, so its
-		// flows — pre-opened at Schedule time on per-DC shards — run on
-		// the state the first batch's flows gave back.
+		// flows run on the state the first batch's flows gave back.
 		var specs []workload.FlowSpec
 		for batch := 0; batch < 2; batch++ {
 			at := sim.Now()

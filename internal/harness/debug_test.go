@@ -28,7 +28,7 @@ func TestDebugFig3Rates(t *testing.T) {
 		}
 		conns := sim.Schedule(specs)
 		horizon := 60 * eventq.Millisecond
-		rs := sim.SampleRates(conns, horizon/48, horizon)
+		rs := sim.SampleRates(specs, conns, horizon/48, horizon)
 		sim.Run(horizon)
 		fmt.Printf("=== %s (doneAt bins: %v)\n", stack.Name, rs.doneAt)
 		for b := 0; b < 48; b += 2 {

@@ -136,7 +136,7 @@ func Fig3(cfg Config) *Report {
 			})
 		}
 		conns := sim.Schedule(specs)
-		rs := sim.SampleRates(conns, bin, horizon)
+		rs := sim.SampleRates(specs, conns, bin, horizon)
 		classes := make([]bool, len(specs))
 		for i, sp := range specs {
 			classes[i] = sp.InterDC

@@ -30,7 +30,7 @@ func Fig8(cfg Config) *Report {
 			conns := sim.Schedule(specs)
 			var rs *RateSampler
 			if base.Name == "uno" {
-				rs = sim.SampleRates(conns, horizon/48, horizon)
+				rs = sim.SampleRates(specs, conns, horizon/48, horizon)
 				classes := make([]bool, len(specs))
 				for i, sp := range specs {
 					classes[i] = sp.InterDC

@@ -381,7 +381,7 @@ func TestRateSamplerFairnessMetrics(t *testing.T) {
 	}
 	conns := sim.Schedule(specs)
 	horizon := 6 * eventq.Millisecond
-	rs := sim.SampleRates(conns, horizon/24, horizon)
+	rs := sim.SampleRates(specs, conns, horizon/24, horizon)
 	sim.Run(horizon)
 	// The completion-bin fix means MeanJain over a raw bin range now
 	// includes the final partial bin, where even identical flows finish a

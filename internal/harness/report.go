@@ -207,10 +207,19 @@ func (r *Report) String() string {
 	return b.String()
 }
 
+// MaxScale is the largest Config.Scale every experiment can represent. The
+// registry's largest flows are Fig 3's, 128 MiB × scale; at the Sim's 4096-
+// byte MTU with RS(8,2) parity an inter-DC one is 320 packets per MiB, and
+// the transport numbers a flow's packets in 32 bits: 2³² / (128 × 320) is
+// 104,857. Every simulated horizon (at most 400 ms × scale) stays far
+// inside eventq.Time at this bound.
+const MaxScale = 100_000
+
 // Config controls experiment scale, seeding, and fan-out.
 type Config struct {
 	// Scale stretches the default (quick) experiment toward paper scale:
-	// 1 = quick defaults, larger values add flows/duration/reruns.
+	// 1 = quick defaults, larger values add flows/duration/reruns, up to
+	// MaxScale. Zero or less means 1.
 	Scale float64
 	// Seed is the base random seed.
 	Seed uint64

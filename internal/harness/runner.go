@@ -52,32 +52,30 @@ type Sim struct {
 	nextID netsim.FlowID
 	conns  []*transport.Conn
 
-	// unoSys is unoSystem's scratch value. Stack.Policies runs on one
-	// goroutine at a time (the coordinator at Schedule time when flows are
-	// pre-opened, shard 0's otherwise); the policy objects themselves come
-	// from the source shard's pool (shardState.policies).
-	unoSys core.System
-
 	cluster *netsim.Cluster
 	shards  []shardState
 }
 
 // shardState is the run state the simulation touches from event context,
 // one per shard and indexed by the source host's shard: written only by
-// that shard's goroutine during a window, combined in shard order by the
-// accessors between windows.
+// that shard's goroutine during a window, and by the coordinator between
+// windows (Schedule counts flows in and opens the cross-shard ones; the
+// accessors combine the shards in shard order).
 type shardState struct {
-	digest  *netsim.DigestObserver
-	results []FlowResult
-	pending int
+	digest  *netsim.DigestObserver // 8 bytes
+	results []FlowResult           // 24
+	pending int                    // 8
 	// policies builds the Uno policies of the flows this shard sources and
 	// takes them back at completion (flowRun.done): the coordinator draws
-	// on it between windows, the shard's goroutine inside them.
-	policies core.Pool
-	// Pad to two 64-byte cache lines: neighbouring shards' goroutines append
-	// to results, count pending down and recycle policies concurrently
-	// (DESIGN §3.7).
-	_ [32]byte
+	// on it for a cross-shard flow, the shard's goroutine for the rest.
+	policies core.Pool // 56
+	// unoSys is unoSystem's scratch value, per shard because flows open on
+	// their source shard's goroutine, two shards at a time.
+	unoSys core.System // 32
+	// 128 bytes, two whole 64-byte cache lines, so no pad: neighbouring
+	// shards' goroutines open flows, append to results, count pending down
+	// and recycle policies concurrently (DESIGN §3.7). TestShardStateLayout
+	// keeps the size a multiple of the line.
 }
 
 // NewSimShards builds the simulation; the stack decides whether phantom
@@ -218,32 +216,37 @@ type flowRun struct {
 
 // Schedule arranges for the given flows to start at their Start times on
 // their source hosts' shards. It returns the connections in spec order; the
-// returned slice is the tail of Conns().
+// returned slice is the tail of Conns(). A flow whose two hosts share a
+// shard is opened at its start time, on that shard's goroutine, so its
+// entry stays nil until then; a cross-shard flow is opened here.
 func (s *Sim) Schedule(specs []workload.FlowSpec) []*transport.Conn {
 	base, n := len(s.conns), len(specs)
 	s.conns = slices.Grow(s.conns, n)[:base+n]
 	conns := s.conns[base : base+n : base+n]
 	clear(conns)
 	runs := make([]flowRun, n)
-	// The one partition-dependent decision. With more than one shard every
-	// connection is opened here, on the coordinating goroutine (passively —
-	// no events, no entropy): a cross-shard flow registers its receiver on
-	// another goroutine's endpoint, which is only safe between windows. One
-	// shard has no such constraint and opens each flow at its start time,
-	// which keeps flow IDs in start order (and with them every
-	// whole-fabric digest) and costs Schedule nothing per flow.
-	preopen := s.Sharded()
 	for i := range runs {
 		fr := &runs[i]
 		fr.s, fr.spec = s, specs[i]
 		fr.slot, fr.idx = &conns[i], int32(base+i)
-		n := s.Topo.Hosts[fr.spec.Src].Network()
-		fr.shard = int32(n.Shard())
+		src := s.Topo.Hosts[fr.spec.Src].Network()
+		fr.shard = int32(src.Shard())
 		s.shards[fr.shard].pending++
-		if preopen {
+		// The one partition-dependent decision, flow numbering: per-DC
+		// shards number here, in spec order, so that no shard goroutine
+		// touches the counter; one shard numbers in openFlow, in start
+		// order, which every whole-fabric digest depends on.
+		if s.Sharded() {
+			s.nextID++
+			fr.flow.ID = s.nextID
+		}
+		// A cross-shard flow registers its receiver on another goroutine's
+		// endpoint, which is only safe between windows: open it now, on the
+		// coordinating goroutine (passively — no events, no entropy).
+		if s.Topo.Hosts[fr.spec.Dst].Network() != src {
 			conns[i] = s.openFlow(fr)
 		}
-		n.Sched.ScheduleArg(fr.spec.Start, startFlowRun, fr)
+		src.Sched.ScheduleArg(fr.spec.Start, startFlowRun, fr)
 	}
 	for i := range s.shards {
 		// One result per pending flow is still to come.
@@ -256,7 +259,9 @@ func (s *Sim) Schedule(specs []workload.FlowSpec) []*transport.Conn {
 // startFlowRun is the pre-bound start callback: it launches the flow at its
 // start time, first opening it if Schedule did not, and then publishes the
 // connection in both the slice Schedule returned and Conns() — one element,
-// unless a later Schedule grew s.conns into a new array.
+// unless a later Schedule grew s.conns into a new array. It runs on the
+// source shard's goroutine, the only one that reads those elements inside
+// a window (SampleRates polls the flow from there).
 func startFlowRun(a any) {
 	fr := a.(*flowRun)
 	conn := *fr.slot
@@ -270,17 +275,23 @@ func startFlowRun(a any) {
 
 // openFlow resolves what fr's flow needs to be wired — descriptor,
 // transport parameters, policies, ideal FCT — and opens it passively; the
-// caller launches it at fr.spec.Start.
+// caller launches it at fr.spec.Start. It runs on the source shard's
+// goroutine, or on the coordinator between windows for a cross-shard flow,
+// so it touches the Sim only through read-only state and the source shard's
+// shardState (Stack.Policies included).
 func (s *Sim) openFlow(fr *flowRun) *transport.Conn {
 	spec := &fr.spec
-	s.nextID++
+	if fr.flow.ID == 0 { // one shard, whose events run on the coordinator
+		s.nextID++
+		fr.flow.ID = s.nextID
+	}
 	srcHost, dstHost := s.Topo.Hosts[spec.Src], s.Topo.Hosts[spec.Dst]
 	interDC := !s.Topo.SameDC(srcHost.ID(), dstHost.ID())
 	// The topology is the single source of truth for the flow's class;
 	// generator labels are advisory.
 	spec.InterDC = interDC
 	fr.flow = transport.Flow{
-		ID:      s.nextID,
+		ID:      fr.flow.ID,
 		Src:     srcHost,
 		Dst:     dstHost,
 		Size:    spec.Size,
@@ -345,10 +356,11 @@ func (s *Sim) Pending() int {
 	return total
 }
 
-// Conns returns every connection created so far, in scheduling order. An
-// entry Schedule did not open up front is nil until its flow starts and is
-// filled in when it does; the slice is live up to its length at the time of
-// the call.
+// Conns returns every scheduled flow's connection, in scheduling order. Only
+// a flow between two shards is opened by Schedule; every other entry — all
+// of them on a one-shard Sim — is nil until its flow starts and is filled in
+// when it does. The slice is live up to its length at the time of the call;
+// read it between windows.
 func (s *Sim) Conns() []*transport.Conn { return s.conns }
 
 // Results returns the completed flows: each shard's list, in completion
@@ -453,15 +465,18 @@ func (rs *RateSampler) bothClassesActive(b int) bool {
 	return true
 }
 
-// SampleRates polls the given connections every interval over [0, stop].
-// Each shard runs its own sampling timer over the connections whose source
-// host it owns: the timers fire at the same simulated tick times, and each
-// (conns, last, doneAt, Series) slot is touched by exactly one shard's
-// goroutine, so the sampler needs no locking and its output is
-// worker-count-independent. An entry may be nil until its flow starts; that
-// only happens where Schedule opens flows at their start time, on a
-// one-shard Sim, so shard 0's timer polls it.
-func (s *Sim) SampleRates(conns []*transport.Conn, interval, stop eventq.Time) *RateSampler {
+// SampleRates polls the connections of the given flows every interval over
+// [0, stop]: conns[i] is what Schedule returned for specs[i]. Each shard
+// runs its own sampling timer over the flows whose source host it owns: the
+// timers fire at the same simulated tick times, and each (conns, last,
+// doneAt, Series) slot is touched by exactly one shard's goroutine, the one
+// that opens the flow if Schedule did not, so the sampler needs no locking
+// and its output is worker-count-independent. Until a flow opens, its
+// entry is nil and samples nothing.
+func (s *Sim) SampleRates(specs []workload.FlowSpec, conns []*transport.Conn, interval, stop eventq.Time) *RateSampler {
+	if len(specs) != len(conns) {
+		panic(fmt.Sprintf("harness: SampleRates got %d specs for %d connections", len(specs), len(conns)))
+	}
 	rs := &RateSampler{
 		last:   make([]int64, len(conns)),
 		doneAt: make([]int, len(conns)),
@@ -475,11 +490,8 @@ func (s *Sim) SampleRates(conns []*transport.Conn, interval, stop eventq.Time) *
 		rs.Series = append(rs.Series, stats.NewTimeSeries(0, interval, bins))
 	}
 	byShard := make([][]int, len(s.shards))
-	for i, c := range conns {
-		sh := 0
-		if c != nil {
-			sh = c.Flow().Src.Network().Shard()
-		}
+	for i, spec := range specs {
+		sh := s.Topo.Hosts[spec.Src].Network().Shard()
 		byShard[sh] = append(byShard[sh], i)
 	}
 	for sh, idxs := range byShard {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"uno/internal/eventq"
 	"uno/internal/netsim"
@@ -82,7 +83,22 @@ func runSharded(t *testing.T, seed uint64, topoCfg topo.Config, stack Stack,
 		folds[i] = newPerFlowFold(sim.Cluster().Shard(i))
 		sim.ObserveShard(i, folds[i])
 	}
-	sim.Schedule(specs)
+	// Two Schedule calls, the second mid-run: flows starting before mid
+	// are scheduled up front, the rest at a barrier at mid, so both the
+	// set-up and the between-window paths open flows (each at its start
+	// time unless it crosses shards).
+	const mid = 150 * eventq.Microsecond
+	var early, late []workload.FlowSpec
+	for _, sp := range specs {
+		if sp.Start < mid {
+			early = append(early, sp)
+		} else {
+			late = append(late, sp)
+		}
+	}
+	sim.Schedule(early)
+	sim.RunUntil(mid - 1)
+	sim.Schedule(late)
 	sim.Run(horizon)
 
 	out := shardRun{
@@ -141,7 +157,9 @@ func randomDualDCScenario(r *rng.Rand) (topo.Config, Stack, []workload.FlowSpec)
 // (one goroutine per DC) must produce identical run digests, per-shard
 // digests, per-flow event fingerprints, per-shard executed-event counts,
 // and flow results. The partition structure is fixed by the topology, so
-// the worker count may only change wall-clock, never behavior.
+// the worker count may only change wall-clock, never behavior. Each
+// scenario's flows arrive in two Schedule calls, the second mid-run
+// (runSharded).
 func TestShardEquivalenceProperty(t *testing.T) {
 	const scenarios = 6
 	r := rng.New(0xced1)
@@ -397,6 +415,15 @@ func TestNewSimShardsRejectsBadTopology(t *testing.T) {
 	cfg.InterLinkDelay = 0
 	if _, err := NewSimShards(1, cfg, StackUno(), 0); err != nil {
 		t.Fatalf("zero inter delay on one shard: %v", err)
+	}
+}
+
+// TestShardStateLayout: shardState fills whole 64-byte cache lines, so the
+// goroutines of neighbouring shards, which write their own elements of
+// Sim.shards concurrently, never write one line.
+func TestShardStateLayout(t *testing.T) {
+	if size := unsafe.Sizeof(shardState{}); size%64 != 0 {
+		t.Errorf("shardState is %d bytes, not a whole number of 64-byte lines: re-derive its pad", size)
 	}
 }
 

@@ -17,20 +17,27 @@ type Stack struct {
 	// QCN enables near-source congestion notifications in the fabric
 	// (required by Annulus-wrapped stacks).
 	QCN bool
-	// Policies builds per-flow policy objects.
+	// Policies builds per-flow policy objects. It runs when the flow opens:
+	// on the source shard's goroutine, where per-DC shards run it for two
+	// flows at once, or on the coordinator between windows for a flow
+	// between shards. State it keeps across calls is read-only or per
+	// source shard, as the Uno stacks' policy pools are.
 	Policies func(s *Sim, spec workload.FlowSpec, interDC bool) (transport.Params, transport.CongestionControl, transport.PathSelector)
 }
 
 // unoSystem derives the core.System for a flow from host src on a Sim's
 // topology, drawing its policies from the pool of src's shard. It is built
-// in a field of the Sim: mod is an arbitrary function, so a local handed to
-// it would be heap-allocated once per flow.
+// in a field of that shard's state: mod is an arbitrary function, so a
+// local handed to it would be heap-allocated once per flow, and a flow
+// opens on its source shard's goroutine, concurrently with the other
+// shard's flows.
 func unoSystem(s *Sim, src int, mod func(*core.System)) core.System {
-	sys := &s.unoSys
+	st := &s.shards[s.Topo.Hosts[src].Network().Shard()]
+	sys := &st.unoSys
 	*sys = core.System{
 		LinkBps:  s.Topo.Cfg.LinkBps,
 		IntraRTT: s.Topo.IntraRTT(s.MTU),
-		Pool:     &s.shards[s.Topo.Hosts[src].Network().Shard()].policies,
+		Pool:     &st.policies,
 	}
 	if mod != nil {
 		mod(sys)

@@ -174,7 +174,7 @@ func (c Config) tournamentCell(near, far Contender, reg Regime, horizon eventq.T
 	sim := c.newSim(c.Seed, topoCfg, stack)
 	conns := sim.Schedule(specs)
 	bin := horizon / 60
-	rs := sim.SampleRates(conns, bin, horizon)
+	rs := sim.SampleRates(specs, conns, bin, horizon)
 	// The sampler's two "classes" here are scheme membership (near/far),
 	// so the contested window requires both *schemes* active — the same
 	// guard the mixed-class experiments use for intra/inter.

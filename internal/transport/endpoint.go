@@ -100,11 +100,13 @@ func (ep *Endpoint) Receiver(id netsim.FlowID) *Receiver { return ep.receivers[i
 // receiver, demux registrations — without transmitting anything. Both come
 // from their shard's free lists when a finished flow left state there. The
 // returned Conn stays idle (no events scheduled, no RNG drawn) until
-// Launch runs; a harness Sim with per-DC shards opens every flow at setup
-// time from the coordinating goroutine and schedules Launch on the source
-// shard's clock, while a one-shard Sim opens and launches at the flow's
-// start time. onDone, which may be nil, is invoked once the sender observes
-// the receiver's FlowDone.
+// Launch runs. Open touches the flow tables of both hosts' shards, so it
+// runs on the goroutine that owns them: a harness Sim opens a flow at its
+// start time on its source shard's goroutine, except a flow between two
+// shards, which it opens at set-up from the coordinating goroutine between
+// windows, scheduling only Launch on the source shard's clock. onDone,
+// which may be nil, is invoked once the sender observes the receiver's
+// FlowDone.
 //
 // Flow IDs index a per-shard table of finished flows, so they must be
 // non-negative and should be dense: harness.Sim numbers its flows 1, 2, 3…
@@ -248,8 +250,9 @@ func (ep *Endpoint) newAck(p *netsim.Packet, id netsim.FlowID, src netsim.NodeID
 // flowTable is the transport state one shard's endpoints share: the free
 // lists that finished flows return their live state to, and the records of
 // finished receivers, indexed by FlowID. Only the shard's goroutine touches
-// it inside a window, and the coordinator between windows (where a
-// sharded Sim opens its flows).
+// it inside a window, where it opens the flows that stay within the shard,
+// and the coordinator between windows, where a sharded Sim opens the flows
+// between shards.
 type flowTable struct {
 	senders   []*sender
 	receivers []*Receiver
