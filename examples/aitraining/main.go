@@ -46,7 +46,7 @@ func main() {
 		}
 
 		cut := sim.Topo.Cfg.LinkBps * int64(sim.Topo.Cfg.BorderLinks)
-		interRTT := sim.Topo.InterRTT(sim.MTU)
+		interRTT := sim.Topo.InterRTT(uno.MTU)
 		fmt.Printf("=== %s: per-iteration Allreduce time vs ideal\n", stack.Name)
 		for _, it := range iters {
 			start := sim.Now()

@@ -182,7 +182,7 @@ func Fig13C(cfg Config) *Report {
 		flap.Start(sim.Net.Sched, eventq.Millisecond, eventq.Second)
 
 		cut := topoCfg.LinkBps * int64(topoCfg.BorderLinks)
-		interRTT := sim.Topo.InterRTT(sim.MTU)
+		interRTT := sim.Topo.InterRTT(MTU)
 		for _, it := range iters {
 			start := sim.Now()
 			flows := make([]workload.FlowSpec, len(it.Flows))

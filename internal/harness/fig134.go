@@ -19,8 +19,7 @@ import (
 // Fig 11 sweeps 8-512).
 func topoForRTTRatio(ratio float64) topo.Config {
 	cfg := topo.DefaultConfig()
-	const mtu = 4096
-	serD := netsim.SerializationTime(mtu+transport.HeaderSize, cfg.LinkBps)
+	serD := netsim.SerializationTime(MTU+transport.HeaderSize, cfg.LinkBps)
 	serA := netsim.SerializationTime(netsim.AckSize, cfg.LinkBps)
 	intra := 12*cfg.IntraLinkDelay + 6*(serD+serA)
 	target := eventq.Time(ratio * float64(intra))

@@ -4,6 +4,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"uno/internal/baselines"
 	"uno/internal/core"
@@ -235,6 +236,31 @@ func TestSimRunsFlowsOnSmallFabric(t *testing.T) {
 			if r.FCT <= 0 || r.Slowdown() < 0.99 {
 				t.Fatalf("%s: implausible result %+v (slowdown %v)", stack.Name, r, r.Slowdown())
 			}
+		}
+	}
+}
+
+// TestSimRunHorizon: Run returns with the clock on its horizon while a flow
+// is still pending. A horizon of zero or less used to loop for ever (its
+// step did not advance), and one that is not a multiple of 64 ps stopped at
+// the multiple below it.
+func TestSimRunHorizon(t *testing.T) {
+	for _, horizon := range []eventq.Time{0, -1, 10*eventq.Microsecond + 63} {
+		sim := MustNewSim(6, smallTopo(), StackUno())
+		sim.Schedule([]workload.FlowSpec{{Src: 0, Dst: 5, Size: 1 << 20}})
+		done := make(chan struct{})
+		go func() {
+			sim.Run(horizon)
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Run(%v) did not return", horizon)
+		}
+		if want := max(horizon, 0); sim.Now() != want || sim.Pending() != 1 {
+			t.Errorf("Run(%v): Now() = %v with %d flows pending, want %v with 1",
+				horizon, sim.Now(), sim.Pending(), want)
 		}
 	}
 }

@@ -34,6 +34,9 @@ func (r FlowResult) Slowdown() float64 {
 	return float64(r.FCT) / float64(r.Ideal)
 }
 
+// MTU is the data payload of every flow's full-size packet, in bytes.
+const MTU = 4096
+
 // Sim wires a topology, per-host transport endpoints, and a protocol stack
 // into a runnable experiment instance. The fabric always lives on a
 // netsim.Cluster: one shard holding all of it, or one shard per datacenter
@@ -46,7 +49,6 @@ type Sim struct {
 	Net  *netsim.Network
 	Topo *topo.DualDC
 	Eps  []*transport.Endpoint
-	MTU  int
 
 	stack  Stack
 	nextID netsim.FlowID
@@ -105,7 +107,7 @@ func NewSimShards(seed uint64, topoCfg topo.Config, stack Stack, shards int) (*S
 		return nil, err
 	}
 	s := &Sim{
-		Net: cl.Shard(0), Topo: tp, MTU: 4096, stack: stack,
+		Net: cl.Shard(0), Topo: tp, stack: stack,
 		Eps:     make([]*transport.Endpoint, len(tp.Hosts)),
 		cluster: cl,
 		shards:  make([]shardState, nshards),
@@ -181,7 +183,7 @@ func (c Config) newSim(seed uint64, topoCfg topo.Config, stack Stack) *Sim {
 // full-size data packet (MTU plus transport header) and its ACK.
 func (s *Sim) BaseRTT(src, dst int) eventq.Time {
 	return s.Topo.BaseRTT(s.Topo.Hosts[src].ID(), s.Topo.Hosts[dst].ID(),
-		s.MTU+transport.HeaderSize, netsim.AckSize)
+		MTU+transport.HeaderSize, netsim.AckSize)
 }
 
 // IdealFCT returns the unloaded completion time of a flow: the base RTT
@@ -189,9 +191,9 @@ func (s *Sim) BaseRTT(src, dst int) eventq.Time {
 // bytes at line rate.
 func (s *Sim) IdealFCT(spec workload.FlowSpec) eventq.Time {
 	base := s.BaseRTT(spec.Src, spec.Dst)
-	nPkts := (spec.Size + int64(s.MTU) - 1) / int64(s.MTU)
+	nPkts := (spec.Size + MTU - 1) / MTU
 	wire := spec.Size + nPkts*transport.HeaderSize
-	rest := wire - int64(s.MTU+transport.HeaderSize)
+	rest := wire - (MTU + transport.HeaderSize)
 	if rest < 0 {
 		rest = 0
 	}
@@ -299,7 +301,7 @@ func (s *Sim) openFlow(fr *flowRun) *transport.Conn {
 		InterDC: interDC,
 	}
 	params, cc, lb := s.stack.Policies(s, *spec, interDC)
-	params.MTU = s.MTU
+	params.MTU = MTU
 	if params.BaseRTT <= 0 {
 		params.BaseRTT = s.BaseRTT(spec.Src, spec.Dst)
 	}
@@ -333,15 +335,14 @@ func (s *Sim) RunUntil(deadline eventq.Time) { s.cluster.RunUntil(deadline) }
 // cancel their timers, so a finished workload quiesces).
 func (s *Sim) Drain() { s.cluster.Run() }
 
-// Run executes until all scheduled flows complete or the horizon passes.
+// Run executes until all scheduled flows complete or the horizon passes. It
+// checks for completion every 1/64 of the horizon, and last at the horizon
+// itself; with a horizon of zero or less it runs at most one step.
 func (s *Sim) Run(horizon eventq.Time) {
-	step := horizon / 64
-	if step <= 0 {
-		step = horizon
-	}
-	for at := step; at <= horizon; at += step {
+	step := max(horizon/64, 1)
+	for at := min(step, horizon); ; at += min(step, horizon-at) {
 		s.RunUntil(at)
-		if s.Pending() == 0 {
+		if at == horizon || s.Pending() == 0 {
 			return
 		}
 	}

@@ -291,22 +291,47 @@ func TestShardedGoldenDigest(t *testing.T) {
 	}
 }
 
+// goldenRegistryDigests pins every registry experiment's report digest at
+// Scale 0.1, seed 7, on per-DC shards: an accidental behaviour change in any
+// experiment fails here. fig1 and table1 run no packet simulation.
+var goldenRegistryDigests = map[string]uint64{
+	"fig1":        0,
+	"fig3":        0x7649fd6605be7dc7,
+	"fig4":        0x657d95910992af90,
+	"table1":      0,
+	"fig8":        0xb27d65bfaa34eed8,
+	"fig9":        0x97ba34ceb8a506da,
+	"fig10":       0xf77da7d86982edc3,
+	"fig11":       0x5c9a7821ddfa449a,
+	"fig12":       0x4bff70e4e2888cb8,
+	"fig13a":      0xdf332b74a2c7b2ff,
+	"fig13b":      0x3c8835b249561d77,
+	"fig13c":      0x85a3669bf8adaec9,
+	"ext-trim":    0x6a8bedff812c6cca,
+	"ext-annulus": 0xcfac9dc2e08fbf60,
+	"tournament":  0xec99328d6bdbb69c,
+}
+
 // TestRegistryShardEquivalence extends the worker-count equivalence property
 // to every experiment in the registry at a small scale: with the fabric
 // partitioned per DC, one worker and two must render the same report, digest
-// line included.
+// line included, and that digest must be the committed one.
 func TestRegistryShardEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every registry experiment twice")
 	}
 	for _, e := range Registry() {
-		var reports [2]string
+		var reports [2]*Report
 		for i := range reports {
-			reports[i] = e.Run(Config{Scale: 0.1, Seed: 7, Parallel: 1, Shards: i + 1}).String()
+			reports[i] = e.Run(Config{Scale: 0.1, Seed: 7, Parallel: 1, Shards: i + 1})
 		}
-		if reports[0] != reports[1] {
+		if one, two := reports[0].String(), reports[1].String(); one != two {
 			t.Errorf("%s differs between 1 and 2 shard workers:\n--- 1 ---\n%s\n--- 2 ---\n%s",
-				e.ID, reports[0], reports[1])
+				e.ID, one, two)
+		}
+		if want, ok := goldenRegistryDigests[e.ID]; !ok || reports[0].Digest != want {
+			t.Errorf("%s digest moved: got %#016x, want %#016x\n(if the change is intentional, update goldenRegistryDigests)",
+				e.ID, reports[0].Digest, want)
 		}
 	}
 }

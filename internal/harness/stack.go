@@ -36,7 +36,7 @@ func unoSystem(s *Sim, src int, mod func(*core.System)) core.System {
 	sys := &st.unoSys
 	*sys = core.System{
 		LinkBps:  s.Topo.Cfg.LinkBps,
-		IntraRTT: s.Topo.IntraRTT(s.MTU),
+		IntraRTT: s.Topo.IntraRTT(MTU),
 		Pool:     &st.policies,
 	}
 	if mod != nil {
@@ -106,7 +106,7 @@ func StackGemini() Stack {
 		Name: "gemini",
 		Policies: func(s *Sim, spec workload.FlowSpec, interDC bool) (transport.Params, transport.CongestionControl, transport.PathSelector) {
 			baseRTT := s.BaseRTT(spec.Src, spec.Dst)
-			intraRTT := s.Topo.IntraRTT(s.MTU)
+			intraRTT := s.Topo.IntraRTT(MTU)
 			bps := float64(s.Topo.Cfg.LinkBps)
 			cc := baselines.NewGemini(baselines.GeminiConfig{
 				BDP:      bps / 8 * baseRTT.Seconds(),

@@ -63,6 +63,10 @@ type TopologyConfig = topo.Config
 // links, 1 MiB port buffers, 14 µs intra-DC and 2 ms inter-DC base RTTs.
 func DefaultTopology() TopologyConfig { return topo.DefaultConfig() }
 
+// MTU is the data payload of every simulated flow's full-size packet, in
+// bytes.
+const MTU = harness.MTU
+
 // Sim is a runnable simulation instance: topology + protocol stack +
 // scheduled flows.
 type Sim = harness.Sim
