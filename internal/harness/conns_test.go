@@ -109,6 +109,47 @@ func TestConnsSeesStartedFlows(t *testing.T) {
 	}
 }
 
+// TestOneFlowNumbering: every partition numbers flows at Schedule, in spec
+// order and across Schedule calls, so Conns()[i] is the flow with ID i+1,
+// also when a later call adds flows that start before still-pending flows
+// of an earlier one. The digest is shard 0's sum with every later shard's
+// sum folded onto it: on one shard, that shard's own sum.
+func TestOneFlowNumbering(t *testing.T) {
+	for _, shards := range []int{0, 1, 2} {
+		sim, err := NewSimShards(13, smallTopo(), StackUno(), shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perDC := sim.Topo.Cfg.HostsPerDC()
+		sim.Schedule([]workload.FlowSpec{
+			{Src: 0, Dst: 1, Size: 64 << 10},
+			{Src: perDC + 2, Dst: 3, Size: 64 << 10, Start: 300 * eventq.Microsecond},
+			{Src: 4, Dst: 5, Size: 64 << 10, Start: 200 * eventq.Microsecond},
+		})
+		sim.RunUntil(50 * eventq.Microsecond)
+		sim.Schedule([]workload.FlowSpec{
+			{Src: perDC + 6, Dst: perDC + 7, Size: 64 << 10, Start: 100 * eventq.Microsecond},
+			{Src: 8, Dst: perDC + 9, Size: 64 << 10, Start: 60 * eventq.Microsecond},
+		})
+		sim.Run(100 * eventq.Millisecond)
+		if sim.Pending() != 0 {
+			t.Fatalf("shards=%d: %d flows did not complete", shards, sim.Pending())
+		}
+		for i, c := range sim.Conns() {
+			if id := c.Flow().ID; id != netsim.FlowID(i+1) {
+				t.Errorf("shards=%d: Conns()[%d] has ID %d, want %d", shards, i, id, i+1)
+			}
+		}
+		want := sim.shards[0].digest.Sum()
+		if shards > 0 {
+			want = netsim.DigestFold(want, sim.shards[1].digest.Sum())
+		}
+		if got := sim.Digest(); got != want {
+			t.Errorf("shards=%d: Digest() = %#x, want %#x", shards, got, want)
+		}
+	}
+}
+
 // TestFlowLifecycleOnEveryEngine: on one shard and on per-DC shards with one
 // and two workers, a mixed workload with EC flows crossing the border both
 // ways ends with both ends of every flow out of their endpoints' demux, no

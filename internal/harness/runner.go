@@ -50,9 +50,8 @@ type Sim struct {
 	Topo *topo.DualDC
 	Eps  []*transport.Endpoint
 
-	stack  Stack
-	nextID netsim.FlowID
-	conns  []*transport.Conn
+	stack Stack
+	conns []*transport.Conn
 
 	cluster *netsim.Cluster
 	shards  []shardState
@@ -129,7 +128,8 @@ func NewSimShards(seed uint64, topoCfg topo.Config, stack Stack, shards int) (*S
 }
 
 // Sharded reports whether the fabric is partitioned into more than one
-// shard.
+// shard. Nothing in the Sim asks; it stays because the benchmark module
+// (bench/measure.go) calls it.
 func (s *Sim) Sharded() bool { return len(s.shards) > 1 }
 
 // Cluster returns the shard cluster the fabric lives on.
@@ -137,18 +137,14 @@ func (s *Sim) Cluster() *netsim.Cluster { return s.cluster }
 
 // Digest returns the run's determinism fingerprint: an FNV-1a fold of every
 // packet sent, delivered, and dropped so far. Two runs of the same scenario
-// with the same seed must return the same digest. The per-shard digests are
-// combined in shard order, so the result is independent of the worker
-// count. A one-shard Sim returns its shard's sum unwrapped: a whole-fabric
-// digest (every golden, every EXPERIMENTS.md row) is the digest of that
-// fabric on a standalone network, not a fold of one.
+// with the same seed must return the same digest. It is shard 0's sum with
+// every later shard's sum folded onto it in shard order, so the result is
+// independent of the worker count, and on one shard it is that shard's own
+// sum: the digest of the fabric on a standalone network.
 func (s *Sim) Digest() uint64 {
-	if !s.Sharded() {
-		return s.shards[0].digest.Sum()
-	}
-	h := netsim.DigestSeed
-	for i := range s.shards {
-		h = netsim.DigestFold(h, s.shards[i].digest.Sum())
+	h := s.shards[0].digest.Sum()
+	for _, st := range s.shards[1:] {
+		h = netsim.DigestFold(h, st.digest.Sum())
 	}
 	return h
 }
@@ -207,20 +203,19 @@ func (s *Sim) IdealFCT(spec workload.FlowSpec) eventq.Time {
 type flowRun struct {
 	s     *Sim
 	spec  workload.FlowSpec // private copy: the caller keeps its slice
-	flow  transport.Flow
+	flow  transport.Flow    // its ID is its position in Conns() plus one
 	ideal eventq.Time
-	// Where a scheduled flow's connection is published: slot is its element
-	// of the slice Schedule returned, idx its index in s.conns.
-	slot  **transport.Conn
-	idx   int32
-	shard int32 // source host's shard: the flow's shardState
+	slot  **transport.Conn // its element of the slice Schedule returned
+	shard int              // source host's shard: the flow's shardState
 }
 
 // Schedule arranges for the given flows to start at their Start times on
 // their source hosts' shards. It returns the connections in spec order; the
-// returned slice is the tail of Conns(). A flow whose two hosts share a
-// shard is opened at its start time, on that shard's goroutine, so its
-// entry stays nil until then; a cross-shard flow is opened here.
+// returned slice is the tail of Conns(). Every flow is numbered here, in
+// spec order, on every partition: flow Conns()[i] has ID i+1. A flow whose
+// two hosts share a shard is opened at its start time, on that shard's
+// goroutine, so its entry stays nil until then; a cross-shard flow is
+// opened here.
 func (s *Sim) Schedule(specs []workload.FlowSpec) []*transport.Conn {
 	base, n := len(s.conns), len(specs)
 	s.conns = slices.Grow(s.conns, n)[:base+n]
@@ -229,19 +224,11 @@ func (s *Sim) Schedule(specs []workload.FlowSpec) []*transport.Conn {
 	runs := make([]flowRun, n)
 	for i := range runs {
 		fr := &runs[i]
-		fr.s, fr.spec = s, specs[i]
-		fr.slot, fr.idx = &conns[i], int32(base+i)
+		fr.s, fr.spec, fr.slot = s, specs[i], &conns[i]
+		fr.flow.ID = netsim.FlowID(base + i + 1)
 		src := s.Topo.Hosts[fr.spec.Src].Network()
-		fr.shard = int32(src.Shard())
+		fr.shard = src.Shard()
 		s.shards[fr.shard].pending++
-		// The one partition-dependent decision, flow numbering: per-DC
-		// shards number here, in spec order, so that no shard goroutine
-		// touches the counter; one shard numbers in openFlow, in start
-		// order, which every whole-fabric digest depends on.
-		if s.Sharded() {
-			s.nextID++
-			fr.flow.ID = s.nextID
-		}
 		// A cross-shard flow registers its receiver on another goroutine's
 		// endpoint, which is only safe between windows: open it now, on the
 		// coordinating goroutine (passively — no events, no entropy).
@@ -260,33 +247,30 @@ func (s *Sim) Schedule(specs []workload.FlowSpec) []*transport.Conn {
 
 // startFlowRun is the pre-bound start callback: it launches the flow at its
 // start time, first opening it if Schedule did not, and then publishes the
-// connection in both the slice Schedule returned and Conns() — one element,
-// unless a later Schedule grew s.conns into a new array. It runs on the
-// source shard's goroutine, the only one that reads those elements inside
-// a window (SampleRates polls the flow from there).
+// connection in both the slice Schedule returned and Conns(), at the
+// flow's ID minus one — one element, unless a later Schedule grew s.conns
+// into a new array. It runs on the source shard's goroutine, the only one
+// that reads those elements inside a window (SampleRates polls the flow
+// from there).
 func startFlowRun(a any) {
 	fr := a.(*flowRun)
 	conn := *fr.slot
 	if conn == nil {
 		conn = fr.s.openFlow(fr)
 		*fr.slot = conn
-		fr.s.conns[fr.idx] = conn
+		fr.s.conns[fr.flow.ID-1] = conn
 	}
 	conn.Launch()
 }
 
-// openFlow resolves what fr's flow needs to be wired — descriptor,
-// transport parameters, policies, ideal FCT — and opens it passively; the
-// caller launches it at fr.spec.Start. It runs on the source shard's
-// goroutine, or on the coordinator between windows for a cross-shard flow,
-// so it touches the Sim only through read-only state and the source shard's
-// shardState (Stack.Policies included).
+// openFlow resolves what fr's flow needs to be wired — descriptor (under
+// the ID Schedule gave it), transport parameters, policies, ideal FCT — and
+// opens it passively; the caller launches it at fr.spec.Start. It runs on
+// the source shard's goroutine, or on the coordinator between windows for a
+// cross-shard flow, so it touches the Sim only through read-only state and
+// the source shard's shardState (Stack.Policies included).
 func (s *Sim) openFlow(fr *flowRun) *transport.Conn {
 	spec := &fr.spec
-	if fr.flow.ID == 0 { // one shard, whose events run on the coordinator
-		s.nextID++
-		fr.flow.ID = s.nextID
-	}
 	srcHost, dstHost := s.Topo.Hosts[spec.Src], s.Topo.Hosts[spec.Dst]
 	interDC := !s.Topo.SameDC(srcHost.ID(), dstHost.ID())
 	// The topology is the single source of truth for the flow's class;
@@ -357,11 +341,11 @@ func (s *Sim) Pending() int {
 	return total
 }
 
-// Conns returns every scheduled flow's connection, in scheduling order. Only
-// a flow between two shards is opened by Schedule; every other entry — all
-// of them on a one-shard Sim — is nil until its flow starts and is filled in
-// when it does. The slice is live up to its length at the time of the call;
-// read it between windows.
+// Conns returns every scheduled flow's connection, in scheduling order:
+// entry i is the flow with ID i+1. Only a flow between two shards is opened
+// by Schedule; every other entry — all of them on a one-shard Sim — is nil
+// until its flow starts and is filled in when it does. The slice is live up
+// to its length at the time of the call; read it between windows.
 func (s *Sim) Conns() []*transport.Conn { return s.conns }
 
 // Results returns the completed flows: each shard's list, in completion

@@ -339,8 +339,8 @@ func TestRegistryShardEquivalence(t *testing.T) {
 // TestOneShardSim: shards <= 0 builds a cluster of one shard holding the
 // whole fabric, and that Sim is the plain single-scheduler simulation: no
 // cross link and no lookahead, the digest is the shard's own sum, flows open
-// at their start time in start order, and the clock follows the scheduler
-// through RunUntil and Drain alike.
+// at their start time under the IDs Schedule gave them in spec order, and
+// the clock follows the scheduler through RunUntil and Drain alike.
 func TestOneShardSim(t *testing.T) {
 	sim, err := NewSimShards(5, smallTopo(), StackUno(), 0)
 	if err != nil {
@@ -360,8 +360,8 @@ func TestOneShardSim(t *testing.T) {
 	if sim.Now() != 40*eventq.Microsecond || sim.Net.Now() != sim.Now() {
 		t.Fatalf("after RunUntil(40us) Now() = %v, scheduler at %v", sim.Now(), sim.Net.Now())
 	}
-	if first, second := conns[1].Flow().ID, conns[0].Flow().ID; first != 1 || second != 2 {
-		t.Errorf("flow IDs %d, %d in start order, want 1, 2", first, second)
+	if first, second := conns[0].Flow().ID, conns[1].Flow().ID; first != 1 || second != 2 {
+		t.Errorf("flow IDs %d, %d in spec order, want 1, 2", first, second)
 	}
 	sim.Drain()
 	if sim.Pending() != 0 || cl.Pending() != 0 {
