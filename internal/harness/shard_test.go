@@ -253,7 +253,7 @@ func TestShardedFatTreeConservation(t *testing.T) {
 // reproduce this committed constant byte-for-byte, which is worker-count
 // independence stated as a golden. Like the simtest goldens it also pins
 // against accidental behavior drift in the partition protocol itself.
-const goldenShardedDualDC = 0xd37c936645e26684
+const goldenShardedDualDC = 0x75b87c50c10e2c44
 
 // TestShardedGoldenDigest runs the golden dual-DC scenario on per-DC
 // shards with 1 and 2 workers and compares each run against the committed
@@ -296,20 +296,20 @@ func TestShardedGoldenDigest(t *testing.T) {
 // experiment fails here. fig1 and table1 run no packet simulation.
 var goldenRegistryDigests = map[string]uint64{
 	"fig1":        0,
-	"fig3":        0x7649fd6605be7dc7,
-	"fig4":        0x657d95910992af90,
+	"fig3":        0x31a56c4e90c531e3,
+	"fig4":        0x77b269086497e67d,
 	"table1":      0,
-	"fig8":        0xb27d65bfaa34eed8,
-	"fig9":        0x97ba34ceb8a506da,
-	"fig10":       0xf77da7d86982edc3,
-	"fig11":       0x5c9a7821ddfa449a,
-	"fig12":       0x4bff70e4e2888cb8,
-	"fig13a":      0xdf332b74a2c7b2ff,
-	"fig13b":      0x3c8835b249561d77,
-	"fig13c":      0x85a3669bf8adaec9,
-	"ext-trim":    0x6a8bedff812c6cca,
-	"ext-annulus": 0xcfac9dc2e08fbf60,
-	"tournament":  0xec99328d6bdbb69c,
+	"fig8":        0x9a0561045590059a,
+	"fig9":        0x899ae06932a7a891,
+	"fig10":       0x91a2783ec3e294c1,
+	"fig11":       0x084e1d0536ce9ee9,
+	"fig12":       0x713a8d3db849a230,
+	"fig13a":      0xa7cc5604999b96a5,
+	"fig13b":      0x835c7dcac329b433,
+	"fig13c":      0xc7534252b40d6119,
+	"ext-trim":    0x3763eee17f2f6a71,
+	"ext-annulus": 0x16a99e6015e87877,
+	"tournament":  0xb0e2382c09d6a6a0,
 }
 
 // TestRegistryShardEquivalence extends the worker-count equivalence property
