@@ -241,9 +241,9 @@ func TestSimRunsFlowsOnSmallFabric(t *testing.T) {
 }
 
 // TestSimRunHorizon: Run returns with the clock on its horizon while a flow
-// is still pending. A horizon of zero or less used to loop for ever (its
-// step did not advance), and one that is not a multiple of 64 ps stopped at
-// the multiple below it.
+// is still pending, also for a horizon of zero or less, where a step of
+// horizon/64 does not advance, and for one that is not a multiple of the
+// 64 steps.
 func TestSimRunHorizon(t *testing.T) {
 	for _, horizon := range []eventq.Time{0, -1, 10*eventq.Microsecond + 63} {
 		sim := MustNewSim(6, smallTopo(), StackUno())
